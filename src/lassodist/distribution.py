@@ -1,22 +1,21 @@
 """Exact finite-sample distribution of the weighted Lasso under Gaussian noise.
 
 Everything here works in the estimation-error coordinates u = bhat - beta.
-The distribution of u is a mixture of parts indexed by sign vectors d: on the
-coordinates in D0 the estimator is pinned at 0 (u_j = -beta_j, an atom
-direction), and on D+- it moves continuously. Each part's mass is an integral
-of the p-dimensional Gaussian N(0, sigma^2 X'X) evaluated at
-
-    X'X m  +  s,     m_j in {integration variable (D+-), -beta_j (D0)},
-                     s_j in {-lam_j (D-), +lam_j (D+), integration var in
-                             [-lam_j, lam_j] (D0)},
-
-which is the first-order-conditions change of variables from X'eps to (m, s);
-its Jacobian contributes a factor |det (X'X)_{A,A}| with A = D- union D+ (the
-principal minor on the moving block), without which the sign-pattern parts do
-not sum to one. Quadrature paths need full column rank (the Gaussian is
-singular otherwise); rank-deficient designs go through the reduced-rank
-representation (rank-1 analytically, any rank by Monte Carlo over the
-solver).
+With G = X'X, the first-order conditions read X'eps = G u + s, where
+X'eps ~ N(0, sigma^2 G), s_j = lam_j sgn(bhat_j) on the moving set
+A = D- union D+, and s_j in [-lam_j, lam_j] on D0, where u_j = -beta_j (an
+atom direction). For one sign pattern d they give two independent Gaussian
+blocks: u_A = G_AA^{-1} ((X'eps)_A + G_A0 beta_0 - d_A lam_A), with
+covariance sigma^2 G_AA^{-1}, and s_0 = (X'eps)_0 - G_0A u_A + G_00 beta_0,
+with the Schur complement sigma^2 (G_00 - G_0A G_AA^{-1} G_A0). So every
+orthant event and every CDF term is a product of two Gaussian rectangle
+probabilities, and given the pattern, u_A is its Gaussian block restricted
+to the orthant. Rectangles of one or two coordinates have closed forms (the
+normal CDF; the bivariate normal through Owen's T); larger ones use Genz's
+randomized quasi-Monte Carlo estimate with a reported error bound. These
+paths need full column rank (the Gaussian on X'y is singular otherwise);
+rank-deficient designs go through the reduced-rank representation (rank-1
+analytically, any rank by Monte Carlo over the solver).
 
 Event-threshold convention: a threshold z_j = -beta_j on a D+- coordinate is
 accepted and yields the open event {bhat_j < 0} (resp. > 0); thresholds
@@ -32,15 +31,15 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import solve_triangular
-from scipy.stats import norm, qmc
+from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import (
     ConditioningError,
     ConvergenceError,
     DimensionLimitError,
     InputError,
+    NumericalError,
 )
 from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
 from .rng import gaussian_chunks
@@ -48,6 +47,10 @@ from .solver import solve_many
 
 QUAD_DIM_LIMIT = 6
 CDF_P_LIMIT = 4
+# QMC points of one Genz estimate: rectangles of three or more coordinates
+_GENZ_POINTS = 2**16
+# error bound reported by the closed-form rectangle kernels
+_EXACT_TOL = 1e-14
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EVENT_SIDE_TOL = 1e-9
 
@@ -117,22 +120,15 @@ def _validate_event(event: OrthantEvent, model: GaussianModel, p: int):
         raise InputError("event does not match the problem dimension")
     if not np.all(np.isfinite(z)):
         raise InputError("event thresholds must be finite")
-    zb = z + model.beta  # threshold positions relative to the orthant split
-    for j in d.d_minus:
-        if zb[j] > _EVENT_SIDE_TOL:
-            raise InputError(
-                f"coordinate {j}: threshold lies strictly on the positive side "
-                "but the sign vector says D-"
-            )
-    for j in d.d_plus:
-        if zb[j] < -_EVENT_SIDE_TOL:
-            raise InputError(
-                f"coordinate {j}: threshold lies strictly on the negative side "
-                "but the sign vector says D+"
-            )
-    for j in d.d_zero:
-        if abs(zb[j]) > _EVENT_SIDE_TOL:
-            raise InputError(f"coordinate {j}: D0 requires z_j = -beta_j")
+    # threshold positions relative to the orthant split, positive on the wrong side
+    signs, zb = d.as_array(), z + model.beta
+    wrong = np.flatnonzero(np.where(signs == 0, np.abs(zb), -signs * zb) > _EVENT_SIDE_TOL)
+    if wrong.size:
+        j = int(wrong[0])
+        raise InputError(
+            f"coordinate {j}: threshold z_j = {z[j]!r} lies on the wrong side of "
+            f"-beta_j = {-model.beta[j]!r} for d_j = {signs[j]} (D0 requires equality)"
+        )
 
 
 def _check_shapes(problem: DesignProblem, model: GaussianModel, tuning: TuningVector):
@@ -157,85 +153,61 @@ class _CenteredGaussian:
         return math.exp(self.logpdf(x))
 
 
-def _nested_quad(axes, f, eps):
-    """Tensor-nested adaptive quadrature; one scipy.integrate.quad per axis.
-
-    Axis kinds: ("finite", lo, hi), ("tail_low", ub, scale) for (-inf, ub],
-    ("tail_high", lb, scale) for [lb, inf). Tails are mapped through the
-    normal quantile, m = edge -+ scale*|q|, q = Phi^{-1}(t/2), t in (0,1];
-    the 1/(2 phi(q)) Jacobian is applied in log space so underflowing
-    integrands come out as clean zeros.
-    """
-    vals = [0.0] * len(axes)
-
-    def level(i):
-        if i == len(axes):
-            return f(vals)
-        kind = axes[i][0]
-        if kind == "finite":
-            lo, hi = axes[i][1], axes[i][2]
-            if hi <= lo:
-                return 0.0
-
-            def g(x, _i=i):
-                vals[_i] = x
-                return level(_i + 1)
-
-            return integrate.quad(g, lo, hi, epsabs=eps, epsrel=1e-10, limit=100)[0]
-
-        edge, scale = axes[i][1], axes[i][2]
-        toward = -1.0 if kind == "tail_low" else 1.0
-
-        def g(t, _i=i, _edge=edge, _scale=scale, _toward=toward):
-            if t <= 0.0:
-                return 0.0
-            q = norm.ppf(0.5 * t)  # q <= 0, -> -inf as t -> 0
-            if not np.isfinite(q):
-                return 0.0
-            vals[_i] = _edge + _toward * _scale * (-q) if _toward > 0 else _edge + _scale * q
-            inner = level(_i + 1)
-            if inner <= 0.0:
-                return 0.0
-            log_phi_q = -0.5 * q * q - _LOG_SQRT_2PI
-            return math.exp(math.log(inner) - log_phi_q + math.log(_scale) - math.log(2.0))
-
-        return integrate.quad(g, 0.0, 1.0, epsabs=eps, epsrel=1e-10, limit=100)[0]
-
-    return level(0)
+def _pattern(problem, model, tuning, signs):
+    """Gaussian blocks of one sign pattern: (A, (mean, cov) of u_A, (mean, cov) of s_0)."""
+    moving, zero = np.flatnonzero(signs != 0), np.flatnonzero(signs == 0)
+    gram, beta, var = problem.gram, model.beta, model.sigma**2
+    g_inv = np.linalg.inv(gram[np.ix_(moving, moving)])
+    g_0a, g_00 = gram[np.ix_(zero, moving)], gram[np.ix_(zero, zero)]
+    mean_a = g_inv @ (g_0a.T @ beta[zero] - signs[moving] * tuning.lam[moving])
+    return (
+        moving,
+        (mean_a, var * g_inv),
+        (g_00 @ beta[zero] - g_0a @ mean_a, var * (g_00 - g_0a @ g_inv @ g_0a.T)),
+    )
 
 
-def _moving_minor(gram, moving) -> float:
-    # Jacobian of (m, s) -> X'X m + s on the moving block
-    if len(moving) == 0:
-        return 1.0
-    sub = gram[np.ix_(moving, moving)]
-    return abs(float(np.linalg.det(sub)))
+def _pattern_prob(problem, model, tuning, signs, lower, upper, seed):
+    """(P(lower_A <= u_A <= upper_A), P(s_0 in the lambda-box), error bound of
+    their product, QMC points) for one pattern; bounds off A are not read."""
+    moving, (mean_a, cov_a), (mean_0, cov_0) = _pattern(problem, model, tuning, signs)
+    lo, hi = lower[moving] - mean_a, upper[moving] - mean_a
+    p_a, err_a, pts_a = _rectangle(np.linalg.cholesky(cov_a), lo, hi, seed)
+    lam_0 = tuning.lam[signs == 0]
+    if np.any(lam_0 == 0.0):
+        return p_a, 0.0, err_a, pts_a  # an unpenalized coordinate carries no atom at zero
+    p_0, err_0, pts_0 = _rectangle(np.linalg.cholesky(cov_0), -lam_0 - mean_0, lam_0 - mean_0, seed)
+    return p_a, p_0, err_a + err_0, pts_a + pts_0
 
 
-def _quad_scales(problem: DesignProblem, model: GaussianModel):
-    # twice the marginal Gaussian scale guarantees the transformed tail
-    # integrand decays: sigma^2 (X'X)^{-1}_jj is the widest variance any
-    # partially-integrated slice can show along axis j
-    inv_diag = np.diag(np.linalg.inv(problem.gram))
-    return 2.0 * model.sigma * np.sqrt(np.maximum(inv_diag, 0.0))
+def _orthant(signs, thresholds):
+    """Bounds of {u_j <= t_j on D-, u_j >= t_j on D+}; D0 coordinates are unbounded."""
+    return np.where(signs > 0, thresholds, -np.inf), np.where(signs < 0, thresholds, np.inf)
 
 
-def _gaussian_slice(problem, model, tuning, d: SignVector, m_template, s_template, slots):
-    """Integrand over the nested-quad axis values for one sign pattern d."""
-    density = _CenteredGaussian(model.sigma**2 * problem.gram)
-    gram = problem.gram
-    m = np.array(m_template, dtype=float)
-    s = np.array(s_template, dtype=float)
+def _quadrature(estimate, bound, points, seed, quad_tol=0.0) -> RegionProbability:
+    """A rectangle-kernel result; only QMC results carry a point count and seed."""
+    return RegionProbability(
+        estimate=min(max(float(estimate), 0.0), 1.0),
+        std_error=0.0,
+        method="quadrature",
+        n_samples=int(points),
+        seed=int(seed) if points else None,
+        quad_tol=max(quad_tol, bound),
+    )
 
-    def f(vals):
-        for (kind, j), v in zip(slots, vals):
-            if kind == "m":
-                m[j] = v
-            else:
-                s[j] = v
-        return density.pdf(gram @ m + s)
 
-    return f
+def _binomial_probability(hits, n_samples, seed) -> RegionProbability:
+    """A Monte Carlo frequency with its binomial standard error."""
+    ph = hits / n_samples
+    return RegionProbability(
+        estimate=float(ph),
+        std_error=float(math.sqrt(ph * (1.0 - ph) / n_samples)),
+        method="monte-carlo",
+        n_samples=int(n_samples),
+        seed=int(seed),
+        quad_tol=0.0,
+    )
 
 
 def _require_quad(problem, dim):
@@ -263,69 +235,38 @@ def prob_orthant_event(
     zero_tol: float = ZERO_TOL,
     solver_tol: float = 1e-10,
 ) -> RegionProbability:
-    """P(u_j <= z_j on D-, u_j >= z_j on D+, bhat_j = 0 on D0)."""
+    """P(u_j <= z_j on D-, u_j >= z_j on D+, bhat_j = 0 on D0).
+
+    Quadrature reports the larger of quad_tol and its kernels' summed error
+    bound; seed also seeds the QMC scrambling.
+    """
     _check_shapes(problem, model, tuning)
     _validate_event(event, model, problem.p)
     z, d = event.z, event.d
-    lam, beta = tuning.lam, model.beta
 
     if method == "mc":
         return _mc_probability(
             problem, model, tuning,
-            _event_indicator(z, d, beta, zero_tol),
+            _event_indicator(z, d, model.beta, zero_tol),
             n_samples, seed, solver_tol,
         )
     if method != "quad":
         raise InputError("method must be 'quad' or 'mc'")
 
     _require_quad(problem, problem.p)
-    if any(lam[j] == 0.0 for j in d.d_zero):
-        # an unpenalized coordinate carries no atom at zero
-        return RegionProbability(0.0, 0.0, "quadrature", 0, None, 0.0)
-
-    scales = _quad_scales(problem, model)
-    axes, slots = [], []
-    m_template = np.zeros(problem.p)
-    s_template = np.zeros(problem.p)
-    for j, dj in enumerate(d.d):
-        if dj == -1:
-            axes.append(("tail_low", float(z[j]), float(scales[j])))
-            slots.append(("m", j))
-            s_template[j] = -lam[j]
-        elif dj == 1:
-            axes.append(("tail_high", float(z[j]), float(scales[j])))
-            slots.append(("m", j))
-            s_template[j] = lam[j]
-        else:
-            axes.append(("finite", -float(lam[j]), float(lam[j])))
-            slots.append(("s", j))
-            m_template[j] = -beta[j]
-    f = _gaussian_slice(problem, model, tuning, d, m_template, s_template, slots)
-    jac = _moving_minor(problem.gram, sorted(d.d_minus + d.d_plus))
-    value = jac * _nested_quad(axes, f, quad_tol / max(1, len(axes)) / max(jac, 1.0))
-    return RegionProbability(
-        estimate=float(min(max(value, 0.0), 1.0)),
-        std_error=0.0,
-        method="quadrature",
-        n_samples=0,
-        seed=None,
-        quad_tol=quad_tol,
-    )
+    signs = d.as_array()
+    p_a, p_0, bound, points = _pattern_prob(problem, model, tuning, signs, *_orthant(signs, z), seed)
+    return _quadrature(p_a * p_0, bound, points, seed, quad_tol)
 
 
 def _event_indicator(z, d: SignVector, beta, zero_tol):
-    zb = z + beta  # thresholds in estimator coordinates
-    dm, dp, d0 = d.d_minus, d.d_plus, d.d_zero
+    signs = d.as_array()
+    szb = signs * (z + beta)  # thresholds in estimator coordinates, signed
 
     def indicator(B):
-        ok = np.ones(B.shape[0], dtype=bool)
-        for j in dm:
-            ok &= (B[:, j] < -zero_tol) & (B[:, j] <= zb[j])
-        for j in dp:
-            ok &= (B[:, j] > zero_tol) & (B[:, j] >= zb[j])
-        for j in d0:
-            ok &= np.abs(B[:, j]) <= zero_tol
-        return ok
+        sb = signs * B
+        moving = (sb > zero_tol) & (sb >= szb)
+        return np.all(np.where(signs == 0, np.abs(B) <= zero_tol, moving), axis=1)
 
     return indicator
 
@@ -342,15 +283,7 @@ def _mc_probability(problem, model, tuning, indicator, n_samples, seed, solver_t
         raise ConvergenceError(
             f"{fails} of {n_samples} Monte Carlo replicates failed to converge"
         )
-    ph = hits / n_samples
-    return RegionProbability(
-        estimate=float(ph),
-        std_error=float(math.sqrt(ph * (1.0 - ph) / n_samples)),
-        method="monte-carlo",
-        n_samples=int(n_samples),
-        seed=int(seed),
-        quad_tol=0.0,
-    )
+    return _binomial_probability(hits, n_samples, seed)
 
 
 def prob_all_zero(
@@ -366,9 +299,9 @@ def prob_all_zero(
 ) -> RegionProbability:
     """P(bhat = 0) = P(X'y inside the lambda-box).
 
-    Full column rank: a Gaussian rectangle probability (mean X'X beta,
-    covariance sigma^2 X'X). Rank one: exact interval reduction along the
-    row-space coordinate. Other rank-deficient designs: Monte Carlo.
+    Full column rank: the all-zero sign pattern, a Gaussian rectangle (mean
+    X'X beta, covariance sigma^2 X'X). Rank one: exact interval reduction
+    along the row-space coordinate. Other rank-deficient designs: Monte Carlo.
     """
     _check_shapes(problem, model, tuning)
     if method == "mc":
@@ -379,14 +312,10 @@ def prob_all_zero(
     if method != "quad":
         raise InputError("method must be 'quad' or 'mc'")
     if problem.rank_x == problem.p:
-        return mvn_box_probability(
-            mean=problem.gram @ model.beta,
-            cov=model.sigma**2 * problem.gram,
-            lower=-tuning.lam,
-            upper=tuning.lam,
-            seed=seed,
-            n_samples=max(8192, n_samples // 8),
-        )
+        signs = np.zeros(problem.p, dtype=int)
+        bounds = _orthant(signs, -model.beta)
+        p_a, p_0, bound, points = _pattern_prob(problem, model, tuning, signs, *bounds, seed)
+        return _quadrature(p_a * p_0, bound, points, seed)
     if problem.rank_x == 1:
         return _rank1_zero_atom(problem, model, tuning)
     raise DimensionLimitError(
@@ -408,15 +337,7 @@ def _rank1_zero_atom(problem, model, tuning):
             hi = min(hi, float(tuning.lam[j]) / a)
     if not math.isfinite(hi):  # unreachable: u has unit norm
         raise InputError("degenerate row-space basis")
-    est = float(norm.cdf((hi - t_mean) / t_sd) - norm.cdf((-hi - t_mean) / t_sd))
-    return RegionProbability(
-        estimate=min(max(est, 0.0), 1.0),
-        std_error=0.0,
-        method="quadrature",
-        n_samples=0,
-        seed=None,
-        quad_tol=1e-14,
-    )
+    return _quadrature(_interval((-hi - t_mean) / t_sd, (hi - t_mean) / t_sd), _EXACT_TOL, 0, None)
 
 
 def orthant_mass(
@@ -441,65 +362,34 @@ def conditional_density(
     d: SignVector,
     z_active,
     *,
-    quad_tol: float = 1e-6,
+    quad_tol: float = 1e-5,
 ) -> float:
     """Density of the error's D+- coordinates, conditional on bhat in O^d.
 
     z_active lists the error coordinates in the order of D- union D+
     (ascending index). Returns 0 outside the orthant indicator's support.
+    It is phi_A(z_active) / P(u_A in the orthant). Raises NumericalError
+    when the QMC error bound of P(bhat in O^d) exceeds quad_tol.
     """
     _check_shapes(problem, model, tuning)
     _require_quad(problem, problem.p)
     z_active = np.asarray(z_active, dtype=float).ravel()
-    moving = sorted(d.d_minus + d.d_plus)
-    if z_active.shape[0] != len(moving):
-        raise InputError(f"z_active must have length ||d||_1 = {len(moving)}")
-    if len(d.d_zero) > QUAD_DIM_LIMIT:
-        raise DimensionLimitError(
-            f"D0 box dimension {len(d.d_zero)} exceeds {QUAD_DIM_LIMIT}"
-        )
-    mass = orthant_mass(problem, model, tuning, d, quad_tol=quad_tol)
-    if mass.estimate < 1e-12:
+    signs = d.as_array()
+    moving, (mean_a, cov_a), _ = _pattern(problem, model, tuning, signs)
+    if z_active.shape[0] != moving.size:
+        raise InputError(f"z_active must have length ||d||_1 = {moving.size}")
+    bounds = _orthant(signs, -model.beta)
+    p_a, p_0, bound, _ = _pattern_prob(problem, model, tuning, signs, *bounds, 0)
+    if p_a * p_0 < 1e-12:
         raise ConditioningError(
-            f"P(bhat in O^d) = {mass.estimate:.3e} is numerically zero for d = {d.d}"
+            f"P(bhat in O^d) = {p_a * p_0:.3e} is numerically zero for d = {d.d}"
         )
-    z_err = np.empty(problem.p)
-    for j, v in zip(moving, z_active):
-        z_err[j] = v
-    for j in d.d_zero:
-        z_err[j] = -model.beta[j]
+    if bound > quad_tol:
+        raise NumericalError(f"QMC error bound {bound:.3e} exceeds quad_tol = {quad_tol:.3e}")
     # strict orthant indicator on the moving coordinates
-    zb = z_err + model.beta
-    for j in d.d_minus:
-        if not zb[j] < 0.0:
-            return 0.0
-    for j in d.d_plus:
-        if not zb[j] > 0.0:
-            return 0.0
-    jac = _moving_minor(problem.gram, moving)
-    value = jac * _box_slice_integral(problem, model, tuning, d, z_err, quad_tol)
-    return value / mass.estimate
-
-
-def _box_slice_integral(problem, model, tuning, d: SignVector, z_err, quad_tol):
-    """Integral of the Gaussian over the D0 box at fixed D+- coordinates."""
-    lam = tuning.lam
-    if any(lam[j] == 0.0 for j in d.d_zero):
+    if not np.all(signs[moving] * (z_active + model.beta[moving]) > 0.0):
         return 0.0
-    axes, slots = [], []
-    s_template = np.zeros(problem.p)
-    for j, dj in enumerate(d.d):
-        if dj == -1:
-            s_template[j] = -lam[j]
-        elif dj == 1:
-            s_template[j] = lam[j]
-        else:
-            axes.append(("finite", -float(lam[j]), float(lam[j])))
-            slots.append(("s", j))
-    f = _gaussian_slice(problem, model, tuning, d, z_err, s_template, slots)
-    if not axes:
-        return f([])
-    return _nested_quad(axes, f, quad_tol / max(1, len(axes)))
+    return _CenteredGaussian(cov_a).pdf(z_active - mean_a) / p_a
 
 
 def cdf(
@@ -513,16 +403,17 @@ def cdf(
 ) -> float:
     """F(z) = P(u <= z componentwise), error coordinates by default.
 
-    Sums the 3^p sign-pattern parts; each is a nested integral (tails for D-,
-    the interval (-beta_j, z_j] for D+, the lambda-box for D0) of the same
-    Gaussian slice as everywhere else, with the part dropped whenever its own
+    Sums the 3^p sign-pattern parts. Each is a product of two rectangle
+    probabilities: u_A in (-inf, min(z_j, -beta_j)] on D- and (-beta_j, z_j]
+    on D+, s_0 in the lambda-box. A part is dropped whenever its own
     constraint set is empty (z_j < -beta_j on D0, z_j <= -beta_j on D+).
+    Raises NumericalError when the summed QMC error bound exceeds quad_tol.
     """
     _check_shapes(problem, model, tuning)
     _require_quad(problem, problem.p)
     if problem.p > CDF_P_LIMIT:
         raise DimensionLimitError(
-            f"cdf sums 3^p quadratures; p = {problem.p} > {CDF_P_LIMIT}. "
+            f"cdf sums 3^p rectangle products; p = {problem.p} > {CDF_P_LIMIT}. "
             "Use the simulation module's empirical CDF instead."
         )
     z = np.asarray(z, dtype=float).ravel()
@@ -532,39 +423,21 @@ def cdf(
         z = z - model.beta
     elif coords != "error":
         raise InputError("coords must be 'error' or 'estimator'")
-    beta, lam = model.beta, tuning.lam
-    scales = _quad_scales(problem, model)
-    total = 0.0
+    atom = -model.beta
+    total, bound = 0.0, 0.0
     for pattern in product((-1, 0, 1), repeat=problem.p):
-        total += _cdf_term(problem, model, tuning, pattern, z, beta, lam, scales, quad_tol)
+        signs = np.array(pattern)
+        if np.any((signs == 0) & (z < atom)) or np.any((signs == 1) & (z <= atom)):
+            continue  # the atom misses the event, or (-beta_j, z_j] is empty
+        lower, upper = _orthant(signs, atom)
+        p_a, p_0, err, _ = _pattern_prob(
+            problem, model, tuning, signs, lower, np.minimum(upper, z), 0
+        )
+        total += p_a * p_0
+        bound += err
+    if bound > quad_tol:
+        raise NumericalError(f"QMC error bound {bound:.3e} exceeds quad_tol = {quad_tol:.3e}")
     return float(min(max(total, 0.0), 1.0))
-
-
-def _cdf_term(problem, model, tuning, pattern, z, beta, lam, scales, quad_tol):
-    axes, slots = [], []
-    m_template = np.zeros(problem.p)
-    s_template = np.zeros(problem.p)
-    for j, dj in enumerate(pattern):
-        if dj == 0:
-            if z[j] < -beta[j] or lam[j] == 0.0:
-                return 0.0  # atom at u_j = -beta_j misses the event or is massless
-            axes.append(("finite", -float(lam[j]), float(lam[j])))
-            slots.append(("s", j))
-            m_template[j] = -beta[j]
-        elif dj == -1:
-            axes.append(("tail_low", float(min(z[j], -beta[j])), float(scales[j])))
-            slots.append(("m", j))
-            s_template[j] = -lam[j]
-        else:
-            if z[j] <= -beta[j]:
-                return 0.0  # the interval (-beta_j, z_j] is empty
-            axes.append(("finite", float(-beta[j]), float(z[j])))
-            slots.append(("m", j))
-            s_template[j] = lam[j]
-    d = SignVector(d=tuple(pattern))
-    f = _gaussian_slice(problem, model, tuning, d, m_template, s_template, slots)
-    jac = _moving_minor(problem.gram, sorted(d.d_minus + d.d_plus))
-    return jac * _nested_quad(axes, f, quad_tol / max(1, len(axes)) / max(jac, 1.0))
 
 
 def error_density(problem: DesignProblem, model: GaussianModel, tuning: TuningVector, z) -> float:
@@ -637,10 +510,10 @@ def mvn_box_probability(
 ) -> RegionProbability:
     """P(lower <= x <= upper) for x ~ N(mean, cov), bounds may be infinite.
 
-    Nonsingular covariance: separation-of-variables transform evaluated on a
-    scrambled Sobol set, with n_shifts independent scramblings; the spread of
-    the per-shift means gives the reported error bound. Singular covariance:
-    plain Monte Carlo through a reduced-rank factor.
+    Nonsingular covariance: closed forms for one or two coordinates, beyond
+    that the separation-of-variables transform on n_shifts independent
+    scramblings of a Sobol set, whose spread gives the reported error bound.
+    Singular covariance: plain Monte Carlo through a reduced-rank factor.
     """
     mean = np.asarray(mean, dtype=float).ravel()
     lower = np.asarray(lower, dtype=float).ravel()
@@ -658,51 +531,86 @@ def mvn_box_probability(
     if eigs[0] < -1e-10 * max(1.0, eigs[-1]):
         raise InputError("covariance is not positive semidefinite")
 
-    a = lower - mean
-    b = upper - mean
     try:
         chol = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         return _mvn_box_singular(sym, mean, lower, upper, n_samples, seed)
+    return _quadrature(*_rectangle(chol, lower - mean, upper - mean, seed, n_samples, n_shifts), seed)
 
-    if p == 1:
-        est = float(norm.cdf(b[0] / chol[0, 0]) - norm.cdf(a[0] / chol[0, 0]))
-        return RegionProbability(min(max(est, 0.0), 1.0), 0.0, "quadrature", 0, None, 1e-14)
+
+def _rectangle(chol, a, b, seed, n_samples=_GENZ_POINTS, n_shifts=8):
+    """P(a <= chol w <= b) for w ~ N(0, I): (estimate, error bound, QMC points).
+
+    Closed forms up to two coordinates; beyond, Genz's transform on n_shifts
+    scrambled Sobol sets, bounded by three standard errors of their mean.
+    """
+    k = a.shape[0]
+    if k == 0:
+        return 1.0, 0.0, 0
+    if k == 1:
+        return _interval(a[0] / chol[0, 0], b[0] / chol[0, 0]), _EXACT_TOL, 0
+    if k == 2:
+        # x_2 = sd_2 (rho w_1 + r w_2) with r = sqrt(1 - rho^2)
+        sd = np.array([chol[0, 0], math.hypot(chol[1, 0], chol[1, 1])])
+        rho, r = chol[1, 0] / sd[1], chol[1, 1] / sd[1]
+        return _rectangle2(a / sd, b / sd, rho, r), _EXACT_TOL, 0
+    from scipy.stats import qmc  # slow to import, and only this path needs it
 
     per_shift = 2 ** int(np.clip(np.ceil(np.log2(max(n_samples // n_shifts, 64))), 6, 16))
     estimates = np.empty(n_shifts)
-    for k in range(n_shifts):
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
-        sob = qmc.Sobol(d=p - 1, scramble=True, seed=gen)
+    for i in range(n_shifts):
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
+        sob = qmc.Sobol(d=k - 1, scramble=True, seed=gen)
         w = sob.random_base2(int(np.log2(per_shift)))
-        estimates[k] = _genz_estimate(chol, a, b, w)
-    est = float(estimates.mean())
+        estimates[i] = _genz_estimate(chol, a, b, w)
     spread = float(estimates.std(ddof=1) / math.sqrt(n_shifts))
-    return RegionProbability(
-        estimate=min(max(est, 0.0), 1.0),
-        std_error=0.0,
-        method="quadrature",
-        n_samples=int(n_shifts * per_shift),
-        seed=int(seed),
-        quad_tol=3.0 * spread + 1e-12,
+    return float(estimates.mean()), 3.0 * spread + 1e-12, n_shifts * per_shift
+
+
+def _interval(a, b) -> float:
+    """P(a <= x <= b) for x ~ N(0, 1), taken from the side of the smaller tail."""
+    if a > 0.0:
+        return float(ndtr(-a) - ndtr(-b))
+    return float(ndtr(b) - ndtr(a))
+
+
+def _rectangle2(a, b, rho, r) -> float:
+    """P(a <= x <= b) for standard normals with correlation rho, r = sqrt(1 - rho^2)."""
+    # mirror an axis whose interval lies above the mean, so the corners are small tails
+    flip = np.where(a > 0.0, -1.0, 1.0)
+    lo, hi = np.minimum(flip * a, flip * b), np.maximum(flip * a, flip * b)
+    rho = flip[0] * flip[1] * rho
+    return (
+        _bvn_cdf(hi[0], hi[1], rho, r) - _bvn_cdf(lo[0], hi[1], rho, r)
+        - _bvn_cdf(hi[0], lo[1], rho, r) + _bvn_cdf(lo[0], lo[1], rho, r)
     )
+
+
+def _bvn_cdf(h, k, rho, r) -> float:
+    """P(x <= h, y <= k) for standard normals with correlation rho (Owen, 1956)."""
+    if math.isinf(h) or math.isinf(k):
+        return float(ndtr(min(h, k)))
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.atan2(rho, r) / (2.0 * math.pi)
+
+    def owen(x, y):  # T(x, (y - rho x) / (x r)), which is +-1/4 at x = 0
+        return float(owens_t(x, (y - rho * x) / (x * r))) if x else math.copysign(0.25, y)
+
+    half = 0.5 if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0) else 0.0
+    return 0.5 * float(ndtr(h) + ndtr(k)) - owen(h, k) - owen(k, h) - half
 
 
 def _genz_estimate(chol, a, b, w):
     m, p = w.shape[0], a.shape[0]
-    with np.errstate(invalid="ignore"):
-        dlo = float(norm.cdf(a[0] / chol[0, 0]))
-        dhi = float(norm.cdf(b[0] / chol[0, 0]))
-    f = np.full(m, max(dhi - dlo, 0.0))
+    f = np.ones(m)
     ys = np.empty((m, p - 1))
-    lo, hi = np.full(m, dlo), np.full(m, dhi)
-    for i in range(1, p):
-        u = lo + w[:, i - 1] * (hi - lo)
-        ys[:, i - 1] = norm.ppf(np.clip(u, 1e-16, 1.0 - 1e-16))
+    for i in range(p):
         center = ys[:, :i] @ chol[i, :i]
-        lo = norm.cdf((a[i] - center) / chol[i, i])
-        hi = norm.cdf((b[i] - center) / chol[i, i])
+        lo = ndtr((a[i] - center) / chol[i, i])
+        hi = ndtr((b[i] - center) / chol[i, i])
         f *= np.maximum(hi - lo, 0.0)
+        if i < p - 1:
+            ys[:, i] = ndtri(np.clip(lo + w[:, i] * (hi - lo), 1e-16, 1.0 - 1e-16))
     return float(f.mean())
 
 
@@ -717,12 +625,4 @@ def _mvn_box_singular(sym, mean, lower, upper, n_samples, seed):
     for _start, count, Z in gaussian_chunks(seed, n_samples, rank):
         x = mean + Z @ factor.T
         hits += int(np.count_nonzero(np.all((x >= slack_lo) & (x <= slack_hi), axis=1)))
-    ph = hits / n_samples
-    return RegionProbability(
-        estimate=float(ph),
-        std_error=float(math.sqrt(ph * (1.0 - ph) / n_samples)),
-        method="monte-carlo",
-        n_samples=int(n_samples),
-        seed=int(seed),
-        quad_tol=0.0,
-    )
+    return _binomial_probability(hits, n_samples, seed)

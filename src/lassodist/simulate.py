@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import RegionProbability
+from .distribution import RegionProbability, _binomial_probability
 from .errors import ConvergenceError, InputError
 from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
 from .rng import gaussian_chunks
@@ -173,15 +173,7 @@ def estimate_nonuniqueness_probability(
 ) -> RegionProbability:
     """Fraction of replicates whose solution set is not a single point."""
     summary = run_simulation(problem, model, tuning, config)
-    ph = summary.nonunique_count / config.n_rep
-    return RegionProbability(
-        estimate=float(ph),
-        std_error=float(math.sqrt(ph * (1.0 - ph) / config.n_rep)),
-        method="monte-carlo",
-        n_samples=int(config.n_rep),
-        seed=int(config.seed),
-        quad_tol=0.0,
-    )
+    return _binomial_probability(summary.nonunique_count, config.n_rep, config.seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,11 @@
 
 Every orthant event of the weighted Lasso is, after the linear change of
 variables T = J^{-1}(W - c) with J = [G[:, A], I[:, D0]] and W = X'eps, a
-plain Gaussian rectangle probability. That route shares no code with the
-package's nested quadrature, so it serves as an independent oracle.
+plain Gaussian rectangle probability. This oracle applies scipy's
+multivariate normal CDF to that unfactorized p-dimensional rectangle. The
+package instead splits each event into two independent blocks (the moving
+coordinates and the lambda-box slack) and has its own rectangle kernels, so
+the two routes share no code and the oracle stays an independent check.
 """
 
 import numpy as np

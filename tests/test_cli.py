@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 import lassodist as ld
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, SRC
 
 N1P2 = str(FIXTURES / "n1p2_uniform.json")
 N1P2_LAM12 = str(FIXTURES / "n1p2_lam12.json")
@@ -17,10 +18,12 @@ CORR2 = str(FIXTURES / "corr2.json")
 
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "lassodist", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +10,13 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
 import lassodist as ld
+from conftest import SRC
+from lassodist.distribution import _GENZ_POINTS
 from lassodist.errors import (
     ConditioningError,
     DimensionLimitError,
     InputError,
+    NumericalError,
 )
 from mvn_oracle import box_prob, cdf_value, event_prob
 
@@ -371,6 +379,21 @@ def test_mvn_box_deterministic():
     assert a.estimate == b.estimate
 
 
+@pytest.mark.parametrize("mean,lower,upper", [
+    ((0.0, 0.0), (0.0, -np.inf), (np.inf, 0.0)),
+    ((0.0, 0.0), (-np.inf, -np.inf), (0.0, 0.0)),
+    ((0.1, 0.0), (0.5, -1.0), (2.0, 0.0)),
+    ((0.1, 0.0), (-0.3, 1.2), (0.4, np.inf)),
+    ((0.1, 0.0), (-6.0, -7.0), (-5.0, -6.5)),
+])
+def test_mvn_box_bivariate_closed_form(mean, lower, upper):
+    # zero and infinite standardized corners, mirrored axes and a far tail
+    cov = np.array([[1.5, -0.9], [-0.9, 1.0]])
+    r = ld.mvn_box_probability(mean, cov, lower, upper)
+    assert r.n_samples == 0 and r.seed is None
+    assert abs(r.estimate - box_prob(mean, cov, lower, upper)) <= 2e-11
+
+
 def test_mvn_box_singular_covariance():
     # rank-one covariance: both coordinates equal one N(0,1) draw
     cov = np.ones((2, 2))
@@ -419,3 +442,82 @@ def test_event_probability_matches_oracle(data):
     got = ld.prob_orthant_event(prob, model, tuning, ld.error_orthant_event(z, d))
     want = event_prob(gram, lam, beta, sigma, d, z)
     assert abs(got.estimate - want) <= 5e-5
+
+
+def _random_setup(p, seed, beta):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2 * p, p))
+    gram = a.T @ a / (2 * p) + 0.5 * np.eye(p)
+    lam = rng.uniform(0.4, 0.9, p)
+    prob = ld.design_from_gram(gram)
+    return prob, ld.gaussian_model(prob, beta, 1.0), ld.tuning_vector(lam), gram, lam
+
+
+def test_qmc_bound_is_reported_or_raised():
+    beta = np.array([0.2, -0.1, 0.3])
+    prob, model, tuning, _, _ = _random_setup(3, 5, beta)
+    r = ld.orthant_mass(prob, model, tuning, ld.SignVector(d=(1, 1, -1)), quad_tol=0.0, seed=7)
+    assert r.n_samples == _GENZ_POINTS and r.seed == 7
+    assert 0.0 < r.quad_tol < 1e-5
+    with pytest.raises(NumericalError):
+        ld.cdf(prob, model, tuning, -beta + 0.2, quad_tol=1e-12)
+
+
+def test_partition_p5():
+    beta = np.array([0.5, -0.3, 0.0, 0.2, -0.6])
+    prob, model, tuning, _, _ = _random_setup(5, 1, beta)
+    masses = [
+        ld.orthant_mass(prob, model, tuning, ld.SignVector(d=d), quad_tol=0.0)
+        for d in product((-1, 0, 1), repeat=5)
+    ]
+    assert len(masses) == 243
+    assert abs(sum(r.estimate for r in masses) - 1.0) <= sum(r.quad_tol for r in masses)
+
+
+def test_orthant_masses_p6_match_oracle():
+    beta = np.array([0.4, -0.2, 0.6, 0.0, -0.5, 0.3])
+    prob, model, tuning, gram, lam = _random_setup(6, 2, beta)
+    for d in ((0,) * 6, (1, 0, -1, 0, 0, 1)):
+        r = ld.orthant_mass(prob, model, tuning, ld.SignVector(d=d), quad_tol=0.0)
+        assert r.n_samples > 0 and r.seed == 0
+        want = event_prob(gram, lam, beta, 1.0, d, -beta)
+        assert abs(r.estimate - want) <= r.quad_tol + 1e-9, d
+
+
+def test_full_support_mass_p6_matches_mc():
+    d = (1, -1, 1, -1, 1, -1)
+    prob, model, tuning, _, _ = _random_setup(6, 2, 1.5 * np.array(d))
+    sv = ld.SignVector(d=d)
+    quad = ld.orthant_mass(prob, model, tuning, sv)
+    mc = ld.orthant_mass(prob, model, tuning, sv, method="mc", n_samples=20_000, seed=4)
+    assert quad.estimate > 0.1
+    assert abs(quad.estimate - mc.estimate) <= 3.0 * mc.std_error + 1e-3
+
+
+def test_cdf_p4_matches_oracle_and_mc():
+    beta = np.array([0.3, -0.5, -0.4, -0.6])
+    prob, model, tuning, gram, lam = _random_setup(4, 3, beta)
+    # three coordinates below their atoms leave the three patterns (d_1, -1, -1, -1)
+    z = -beta + np.array([0.5, -0.05, -0.02, -0.05])
+    got = ld.cdf(prob, model, tuning, z)
+    assert abs(got - cdf_value(gram, lam, beta, 1.0, z)) <= 1e-5 + 1e-8
+    mc = ld.prob_region_high(
+        prob, model, tuning, ld.region_below(z + beta), n_samples=20_000, seed=6
+    )
+    assert got > 0.05
+    assert abs(got - mc.estimate) <= 3.0 * mc.std_error + 1e-3
+
+
+def test_import_skips_scipy_stats_and_integrate():
+    code = (
+        "import sys, lassodist; "
+        "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
