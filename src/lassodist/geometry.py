@@ -67,8 +67,8 @@ def face_box(tuning: TuningVector, model, signs) -> FaceBox:
     return FaceBox(lam=tuning.lam, fixed_sign=fixed)
 
 
-def _sign_patterns(tuning, model, fix_first=False):
-    """All sign resolutions of a face family, lam_j = 0 slots collapsed to +1.
+def _sign_slots(tuning, model, fix_first=False):
+    """The signs each index of a face family may take, lam_j = 0 slots collapsed to +1.
 
     fix_first pins the first positively-penalized index at +1; valid whenever
     the caller's feasibility question is invariant under v -> -v (col(X') is
@@ -84,7 +84,12 @@ def _sign_patterns(tuning, model, fix_first=False):
             fixed_one = False
         else:
             slots.append((1, -1))
-    return product(*slots)
+    return slots
+
+
+def _sign_patterns(tuning, model, fix_first=False):
+    """All sign resolutions of a face family, in product order of _sign_slots."""
+    return product(*_sign_slots(tuning, model, fix_first))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +162,49 @@ def structural_set(problem: DesignProblem, tuning: TuningVector, tol: float = 1e
     return tuple(members)
 
 
+def _meeting_pairs(problem, tuning, members, tol):
+    """The signed pair faces over `members` that meet col(X').
+
+    Returned as a set of (j, s_j, k, s_k) with j < k and signs as face_box
+    stores them. One LP per pair and sign pattern with the leading sign
+    pinned; the mirror v -> -v of a meeting pair (lam = 0 slots stay +1)
+    meets col(X') too.
+    """
+    lam = tuning.lam
+    pairs = set()
+    for pair in combinations(members, 2):
+        for signs in _sign_patterns(tuning, pair, fix_first=True):
+            if face_intersects_row_space(problem, face_box(tuning, pair, signs), tol) is None:
+                continue
+            mirror = [s if lam[j] == 0.0 else -s for j, s in zip(pair, signs)]
+            pairs.add((pair[0], signs[0], pair[1], signs[1]))
+            pairs.add((pair[0], mirror[0], pair[1], mirror[1]))
+    return pairs
+
+
+def _pair_consistent_signs(tuning, model, pairs):
+    """_sign_patterns(tuning, model, fix_first=True), in the same order, less
+    every pattern with a signed pair outside `pairs`.
+
+    Signs are chosen slot by slot and a prefix is dropped as soon as one of
+    its pairs misses, so pruned patterns are never enumerated.
+    """
+    slots = _sign_slots(tuning, model, fix_first=True)
+    signs = []
+
+    def extend(t):
+        if t == len(slots):
+            yield tuple(signs)
+            return
+        for s in slots[t]:
+            if all((model[u], signs[u], model[t], s) in pairs for u in range(t)):
+                signs.append(s)
+                yield from extend(t + 1)
+                signs.pop()
+
+    return extend(0)
+
+
 @dataclass(frozen=True, eq=False)
 class NonuniquenessWitness:
     y: np.ndarray
@@ -186,6 +234,16 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
     intersect (models in lexicographic order, signs with the leading
     positively-penalized index pinned at +1) is returned with a constructed
     two-solution witness.
+
+    A signed face lies inside each of its signed sub-faces, so it can meet
+    col(X') only if every index of M is in the structural set and every
+    signed pair of M meets col(X'). The scan therefore first solves the
+    structural set (at most p LPs) and the signed pairs over it (at most
+    |S|(|S|-1) LPs, two per pair after the v -> -v mirror), then runs an LP
+    only on the faces that pass both tests. Every face it skips misses
+    col(X'), and every face it keeps gets the same LP in the same order as
+    in the exhaustive scan, so the verdict, the reported face, its point and
+    the witness are those of the exhaustive scan.
     """
     if tuning.p != problem.p:
         raise InputError("tuning vector length does not match the design")
@@ -195,10 +253,15 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
             "general_position() is a sufficient-only fallback for uniform tuning"
         )
     rank = problem.rank_x
+    unique = UniquenessVerdict(unique=True, witness=None, violating_face=None)
     if rank >= problem.p:
-        return UniquenessVerdict(unique=True, witness=None, violating_face=None)
-    for model in combinations(range(problem.p), rank + 1):
-        for signs in _sign_patterns(tuning, model, fix_first=True):
+        return unique
+    members = structural_set(problem, tuning, tol)
+    if len(members) <= rank:
+        return unique
+    pairs = _meeting_pairs(problem, tuning, members, tol)
+    for model in combinations(members, rank + 1):
+        for signs in _pair_consistent_signs(tuning, model, pairs):
             face = face_box(tuning, model, signs)
             point = face_intersects_row_space(problem, face, tol)
             if point is None:
@@ -211,7 +274,7 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
                 witness=witness,
                 violating_face=ViolatingFace(model=model, signs=tuple(signs), v=point.v),
             )
-    return UniquenessVerdict(unique=True, witness=None, violating_face=None)
+    return unique
 
 
 def construct_nonuniqueness_witness(

@@ -29,6 +29,20 @@ def _as_rows(a, b, n_free):
     return a, b
 
 
+def _pivot(tab, row, col):
+    """Scale tab[row] to a unit pivot and clear column col from every other row.
+
+    One masked rank-1 update over the rows with a nonzero entry in col; each
+    entry gets the same product and difference as in a row-by-row sweep, so
+    the result is bitwise that of the sweep.
+    """
+    tab[row] /= tab[row, col]
+    factor = tab[:, col].copy()
+    factor[row] = 0.0
+    hit = factor != 0.0
+    tab[hit] -= factor[hit, None] * tab[row]
+
+
 def feasible_point(a_eq, b_eq, a_ub, b_ub, n_free, tol=1e-9):
     """Return some x with A_eq x = b_eq and A_ub x <= b_ub, or None.
 
@@ -93,11 +107,7 @@ def feasible_point(a_eq, b_eq, a_ub, b_ub, n_free, tol=1e-9):
         best = ratios.min()
         ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
         row = int(ties[np.argmin(basis[ties])])  # Bland: smallest leaving basis index
-        piv = tab[row, col]
-        tab[row] /= piv
-        for r in range(m):
-            if r != row and tab[r, col] != 0.0:
-                tab[r] -= tab[r, col] * tab[row]
+        _pivot(tab, row, col)
         cost -= cost[col] * tab[row]
         basis[row] = col
     else:

@@ -221,3 +221,31 @@ def test_criterion_9_witnesses_on_planted_faces():
         done += 1
     dt = _budget(t0, 30.0, "criterion 9")
     print(f"[PASS] criterion 9: 50 constructed nonuniqueness witnesses verified ({dt:.2f}s)")
+
+
+def test_criterion_10_uniqueness_at_the_p14_limit():
+    t0 = time.perf_counter()
+    prob = ld.build_problem(np.random.default_rng(1414).normal(size=(5, 14)))
+    assert prob.p == ld.geometry.UNIQUENESS_LIMIT
+    assert ld.check_uniqueness(prob, ld.uniform_tuning(14, 1.0)).unique
+    dt_unique = _budget(t0, 10.0, "criterion 10 unique")
+
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(1415)
+    X = rng.normal(size=(5, 14))
+    prob = ld.build_problem(X)
+    v = X.T @ rng.normal(size=5)
+    model = sorted(int(j) for j in rng.choice(14, size=prob.rank_x + 1, replace=False))
+    assert np.min(np.abs(v[model])) >= 0.05
+    lam = np.abs(v) + rng.uniform(0.1, 1.0, size=14)
+    lam[model] = np.abs(v[model])
+    t = ld.tuning_vector(lam)
+    verdict = ld.check_uniqueness(prob, t)
+    assert not verdict.unique
+    w = verdict.witness
+    assert ld.is_solution(prob, w.y, t, w.b, tol=1e-8).ok
+    assert ld.is_solution(prob, w.y, t, w.b_tilde, tol=1e-8).ok
+    assert np.max(np.abs(w.b - w.b_tilde)) > 1e-6
+    dt_planted = _budget(t0, 10.0, "criterion 10 planted")
+    print(f"[PASS] criterion 10: p = 14 unique design certified ({dt_unique:.2f}s), "
+          f"planted face yields a verified witness ({dt_planted:.2f}s)")

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 import lassodist as ld
 from lassodist.errors import CombinatorialLimitError, InputError
-from lassodist.geometry import face_box, face_intersects_row_space
+from lassodist import geometry
+from lassodist.geometry import _sign_patterns, face_box, face_intersects_row_space
 
 
 def test_face_box_basics():
@@ -193,3 +196,108 @@ def test_ls_map_membership(data):
     assert ld.shrinkage_set_low(prob, t, sol.b).contains(z, tol=1e-7)
     if np.all(np.abs(sol.b) > 1e-9):
         assert np.allclose(ld.shrinkage_singleton(prob, t, sol.b), z, atol=1e-6)
+
+
+def _exhaustive_first_face(problem, tuning, tol=1e-9):
+    """The unpruned scan: one LP per signed face with |M| = rk(X)+1, in order.
+
+    Returns the first meeting face as (model, signs, point), or None.
+    """
+    rank = problem.rank_x
+    if rank >= problem.p:
+        return None
+    for model in combinations(range(problem.p), rank + 1):
+        for signs in _sign_patterns(tuning, model, fix_first=True):
+            point = face_intersects_row_space(problem, face_box(tuning, model, signs), tol)
+            if point is not None:
+                return model, tuple(signs), point
+    return None
+
+
+def _equivalence_design(rng, kind):
+    """One seeded design of the given kind, with its tuning vector."""
+    if kind == "gaussian":
+        n = int(rng.integers(1, 5))
+        X = rng.normal(size=(n, int(rng.integers(n + 1, n + 5))))
+        return X, np.full(X.shape[1], rng.uniform(0.3, 2.0))
+    if kind == "integer":  # ties among columns and among weights
+        n = int(rng.integers(1, 4))
+        X = rng.integers(-2, 3, size=(n, int(rng.integers(n + 1, n + 4)))).astype(float)
+        return X, rng.choice([1.0, 2.0], size=X.shape[1])
+    if kind == "degenerate":  # duplicated and zero columns, unpenalized coordinates
+        n = int(rng.integers(1, 4))
+        p = int(rng.integers(n + 2, n + 5))
+        X = rng.normal(size=(n, p))
+        X[:, 1] = X[:, 0]
+        X[:, rng.integers(p)] = 0.0
+        lam = rng.uniform(0.5, 2.0, size=p)
+        lam[rng.random(p) < 0.3] = 0.0
+        return X, lam
+    # planted face, as in acceptance criterion 9: lam_M = |v_M| for v = X'z
+    n = int(rng.integers(1, 4))
+    p = int(rng.integers(n + 2, n + 5))
+    X = rng.normal(size=(n, p))
+    v = X.T @ rng.normal(size=n)
+    model = rng.choice(p, size=np.linalg.matrix_rank(X) + 1, replace=False)
+    lam = np.abs(v) + rng.uniform(0.1, 1.0, size=p)
+    lam[model] = np.abs(v[model])
+    return X, lam
+
+
+def test_pruned_scan_matches_exhaustive_scan():
+    rng = np.random.default_rng(1313)
+    nonunique = 0
+    for k in range(240):
+        X, lam = _equivalence_design(rng, ("gaussian", "integer", "degenerate", "planted")[k % 4])
+        prob, t = ld.build_problem(X), ld.tuning_vector(lam)
+        verdict = ld.check_uniqueness(prob, t)
+        ref = _exhaustive_first_face(prob, t)
+        assert verdict.unique == (ref is None), k
+        if ref is None:
+            assert verdict.witness is None and verdict.violating_face is None
+            continue
+        nonunique += 1
+        model, signs, point = ref
+        face = verdict.violating_face
+        assert (face.model, face.signs) == (model, signs), k
+        assert face.v.tobytes() == point.v.tobytes(), k
+        w_ref = ld.construct_nonuniqueness_witness(prob, t, model, point.v, z=point.z)
+        w = verdict.witness
+        for got, want in ((w.y, w_ref.y), (w.b, w_ref.b), (w.b_tilde, w_ref.b_tilde)):
+            assert got.tobytes() == want.tobytes(), k
+    assert 60 <= nonunique <= 180  # both verdicts well represented
+
+
+def _count_lps(monkeypatch):
+    calls = []
+    real = geometry.feasible_point
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "feasible_point", counting)
+    return calls
+
+
+def test_uniqueness_lp_count_uniform_n4p10(monkeypatch):
+    # the base design of the benchmark's exact workload; the unpruned scan
+    # runs C(10,5) * 2^4 = 4032 LPs on it, all infeasible
+    prob = ld.build_problem(np.random.default_rng([2, 4]).normal(size=(4, 10)))
+    calls = _count_lps(monkeypatch)
+    assert ld.check_uniqueness(prob, ld.uniform_tuning(10, 1.0)).unique
+    assert len(calls) <= 100
+
+
+def test_uniqueness_lp_count_near_full_rank(monkeypatch):
+    # at rank p-1 almost no face is pruned: the scan costs the exhaustive
+    # count plus the structural set and the pair table
+    prob = ld.build_problem(np.random.default_rng(1112).normal(size=(11, 12)))
+    t = ld.uniform_tuning(12, 1.0)
+    members = ld.structural_set(prob, t)
+    calls = _count_lps(monkeypatch)
+    assert ld.check_uniqueness(prob, t).unique
+    # a unique verdict means the exhaustive scan ran every face
+    exhaustive = sum(1 for m in combinations(range(12), 12) for _ in _sign_patterns(t, m, True))
+    assert exhaustive == 2**11
+    assert len(calls) <= exhaustive + prob.p + len(members) * (len(members) - 1)

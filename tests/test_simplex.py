@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from lassodist import simplex
 from lassodist.simplex import feasible, feasible_point
 
 
@@ -86,3 +87,34 @@ def test_matches_scipy_verdict(data):
             assert np.max(np.abs(np.array(a_eq) @ x - np.array(b_eq))) <= 1e-7
         if a_ub:
             assert np.max(np.array(a_ub) @ x - np.array(b_ub)) <= 1e-7
+
+
+def _pivot_by_rows(tab, row, col):
+    """The row-by-row elimination the rank-1 pivot replaced; kept as its reference."""
+    tab[row] /= tab[row, col]
+    for r in range(tab.shape[0]):
+        if r != row and tab[r, col] != 0.0:
+            tab[r] -= tab[r, col] * tab[row]
+
+
+def _random_lp(rng):
+    n = int(rng.integers(1, 6))
+    m_eq, m_ub = int(rng.integers(0, 4)), int(rng.integers(0, 9))
+    if rng.random() < 0.5:
+        draw = lambda *shape: rng.normal(size=shape)
+    else:  # small integers: ties in the ratio test, zero entries in the pivot column
+        draw = lambda *shape: rng.integers(-3, 4, size=shape).astype(float)
+    return (draw(m_eq, n), draw(m_eq), draw(m_ub, n), draw(m_ub) + 1.0, n)
+
+
+def test_rank1_pivot_matches_row_loop(monkeypatch):
+    rng = np.random.default_rng(2718)
+    lps = [_random_lp(rng) for _ in range(2000)]
+    fast = [feasible_point(*lp) for lp in lps]
+    monkeypatch.setattr(simplex, "_pivot", _pivot_by_rows)
+    slow = [feasible_point(*lp) for lp in lps]
+    assert sum(x is not None for x in fast) > 200
+    for x, ref in zip(fast, slow):
+        assert (x is None) == (ref is None)
+        if x is not None:
+            assert x.tobytes() == ref.tobytes()
