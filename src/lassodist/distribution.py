@@ -34,16 +34,11 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr, ndtri, owens_t
 
-from .errors import (
-    ConditioningError,
-    ConvergenceError,
-    DimensionLimitError,
-    InputError,
-    NumericalError,
-)
+from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
 from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
-from .rng import gaussian_chunks
-from .solver import solve_many
+# unused here; perfbench/tracing.py wraps both and perfbench/worker.py calls solve_many
+from .rng import gaussian_chunks  # noqa: F401
+from .solver import solve_many  # noqa: F401
 
 QUAD_DIM_LIMIT = 6
 CDF_P_LIMIT = 4
@@ -272,18 +267,12 @@ def _event_indicator(z, d: SignVector, beta, zero_tol):
 
 
 def _mc_probability(problem, model, tuning, indicator, n_samples, seed, solver_tol):
-    hits = 0
-    fails = 0
-    for _start, _count, Z in gaussian_chunks(seed, n_samples, problem.n):
-        Y = model.mu + model.sigma * Z
-        B, resids = solve_many(problem, Y, tuning, tol=solver_tol)
-        fails += int(np.sum(resids > solver_tol))
-        hits += int(np.count_nonzero(indicator(B)))
-    if fails > 0.001 * n_samples:
-        raise ConvergenceError(
-            f"{fails} of {n_samples} Monte Carlo replicates failed to converge"
-        )
-    return _binomial_probability(hits, n_samples, seed)
+    from .simulate import _solve_replicates  # simulate imports this module at load time
+
+    hits = []
+    _solve_replicates(problem, model, tuning, n_samples, seed, solver_tol,
+                      lambda Y, B: hits.append(int(np.count_nonzero(indicator(B)))))
+    return _binomial_probability(sum(hits), n_samples, seed)
 
 
 def prob_all_zero(

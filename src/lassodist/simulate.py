@@ -18,6 +18,10 @@ from .errors import ConvergenceError, InputError
 from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
 from .rng import gaussian_chunks
 from .solver import DEFAULT_TOL, kernel_sign_cone_nonempty, solve_many
+from .solver import _cone_arguments, _uniqueness_classes
+
+# a Monte-Carlo call counts up to this share of unconverged replicates, and raises above it
+_MAX_UNCONVERGED_SHARE = 0.001
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,25 @@ def _ecdf_axes(problem: DesignProblem, model: GaussianModel, config: SimulationC
     return grids
 
 
+def _solve_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume):
+    """Solve n_rep replicates y = mu + sigma*z chunk by chunk; pass each (Y, B) to consume.
+
+    Returns the number of replicates that missed solver_tol, and raises
+    ConvergenceError when they exceed _MAX_UNCONVERGED_SHARE of n_rep.
+    """
+    fails = 0
+    for _start, _count, Z in gaussian_chunks(seed, n_rep, problem.n):
+        Y = model.mu + model.sigma * Z
+        B, resids = solve_many(problem, Y, tuning, tol=solver_tol)
+        fails += int(np.sum(resids > solver_tol))
+        consume(Y, B)
+    if fails > _MAX_UNCONVERGED_SHARE * n_rep:
+        raise ConvergenceError(
+            f"{fails} of {n_rep} Monte Carlo replicates failed to reach solver_tol={solver_tol:g}"
+        )
+    return fails
+
+
 def run_simulation(
     problem: DesignProblem,
     model: GaussianModel,
@@ -82,7 +105,8 @@ def run_simulation(
 
     Per replicate: the sign pattern of b at zero_tol, its support, whether the
     solution set at that y is a single point, and per-axis ECDF counts. Fails
-    with ConvergenceError when more than 0.1% of replicates miss solver_tol.
+    with ConvergenceError when more than 0.1% of replicates miss solver_tol;
+    below that they are counted and reported in convergence_failures.
     """
     if tuning.p != problem.p or model.beta.shape[0] != problem.p:
         raise InputError("model/tuning dimensions do not match the design")
@@ -91,17 +115,11 @@ def run_simulation(
     grids = _ecdf_axes(problem, model, config)
     ecdf_hits = [np.zeros(config.ecdf_points, dtype=np.int64) for _ in range(problem.p)]
     nonunique = 0
-    fails = 0
-    gram, lam = problem.gram, tuning.lam
-    class_tol = max(100.0 * config.solver_tol, 1e-8)
     always_unique = problem.rank_x == problem.p
     cone_cache: dict = {}
 
-    for _start, _count, Z in gaussian_chunks(config.seed, config.n_rep, problem.n):
-        Y = model.mu + model.sigma * Z
-        B, resids = solve_many(problem, Y, tuning, tol=config.solver_tol)
-        fails += int(np.sum(resids > config.solver_tol))
-
+    def count(Y, B):
+        nonlocal nonunique
         s_class = np.where(B > config.zero_tol, 1, np.where(B < -config.zero_tol, -1, 0))
         patterns, counts = np.unique(s_class, axis=0, return_counts=True)
         for row, cnt in zip(patterns, counts):
@@ -113,14 +131,10 @@ def run_simulation(
             ecdf_hits[j] += np.count_nonzero(B[:, j][:, None] <= grids[j][None, :], axis=0)
 
         if not always_unique:
-            nonunique += _count_nonunique(
-                problem, Y, B, gram, lam, class_tol, config.zero_tol, cone_cache
-            )
+            nonunique += _count_nonunique(problem, tuning, config, Y, B, cone_cache)
 
-    if fails > 0.001 * config.n_rep:
-        raise ConvergenceError(
-            f"{fails} of {config.n_rep} replicates failed to reach solver_tol"
-        )
+    fails = _solve_replicates(problem, model, tuning, config.n_rep, config.seed,
+                              config.solver_tol, count)
     ecdf_grid = tuple(
         tuple((float(z), int(h) / config.n_rep) for z, h in zip(grids[j], ecdf_hits[j]))
         for j in range(problem.p)
@@ -136,29 +150,21 @@ def run_simulation(
     )
 
 
-def _count_nonunique(problem, Y, B, gram, lam, class_tol, zero_tol, cache):
-    """Uniqueness-at-y test for a whole chunk, one cone test per distinct pattern.
+def _count_nonunique(problem, tuning, config, Y, B, cache):
+    """Uniqueness-at-y test for a whole chunk, one cone test per distinct class row.
 
-    The verdict depends on y only through which coordinates are interior
-    (lam_j - |g_j| > class_tol with b_j = 0) and which boundary zeros carry a
-    sign constraint, so rows sharing that classification share the answer.
+    The verdict depends on y only through the classes of
+    solver._uniqueness_classes, so rows sharing them share the answer.
     """
-    G_all = Y @ problem.X - B @ gram
-    interior = (lam[None, :] - np.abs(G_all) > class_tol) & (np.abs(B) <= zero_tol)
-    zeroish = np.abs(B) <= zero_tol
-    constrained = (~interior) & zeroish & (lam > 0)[None, :] & (np.abs(G_all) > class_tol)
-    signed = np.where(G_all >= 0, 1, -1) * constrained
-    key_mat = np.where(interior, 2, signed).astype(np.int8)
-    patterns, counts = np.unique(key_mat, axis=0, return_counts=True)
+    G = Y @ problem.X - B @ problem.gram
+    classes = _uniqueness_classes(G, B, tuning.lam, config.solver_tol, config.zero_tol)
+    patterns, counts = np.unique(classes, axis=0, return_counts=True)
     total = 0
     for row, cnt in zip(patterns, counts):
         key = row.tobytes()
         verdict = cache.get(key)
         if verdict is None:
-            boundary = np.flatnonzero(row != 2)
-            constrained_idx = np.flatnonzero((row == 1) | (row == -1))
-            signs = row[constrained_idx].astype(float)
-            verdict = kernel_sign_cone_nonempty(problem, boundary, constrained_idx, signs)
+            verdict = kernel_sign_cone_nonempty(problem, *_cone_arguments(row))
             cache[key] = verdict
         if verdict:
             total += int(cnt)

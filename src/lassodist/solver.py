@@ -11,8 +11,12 @@ minimizes L iff, with g = X'y - X'Xb,
     g_j = sgn(b_j) lam_j        where b_j != 0,
     |g_j| <= lam_j              where b_j == 0,
 
-which is what is_solution certifies and what the coordinate-descent loop uses
-as its convergence criterion.
+which is what is_solution certifies and what coordinate descent uses as its
+convergence criterion.
+
+One batched coordinate-descent engine solves every response; solve is its
+one-row call. A row that misses tol within max_iter sweeps keeps its best
+iterate: solve_many returns it, solve raises ConvergenceError carrying it.
 """
 
 from __future__ import annotations
@@ -76,15 +80,46 @@ def _kkt_violation(g, b, lam, zero_tol):
     return np.where(active, np.abs(g - np.sign(b) * lam), np.maximum(np.abs(g) - lam, 0.0))
 
 
-def _check_inputs(problem, y, tuning):
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != problem.n:
-        raise InputError(f"y must have length n={problem.n}")
-    if not np.all(np.isfinite(y)):
-        raise InputError("y has non-finite entries")
+def _check_inputs(problem, Y, tuning, tol=None):
+    """Validated responses as an (m, n) array; one response becomes one row."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if Y.ndim != 2 or Y.shape[1] != problem.n:
+        raise InputError(f"each response must have length n={problem.n}")
+    if not np.all(np.isfinite(Y)):
+        raise InputError("responses have non-finite entries")
     if tuning.p != problem.p:
         raise InputError("tuning vector length does not match the design")
-    return y
+    if tol is not None and not tol > 0:
+        raise InputError("tol must be positive")
+    return Y
+
+
+def _descend(gram, lam, C, tol, max_iter):
+    """Cyclic coordinate descent from b = 0 on each row of C = Y X, order 1..p.
+
+    A row closes once its KKT residual meets tol; every row keeps its best
+    iterate and residual.
+    """
+    m, p = C.shape
+    diag = np.diag(gram).copy()
+    B = np.zeros((m, p))
+    resids = np.full(m, np.inf)
+    rows, Ba, Ca = np.arange(m), B.copy(), C
+    for _ in range(max_iter):
+        if rows.size == 0:
+            break
+        for j in range(p):
+            if diag[j] <= 0.0:
+                continue  # zero column: coefficient pinned at 0
+            rho = Ca[:, j] - Ba @ gram[:, j] + diag[j] * Ba[:, j]
+            Ba[:, j] = _soft(rho, lam[j]) / diag[j]
+        r = _kkt_violation(Ca - Ba @ gram, Ba, lam, 0.0).max(axis=1)
+        better = r < resids[rows]
+        B[rows[better]], resids[rows[better]] = Ba[better], r[better]
+        keep = r > tol
+        if not keep.all():
+            rows, Ba, Ca = rows[keep], Ba[keep], Ca[keep]
+    return B, resids
 
 
 def solve(
@@ -96,37 +131,22 @@ def solve(
 ) -> LassoSolution:
     """Cyclic coordinate descent from b = 0, coordinates in order 1..p.
 
-    Deterministic in its inputs. Convergence is declared on the first-order
-    residual (not on objective decrease), so the output always passes
-    is_solution at the same tol.
+    The one-row call of the engine behind solve_many. Deterministic in its
+    inputs. Convergence is declared on the first-order residual (not on
+    objective decrease), so the output always passes is_solution at the same
+    tol; otherwise ConvergenceError carries the best iterate and its residual.
     """
-    y = _check_inputs(problem, y, tuning)
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    gram, lam = problem.gram, tuning.lam
-    p = problem.p
-    diag = np.diag(gram).copy()
-    c = problem.X.T @ y
-    b = np.zeros(p)
-    best_resid, best_b = np.inf, b.copy()
-    for _ in range(max_iter):
-        for j in range(p):
-            if diag[j] <= 0.0:
-                continue  # zero column: coefficient pinned at 0
-            rho = c[j] - gram[j] @ b + diag[j] * b[j]
-            b[j] = _soft(rho, lam[j]) / diag[j]
-        g = c - gram @ b
-        resid = float(np.max(_kkt_violation(g, b, lam, 0.0))) if p else 0.0
-        if resid < best_resid:
-            best_resid, best_b = resid, b.copy()
-        if resid <= tol:
-            return _package(problem, y, tuning, b, resid)
-    raise ConvergenceError(
-        f"coordinate descent did not reach tol={tol:g} within {max_iter} sweeps "
-        f"(best residual {best_resid:.3e})",
-        b=best_b,
-        kkt_residual=best_resid,
-    )
+    Y = _check_inputs(problem, np.ravel(y), tuning, tol)
+    B, resids = _descend(problem.gram, tuning.lam, Y @ problem.X, tol, max_iter)
+    b, resid = B[0], float(resids[0])
+    if resid > tol:
+        raise ConvergenceError(
+            f"coordinate descent did not reach tol={tol:g} within {max_iter} sweeps "
+            f"(best residual {resid:.3e})",
+            b=b,
+            kkt_residual=resid,
+        )
+    return _package(problem, Y[0], tuning, b, resid)
 
 
 def _package(problem, y, tuning, b, resid):
@@ -148,39 +168,13 @@ def solve_many(
 ):
     """Solve one Lasso per row of Y (m x n). Returns (B, residuals).
 
-    Same update rule and sweep order as solve(); rows are frozen as soon as
-    they satisfy the first-order conditions. Rows still above tol after
-    max_iter sweeps are returned as-is with their residuals, so callers can
-    count failures instead of dying mid-batch.
+    The engine of solve(), which is its one-row call, with the same input
+    checks. A row still above tol after max_iter sweeps comes back as its
+    best iterate with that iterate's residual, so callers can count failures
+    instead of dying mid-batch.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape[1] != problem.n:
-        raise InputError(f"responses must have {problem.n} columns")
-    if tuning.p != problem.p:
-        raise InputError("tuning vector length does not match the design")
-    gram, lam = problem.gram, tuning.lam
-    m, p = Y.shape[0], problem.p
-    diag = np.diag(gram).copy()
-    C = Y @ problem.X
-    B = np.zeros((m, p))
-    resids = np.full(m, np.inf)
-    open_rows = np.arange(m)
-    for _ in range(max_iter):
-        if open_rows.size == 0:
-            break
-        Ba, Ca = B[open_rows], C[open_rows]
-        for j in range(p):
-            if diag[j] <= 0.0:
-                continue
-            rho = Ca[:, j] - Ba @ gram[:, j] + diag[j] * Ba[:, j]
-            Ba[:, j] = _soft(rho, lam[j]) / diag[j]
-        G = Ca - Ba @ gram
-        active = np.abs(Ba) > 0.0
-        viol = np.where(active, np.abs(G - np.sign(Ba) * lam), np.maximum(np.abs(G) - lam, 0.0))
-        r = viol.max(axis=1) if p else np.zeros(len(open_rows))
-        B[open_rows], resids[open_rows] = Ba, r
-        open_rows = open_rows[r > tol]
-    return B, resids
+    Y = _check_inputs(problem, Y, tuning, tol)
+    return _descend(problem.gram, tuning.lam, Y @ problem.X, tol, max_iter)
 
 
 def is_solution(
@@ -192,7 +186,7 @@ def is_solution(
     zero_tol: float = ZERO_TOL,
 ) -> KKTReport:
     """Certify b against the first-order conditions at tolerance tol."""
-    y = _check_inputs(problem, y, tuning)
+    y = _check_inputs(problem, np.ravel(y), tuning)[0]
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != problem.p:
         raise InputError(f"b must have length p={problem.p}")
@@ -239,6 +233,26 @@ def kernel_sign_cone_nonempty(problem, boundary, constrained, constrained_signs,
     return feasible(a_eq, b_eq, a_ub, b_ub, n_free=len(boundary), tol=tol)
 
 
+def _uniqueness_classes(G, B, lam, tol, zero_tol):
+    """Per-coordinate classes of the rows of B, with G = Y X - B X'X.
+
+    2: interior (b_j = 0, lam_j - |g_j| > class_tol), pinned at 0 in every
+    solution; +-1: a zero held at the strict boundary g_j = +-lam_j, whose
+    movement must respect that sign; 0: a sign-free boundary coordinate.
+    """
+    class_tol = max(100.0 * tol, 1e-8)
+    zeroish = np.abs(B) <= zero_tol
+    interior = (lam - np.abs(G) > class_tol) & zeroish
+    constrained = ~interior & zeroish & (lam > 0) & (np.abs(G) > class_tol)
+    return np.where(interior, 2, np.where(G >= 0, 1, -1) * constrained).astype(np.int8)
+
+
+def _cone_arguments(classes):
+    """(boundary, constrained, signs) for kernel_sign_cone_nonempty from one class row."""
+    constrained = np.flatnonzero(np.abs(classes) == 1)
+    return np.flatnonzero(classes != 2), constrained, classes[constrained].astype(float)
+
+
 def describe_solution_set(
     problem: DesignProblem,
     y,
@@ -250,31 +264,14 @@ def describe_solution_set(
     anchor = solve(problem, y, tuning, tol=tol)
     y = np.asarray(y, dtype=float).ravel()
     g = problem.X.T @ y - problem.gram @ anchor.b
-    lam = tuning.lam
-    class_tol = max(100.0 * tol, 1e-8)
-    interior = lam - np.abs(g) > class_tol
-    interior &= np.abs(anchor.b) <= zero_tol  # an active coordinate is never interior
-    signs = np.where(interior, 0, np.where(g >= 0, 1, -1))
-    unique = _unique_at_y(problem, tuning, anchor.b, g, interior, class_tol, zero_tol)
+    classes = _uniqueness_classes(g, anchor.b, tuning.lam, tol, zero_tol)
+    signs = np.where(classes == 2, 0, np.where((g >= 0) | (tuning.lam == 0), 1, -1))
+    unique = problem.rank_x == problem.p or not kernel_sign_cone_nonempty(
+        problem, *_cone_arguments(classes)
+    )
     return SolutionSetDescription(
         fit=anchor.fit,
         anchor=anchor,
         equicorrelation_signs=tuple(int(v) for v in signs),
         is_unique_at_y=unique,
     )
-
-
-def _unique_at_y(problem, tuning, b, g, interior, class_tol, zero_tol):
-    if problem.rank_x == problem.p:
-        return True  # strictly convex objective
-    lam = tuning.lam
-    boundary = [int(j) for j in np.flatnonzero(~interior)]
-    constrained, signs = [], []
-    for j in boundary:
-        # zero coefficient pinned at a strict boundary +-lam_j: movement must
-        # respect sgn(g_j); lam_j = 0 (or lam_j below the classification
-        # noise) leaves the coordinate sign-free
-        if abs(b[j]) <= zero_tol and lam[j] > 0 and abs(g[j]) > class_tol:
-            constrained.append(j)
-            signs.append(1.0 if g[j] > 0 else -1.0)
-    return not kernel_sign_cone_nonempty(problem, boundary, constrained, signs)

@@ -5,6 +5,7 @@ import pytest
 
 import lassodist as ld
 from lassodist.errors import InputError
+from lassodist.rng import gaussian_chunks
 
 ATOM_N1P2 = 0.4772498680518208  # P(bhat = 0) for X = (1 2), lam = 2, mu = 1
 TWO_PHI_M1 = 0.31731050786291415  # nonuniqueness probability for lam = (1 2)'
@@ -113,6 +114,28 @@ def test_nonuniqueness_never_fires_when_unique(n1p2, corr2):
     # full column rank: strictly convex objective
     m2 = ld.gaussian_model(corr2, [0.0, -0.25], 1.0)
     assert ld.run_simulation(corr2, m2, ld.tuning_vector([0.75, 0.75]), cfg).nonunique_count == 0
+
+
+@pytest.mark.parametrize(
+    "X, lam",
+    [
+        ([[1.0, 2.0]], [1.0, 2.0]),
+        ([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 2.0, 0.5]),
+    ],
+    ids=["n1p2", "n2p3_block"],
+)
+def test_nonunique_count_matches_describe_solution_set(X, lam):
+    # the chunked counter and the one-response description share one
+    # classification: regenerate the replicates and describe each of them
+    prob = ld.build_problem(np.array(X))
+    model = ld.gaussian_model(prob, np.zeros(prob.p), 1.0)
+    t = ld.tuning_vector(lam)
+    cfg = ld.SimulationConfig(n_rep=2000, seed=5)
+    summary = ld.run_simulation(prob, model, t, cfg)
+    Y = np.vstack([model.mu + model.sigma * Z for _, _, Z in gaussian_chunks(5, 2000, prob.n)])
+    described = sum(not ld.describe_solution_set(prob, y, t).is_unique_at_y for y in Y)
+    assert 0 < summary.nonunique_count < cfg.n_rep
+    assert summary.nonunique_count == described
 
 
 def test_dimension_mismatch_rejected(corr2, x2x3):

@@ -62,9 +62,10 @@ def test_solve_many_matches_solve(x2x3):
     Y = np.array([[2.0, -1.0], [0.0, 0.0], [5.0, 5.0], [-3.0, 1.0]])
     B, resids = ld.solve_many(x2x3, Y, t)
     assert np.all(resids <= DEFAULT_TOL)
+    # one engine: solve is the one-row call of solve_many, bit for bit
     for i in range(Y.shape[0]):
         one = ld.solve(x2x3, Y[i], t)
-        assert np.allclose(B[i], one.b, atol=1e-9)
+        assert np.array_equal(B[i], one.b)
 
 
 def test_convergence_error_carries_best_iterate(corr2):
@@ -75,6 +76,24 @@ def test_convergence_error_carries_best_iterate(corr2):
         ld.solve(corr2, [2.0, -1.5], t, tol=1e-15, max_iter=1)
     assert exc.value.b is not None and exc.value.b.shape == (2,)
     assert np.isfinite(exc.value.kkt_residual)
+    # the same engine: the batched call returns that row's best iterate
+    B, resids = ld.solve_many(corr2, [[2.0, -1.5]], t, tol=1e-15, max_iter=1)
+    assert np.array_equal(exc.value.b, B[0])
+    assert exc.value.kkt_residual == resids[0]
+    report = ld.is_solution(corr2, [2.0, -1.5], t, exc.value.b, zero_tol=0.0)
+    assert abs(report.max_violation - exc.value.kkt_residual) <= 1e-12
+
+
+def test_solve_many_checks_inputs_like_solve(n1p2):
+    # a non-finite response would give a NaN residual, which no
+    # "residual > tol" failure count sees
+    t = ld.uniform_tuning(2, 1.0)
+    with pytest.raises(InputError):
+        ld.solve_many(n1p2, [[np.nan], [3.0], [np.inf]], t)
+    with pytest.raises(InputError):
+        ld.solve_many(n1p2, [[3.0]], t, tol=0.0)
+    with pytest.raises(InputError):
+        ld.solve_many(n1p2, [[3.0, 1.0]], t)
 
 
 def test_input_validation(n1p2):
@@ -114,6 +133,13 @@ def test_describe_small_response_is_unique(n1p2):
     assert np.allclose(desc.anchor.b, 0.0, atol=1e-12)
     # g = (0.25, 0.5)', strictly inside both tubes
     assert desc.equicorrelation_signs == (0, 0)
+
+
+def test_describe_reports_unpenalized_index_at_plus_one(x2x3):
+    # lam_1 = 0: both boundaries coincide and g_1 is rounding noise around 0
+    # (negative here), so the index is reported at +1 whatever that noise is
+    desc = ld.describe_solution_set(x2x3, [0.3, 1.3], ld.tuning_vector([0.0, 0.5, 0.5]))
+    assert desc.equicorrelation_signs == (1, 1, 1)
 
 
 def test_kernel_sign_cone(n1p2):
