@@ -15,8 +15,20 @@ which is what is_solution certifies and what coordinate descent uses as its
 convergence criterion.
 
 One batched coordinate-descent engine solves every response; solve is its
-one-row call. A row that misses tol within max_iter sweeps keeps its best
-iterate: solve_many returns it, solve raises ConvergenceError carrying it.
+one-row call. Every 10 sweeps it tries an active-set finish on each open
+row: with A the support of the current iterate and s its signs, it solves
+G_AA b_A = X_A'y - s_A lam_A and sets b = 0 off A. The row closes on that
+solution only when |A| <= rk(X), LU meets no zero pivot in G_AA, the signs
+of b_A are s_A and b passes the KKT check above at tol; any other row stays
+in coordinate descent unchanged. On correlated and rank-deficient designs
+the sign pattern settles long before descent alone reaches tol: most rows
+now close within tens of sweeps and the slowest within a few hundred,
+where descent alone took hundreds to thousands.
+
+The residual is evaluated after each of the first 9 sweeps, at every
+finish and after the last sweep, and nowhere else. A row that misses tol
+within max_iter sweeps keeps its best iterate among those evaluated:
+solve_many returns it, solve raises ConvergenceError carrying it.
 """
 
 from __future__ import annotations
@@ -31,6 +43,10 @@ from .simplex import feasible
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+# the active-set finish runs after every _FINISH_EVERY sweeps and solves its
+# batched systems in row blocks of about _FINISH_BYTES
+_FINISH_EVERY = 10
+_FINISH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,18 +110,21 @@ def _check_inputs(problem, Y, tuning, tol=None):
     return Y
 
 
-def _descend(gram, lam, C, tol, max_iter):
-    """Cyclic coordinate descent from b = 0 on each row of C = Y X, order 1..p.
+def _descend(gram, lam, C, tol, max_iter, rank):
+    """Cyclic coordinate descent from b = 0 on each row of C = Y X, order 1..p,
+    with an active-set finish after every _FINISH_EVERY sweeps.
 
-    A row closes once its KKT residual meets tol; every row keeps its best
-    iterate and residual.
+    The KKT residual is evaluated after each sweep before the first finish,
+    then only at the finishes and after the last sweep. A row closes once an
+    evaluated residual meets tol or the finish accepts it; every row keeps
+    the best evaluated iterate and its residual.
     """
     m, p = C.shape
     diag = np.diag(gram).copy()
     B = np.zeros((m, p))
     resids = np.full(m, np.inf)
     rows, Ba, Ca = np.arange(m), B.copy(), C
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         if rows.size == 0:
             break
         for j in range(p):
@@ -113,13 +132,63 @@ def _descend(gram, lam, C, tol, max_iter):
                 continue  # zero column: coefficient pinned at 0
             rho = Ca[:, j] - Ba @ gram[:, j] + diag[j] * Ba[:, j]
             Ba[:, j] = _soft(rho, lam[j]) / diag[j]
+        finish = sweep % _FINISH_EVERY == 0
+        if not (finish or sweep < _FINISH_EVERY or sweep == max_iter):
+            continue
         r = _kkt_violation(Ca - Ba @ gram, Ba, lam, 0.0).max(axis=1)
         better = r < resids[rows]
         B[rows[better]], resids[rows[better]] = Ba[better], r[better]
-        keep = r > tol
-        if not keep.all():
-            rows, Ba, Ca = rows[keep], Ba[keep], Ca[keep]
+        done = r <= tol
+        if finish:
+            accepted, Bf, rf = _finish(gram, lam, Ca, Ba, ~done, tol, rank)
+            B[rows[accepted]], resids[rows[accepted]] = Bf[accepted], rf[accepted]
+            done |= accepted
+        if done.any():
+            rows, Ba, Ca = rows[~done], Ba[~done], Ca[~done]
     return B, resids
+
+
+def _finish(gram, lam, C, Bc, todo, tol, rank):
+    """Active-set finish of the rows of Bc marked in todo.
+
+    With A a row's support and s its signs, solve G_AA b_A = c_A - s_A lam_A
+    and set b = 0 off A. A row is accepted only when |A| <= rank, LU meets
+    no zero pivot in G_AA, b_A keeps the signs s_A and the KKT residual of b
+    (zero_tol 0) meets tol. Returns the accepted mask over the rows of Bc,
+    and solutions and residuals that are valid where it is set.
+    """
+    active = Bc != 0.0
+    size = active.sum(axis=1)
+    cand = np.flatnonzero(todo & (size > 0) & (size <= rank))
+    accepted = np.zeros(Bc.shape[0], dtype=bool)
+    Bf, rf = np.zeros_like(Bc), np.zeros(Bc.shape[0])
+    # rows of one support size share a batch of |A| x |A| systems, solved in
+    # blocks of about _FINISH_BYTES
+    for k in np.unique(size[cand]):
+        group = cand[size[cand] == k]
+        step = max(1, _FINISH_BYTES // (8 * k * k))
+        for lo in range(0, group.size, step):
+            i = group[lo:lo + step]
+            A = np.nonzero(active[i])[1].reshape(i.size, k)
+            s = np.take_along_axis(np.sign(Bc[i]), A, axis=1)
+            M = gram[A[:, :, None], A[:, None, :]]
+            rhs = np.take_along_axis(C[i], A, axis=1) - s * lam[A]
+            try:
+                x = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+                ok = np.ones(i.size, dtype=bool)
+            except np.linalg.LinAlgError:
+                # an exactly singular G_AA in the block, such as two equal
+                # columns in A; G_AA is positive semidefinite, so a positive
+                # determinant marks the systems that can be solved
+                ok = np.linalg.slogdet(M)[0] > 0
+                x = np.zeros_like(rhs)
+                x[ok] = np.linalg.solve(M[ok], rhs[ok, :, None])[:, :, 0]
+            b = np.zeros((i.size, Bc.shape[1]))
+            np.put_along_axis(b, A, x, axis=1)
+            r = _kkt_violation(C[i] - b @ gram, b, lam, 0.0).max(axis=1)
+            accepted[i] = ok & np.all(np.sign(x) == s, axis=1) & (r <= tol)
+            Bf[i], rf[i] = b, r
+    return accepted, Bf, rf
 
 
 def solve(
@@ -129,15 +198,18 @@ def solve(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> LassoSolution:
-    """Cyclic coordinate descent from b = 0, coordinates in order 1..p.
+    """Cyclic coordinate descent from b = 0, coordinates in order 1..p,
+    with the active-set finish of the module docstring.
 
     The one-row call of the engine behind solve_many. Deterministic in its
     inputs. Convergence is declared on the first-order residual (not on
-    objective decrease), so the output always passes is_solution at the same
-    tol; otherwise ConvergenceError carries the best iterate and its residual.
+    objective decrease), whether descent or the finish reaches it, so the
+    output always passes is_solution at the same tol. Otherwise
+    ConvergenceError carries the best iterate and its residual, best among
+    the sweeps where the residual is evaluated.
     """
     Y = _check_inputs(problem, np.ravel(y), tuning, tol)
-    B, resids = _descend(problem.gram, tuning.lam, Y @ problem.X, tol, max_iter)
+    B, resids = _descend(problem.gram, tuning.lam, Y @ problem.X, tol, max_iter, problem.rank_x)
     b, resid = B[0], float(resids[0])
     if resid > tol:
         raise ConvergenceError(
@@ -169,12 +241,14 @@ def solve_many(
     """Solve one Lasso per row of Y (m x n). Returns (B, residuals).
 
     The engine of solve(), which is its one-row call, with the same input
-    checks. A row still above tol after max_iter sweeps comes back as its
-    best iterate with that iterate's residual, so callers can count failures
-    instead of dying mid-batch.
+    checks; every 10 sweeps it closes the rows whose active-set finish is
+    accepted (see the module docstring). A row still above tol after
+    max_iter sweeps comes back as its best iterate with that iterate's
+    residual, best among the sweeps where the residual is evaluated, so
+    callers can count failures instead of dying mid-batch.
     """
     Y = _check_inputs(problem, Y, tuning, tol)
-    return _descend(problem.gram, tuning.lam, Y @ problem.X, tol, max_iter)
+    return _descend(problem.gram, tuning.lam, Y @ problem.X, tol, max_iter, problem.rank_x)
 
 
 def is_solution(

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lassodist as ld
+from lassodist import solver
 from lassodist.errors import ConvergenceError, InputError
+from lassodist.model import ZERO_TOL
 from lassodist.solver import DEFAULT_TOL, kernel_sign_cone_nonempty
 from prox_oracle import ista_solve, objective
 
@@ -184,3 +186,153 @@ def test_solution_set_shares_fit(data):
     # any optimum has the same fit as the anchor
     if ld.is_solution(prob, y, t, ref, tol=1e-7).ok:
         assert np.allclose(X @ ref, desc.fit, atol=1e-5)
+
+
+def _sweep(gram, lam, C, B):
+    """One cyclic coordinate-descent sweep over the rows of B, in place."""
+    diag = np.diag(gram)
+    for j in range(gram.shape[0]):
+        if diag[j] <= 0.0:
+            continue
+        rho = C[:, j] - B @ gram[:, j] + diag[j] * B[:, j]
+        B[:, j] = solver._soft(rho, lam[j]) / diag[j]
+
+
+def _plain_descend(gram, lam, C, tol, max_iter):
+    """Coordinate descent alone, residual after every sweep: the engine without its finish."""
+    m, p = C.shape
+    B = np.zeros((m, p))
+    resids = np.full(m, np.inf)
+    rows, Ba, Ca = np.arange(m), B.copy(), C
+    for _ in range(max_iter):
+        if rows.size == 0:
+            break
+        _sweep(gram, lam, Ca, Ba)
+        r = solver._kkt_violation(Ca - Ba @ gram, Ba, lam, 0.0).max(axis=1)
+        better = r < resids[rows]
+        B[rows[better]], resids[rows[better]] = Ba[better], r[better]
+        keep = r > tol
+        if not keep.all():
+            rows, Ba, Ca = rows[keep], Ba[keep], Ca[keep]
+    return B, resids
+
+
+def _correlated(rng, n, p, rho):
+    X = np.sqrt(1.0 - rho) * rng.normal(size=(n, p)) + np.sqrt(rho) * rng.normal(size=(n, 1))
+    return X * (np.sqrt(n) / np.linalg.norm(X, axis=0))
+
+
+def _finish_cases():
+    """(X, lam, mean response, rows, P) per design kind; b @ P are the coefficients
+    that every solution shares in sign."""
+    rng = np.random.default_rng(20261018)
+    rho09 = _correlated(rng, 30, 12, 0.9)
+    dup = rng.normal(size=(6, 5))
+    dup[:, 3] = dup[:, 0]
+    # equal columns with equal lam: solutions differ in how they split b_0 + b_3,
+    # and plain descent itself leaves rounding-sized splits, so compare the sum
+    merge = np.delete(np.eye(5), 3, axis=1)
+    merge[3, 0] = 1.0
+    return {
+        "full_rank_rho09": (rho09, np.full(12, 2.0), rho09[:, :4] @ [1.0, -1.0, 0.8, 0.5], 256,
+                            np.eye(12)),
+        "wide_5x8": (rng.normal(size=(5, 8)), np.ones(8), np.zeros(5), 512, np.eye(8)),
+        "duplicated_columns": (dup, np.ones(5), dup[:, :2] @ [1.0, -0.5], 256, merge),
+        "zero_lambda_slots": (_correlated(rng, 8, 5, 0.7), np.array([0.0, 1.0, 0.5, 0.0, 1.0]),
+                              np.zeros(8), 256, np.eye(5)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_finish_cases()))
+def test_finish_matches_plain_coordinate_descent(case, monkeypatch):
+    X, lam, mu, m, P = _finish_cases()[case]
+    prob, t = ld.build_problem(X), ld.tuning_vector(lam)
+    Y = mu + 2.0 * np.random.default_rng(7).normal(size=(m, X.shape[0]))
+    finish, finished = solver._finish, []
+
+    def spy(*args):
+        out = finish(*args)
+        finished.append(int(out[0].sum()))
+        return out
+
+    monkeypatch.setattr(solver, "_finish", spy)
+    B, resids = ld.solve_many(prob, Y, t)
+    assert sum(finished) > 0  # the finish closed rows of this design
+    ref, ref_resids = _plain_descend(prob.gram, lam, Y @ X, DEFAULT_TOL, 100_000)
+    assert np.all(resids <= DEFAULT_TOL) and np.all(ref_resids <= DEFAULT_TOL)
+
+    def pattern(b):
+        b = b @ P
+        return np.where(np.abs(b) > ZERO_TOL, np.sign(b), 0.0)
+
+    def objectives(b):
+        return np.sum((Y - b @ X.T) ** 2, axis=1) + 2.0 * np.abs(b) @ lam
+
+    assert np.array_equal(pattern(B), pattern(ref))
+    obj, obj_ref = objectives(B), objectives(ref)
+    assert np.all(np.abs(obj - obj_ref) <= 1e-12 * np.maximum(1.0, np.abs(obj_ref)))
+    assert all(ld.is_solution(prob, Y[i], t, B[i], tol=1e-8).ok for i in range(m))
+    for i in range(0, m, m // 4):
+        b_ista = ista_solve(X, Y[i], lam)
+        assert obj[i] <= objective(X, Y[i], lam, b_ista) + 1e-8 * (1.0 + abs(obj[i]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_finish_skips_rows_it_cannot_solve(n1p2, x2x4, monkeypatch):
+    systems = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda M, b: systems.append(len(M)) or solve(M, b))
+    cases = [
+        (n1p2, np.ones(2), np.array([[6.3], [8.3], [-9.2]])),
+        (x2x4, np.ones(4), np.array([[6.3, -9.9], [4.6, -6.5], [-9.4, -7.5]])),
+    ]
+    for prob, lam, Y in cases:
+        systems.clear()
+        C = Y @ prob.X
+        B = np.zeros((Y.shape[0], prob.p))
+        for _ in range(solver._FINISH_EVERY):
+            _sweep(prob.gram, lam, C, B)
+        # at the first finish each row has more active coordinates than rk(X)
+        assert np.all(np.count_nonzero(B, axis=1) > prob.rank_x)
+        accepted, _, _ = solver._finish(prob.gram, lam, C, B, np.ones(len(Y), bool), DEFAULT_TOL,
+                                        prob.rank_x)
+        assert not accepted.any() and systems == []  # no system is even formed
+        out, resids = ld.solve_many(prob, Y, ld.tuning_vector(lam))
+        assert np.all(np.isfinite(out)) and np.all(resids <= DEFAULT_TOL)
+    # x2x4's first two columns are equal: |A| = 2 = rk(X), but G_AA is exactly singular
+    systems.clear()
+    Bc = np.array([[1.0, 0.5, 0.0, 0.0], [0.5, -0.25, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+    C = np.array([[3.0, 3.0, 6.0, 0.0]]).repeat(3, axis=0)
+    accepted, Bf, rf = solver._finish(x2x4.gram, np.ones(4), C, Bc, np.ones(3, bool), DEFAULT_TOL,
+                                      x2x4.rank_x)
+    # rows 0 and 2 form one block of 2 x 2 systems, which fails on row 0 and is
+    # solved again without it; row 1 has |A| = 3 > rk(X)
+    assert systems == [2, 1] and not accepted[:2].any()
+    assert np.all(np.isfinite(Bf)) and np.all(np.isfinite(rf))
+
+
+def test_finish_acceptance_rule():
+    # X = I, lam = (1, 1). Row 0: y = (3, 1 + 1e-8), whose solution is
+    # (2, 1e-8); on the support {0} the finish gives (2, 0), 1e-8 off KKT.
+    # Row 1: the same y on the right support. Row 2: y = (3, 1); on the
+    # support {0, 1} the finish gives (2, 0), a solution whose second sign is
+    # not the iterate's, so the row stays in descent
+    prob = ld.build_problem(np.eye(2))
+    C = np.array([[3.0, 1.0 + 1e-8], [3.0, 1.0 + 1e-8], [3.0, 1.0]])
+    Bc = np.array([[1.5, 0.0], [1.5, 1e-9], [1.5, 0.5]])
+    accepted, Bf, rf = solver._finish(prob.gram, np.ones(2), C, Bc, np.ones(3, bool), DEFAULT_TOL, 2)
+    assert accepted.tolist() == [False, True, False]
+    assert abs(rf[0] - 1e-8) <= 1e-12 and rf[1] <= DEFAULT_TOL
+    assert np.array_equal(Bf[2], [2.0, 0.0]) and rf[2] == 0.0
+
+
+def test_finish_closes_correlated_rows_within_300_sweeps():
+    # rho = 0.9, (50, 30): descent alone leaves nearly every row open after 300 sweeps
+    rng = np.random.default_rng(6)
+    X = _correlated(rng, 50, 30, 0.9)
+    beta = np.zeros(30)
+    beta[[1, 7, 12, 20, 27]] = [1.2, -0.8, 1.0, -1.4, 0.6]
+    Y = X @ beta + rng.normal(size=(1024, 50))
+    _, resids = ld.solve_many(ld.build_problem(X), Y, ld.uniform_tuning(30, 3.0), tol=1e-10,
+                              max_iter=300)
+    assert np.all(resids <= 1e-10)
