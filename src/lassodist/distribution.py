@@ -12,7 +12,11 @@ orthant event and every CDF term is a product of two Gaussian rectangle
 probabilities, and given the pattern, u_A is its Gaussian block restricted
 to the orthant. Rectangles of one or two coordinates have closed forms (the
 normal CDF; the bivariate normal through Owen's T); larger ones use Genz's
-randomized quasi-Monte Carlo estimate with a reported error bound. These
+separation-of-variables transform on a randomly shifted Korobov lattice
+(Genz 1992; Genz & Bretz 2009, ch. 4), whose shift-to-shift spread gives a
+standard error. Results report seven standard errors, combined over
+independent blocks as a root sum of squares, plus the kernels' rounding
+terms. These
 paths need full column rank (the Gaussian on X'y is singular otherwise);
 rank-deficient designs go through the reduced-rank representation (rank-1
 analytically, any rank by Monte Carlo over the solver).
@@ -44,8 +48,28 @@ QUAD_DIM_LIMIT = 6
 CDF_P_LIMIT = 4
 # QMC points of one Genz estimate: rectangles of three or more coordinates
 _GENZ_POINTS = 2**16
-# error bound reported by the closed-form rectangle kernels
+# rounding bound reported by every rectangle kernel
 _EXACT_TOL = 1e-14
+# standard errors in a reported QMC error bound. The 8 shift means of a lattice
+# rule are skewed and heavy-tailed: on 4200 seeded rectangles of 3-6
+# coordinates, 3 standard errors held the true error in 96-97% of them, 7 in
+# 99.7-99.9% (the share 3 would hold for normal means)
+_BOUND_SE = 7.0
+# Korobov multipliers: for the lattice of n points in dim dimensions, the odd a
+# minimising the P2 figure of merit; regenerate with scripts/korobov_table.py
+_KOROBOV = {
+    (64, 2): 19, (64, 3): 5, (64, 4): 3, (64, 5): 5,
+    (128, 2): 47, (128, 3): 25, (128, 4): 21, (128, 5): 3,
+    (256, 2): 75, (256, 3): 37, (256, 4): 39, (256, 5): 21,
+    (512, 2): 149, (512, 3): 119, (512, 4): 115, (512, 5): 151,
+    (1024, 2): 275, (1024, 3): 149, (1024, 4): 27, (1024, 5): 189,
+    (2048, 2): 791, (2048, 3): 495, (2048, 4): 137, (2048, 5): 453,
+    (4096, 2): 1557, (4096, 3): 751, (4096, 4): 791, (4096, 5): 755,
+    (8192, 2): 2431, (8192, 3): 1503, (8192, 4): 2019, (8192, 5): 2099,
+    (16384, 2): 6229, (16384, 3): 1951, (16384, 4): 3779, (16384, 5): 2959,
+    (32768, 2): 12031, (32768, 3): 8895, (32768, 4): 1475, (32768, 5): 1543,
+    (65536, 2): 19463, (65536, 3): 15395, (65536, 4): 19303, (65536, 5): 9143,
+}
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EVENT_SIDE_TOL = 1e-9
 
@@ -162,17 +186,29 @@ def _pattern(problem, model, tuning, signs):
     )
 
 
-def _pattern_prob(problem, model, tuning, signs, lower, upper, seed):
-    """(P(lower_A <= u_A <= upper_A), P(s_0 in the lambda-box), error bound of
-    their product, QMC points) for one pattern; bounds off A are not read."""
+def _pattern_prob(problem, model, tuning, signs, lower, upper, seq):
+    """(P(lower_A <= u_A <= upper_A), P(s_0 in the lambda-box), standard error
+    and rounding bound of their product, QMC points) for one pattern; bounds
+    off A are not read. The two blocks draw their shifts from independent
+    children of the SeedSequence seq."""
     moving, (mean_a, cov_a), (mean_0, cov_0) = _pattern(problem, model, tuning, signs)
+    seq_a, seq_0 = seq.spawn(2)
     lo, hi = lower[moving] - mean_a, upper[moving] - mean_a
-    p_a, err_a, pts_a = _rectangle(np.linalg.cholesky(cov_a), lo, hi, seed)
+    p_a, se_a, tol_a, pts_a = _rectangle(np.linalg.cholesky(cov_a), lo, hi, seq_a)
     lam_0 = tuning.lam[signs == 0]
-    if np.any(lam_0 == 0.0):
-        return p_a, 0.0, err_a, pts_a  # an unpenalized coordinate carries no atom at zero
-    p_0, err_0, pts_0 = _rectangle(np.linalg.cholesky(cov_0), -lam_0 - mean_0, lam_0 - mean_0, seed)
-    return p_a, p_0, err_a + err_0, pts_a + pts_0
+    if np.any(lam_0 == 0.0):  # an unpenalized coordinate carries no atom at zero
+        p_0, se_0, tol_0, pts_0 = 0.0, 0.0, 0.0, 0
+    else:
+        p_0, se_0, tol_0, pts_0 = _rectangle(
+            np.linalg.cholesky(cov_0), -lam_0 - mean_0, lam_0 - mean_0, seq_0
+        )
+    # first-order error of a product of two independent estimates
+    return p_a, p_0, math.hypot(p_0 * se_a, p_a * se_0), tol_a + tol_0, pts_a + pts_0
+
+
+def _bound(se, tol):
+    """Reported error bound: _BOUND_SE standard errors plus the rounding terms."""
+    return _BOUND_SE * se + tol
 
 
 def _orthant(signs, thresholds):
@@ -232,8 +268,9 @@ def prob_orthant_event(
 ) -> RegionProbability:
     """P(u_j <= z_j on D-, u_j >= z_j on D+, bhat_j = 0 on D0).
 
-    Quadrature reports the larger of quad_tol and its kernels' summed error
-    bound; seed also seeds the QMC scrambling.
+    Quadrature reports the larger of quad_tol and its error bound (seven
+    standard errors of the QMC blocks plus the kernels' rounding terms); seed
+    also seeds the random lattice shifts.
     """
     _check_shapes(problem, model, tuning)
     _validate_event(event, model, problem.p)
@@ -250,8 +287,10 @@ def prob_orthant_event(
 
     _require_quad(problem, problem.p)
     signs = d.as_array()
-    p_a, p_0, bound, points = _pattern_prob(problem, model, tuning, signs, *_orthant(signs, z), seed)
-    return _quadrature(p_a * p_0, bound, points, seed, quad_tol)
+    p_a, p_0, se, tol, points = _pattern_prob(
+        problem, model, tuning, signs, *_orthant(signs, z), np.random.SeedSequence(seed)
+    )
+    return _quadrature(p_a * p_0, _bound(se, tol), points, seed, quad_tol)
 
 
 def _event_indicator(z, d: SignVector, beta, zero_tol):
@@ -303,8 +342,10 @@ def prob_all_zero(
     if problem.rank_x == problem.p:
         signs = np.zeros(problem.p, dtype=int)
         bounds = _orthant(signs, -model.beta)
-        p_a, p_0, bound, points = _pattern_prob(problem, model, tuning, signs, *bounds, seed)
-        return _quadrature(p_a * p_0, bound, points, seed)
+        p_a, p_0, se, tol, points = _pattern_prob(
+            problem, model, tuning, signs, *bounds, np.random.SeedSequence(seed)
+        )
+        return _quadrature(p_a * p_0, _bound(se, tol), points, seed)
     if problem.rank_x == 1:
         return _rank1_zero_atom(problem, model, tuning)
     raise DimensionLimitError(
@@ -368,7 +409,10 @@ def conditional_density(
     if z_active.shape[0] != moving.size:
         raise InputError(f"z_active must have length ||d||_1 = {moving.size}")
     bounds = _orthant(signs, -model.beta)
-    p_a, p_0, bound, _ = _pattern_prob(problem, model, tuning, signs, *bounds, 0)
+    p_a, p_0, se, tol, _ = _pattern_prob(
+        problem, model, tuning, signs, *bounds, np.random.SeedSequence(0)
+    )
+    bound = _bound(se, tol)
     if p_a * p_0 < 1e-12:
         raise ConditioningError(
             f"P(bhat in O^d) = {p_a * p_0:.3e} is numerically zero for d = {d.d}"
@@ -396,7 +440,10 @@ def cdf(
     probabilities: u_A in (-inf, min(z_j, -beta_j)] on D- and (-beta_j, z_j]
     on D+, s_0 in the lambda-box. A part is dropped whenever its own
     constraint set is empty (z_j < -beta_j on D0, z_j <= -beta_j on D+).
-    Raises NumericalError when the summed QMC error bound exceeds quad_tol.
+    Each pattern draws its lattice shifts from its own child of
+    SeedSequence(0), so the parts' QMC errors are independent and the error
+    bound is 7 sqrt(sum of their squared standard errors) plus the summed
+    rounding terms. Raises NumericalError when that bound exceeds quad_tol.
     """
     _check_shapes(problem, model, tuning)
     _require_quad(problem, problem.p)
@@ -413,17 +460,20 @@ def cdf(
     elif coords != "error":
         raise InputError("coords must be 'error' or 'estimator'")
     atom = -model.beta
-    total, bound = 0.0, 0.0
-    for pattern in product((-1, 0, 1), repeat=problem.p):
+    total, var, tol = 0.0, 0.0, 0.0
+    patterns = product((-1, 0, 1), repeat=problem.p)
+    for pattern, seq in zip(patterns, np.random.SeedSequence(0).spawn(3**problem.p)):
         signs = np.array(pattern)
         if np.any((signs == 0) & (z < atom)) or np.any((signs == 1) & (z <= atom)):
             continue  # the atom misses the event, or (-beta_j, z_j] is empty
         lower, upper = _orthant(signs, atom)
-        p_a, p_0, err, _ = _pattern_prob(
-            problem, model, tuning, signs, lower, np.minimum(upper, z), 0
+        p_a, p_0, se, part_tol, _ = _pattern_prob(
+            problem, model, tuning, signs, lower, np.minimum(upper, z), seq
         )
         total += p_a * p_0
-        bound += err
+        var += se * se
+        tol += part_tol
+    bound = _bound(math.sqrt(var), tol)
     if bound > quad_tol:
         raise NumericalError(f"QMC error bound {bound:.3e} exceeds quad_tol = {quad_tol:.3e}")
     return float(min(max(total, 0.0), 1.0))
@@ -500,9 +550,11 @@ def mvn_box_probability(
     """P(lower <= x <= upper) for x ~ N(mean, cov), bounds may be infinite.
 
     Nonsingular covariance: closed forms for one or two coordinates, beyond
-    that the separation-of-variables transform on n_shifts independent
-    scramblings of a Sobol set, whose spread gives the reported error bound.
-    Singular covariance: plain Monte Carlo through a reduced-rank factor.
+    that the separation-of-variables transform on n_shifts random shifts of a
+    Korobov lattice of about n_samples / n_shifts points. The reported error
+    bound is seven standard errors of the mean of the shift estimates plus a
+    rounding term. Singular covariance: plain Monte Carlo through a
+    reduced-rank factor.
     """
     mean = np.asarray(mean, dtype=float).ravel()
     lower = np.asarray(lower, dtype=float).ravel()
@@ -524,36 +576,53 @@ def mvn_box_probability(
         chol = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         return _mvn_box_singular(sym, mean, lower, upper, n_samples, seed)
-    return _quadrature(*_rectangle(chol, lower - mean, upper - mean, seed, n_samples, n_shifts), seed)
+    estimate, se, tol, points = _rectangle(chol, lower - mean, upper - mean, seed, n_samples, n_shifts)
+    return _quadrature(estimate, _bound(se, tol), points, seed)
 
 
 def _rectangle(chol, a, b, seed, n_samples=_GENZ_POINTS, n_shifts=8):
-    """P(a <= chol w <= b) for w ~ N(0, I): (estimate, error bound, QMC points).
+    """P(a <= chol w <= b) for w ~ N(0, I): (estimate, standard error,
+    rounding bound, QMC points).
 
-    Closed forms up to two coordinates; beyond, Genz's transform on n_shifts
-    scrambled Sobol sets, bounded by three standard errors of their mean.
+    Closed forms up to two coordinates, exact to rounding (standard error 0).
+    Beyond, Genz's transform on n_shifts random shifts of one Korobov lattice
+    (see _shifted_lattice); the standard error is that of the mean of the
+    n_shifts shift estimates. seed is an int or a numpy SeedSequence.
     """
     k = a.shape[0]
     if k == 0:
-        return 1.0, 0.0, 0
+        return 1.0, 0.0, 0.0, 0
     if k == 1:
-        return _interval(a[0] / chol[0, 0], b[0] / chol[0, 0]), _EXACT_TOL, 0
+        return _interval(a[0] / chol[0, 0], b[0] / chol[0, 0]), 0.0, _EXACT_TOL, 0
     if k == 2:
         # x_2 = sd_2 (rho w_1 + r w_2) with r = sqrt(1 - rho^2)
         sd = np.array([chol[0, 0], math.hypot(chol[1, 0], chol[1, 1])])
         rho, r = chol[1, 0] / sd[1], chol[1, 1] / sd[1]
-        return _rectangle2(a / sd, b / sd, rho, r), _EXACT_TOL, 0
-    from scipy.stats import qmc  # slow to import, and only this path needs it
-
+        return _rectangle2(a / sd, b / sd, rho, r), 0.0, _EXACT_TOL, 0
     per_shift = 2 ** int(np.clip(np.ceil(np.log2(max(n_samples // n_shifts, 64))), 6, 16))
-    estimates = np.empty(n_shifts)
-    for i in range(n_shifts):
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
-        sob = qmc.Sobol(d=k - 1, scramble=True, seed=gen)
-        w = sob.random_base2(int(np.log2(per_shift)))
-        estimates[i] = _genz_estimate(chol, a, b, w)
-    spread = float(estimates.std(ddof=1) / math.sqrt(n_shifts))
-    return float(estimates.mean()), 3.0 * spread + 1e-12, n_shifts * per_shift
+    w = _shifted_lattice(per_shift, k - 1, n_shifts, seed)
+    estimates = _genz_values(chol, a, b, w).reshape(n_shifts, per_shift).mean(axis=1)
+    se = float(estimates.std(ddof=1) / math.sqrt(n_shifts))
+    return float(estimates.mean()), se, _EXACT_TOL, n_shifts * per_shift
+
+
+def _shifted_lattice(n, dim, n_shifts, seed):
+    """n_shifts random shifts of the rank-1 lattice x_i = frac(i z / n),
+    z = (1, a, a^2, ...) mod n, each folded by the baker's transform
+    1 - |2x - 1|: an (n_shifts * n, dim) array, one shift after another.
+
+    The shifts are uniform draws of one Philox generator seeded by seed. The
+    Korobov multiplier a is _KOROBOV's entry for (n, dim); dimensions beyond
+    the table reuse its largest.
+    """
+    a = _KOROBOV[n, min(dim, 5)]
+    z = np.ones(dim, dtype=np.int64)
+    for j in range(1, dim):
+        z[j] = z[j - 1] * a % n
+    lattice = (np.arange(n, dtype=np.int64)[:, None] * z % n) / n
+    shifts = np.random.Generator(np.random.Philox(seed)).random((n_shifts, 1, dim))
+    x = (lattice + shifts) % 1.0
+    return (1.0 - np.abs(2.0 * x - 1.0)).reshape(n_shifts * n, dim)
 
 
 def _interval(a, b) -> float:
@@ -589,7 +658,8 @@ def _bvn_cdf(h, k, rho, r) -> float:
     return 0.5 * float(ndtr(h) + ndtr(k)) - owen(h, k) - owen(k, h) - half
 
 
-def _genz_estimate(chol, a, b, w):
+def _genz_values(chol, a, b, w):
+    """Genz's separation-of-variables integrand at the points w in [0, 1]^(p-1)."""
     m, p = w.shape[0], a.shape[0]
     f = np.ones(m)
     ys = np.empty((m, p - 1))
@@ -600,7 +670,7 @@ def _genz_estimate(chol, a, b, w):
         f *= np.maximum(hi - lo, 0.0)
         if i < p - 1:
             ys[:, i] = ndtri(np.clip(lo + w[:, i] * (hi - lo), 1e-16, 1.0 - 1e-16))
-    return float(f.mean())
+    return f
 
 
 def _mvn_box_singular(sym, mean, lower, upper, n_samples, seed):

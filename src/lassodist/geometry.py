@@ -250,7 +250,8 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
     if problem.p > UNIQUENESS_LIMIT:
         raise CombinatorialLimitError(
             f"p={problem.p} exceeds the enumeration limit {UNIQUENESS_LIMIT}; "
-            "general_position() is a sufficient-only fallback for uniform tuning"
+            "simulate.estimate_nonuniqueness_probability() estimates the chance of a "
+            "non-unique solution by Monte Carlo"
         )
     rank = problem.rank_x
     unique = UniquenessVerdict(unique=True, witness=None, violating_face=None)

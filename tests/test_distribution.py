@@ -1,17 +1,22 @@
+import importlib.util
+import math
 import os
 import subprocess
 import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import multivariate_normal, norm
 
 import lassodist as ld
 from conftest import SRC
-from lassodist.distribution import _GENZ_POINTS
+from lassodist.distribution import _GENZ_POINTS, _KOROBOV, _shifted_lattice
 from lassodist.errors import (
     ConditioningError,
     DimensionLimitError,
@@ -508,6 +513,55 @@ def test_cdf_p4_matches_oracle_and_mc():
     assert abs(got - mc.estimate) <= 3.0 * mc.std_error + 1e-3
 
 
+def _one_factor_box(load, sd, lo, hi):
+    """P(lo <= x <= hi) for x_i = load_i t + sd_i e_i, t and e i.i.d. N(0, 1):
+    a one-dimensional integral over t, and quad's estimate of its error."""
+    def integrand(t):
+        m = load * t
+        return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) * float(
+            np.prod(ndtr((hi - m) / sd) - ndtr((lo - m) / sd))
+        )
+
+    return integrate.quad(integrand, -12.0, 12.0, epsabs=1e-15, epsrel=1e-13, limit=500)
+
+
+def test_genz_bound_covers_true_error():
+    # 240 seeded rectangles of 4 and 5 coordinates with one-factor covariance,
+    # whose probability is a 1-d integral that quad gives to about 1e-13: the
+    # reported bound must contain the true error in at least 99% of them, and
+    # a third of the bound must not
+    rng = np.random.default_rng(0)
+    errors, bounds, ref_errors = [], [], []
+    while len(errors) < 240:
+        k = 4 + len(errors) % 2
+        load = rng.normal(size=k) * rng.uniform(0.3, 1.0)
+        sd = rng.uniform(0.5, 1.2, k)
+        lo, hi = np.full(k, -np.inf), np.full(k, np.inf)
+        for i, kind in enumerate(rng.integers(3, size=k)):
+            edge = rng.normal(scale=0.8)
+            if kind == 0:
+                hi[i] = edge
+            elif kind == 1:
+                lo[i] = edge
+            else:
+                lo[i], hi[i] = edge - rng.uniform(0.3, 2.0), edge
+        ref, ref_err = _one_factor_box(load, sd, lo, hi)
+        if ref < 1e-3:
+            continue
+        cov = np.outer(load, load) + np.diag(sd**2)
+        r = ld.mvn_box_probability(
+            np.zeros(k), cov, lo, hi, n_samples=_GENZ_POINTS, seed=len(errors)
+        )
+        assert r.n_samples == _GENZ_POINTS
+        errors.append(abs(r.estimate - ref))
+        bounds.append(r.quad_tol)
+        ref_errors.append(ref_err)
+    errors, bounds = np.array(errors), np.array(bounds)
+    assert max(ref_errors) < 0.1 * np.median(bounds)
+    assert np.mean(errors <= bounds) >= 0.99
+    assert np.mean(errors <= bounds / 3.0) < 0.99
+
+
 def test_import_skips_scipy_stats_and_integrate():
     code = (
         "import sys, lassodist; "
@@ -521,3 +575,49 @@ def test_import_skips_scipy_stats_and_integrate():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+    # the Genz kernel builds its own lattice: a p = 3 mass whose lambda-box
+    # block has three coordinates, and a cdf whose sum has such blocks
+    genz = (
+        "import sys, numpy as np, lassodist as ld; "
+        "prob = ld.design_from_gram(np.array([[1, .3, .2], [.3, 1, .4], [.2, .4, 1]])); "
+        "model = ld.gaussian_model(prob, [0.2, -0.1, 0.3], 1.0); "
+        "tuning = ld.uniform_tuning(3, 0.7); "
+        "r = ld.orthant_mass(prob, model, tuning, ld.SignVector(d=(0, 0, 0))); "
+        "ld.cdf(prob, model, tuning, [0.5, 0.5, 0.5]); "
+        "print(r.n_samples, 'scipy.stats' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", genz],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(_GENZ_POINTS), "False"]
+
+
+def test_korobov_table_matches_search():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "korobov_table.py"
+    spec = importlib.util.spec_from_file_location("korobov_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert set(_KOROBOV) == {
+        (2**e, dim) for e in range(6, 17) for dim in (2, 3, 4, 5)
+    }
+    assert all(a % 2 == 1 and 1 < a < n // 2 for (n, _), a in _KOROBOV.items())
+    small = script.table(max_log2_n=10)
+    assert small == {key: a for key, a in _KOROBOV.items() if key[0] <= 2**10}
+
+
+def test_shifted_lattice_is_a_folded_rank1_lattice():
+    n, dim, n_shifts, seed = 64, 3, 4, 5
+    w = _shifted_lattice(n, dim, n_shifts, seed).reshape(n_shifts, n, dim)
+    a = _KOROBOV[n, dim]
+    lattice = (np.arange(n)[:, None] * np.array([1, a, a * a % n]) % n) / n
+    shifts = np.random.Generator(np.random.Philox(seed)).random((n_shifts, dim))
+    for s in range(n_shifts):
+        x = (lattice + shifts[s]) % 1.0
+        assert np.allclose(w[s], 1.0 - np.abs(2.0 * x - 1.0), rtol=0.0, atol=1e-15)
+    # an odd multiplier makes every coordinate a permutation of the n-point grid
+    assert all(len(set(lattice[:, j])) == n for j in range(dim))

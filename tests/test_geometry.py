@@ -103,6 +103,16 @@ def test_uniqueness_limit():
         ld.check_uniqueness(prob, ld.uniform_tuning(15, 1.0))
 
 
+def test_uniqueness_limit_message_points_to_monte_carlo():
+    # general_position() stops at p = 12 < 15, so it cannot be the fallback here
+    prob = ld.build_problem(np.ones((1, 15)))
+    with pytest.raises(CombinatorialLimitError) as err:
+        ld.check_uniqueness(prob, ld.uniform_tuning(15, 1.0))
+    assert ld.geometry.GENERAL_POSITION_LIMIT < 15
+    assert "estimate_nonuniqueness_probability" in str(err.value)
+    assert "general_position" not in str(err.value)
+
+
 def test_general_position(n1p2):
     assert ld.general_position(n1p2)
     # third column is an affine combination of the first two
