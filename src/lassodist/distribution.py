@@ -50,10 +50,11 @@ CDF_P_LIMIT = 4
 _GENZ_POINTS = 2**16
 # rounding bound reported by every rectangle kernel
 _EXACT_TOL = 1e-14
-# standard errors in a reported QMC error bound. The 8 shift means of a lattice
-# rule are skewed and heavy-tailed: on 4200 seeded rectangles of 3-6
-# coordinates, 3 standard errors held the true error in 96-97% of them, 7 in
-# 99.7-99.9% (the share 3 would hold for normal means)
+# standard errors in a reported QMC error bound. A standard error estimated
+# from 8 shift means is Student-t distributed at best, so 3 of them hold the
+# true error in at most 98% of cases, and lattice shift means are also skewed:
+# on 4200 seeded rectangles of 3-6 coordinates, 3 standard errors held it in
+# 96-97% of them, 7 in 99.7-99.9%
 _BOUND_SE = 7.0
 # Korobov multipliers: for the lattice of n points in dim dimensions, the odd a
 # minimising the P2 figure of merit; regenerate with scripts/korobov_table.py
@@ -187,23 +188,25 @@ def _pattern(problem, model, tuning, signs):
 
 
 def _pattern_prob(problem, model, tuning, signs, lower, upper, seq):
-    """(P(lower_A <= u_A <= upper_A), P(s_0 in the lambda-box), standard error
-    and rounding bound of their product, QMC points) for one pattern; bounds
-    off A are not read. The two blocks draw their shifts from independent
-    children of the SeedSequence seq."""
+    """Rectangle-kernel results (estimate, standard error, rounding bound, QMC
+    points) of P(lower_A <= u_A <= upper_A) and of P(s_0 in the lambda-box)
+    for one pattern; bounds off A are not read. The two blocks draw their
+    shifts from independent children of the SeedSequence seq."""
     moving, (mean_a, cov_a), (mean_0, cov_0) = _pattern(problem, model, tuning, signs)
     seq_a, seq_0 = seq.spawn(2)
     lo, hi = lower[moving] - mean_a, upper[moving] - mean_a
-    p_a, se_a, tol_a, pts_a = _rectangle(np.linalg.cholesky(cov_a), lo, hi, seq_a)
+    block_a = _rectangle(np.linalg.cholesky(cov_a), lo, hi, seq_a)
     lam_0 = tuning.lam[signs == 0]
     if np.any(lam_0 == 0.0):  # an unpenalized coordinate carries no atom at zero
-        p_0, se_0, tol_0, pts_0 = 0.0, 0.0, 0.0, 0
-    else:
-        p_0, se_0, tol_0, pts_0 = _rectangle(
-            np.linalg.cholesky(cov_0), -lam_0 - mean_0, lam_0 - mean_0, seq_0
-        )
-    # first-order error of a product of two independent estimates
-    return p_a, p_0, math.hypot(p_0 * se_a, p_a * se_0), tol_a + tol_0, pts_a + pts_0
+        return block_a, (0.0, 0.0, 0.0, 0)
+    return block_a, _rectangle(np.linalg.cholesky(cov_0), -lam_0 - mean_0, lam_0 - mean_0, seq_0)
+
+
+def _product(block_a, block_0):
+    """(estimate, standard error, rounding bound, QMC points) of the product of
+    two independent block estimates; the standard error is first order."""
+    (p_a, se_a, tol_a, pts_a), (p_0, se_0, tol_0, pts_0) = block_a, block_0
+    return p_a * p_0, math.hypot(p_0 * se_a, p_a * se_0), tol_a + tol_0, pts_a + pts_0
 
 
 def _bound(se, tol):
@@ -287,10 +290,10 @@ def prob_orthant_event(
 
     _require_quad(problem, problem.p)
     signs = d.as_array()
-    p_a, p_0, se, tol, points = _pattern_prob(
+    estimate, se, tol, points = _product(*_pattern_prob(
         problem, model, tuning, signs, *_orthant(signs, z), np.random.SeedSequence(seed)
-    )
-    return _quadrature(p_a * p_0, _bound(se, tol), points, seed, quad_tol)
+    ))
+    return _quadrature(estimate, _bound(se, tol), points, seed, quad_tol)
 
 
 def _event_indicator(z, d: SignVector, beta, zero_tol):
@@ -342,10 +345,10 @@ def prob_all_zero(
     if problem.rank_x == problem.p:
         signs = np.zeros(problem.p, dtype=int)
         bounds = _orthant(signs, -model.beta)
-        p_a, p_0, se, tol, points = _pattern_prob(
+        estimate, se, tol, points = _product(*_pattern_prob(
             problem, model, tuning, signs, *bounds, np.random.SeedSequence(seed)
-        )
-        return _quadrature(p_a * p_0, _bound(se, tol), points, seed)
+        ))
+        return _quadrature(estimate, _bound(se, tol), points, seed)
     if problem.rank_x == 1:
         return _rank1_zero_atom(problem, model, tuning)
     raise DimensionLimitError(
@@ -399,7 +402,7 @@ def conditional_density(
     z_active lists the error coordinates in the order of D- union D+
     (ascending index). Returns 0 outside the orthant indicator's support.
     It is phi_A(z_active) / P(u_A in the orthant). Raises NumericalError
-    when the QMC error bound of P(bhat in O^d) exceeds quad_tol.
+    when the QMC error bound of P(u_A in the orthant) exceeds quad_tol.
     """
     _check_shapes(problem, model, tuning)
     _require_quad(problem, problem.p)
@@ -409,10 +412,10 @@ def conditional_density(
     if z_active.shape[0] != moving.size:
         raise InputError(f"z_active must have length ||d||_1 = {moving.size}")
     bounds = _orthant(signs, -model.beta)
-    p_a, p_0, se, tol, _ = _pattern_prob(
+    (p_a, se_a, tol_a, _), (p_0, *_) = _pattern_prob(
         problem, model, tuning, signs, *bounds, np.random.SeedSequence(0)
     )
-    bound = _bound(se, tol)
+    bound = _bound(se_a, tol_a)  # the density divides by p_a alone
     if p_a * p_0 < 1e-12:
         raise ConditioningError(
             f"P(bhat in O^d) = {p_a * p_0:.3e} is numerically zero for d = {d.d}"
@@ -467,10 +470,10 @@ def cdf(
         if np.any((signs == 0) & (z < atom)) or np.any((signs == 1) & (z <= atom)):
             continue  # the atom misses the event, or (-beta_j, z_j] is empty
         lower, upper = _orthant(signs, atom)
-        p_a, p_0, se, part_tol, _ = _pattern_prob(
+        part, se, part_tol, _ = _product(*_pattern_prob(
             problem, model, tuning, signs, lower, np.minimum(upper, z), seq
-        )
-        total += p_a * p_0
+        ))
+        total += part
         var += se * se
         tol += part_tol
     bound = _bound(math.sqrt(var), tol)
@@ -551,9 +554,10 @@ def mvn_box_probability(
 
     Nonsingular covariance: closed forms for one or two coordinates, beyond
     that the separation-of-variables transform on n_shifts random shifts of a
-    Korobov lattice of about n_samples / n_shifts points. The reported error
-    bound is seven standard errors of the mean of the shift estimates plus a
-    rounding term. Singular covariance: plain Monte Carlo through a
+    Korobov lattice of about n_samples / n_shifts points, whose multipliers
+    are tuned for up to six coordinates (see _shifted_lattice). The reported
+    error bound is seven standard errors of the mean of the shift estimates
+    plus a rounding term. Singular covariance: plain Monte Carlo through a
     reduced-rank factor.
     """
     mean = np.asarray(mean, dtype=float).ravel()
@@ -612,8 +616,12 @@ def _shifted_lattice(n, dim, n_shifts, seed):
     1 - |2x - 1|: an (n_shifts * n, dim) array, one shift after another.
 
     The shifts are uniform draws of one Philox generator seeded by seed. The
-    Korobov multiplier a is _KOROBOV's entry for (n, dim); dimensions beyond
-    the table reuse its largest.
+    Korobov multiplier a is _KOROBOV's entry for (n, dim). Dimensions beyond
+    5 (mvn_box_probability with 7 or more coordinates) reuse the dim-5
+    multiplier, which was not chosen for them. The estimate stays unbiased,
+    and z repeats no entry up to dimension 16 at any n of the table (the
+    least multiplicative order of a multiplier there is 16); beyond that,
+    coordinates repeat and the rule degrades.
     """
     a = _KOROBOV[n, min(dim, 5)]
     z = np.ones(dim, dtype=np.int64)

@@ -16,7 +16,7 @@ from scipy.stats import multivariate_normal, norm
 
 import lassodist as ld
 from conftest import SRC
-from lassodist.distribution import _GENZ_POINTS, _KOROBOV, _shifted_lattice
+from lassodist.distribution import _BOUND_SE, _GENZ_POINTS, _KOROBOV, _shifted_lattice
 from lassodist.errors import (
     ConditioningError,
     DimensionLimitError,
@@ -292,6 +292,24 @@ def test_conditional_density_errors(setup2):
         ld.conditional_density(prob, far, tuning, ld.SignVector(d=(1, 1)), [13.0, 13.0])
 
 
+def test_conditional_density_bounds_the_orthant_block_alone():
+    # the density divides by P(u_A in the orthant), so its guard must bound
+    # that block's error. With a small lambda-box mass p_0 the product
+    # P(bhat in O^d) = p_a p_0 is known far better than p_a itself
+    beta = np.array([0.3, -0.2, 0.4, 0.0])
+    lam = np.array([0.5, 0.6, 0.7, 0.02])
+    prob, model, _, _, _ = _random_setup(4, 0, beta)
+    tuning = ld.tuning_vector(lam)
+    d = ld.SignVector(d=(1, -1, 1, 0))
+    z = -beta[:3] + np.array([0.2, -0.3, 0.1])
+    mass = ld.orthant_mass(prob, model, tuning, d, quad_tol=0.0)
+    assert mass.n_samples == _GENZ_POINTS  # one Genz block: u_A, three coordinates
+    assert mass.estimate < 0.01 and mass.quad_tol < 1e-7
+    with pytest.raises(NumericalError):
+        ld.conditional_density(prob, model, tuning, d, z, quad_tol=1e-7)
+    assert ld.conditional_density(prob, model, tuning, d, z, quad_tol=1e-5) > 0.0
+
+
 def test_error_density_formula(setup2):
     prob, model, tuning = setup2
     z = np.array([0.3, 0.2])  # z + beta = (0.3, -0.05): strict signs (1, -1)
@@ -513,6 +531,36 @@ def test_cdf_p4_matches_oracle_and_mc():
     assert abs(got - mc.estimate) <= 3.0 * mc.std_error + 1e-3
 
 
+def test_oracle_checks_hold_at_three_standard_errors():
+    # reported bounds count seven standard errors, so the quad_tol-relative
+    # checks of test_mvn_box_matches_scipy, test_partition_p5 and
+    # test_orthant_masses_p6_match_oracle allow more than their earlier form
+    # of three; their cases must still pass at three
+    three = 3.0 / _BOUND_SE
+    cov = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 1.5]])
+    mean = np.array([0.1, -0.2, 0.3])
+    lower = np.array([-1.0, -np.inf, -2.0])
+    upper = np.array([1.5, 0.8, np.inf])
+    r = ld.mvn_box_probability(mean, cov, lower, upper, n_samples=65536)
+    want = box_prob(mean, cov, lower, upper)
+    assert abs(r.estimate - want) <= max(4.0 * three * r.quad_tol, 1e-5)
+
+    beta = np.array([0.5, -0.3, 0.0, 0.2, -0.6])
+    prob, model, tuning, _, _ = _random_setup(5, 1, beta)
+    masses = [
+        ld.orthant_mass(prob, model, tuning, ld.SignVector(d=d), quad_tol=0.0)
+        for d in product((-1, 0, 1), repeat=5)
+    ]
+    assert abs(sum(r.estimate for r in masses) - 1.0) <= three * sum(r.quad_tol for r in masses)
+
+    beta = np.array([0.4, -0.2, 0.6, 0.0, -0.5, 0.3])
+    prob, model, tuning, gram, lam = _random_setup(6, 2, beta)
+    for d in ((0,) * 6, (1, 0, -1, 0, 0, 1)):
+        r = ld.orthant_mass(prob, model, tuning, ld.SignVector(d=d), quad_tol=0.0)
+        want = event_prob(gram, lam, beta, 1.0, d, -beta)
+        assert abs(r.estimate - want) <= three * r.quad_tol + 1e-9, d
+
+
 def _one_factor_box(load, sd, lo, hi):
     """P(lo <= x <= hi) for x_i = load_i t + sd_i e_i, t and e i.i.d. N(0, 1):
     a one-dimensional integral over t, and quad's estimate of its error."""
@@ -560,6 +608,30 @@ def test_genz_bound_covers_true_error():
     assert max(ref_errors) < 0.1 * np.median(bounds)
     assert np.mean(errors <= bounds) >= 0.99
     assert np.mean(errors <= bounds / 3.0) < 0.99
+
+
+def test_mvn_box_beyond_the_korobov_table():
+    # seven coordinates take the lattice in six dimensions, past the table's
+    # five: its generating vector repeats no entry up to 16 dimensions, and
+    # one-factor boxes stay inside their bounds at both point counts used.
+    # At 2^16 points those bounds are 3e-6 to 1.2e-5; a lattice whose six
+    # coordinates coincided would report about 1e-2
+    for n in sorted({n for n, _ in _KOROBOV}):
+        assert len({pow(_KOROBOV[n, 5], j, n) for j in range(16)}) == 16, n
+    rng = np.random.default_rng(7)
+    for seed in range(6):
+        load = rng.normal(size=7) * 0.6
+        sd = rng.uniform(0.5, 1.2, 7)
+        lo = np.where(rng.random(7) < 0.5, -np.inf, -1.0)
+        hi = np.where(rng.random(7) < 0.3, np.inf, 1.0)
+        ref, ref_err = _one_factor_box(load, sd, lo, hi)
+        cov = np.outer(load, load) + np.diag(sd**2)
+        for n_samples in (8192, _GENZ_POINTS):
+            r = ld.mvn_box_probability(np.zeros(7), cov, lo, hi, n_samples=n_samples, seed=seed)
+            assert r.n_samples == n_samples
+            assert ref_err < 0.1 * r.quad_tol
+            assert abs(r.estimate - ref) <= r.quad_tol, (seed, n_samples)
+        assert r.quad_tol < 3e-5, seed
 
 
 def test_import_skips_scipy_stats_and_integrate():
