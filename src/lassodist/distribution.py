@@ -11,15 +11,18 @@ with the Schur complement sigma^2 (G_00 - G_0A G_AA^{-1} G_A0). So every
 orthant event and every CDF term is a product of two Gaussian rectangle
 probabilities, and given the pattern, u_A is its Gaussian block restricted
 to the orthant. Rectangles of one or two coordinates have closed forms (the
-normal CDF; the bivariate normal through Owen's T); larger ones use Genz's
-separation-of-variables transform on a randomly shifted Korobov lattice
-(Genz 1992; Genz & Bretz 2009, ch. 4), whose shift-to-shift spread gives a
-standard error. Results report seven standard errors, combined over
-independent blocks as a root sum of squares, plus the kernels' rounding
-terms. These
-paths need full column rank (the Gaussian on X'y is singular otherwise);
-rank-deficient designs go through the reduced-rank representation (rank-1
-analytically, any rank by Monte Carlo over the solver).
+normal CDF from math.erf/erfc; the bivariate normal by Genz's BVND, after
+Drezner & Wesolowsky 1990); larger ones use Genz's separation-of-variables
+transform on a randomly shifted Korobov lattice (Genz 1992; Genz & Bretz
+2009, ch. 4), whose shift-to-shift spread gives a standard error. Results
+report seven standard errors, combined over independent blocks as a root sum
+of squares, plus the kernels' rounding terms. These paths need full column
+rank (the Gaussian on X'y is singular otherwise); rank-deficient designs go
+through the reduced-rank representation (rank-1 analytically, any rank by
+Monte Carlo over the solver).
+
+Imports: the module needs numpy alone. Only the Genz kernel loads scipy, and
+only scipy.special (for its ndtr and ndtri ufuncs), on its first call.
 
 Event-threshold convention: a threshold z_j = -beta_j on a D+- coordinate is
 accepted and yields the open event {bhat_j < 0} (resp. > 0); thresholds
@@ -35,8 +38,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
 from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
@@ -72,6 +73,16 @@ _KOROBOV = {
     (65536, 2): 19463, (65536, 3): 15395, (65536, 4): 19303, (65536, 5): 9143,
 }
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+# 20-point Gauss-Legendre rule on [0, 2]: nodes 1 -+ x_i, weights w_i (Genz's BVND table)
+_GAUSS_LEGENDRE = tuple((1.0 + side * x, w) for x, w in (
+    (0.9931285991850949, 0.01761400713915212), (0.9639719272779138, 0.04060142980038694),
+    (0.9122344282513259, 0.06267204833410906), (0.8391169718222188, 0.08327674157670475),
+    (0.7463319064601508, 0.1019301198172404), (0.6360536807265150, 0.1181945319615184),
+    (0.5108670019508271, 0.1316886384491766), (0.3737060887154196, 0.1420961093183821),
+    (0.2277858511416451, 0.1491729864726037), (0.07652652113349733, 0.1527533871307259),
+) for side in (-1.0, 1.0))
 _EVENT_SIDE_TOL = 1e-9
 
 
@@ -166,7 +177,7 @@ class _CenteredGaussian:
         )
 
     def logpdf(self, x):
-        w = solve_triangular(self.chol, x, lower=True)
+        w = np.linalg.solve(self.chol, x)
         return self.log_norm - 0.5 * float(w @ w)
 
     def pdf(self, x):
@@ -411,6 +422,8 @@ def conditional_density(
     moving, (mean_a, cov_a), _ = _pattern(problem, model, tuning, signs)
     if z_active.shape[0] != moving.size:
         raise InputError(f"z_active must have length ||d||_1 = {moving.size}")
+    if not np.all(np.isfinite(z_active)):
+        raise InputError("z_active must be finite")
     bounds = _orthant(signs, -model.beta)
     (p_a, se_a, tol_a, _), (p_0, *_) = _pattern_prob(
         problem, model, tuning, signs, *bounds, np.random.SeedSequence(0)
@@ -458,6 +471,8 @@ def cdf(
     z = np.asarray(z, dtype=float).ravel()
     if z.shape[0] != problem.p:
         raise InputError("z must have length p")
+    if np.any(np.isnan(z)):
+        raise InputError("z must not be NaN")
     if coords == "estimator":
         z = z - model.beta
     elif coords != "error":
@@ -494,6 +509,8 @@ def error_density(problem: DesignProblem, model: GaussianModel, tuning: TuningVe
     z = np.asarray(z, dtype=float).ravel()
     if z.shape[0] != problem.p:
         raise InputError("z must have length p")
+    if not np.all(np.isfinite(z)):
+        raise InputError("z must be finite")
     d = np.sign(z + model.beta)
     if np.any(d == 0.0):
         return 0.0
@@ -552,6 +569,8 @@ def mvn_box_probability(
 ) -> RegionProbability:
     """P(lower <= x <= upper) for x ~ N(mean, cov), bounds may be infinite.
 
+    A NaN bound, or a non-finite mean or covariance entry, raises InputError.
+
     Nonsingular covariance: closed forms for one or two coordinates, beyond
     that the separation-of-variables transform on n_shifts random shifts of a
     Korobov lattice of about n_samples / n_shifts points, whose multipliers
@@ -567,6 +586,10 @@ def mvn_box_probability(
     p = mean.shape[0]
     if cov.shape != (p, p) or lower.shape[0] != p or upper.shape[0] != p:
         raise InputError("mean/cov/bounds dimensions are inconsistent")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise InputError("mean and covariance must be finite")
+    if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+        raise InputError("bounds must not be NaN")
     if np.any(lower > upper):
         raise InputError("lower bound exceeds upper bound")
     sym = 0.5 * (cov + cov.T)
@@ -588,7 +611,8 @@ def _rectangle(chol, a, b, seed, n_samples=_GENZ_POINTS, n_shifts=8):
     """P(a <= chol w <= b) for w ~ N(0, I): (estimate, standard error,
     rounding bound, QMC points).
 
-    Closed forms up to two coordinates, exact to rounding (standard error 0).
+    Closed forms up to two coordinates (the normal CDF, Genz's BVND), exact
+    to rounding (standard error 0).
     Beyond, Genz's transform on n_shifts random shifts of one Korobov lattice
     (see _shifted_lattice); the standard error is that of the mean of the
     n_shifts shift estimates. seed is an int or a numpy SeedSequence.
@@ -633,11 +657,21 @@ def _shifted_lattice(n, dim, n_shifts, seed):
     return (1.0 - np.abs(2.0 * x - 1.0)).reshape(n_shifts * n, dim)
 
 
+def _norm_cdf(x) -> float:
+    """Phi(x), with the two branches of cephes ndtr: 1/2 + erf/2 near zero and
+    erfc in the tails, where 1 - Phi or Phi is small."""
+    z = x * _SQRT_HALF
+    if abs(z) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(z)
+    y = 0.5 * math.erfc(abs(z))
+    return 1.0 - y if z > 0.0 else y
+
+
 def _interval(a, b) -> float:
     """P(a <= x <= b) for x ~ N(0, 1), taken from the side of the smaller tail."""
     if a > 0.0:
-        return float(ndtr(-a) - ndtr(-b))
-    return float(ndtr(b) - ndtr(a))
+        return _norm_cdf(-a) - _norm_cdf(-b)
+    return _norm_cdf(b) - _norm_cdf(a)
 
 
 def _rectangle2(a, b, rho, r) -> float:
@@ -653,21 +687,66 @@ def _rectangle2(a, b, rho, r) -> float:
 
 
 def _bvn_cdf(h, k, rho, r) -> float:
-    """P(x <= h, y <= k) for standard normals with correlation rho (Owen, 1956)."""
+    """P(x <= h, y <= k) for standard normals with correlation rho, r = sqrt(1 - rho^2).
+
+    Genz's BVND (Genz 2004, after Drezner & Wesolowsky 1990), written for the
+    upper orthant P(x > -h, y > -k). For |rho| < 0.925 it integrates Plackett's
+    derivative over arcsin(rho); beyond, it integrates the remainder of an
+    expansion around rho = +-1, both by the 20-point Gauss-Legendre rule.
+    """
     if math.isinf(h) or math.isinf(k):
-        return float(ndtr(min(h, k)))
-    if h == 0.0 and k == 0.0:
-        return 0.25 + math.atan2(rho, r) / (2.0 * math.pi)
-
-    def owen(x, y):  # T(x, (y - rho x) / (x r)), which is +-1/4 at x = 0
-        return float(owens_t(x, (y - rho * x) / (x * r))) if x else math.copysign(0.25, y)
-
-    half = 0.5 if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0) else 0.0
-    return 0.5 * float(ndtr(h) + ndtr(k)) - owen(h, k) - owen(k, h) - half
+        return _norm_cdf(min(h, k))
+    h, k = -h, -k
+    hk = h * k
+    if abs(rho) < 0.925:
+        hs, asr = 0.5 * (h * h + k * k), 0.5 * math.asin(rho)
+        total = 0.0
+        for x, w in _GAUSS_LEGENDRE:
+            sn = math.sin(asr * x)
+            total += w * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+        return total * asr / (2.0 * math.pi) + _norm_cdf(-h) * _norm_cdf(-k)
+    if rho < 0.0:
+        k, hk = -k, -hk
+    a2, bs = r * r, (h - k) ** 2
+    c, d = (4.0 - hk) / 8.0, (12.0 - hk) / 80.0
+    near = 0.0  # the expansion's closed-form terms; those below e^-100 are dropped
+    if bs / a2 + hk < 200.0:
+        near = r * math.exp(-0.5 * (bs / a2 + hk)) * (
+            1.0 - c * (bs - a2) * (1.0 - d * bs) / 3.0 + c * d * a2 * a2
+        )
+    if hk > -100.0:
+        b = math.sqrt(bs)
+        near -= (
+            math.exp(-0.5 * hk) * _SQRT_2PI * _norm_cdf(-b / r) * b
+            * (1.0 - c * bs * (1.0 - d * bs) / 3.0)
+        )
+    half, total = 0.5 * r, 0.0
+    for x, w in _GAUSS_LEGENDRE:
+        xs = (half * x) ** 2
+        if bs / xs + hk < 200.0:
+            rs = math.sqrt(1.0 - xs)
+            ep = math.exp(-0.5 * hk * xs / (1.0 + rs) ** 2) / rs
+            sp = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
+            total += w * math.exp(-0.5 * (bs / xs + hk)) * (sp - ep)
+    bvn = (half * total - near) / (2.0 * math.pi)
+    if rho > 0.0:
+        bvn += _norm_cdf(-max(h, k))
+    elif h >= k:
+        bvn = -bvn
+    elif h < 0.0:
+        bvn = _norm_cdf(k) - _norm_cdf(h) - bvn
+    else:
+        bvn = _norm_cdf(-h) - _norm_cdf(-k) - bvn
+    return min(max(bvn, 0.0), 1.0)
 
 
 def _genz_values(chol, a, b, w):
     """Genz's separation-of-variables integrand at the points w in [0, 1]^(p-1)."""
+    # the package's only scipy import, paid by the first Genz block alone;
+    # numpy has no erfc, and ports of ndtr and ndtri to it are several times
+    # slower than these ufuncs on the kernel's point sets
+    from scipy.special import ndtr, ndtri
+
     m, p = w.shape[0], a.shape[0]
     f = np.ones(m)
     ys = np.empty((m, p - 1))

@@ -110,6 +110,8 @@ def test_input_error_exit_codes(tmp_path):
 
     wrong_z = run_cli("cdf", "--input", CORR2, "--z", "0.1,0.2,0.3")
     assert wrong_z.returncode == 2
+    nan_z = run_cli("cdf", "--input", CORR2, "--z", "nan,0")
+    assert nan_z.returncode == 2 and "NaN" in nan_z.stderr
 
     wrong_signs = run_cli("orthant-prob", "--input", CORR2, "--signs", "1")
     assert wrong_signs.returncode == 2

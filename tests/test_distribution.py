@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -16,7 +17,15 @@ from scipy.stats import multivariate_normal, norm
 
 import lassodist as ld
 from conftest import SRC
-from lassodist.distribution import _BOUND_SE, _GENZ_POINTS, _KOROBOV, _shifted_lattice
+from lassodist.distribution import (
+    _BOUND_SE,
+    _EXACT_TOL,
+    _GENZ_POINTS,
+    _KOROBOV,
+    _bvn_cdf,
+    _norm_cdf,
+    _shifted_lattice,
+)
 from lassodist.errors import (
     ConditioningError,
     DimensionLimitError,
@@ -162,6 +171,16 @@ def test_cdf_estimator_coordinates(setup2):
         ld.cdf(prob, model, tuning, z_est, coords="raw")
 
 
+def test_cdf_rejects_nan_and_keeps_infinite_thresholds(setup2):
+    prob, model, tuning = setup2
+    with pytest.raises(InputError):
+        ld.cdf(prob, model, tuning, [np.nan, 0.25])
+    assert abs(ld.cdf(prob, model, tuning, [np.inf, np.inf]) - 1.0) <= 1e-15
+    assert ld.cdf(prob, model, tuning, [-np.inf, 0.25]) == 0.0
+    marginal = ld.cdf(prob, model, tuning, [np.inf, 0.25])
+    assert abs(marginal - cdf_value(GRAM2, LAM2, BETA2, 1.0, np.array([40.0, 0.25]))) <= 1e-8
+
+
 def test_cdf_matches_simulation(setup2):
     prob, model, tuning = setup2
     z_est = np.array([0.15, -0.05])
@@ -292,6 +311,14 @@ def test_conditional_density_errors(setup2):
         ld.conditional_density(prob, far, tuning, ld.SignVector(d=(1, 1)), [13.0, 13.0])
 
 
+def test_conditional_density_rejects_non_finite_points(setup2):
+    prob, model, tuning = setup2
+    d = ld.SignVector(d=(1, -1))
+    for bad in ([np.nan, 0.2], [0.3, np.inf], [-np.inf, 0.2]):
+        with pytest.raises(InputError):
+            ld.conditional_density(prob, model, tuning, d, bad)
+
+
 def test_conditional_density_bounds_the_orthant_block_alone():
     # the density divides by P(u_A in the orthant), so its guard must bound
     # that block's error. With a small lambda-box mass p_0 the product
@@ -320,6 +347,13 @@ def test_error_density_formula(setup2):
     assert abs(ld.error_density(prob, model, tuning, z) - expected) <= 1e-12
     # a coordinate exactly at the atom position carries no 2-d density
     assert ld.error_density(prob, model, tuning, [0.0, 0.2]) == 0.0
+
+
+def test_error_density_rejects_non_finite_points(setup2):
+    prob, model, tuning = setup2
+    for bad in ([np.nan, 0.2], [0.3, np.inf], [-np.inf, -np.inf]):
+        with pytest.raises(InputError):
+            ld.error_density(prob, model, tuning, bad)
 
 
 def test_error_density_is_cdf_mixed_partial(setup2):
@@ -417,6 +451,42 @@ def test_mvn_box_bivariate_closed_form(mean, lower, upper):
     assert abs(r.estimate - box_prob(mean, cov, lower, upper)) <= 2e-11
 
 
+def _bvn_reference(h, k, rho, r):
+    """P(x <= h, y <= k) as the integral of phi(x) Phi((k - rho x) / r) over
+    x <= h, split where Phi's argument changes sign; the mass beyond |x| = 12
+    (below 1e-32) is left out. At this tolerance QUADPACK reports roundoff
+    (full_output keeps that off the warnings) while agreeing with a
+    40-digit reference to about 1e-15."""
+    top = min(h, 12.0)
+    if top <= -12.0:
+        return 0.0
+    kinks = [k / rho + j * r / abs(rho) for j in (-8, 0, 8)] if rho and math.isfinite(k) else []
+    return integrate.quad(
+        lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * ndtr((k - rho * x) / r),
+        -12.0, top, points=[x for x in kinks if -12.0 < x < top] or None,
+        epsabs=1e-15, epsrel=0.0, limit=200, full_output=1,
+    )[0]
+
+
+def test_bvn_cdf_matches_quadrature():
+    # both branches of BVND (|rho| below and above 0.925), up to |rho| = 1 - 1e-7,
+    # at zero, infinite and far-tail corners
+    edges = (-9.0, -4.5, -1.7, -0.4, 0.0, 0.3, 1.2, 2.8, 5.0, 9.0, -np.inf, np.inf)
+    rhos = (-0.9999999, -0.999, -0.95, -0.93, -0.92, -0.6, -0.2, 0.0,
+            0.3, 0.7, 0.924, 0.926, 0.98, 0.9999999)
+    for h, k, rho in product(edges, edges, rhos):
+        r = math.sqrt(1.0 - rho * rho)
+        got = _bvn_cdf(h, k, rho, r)
+        assert abs(got - _bvn_reference(h, k, rho, r)) <= _EXACT_TOL, (h, k, rho)
+
+
+def test_norm_cdf_matches_ndtr():
+    x = np.linspace(-20.0, 9.0, 5801)
+    got = np.array([_norm_cdf(float(v)) for v in x])
+    assert np.all(np.abs(got - ndtr(x)) <= 2e-14 * ndtr(x))
+    assert _norm_cdf(-np.inf) == 0.0 and _norm_cdf(np.inf) == 1.0
+
+
 def test_mvn_box_singular_covariance():
     # rank-one covariance: both coordinates equal one N(0,1) draw
     cov = np.ones((2, 2))
@@ -434,6 +504,30 @@ def test_mvn_box_validation():
         ld.mvn_box_probability([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], [-1, -1], [1, 1])
     with pytest.raises(InputError):
         ld.mvn_box_probability([0.0, 0.0], [[1.0]], [-1, -1], [1, 1])
+
+
+def test_mvn_box_rejects_non_finite_inputs():
+    # the closed forms (one and two coordinates) and a Genz block (three);
+    # infinite bounds stay valid
+    def spoil(x, value):
+        x = x.copy()
+        x.flat[-1] = value
+        return x
+
+    for k in (1, 2, 3):
+        mean, cov = np.zeros(k), np.eye(k) + 0.3 * (1.0 - np.eye(k))
+        lower, upper = np.full(k, -1.0), np.full(k, np.inf)
+        for args in (
+            (spoil(mean, np.nan), cov, lower, upper),
+            (spoil(mean, np.inf), cov, lower, upper),
+            (mean, spoil(cov, np.nan), lower, upper),
+            (mean, cov, spoil(lower, np.nan), upper),
+            (mean, cov, lower, spoil(upper, np.nan)),
+        ):
+            with pytest.raises(InputError):
+                ld.mvn_box_probability(*args)
+        r = ld.mvn_box_probability(mean, cov, lower, upper)
+        assert 0.0 < r.estimate < 1.0 and r.quad_tol > 0.0
 
 
 _GRAMS = (
@@ -635,10 +729,37 @@ def test_mvn_box_beyond_the_korobov_table():
 
 
 def test_import_skips_scipy_stats_and_integrate():
-    code = (
-        "import sys, lassodist; "
-        "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
-    )
+    # one fresh interpreter, three stages: the import, then calls whose blocks
+    # all have closed forms (at most two coordinates; the p = 3 pattern
+    # (1, 0, -1) has a two-coordinate u_A and a one-coordinate slack), then a
+    # Genz block and a cdf with such blocks, which load scipy.special alone
+    code = """
+import json, sys
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import lassodist as ld
+stages = [scipy_modules()]
+prob = ld.design_from_gram(np.array([[1.0, 0.5], [0.5, 1.0]]))
+model = ld.gaussian_model(prob, [0.0, -0.25], 1.0)
+tuning = ld.tuning_vector([0.75, 0.75])
+ld.orthant_mass(prob, model, tuning, ld.SignVector(d=(1, -1)))
+ld.cdf(prob, model, tuning, [0.4, -0.1])
+ld.prob_all_zero(prob, model, tuning)
+ld.error_density(prob, model, tuning, [0.3, 0.2])
+ld.conditional_density(prob, model, tuning, ld.SignVector(d=(1, -1)), [0.3, 0.2])
+prob = ld.design_from_gram(np.array([[1, .3, .2], [.3, 1, .4], [.2, .4, 1]]))
+model = ld.gaussian_model(prob, [0.2, -0.1, 0.3], 1.0)
+tuning = ld.uniform_tuning(3, 0.7)
+closed = ld.orthant_mass(prob, model, tuning, ld.SignVector(d=(1, 0, -1)))
+stages.append(scipy_modules())
+genz = ld.orthant_mass(prob, model, tuning, ld.SignVector(d=(0, 0, 0)))
+ld.cdf(prob, model, tuning, [0.5, 0.5, 0.5])
+stages.append(scipy_modules())
+print(json.dumps([stages, closed.n_samples, genz.n_samples]))
+"""
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -646,27 +767,12 @@ def test_import_skips_scipy_stats_and_integrate():
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-    # the Genz kernel builds its own lattice: a p = 3 mass whose lambda-box
-    # block has three coordinates, and a cdf whose sum has such blocks
-    genz = (
-        "import sys, numpy as np, lassodist as ld; "
-        "prob = ld.design_from_gram(np.array([[1, .3, .2], [.3, 1, .4], [.2, .4, 1]])); "
-        "model = ld.gaussian_model(prob, [0.2, -0.1, 0.3], 1.0); "
-        "tuning = ld.uniform_tuning(3, 0.7); "
-        "r = ld.orthant_mass(prob, model, tuning, ld.SignVector(d=(0, 0, 0))); "
-        "ld.cdf(prob, model, tuning, [0.5, 0.5, 0.5]); "
-        "print(r.n_samples, 'scipy.stats' in sys.modules)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", genz],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(_GENZ_POINTS), "False"]
+    (imported, closed_forms, genz_block), closed_points, genz_points = json.loads(proc.stdout)
+    assert imported == [] and closed_forms == []
+    assert (closed_points, genz_points) == (0, _GENZ_POINTS)
+    assert "scipy.special" in genz_block
+    heavy = ("scipy.linalg", "scipy.stats", "scipy.integrate")
+    assert not [m for m in genz_block if m.startswith(heavy)]
 
 
 def test_korobov_table_matches_search():
