@@ -316,6 +316,12 @@ def _cmd_cdf(args) -> str:
     z = _csv_floats(args.z, "--z")
     if z.shape[0] != env.problem.p:
         raise InputError(f"--z must have length {env.problem.p}")
+    # the JSON output cannot echo an infinite threshold
+    if not np.all(np.isfinite(z)):
+        raise InputError(
+            "--z entries must be finite (no NaN or inf); lassodist.cdf in Python "
+            "accepts infinite thresholds"
+        )
     value = distribution.cdf(env.problem, model, tuning, z, coords=args.coords)
     return render_json({"z": z, "coords": args.coords, "cdf": value})
 

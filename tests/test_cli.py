@@ -15,6 +15,7 @@ N1P2_LAM12 = str(FIXTURES / "n1p2_lam12.json")
 D2X3 = str(FIXTURES / "design_2x3.json")
 D2X4 = str(FIXTURES / "design_2x4.json")
 CORR2 = str(FIXTURES / "corr2.json")
+CORR3 = str(FIXTURES / "corr3.json")
 
 
 def run_cli(*args):
@@ -52,6 +53,43 @@ def test_golden_outputs_are_byte_stable(golden, args):
     proc = run_cli(*args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / golden).read_text()
+
+
+def test_cli_runs_without_scipy():
+    # scipy made unimportable: every golden command prints its golden, and
+    # the p = 3 calls with Genz blocks (corr3.json) succeed
+    code = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from lassodist.cli import main
+
+results = []
+for args in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(args)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+    genz_calls = [
+        ("orthant-prob", "--input", CORR3, "--signs", "0,0,0"),
+        ("cdf", "--input", CORR3, "--z", "0.5,0.5,0.5"),
+    ]
+    calls = [args for _, args in GOLDEN_CASES] + genz_calls
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    for (golden, _), (status, out) in zip(GOLDEN_CASES, results):
+        assert status == 0 and out == (GOLDEN / golden).read_text(), golden
+    (mass_status, mass), (cdf_status, cdf) = results[len(GOLDEN_CASES):]
+    assert mass_status == 0 and json.loads(mass)["n_samples"] > 0
+    assert cdf_status == 0 and 0.0 < json.loads(cdf)["cdf"] < 1.0
 
 
 def test_golden_json_is_valid_json():
@@ -112,6 +150,8 @@ def test_input_error_exit_codes(tmp_path):
     assert wrong_z.returncode == 2
     nan_z = run_cli("cdf", "--input", CORR2, "--z", "nan,0")
     assert nan_z.returncode == 2 and "NaN" in nan_z.stderr
+    inf_z = run_cli("cdf", "--input", CORR2, "--z", "inf,0.25")
+    assert inf_z.returncode == 2 and "lassodist.cdf" in inf_z.stderr
 
     wrong_signs = run_cli("orthant-prob", "--input", CORR2, "--signs", "1")
     assert wrong_signs.returncode == 2

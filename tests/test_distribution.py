@@ -12,18 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal, norm
 
 import lassodist as ld
 from conftest import SRC
+from lassodist import distribution
 from lassodist.distribution import (
     _BOUND_SE,
     _EXACT_TOL,
     _GENZ_POINTS,
     _KOROBOV,
     _bvn_cdf,
+    _ndtr,
+    _ndtri,
     _norm_cdf,
+    _rectangle,
     _shifted_lattice,
 )
 from lassodist.errors import (
@@ -487,6 +491,71 @@ def test_norm_cdf_matches_ndtr():
     assert _norm_cdf(-np.inf) == 0.0 and _norm_cdf(np.inf) == 1.0
 
 
+def _both_sides(points):
+    points = np.asarray(points, dtype=float)
+    return np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
+
+
+def test_ndtr_port_matches_scipy():
+    # cephes' branch edges sit at |x| / sqrt(2) = 1/sqrt(2), 1 and 8
+    edges = [s * e for s in (-1.0, 1.0) for e in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0))]
+    x = np.concatenate([np.linspace(-38.0, 9.0, 94001), _both_sides(edges), [0.0]])
+    got, want = _ndtr(x), ndtr(x)
+    assert np.all(np.abs(got - want) <= 2e-15 * want)
+    # scipy's far tail underflows to 0, so the check above needs an exact 0 there
+    assert np.count_nonzero(want == 0.0) > 0
+    assert np.array_equal(_ndtr(np.array([-np.inf, np.inf])), [0.0, 1.0])
+
+
+def test_ndtri_port_matches_scipy():
+    # AS241's branch edges sit at |p - 1/2| = 0.425 and at min(p, 1 - p) = e^-25
+    edges = [0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)]
+    p = np.concatenate([
+        np.linspace(0.0, 1.0, 100001)[1:-1],
+        np.logspace(-300.0, -1.0, 3001),
+        1.0 - np.logspace(-16.0, -1.0, 1501),
+        _both_sides(edges),
+        [1e-16, 1.0 - 1e-16],
+    ])
+    got, want = _ndtri(p), ndtri(p)
+    assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want))
+
+
+def _scipy_genz_values(chol, a, b, w):
+    # the integrand with scipy's ufuncs: the reference for the numpy ports
+    m, p = w.shape[0], a.shape[0]
+    f = np.ones(m)
+    ys = np.empty((m, p - 1))
+    for i in range(p):
+        center = ys[:, :i] @ chol[i, :i]
+        lo = ndtr((a[i] - center) / chol[i, i])
+        hi = ndtr((b[i] - center) / chol[i, i])
+        f *= np.maximum(hi - lo, 0.0)
+        if i < p - 1:
+            ys[:, i] = ndtri(np.clip(lo + w[:, i] * (hi - lo), 1e-16, 1.0 - 1e-16))
+    return f
+
+
+def test_rectangle_matches_scipy_ufunc_integrand(monkeypatch):
+    rng = np.random.default_rng(81)
+    cases = []
+    for k in (3, 4, 5) * 16:
+        f = rng.normal(size=(k, k))
+        chol = np.linalg.cholesky(f @ f.T / k + 0.3 * np.eye(k))
+        a = rng.uniform(-2.5, 0.5, k)
+        b = a + rng.uniform(0.3, 4.0, k)
+        a[rng.random(k) < 0.3] = -np.inf
+        b[rng.random(k) < 0.3] = np.inf
+        cases.append((chol, a, b, int(rng.integers(2**31))))
+    ours = [_rectangle(*case) for case in cases]
+    monkeypatch.setattr(distribution, "_genz_values", _scipy_genz_values)
+    theirs = [_rectangle(*case) for case in cases]
+    assert sum(np.isinf(a).any() and np.isinf(b).any() for _, a, b, _ in cases) > 0
+    for mine, ref in zip(ours, theirs):
+        assert mine[3] == ref[3] == _GENZ_POINTS
+        assert abs(mine[0] - ref[0]) <= 1e-13, (mine, ref)
+
+
 def test_mvn_box_singular_covariance():
     # rank-one covariance: both coordinates equal one N(0,1) draw
     cov = np.ones((2, 2))
@@ -731,8 +800,8 @@ def test_mvn_box_beyond_the_korobov_table():
 def test_import_skips_scipy_stats_and_integrate():
     # one fresh interpreter, three stages: the import, then calls whose blocks
     # all have closed forms (at most two coordinates; the p = 3 pattern
-    # (1, 0, -1) has a two-coordinate u_A and a one-coordinate slack), then a
-    # Genz block and a cdf with such blocks, which load scipy.special alone
+    # (1, 0, -1) has a two-coordinate u_A and a one-coordinate slack), then
+    # Genz blocks of three and five coordinates; no stage loads any scipy module
     code = """
 import json, sys
 import numpy as np
@@ -757,8 +826,9 @@ closed = ld.orthant_mass(prob, model, tuning, ld.SignVector(d=(1, 0, -1)))
 stages.append(scipy_modules())
 genz = ld.orthant_mass(prob, model, tuning, ld.SignVector(d=(0, 0, 0)))
 ld.cdf(prob, model, tuning, [0.5, 0.5, 0.5])
+box = ld.mvn_box_probability(np.zeros(5), np.eye(5) + 0.3, [-1.0] * 5, [np.inf, 1, 1, 1, 1])
 stages.append(scipy_modules())
-print(json.dumps([stages, closed.n_samples, genz.n_samples]))
+print(json.dumps([stages, closed.n_samples, genz.n_samples, box.n_samples]))
 """
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -767,12 +837,47 @@ print(json.dumps([stages, closed.n_samples, genz.n_samples]))
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0, proc.stderr
-    (imported, closed_forms, genz_block), closed_points, genz_points = json.loads(proc.stdout)
-    assert imported == [] and closed_forms == []
-    assert (closed_points, genz_points) == (0, _GENZ_POINTS)
-    assert "scipy.special" in genz_block
-    heavy = ("scipy.linalg", "scipy.stats", "scipy.integrate")
-    assert not [m for m in genz_block if m.startswith(heavy)]
+    stages, closed_points, genz_points, box_points = json.loads(proc.stdout)
+    assert stages == [[], [], []]
+    assert (closed_points, genz_points, box_points) == (0, _GENZ_POINTS, 8192)
+
+
+def test_genz_paths_run_without_scipy():
+    # scipy made unimportable: a p = 3 Genz mass, a p = 3 cdf and the 81
+    # sign-pattern masses of a p = 4 design, which sum to one within their bounds
+    code = """
+import json, sys
+sys.modules["scipy"] = None
+from itertools import product
+import numpy as np
+import lassodist as ld
+
+prob = ld.design_from_gram(np.array([[1, .3, .2], [.3, 1, .4], [.2, .4, 1]]))
+model = ld.gaussian_model(prob, [0.2, -0.1, 0.3], 1.0)
+tuning = ld.uniform_tuning(3, 0.7)
+genz = ld.orthant_mass(prob, model, tuning, ld.SignVector(d=(0, 0, 0)))
+value = ld.cdf(prob, model, tuning, [0.5, 0.5, 0.5])
+a = np.random.default_rng(4).normal(size=(8, 4))
+prob = ld.design_from_gram(a.T @ a / 8 + 0.5 * np.eye(4))
+model = ld.gaussian_model(prob, [0.3, -0.2, 0.0, 0.5], 1.0)
+tuning = ld.tuning_vector([0.5, 0.8, 0.6, 0.7])
+masses = [ld.orthant_mass(prob, model, tuning, ld.SignVector(d=d), quad_tol=0.0)
+          for d in product((-1, 0, 1), repeat=4)]
+print(json.dumps([genz.n_samples, genz.estimate, value, len(masses),
+                  sum(r.estimate for r in masses), sum(r.quad_tol for r in masses),
+                  sum(r.n_samples > 0 for r in masses)]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    genz_points, mass, value, count, total, bound, genz_masses = json.loads(proc.stdout)
+    assert genz_points == _GENZ_POINTS and 0.0 < mass < 1.0 and 0.0 < value < 1.0
+    assert count == 81 and genz_masses > 0
+    assert abs(total - 1.0) <= bound
 
 
 def test_korobov_table_matches_search():
