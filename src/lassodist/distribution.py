@@ -10,16 +10,16 @@ covariance sigma^2 G_AA^{-1}, and s_0 = (X'eps)_0 - G_0A u_A + G_00 beta_0,
 with the Schur complement sigma^2 (G_00 - G_0A G_AA^{-1} G_A0). So every
 orthant event and every CDF term is a product of two Gaussian rectangle
 probabilities, and given the pattern, u_A is its Gaussian block restricted
-to the orthant. Rectangles of one or two coordinates have closed forms (the
-normal CDF from math.erf/erfc; the bivariate normal by Genz's BVND, after
-Drezner & Wesolowsky 1990); larger ones use Genz's separation-of-variables
-transform on a randomly shifted Korobov lattice (Genz 1992; Genz & Bretz
-2009, ch. 4), whose shift-to-shift spread gives a standard error. Results
-report seven standard errors, combined over independent blocks as a root sum
-of squares, plus the kernels' rounding terms. These paths need full column
-rank (the Gaussian on X'y is singular otherwise); rank-deficient designs go
-through the reduced-rank representation (rank-1 analytically, any rank by
-Monte Carlo over the solver).
+to the orthant. Rectangles of one factor column or two coordinates have
+closed forms (the normal CDF from math.erf/erfc; the bivariate normal by
+Genz's BVND, after Drezner & Wesolowsky 1990); larger ones use Genz's
+separation-of-variables transform on a randomly shifted Korobov lattice
+(Genz 1992; Genz & Bretz 2009, ch. 4), whose shift-to-shift spread gives a
+standard error. Results report seven standard errors, combined over
+independent blocks as a root sum of squares, plus the kernels' rounding
+terms. These paths need full column rank, except P(bhat = 0): in the
+reduced-rank representation X'y is a Gaussian of rank rk(X), and the
+rectangle kernel takes a factor of any rank (after Genz & Kwong 2000).
 
 Imports: the module needs numpy alone, and no call loads scipy. The Genz
 kernel's Phi and Phi^-1 are numpy ports of cephes ndtr and of Wichura's
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
 from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
-# unused here; perfbench/tracing.py wraps both and perfbench/worker.py calls solve_many
+# uncalled here: perfbench/tracing.py wraps both and perfbench/worker.py calls solve_many
 from .rng import gaussian_chunks  # noqa: F401
 from .solver import solve_many  # noqa: F401
 
@@ -58,6 +58,11 @@ _EXACT_TOL = 1e-14
 # on 4200 seeded rectangles of 3-6 coordinates, 3 standard errors held it in
 # 96-97% of them, 7 in 99.7-99.9%
 _BOUND_SE = 7.0
+# _factor drops a pivot whose remaining variance cov_ii - sum_k L_ik^2 is at
+# most m _PIVOT_RTOL cov_ii, the rounding of that m-term sum (Higham 2002, sec.
+# 3.1); errors carried from ill-conditioned earlier pivots can exceed it. A true
+# pivot that small moves a box probability by O(m eps), inside _EXACT_TOL
+_PIVOT_RTOL = float(np.finfo(float).eps)
 # Korobov multipliers: for the lattice of n points in dim dimensions, the odd a
 # minimising the P2 figure of merit; regenerate with scripts/korobov_table.py
 _KOROBOV = {
@@ -247,11 +252,11 @@ def _pattern_prob(problem, model, tuning, signs, lower, upper, seq):
     moving, (mean_a, cov_a), (mean_0, cov_0) = _pattern(problem, model, tuning, signs)
     seq_a, seq_0 = seq.spawn(2)
     lo, hi = lower[moving] - mean_a, upper[moving] - mean_a
-    block_a = _rectangle(np.linalg.cholesky(cov_a), lo, hi, seq_a)
+    block_a = _rectangle(_factor(cov_a), lo, hi, seq_a)
     lam_0 = tuning.lam[signs == 0]
     if np.any(lam_0 == 0.0):  # an unpenalized coordinate carries no atom at zero
         return block_a, (0.0, 0.0, 0.0, 0)
-    return block_a, _rectangle(np.linalg.cholesky(cov_0), -lam_0 - mean_0, lam_0 - mean_0, seq_0)
+    return block_a, _rectangle(_factor(cov_0), -lam_0 - mean_0, lam_0 - mean_0, seq_0)
 
 
 def _product(block_a, block_0):
@@ -380,11 +385,11 @@ def prob_all_zero(
     zero_tol: float = ZERO_TOL,
     solver_tol: float = 1e-10,
 ) -> RegionProbability:
-    """P(bhat = 0) = P(X'y inside the lambda-box).
+    """P(bhat = 0) = P(X'y inside the lambda-box), at any rank of X.
 
-    Full column rank: the all-zero sign pattern, a Gaussian rectangle (mean
-    X'X beta, covariance sigma^2 X'X). Rank one: exact interval reduction
-    along the row-space coordinate. Other rank-deficient designs: Monte Carlo.
+    X'y ~ N(X'X beta, sigma^2 X'X) has rank rk(X): one rectangle (closed form
+    for rk(X) = 1 or p = 2, else Genz's transform in rk(X) - 1 dimensions,
+    whose lattice shifts seed seeds).
     """
     _check_shapes(problem, model, tuning)
     if method == "mc":
@@ -394,35 +399,11 @@ def prob_all_zero(
         return _mc_probability(problem, model, tuning, all_zero, n_samples, seed, solver_tol)
     if method != "quad":
         raise InputError("method must be 'quad' or 'mc'")
-    if problem.rank_x == problem.p:
-        signs = np.zeros(problem.p, dtype=int)
-        bounds = _orthant(signs, -model.beta)
-        estimate, se, tol, points = _product(*_pattern_prob(
-            problem, model, tuning, signs, *bounds, np.random.SeedSequence(seed)
-        ))
-        return _quadrature(estimate, _bound(se, tol), points, seed)
-    if problem.rank_x == 1:
-        return _rank1_zero_atom(problem, model, tuning)
-    raise DimensionLimitError(
-        f"no deterministic path for rank {problem.rank_x} < p = {problem.p} designs; "
-        "use method='mc'"
+    mean = problem.gram @ model.beta
+    estimate, se, tol, points = _rectangle(
+        _factor(model.sigma**2 * problem.gram), -tuning.lam - mean, tuning.lam - mean, seed
     )
-
-
-def _rank1_zero_atom(problem, model, tuning):
-    # X'y = u t with t = u'X'y one-dimensional Gaussian; the lambda-box pulls
-    # back to an interval in t, intersected over the coordinate constraints
-    u = problem.row_space_basis[:, 0]
-    t_mean = float(u @ (problem.gram @ model.beta))
-    t_sd = model.sigma * math.sqrt(float(u @ problem.gram @ u))
-    hi = math.inf
-    for j in range(problem.p):
-        a = abs(float(u[j]))
-        if a > 1e-15:
-            hi = min(hi, float(tuning.lam[j]) / a)
-    if not math.isfinite(hi):  # unreachable: u has unit norm
-        raise InputError("degenerate row-space basis")
-    return _quadrature(_interval((-hi - t_mean) / t_sd, (hi - t_mean) / t_sd), _EXACT_TOL, 0, None)
+    return _quadrature(estimate, _bound(se, tol), points, seed)
 
 
 def orthant_mass(
@@ -610,15 +591,14 @@ def mvn_box_probability(
 ) -> RegionProbability:
     """P(lower <= x <= upper) for x ~ N(mean, cov), bounds may be infinite.
 
-    A NaN bound, or a non-finite mean or covariance entry, raises InputError.
-
-    Nonsingular covariance: closed forms for one or two coordinates, beyond
-    that the separation-of-variables transform on n_shifts random shifts of a
-    Korobov lattice of about n_samples / n_shifts points, whose multipliers
-    are tuned for up to six coordinates (see _shifted_lattice). The reported
-    error bound is seven standard errors of the mean of the shift estimates
-    plus a rounding term. Singular covariance: plain Monte Carlo through a
-    reduced-rank factor.
+    A NaN bound, a non-finite mean or covariance entry, or n_shifts < 2
+    raises InputError. The covariance may be singular (see _rectangle): a
+    factor of one column, or of two coordinates, has a closed form; beyond
+    that the separation-of-variables transform runs on n_shifts random shifts
+    of a Korobov lattice of about n_samples / n_shifts points, whose
+    multipliers are tuned for up to six coordinates (see _shifted_lattice).
+    The reported error bound is seven standard errors of the mean of the
+    shift estimates plus a rounding term.
     """
     mean = np.asarray(mean, dtype=float).ravel()
     lower = np.asarray(lower, dtype=float).ravel()
@@ -633,46 +613,82 @@ def mvn_box_probability(
         raise InputError("bounds must not be NaN")
     if np.any(lower > upper):
         raise InputError("lower bound exceeds upper bound")
+    if n_shifts < 2:
+        raise InputError(f"n_shifts must be at least 2 for a standard error, got {n_shifts}")
     sym = 0.5 * (cov + cov.T)
     if not np.allclose(cov, sym, rtol=1e-8, atol=1e-12):
         raise InputError("covariance must be symmetric")
     eigs = np.linalg.eigvalsh(sym)
     if eigs[0] < -1e-10 * max(1.0, eigs[-1]):
         raise InputError("covariance is not positive semidefinite")
-
-    try:
-        chol = np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        return _mvn_box_singular(sym, mean, lower, upper, n_samples, seed)
-    estimate, se, tol, points = _rectangle(chol, lower - mean, upper - mean, seed, n_samples, n_shifts)
+    estimate, se, tol, points = _rectangle(
+        _factor(sym), lower - mean, upper - mean, seed, n_samples, n_shifts
+    )
     return _quadrature(estimate, _bound(se, tol), points, seed)
 
 
-def _rectangle(chol, a, b, seed, n_samples=_GENZ_POINTS, n_shifts=8):
-    """P(a <= chol w <= b) for w ~ N(0, I): (estimate, standard error,
-    rounding bound, QMC points).
+def _factor(cov):
+    """The m x q lower-echelon L with L L' = cov, q = rank: a Cholesky in the
+    given order (columns scaled by the reciprocal pivot, as LAPACK's potf2)
+    that opens no column at a dropped pivot, whose row keeps its entries on
+    the earlier columns but those within the same share of its variance."""
+    m = cov.shape[0]
+    factor, q = np.zeros((m, m)), 0
+    for i in range(m):
+        row = factor[i, :q]
+        d, tol = cov[i, i] - row @ row, m * _PIVOT_RTOL * cov[i, i]
+        if d > tol:
+            factor[i, q] = pivot = math.sqrt(d)
+            factor[i + 1:, q] = (cov[i + 1:, i] - factor[i + 1:, :q] @ row) * (1.0 / pivot)
+            q += 1
+        else:
+            row[row * row <= tol] = 0.0
+    return factor[:, :q]
 
-    Closed forms up to two coordinates (the normal CDF, Genz's BVND), exact
-    to rounding (standard error 0).
-    Beyond, Genz's transform on n_shifts random shifts of one Korobov lattice
-    (see _shifted_lattice); the standard error is that of the mean of the
-    n_shifts shift estimates. seed is an int or a numpy SeedSequence.
+
+def _rectangle(factor, a, b, seed, n_samples=_GENZ_POINTS, n_shifts=8):
+    """P(a <= factor w <= b) for w ~ N(0, I_q), factor m x q lower-echelon:
+    (estimate, standard error, rounding bound, QMC points).
+
+    Rows are grouped by their last nonzero column (Genz & Kwong 2000): a zero
+    row is an indicator of a_r <= 0 <= b_r, with a slack of 1e-12 (1 + |bound|),
+    and the rows that end in column i bound w_i given the earlier coordinates
+    by the intersection of their intervals. One column (the normal interval)
+    or two rows on two columns (Genz's BVND) are exact to rounding. Otherwise,
+    Genz's transform in q - 1 dimensions on n_shifts random shifts of one
+    Korobov lattice (see _shifted_lattice), with the standard error of the
+    mean of the shift estimates. seed is an int or a numpy SeedSequence.
     """
-    k = a.shape[0]
-    if k == 0:
+    q = factor.shape[1]
+    last = np.max(np.where(factor != 0.0, np.arange(q), -1), axis=1, initial=-1)
+    zero = last < 0
+    if np.any(((a > 1e-12 * (1.0 + np.abs(a))) | (b < -1e-12 * (1.0 + np.abs(b))))[zero]):
+        return 0.0, 0.0, 0.0, 0
+    if q == 0:
         return 1.0, 0.0, 0.0, 0
-    if k == 1:
-        return _interval(a[0] / chol[0, 0], b[0] / chol[0, 0]), 0.0, _EXACT_TOL, 0
-    if k == 2:
+    # drop the zero rows and orient each row so its last coefficient is positive
+    rows = np.flatnonzero(~zero)
+    up = factor[rows, last[rows]] > 0.0
+    factor = np.where(up[:, None], factor[rows], -factor[rows])
+    a, b = np.where(up, a[rows], -b[rows]), np.where(up, b[rows], -a[rows])
+    groups = [np.flatnonzero(last[rows] == i) for i in range(q)]
+    if q == 1:
+        return max(_interval(*_first_interval(factor, a, b, groups[0])), 0.0), 0.0, _EXACT_TOL, 0
+    if q == rows.size == 2:
         # x_2 = sd_2 (rho w_1 + r w_2) with r = sqrt(1 - rho^2)
-        sd = np.array([chol[0, 0], math.hypot(chol[1, 0], chol[1, 1])])
-        rho, r = chol[1, 0] / sd[1], chol[1, 1] / sd[1]
+        sd = np.array([factor[0, 0], math.hypot(factor[1, 0], factor[1, 1])])
+        rho, r = factor[1, 0] / sd[1], factor[1, 1] / sd[1]
         return _rectangle2(a / sd, b / sd, rho, r), 0.0, _EXACT_TOL, 0
     per_shift = 2 ** int(np.clip(np.ceil(np.log2(max(n_samples // n_shifts, 64))), 6, 16))
-    w = _shifted_lattice(per_shift, k - 1, n_shifts, seed)
-    estimates = _genz_values(chol, a, b, w).reshape(n_shifts, per_shift).mean(axis=1)
+    w = _shifted_lattice(per_shift, q - 1, n_shifts, seed)
+    estimates = _genz_values(factor, a, b, groups, w).reshape(n_shifts, per_shift).mean(axis=1)
     se = float(estimates.std(ddof=1) / math.sqrt(n_shifts))
     return float(estimates.mean()), se, _EXACT_TOL, n_shifts * per_shift
+
+
+def _first_interval(factor, a, b, rows):
+    """The interval of w_0 left by the rows that end in the first column."""
+    return (a[rows] / factor[rows, 0]).max(), (b[rows] / factor[rows, 0]).min()
 
 
 def _shifted_lattice(n, dim, n_shifts, seed):
@@ -682,13 +698,13 @@ def _shifted_lattice(n, dim, n_shifts, seed):
 
     The shifts are uniform draws of one Philox generator seeded by seed. The
     Korobov multiplier a is _KOROBOV's entry for (n, dim). Dimensions beyond
-    5 (mvn_box_probability with 7 or more coordinates) reuse the dim-5
-    multiplier, which was not chosen for them. The estimate stays unbiased,
-    and z repeats no entry up to dimension 16 at any n of the table (the
-    least multiplicative order of a multiplier there is 16); beyond that,
-    coordinates repeat and the rule degrades.
+    5 (factors of 7 or more columns) reuse the dim-5 multiplier, which was
+    not chosen for them. The estimate stays unbiased, and z repeats no entry
+    up to dimension 16 at any n of the table (the least multiplicative order
+    of a multiplier there is 16); beyond that, coordinates repeat and the
+    rule degrades.
     """
-    a = _KOROBOV[n, min(dim, 5)]
+    a = _KOROBOV[n, min(max(dim, 2), 5)]  # z = (1,) in one dimension
     z = np.ones(dim, dtype=np.int64)
     for j in range(1, dim):
         z[j] = z[j - 1] * a % n
@@ -854,34 +870,26 @@ def _ndtri(p):
     return out
 
 
-def _genz_values(chol, a, b, w):
-    """Genz's separation-of-variables integrand at the points w in [0, 1]^(p-1)."""
-    m, p = w.shape[0], a.shape[0]
-    ys = np.empty((m, p - 1))
+def _genz_values(factor, a, b, groups, w):
+    """Genz's separation-of-variables integrand at the points w in [0, 1]^(q-1);
+    groups[i] lists the rows that end in column i, with positive coefficients."""
+    m, q = w.shape[0], len(groups)
+    ys = np.empty((m, q - 1))
     # the first coordinate's center is 0, so its two Phi values are scalars
-    lo, hi = _norm_cdf(a[0] / chol[0, 0]), _norm_cdf(b[0] / chol[0, 0])
+    lo, hi = map(_norm_cdf, _first_interval(factor, a, b, groups[0]))
     f = np.full(m, max(hi - lo, 0.0))
-    for i in range(p):
-        if i:
-            center = ys[:, :i] @ chol[i, :i]
+    for i in range(1, q):
+        ys[:, i - 1] = _ndtri(np.clip(lo + w[:, i - 1] * (hi - lo), 1e-16, 1.0 - 1e-16))
+        rows = groups[i]
+        if rows.size == 1:
+            r = rows[0]
+            center = ys[:, :i] @ factor[r, :i]
             # an infinite bound has Phi 0 or 1 exactly
-            lo = 0.0 if a[i] == -np.inf else _ndtr((a[i] - center) / chol[i, i])
-            hi = 1.0 if b[i] == np.inf else _ndtr((b[i] - center) / chol[i, i])
-            f *= np.maximum(hi - lo, 0.0)
-        if i < p - 1:
-            ys[:, i] = _ndtri(np.clip(lo + w[:, i] * (hi - lo), 1e-16, 1.0 - 1e-16))
+            lo = 0.0 if a[r] == -np.inf else _ndtr((a[r] - center) / factor[r, i])
+            hi = 1.0 if b[r] == np.inf else _ndtr((b[r] - center) / factor[r, i])
+        else:
+            center = ys[:, :i] @ factor[rows, :i].T
+            lo = _ndtr(np.max((a[rows] - center) / factor[rows, i], axis=1))
+            hi = _ndtr(np.min((b[rows] - center) / factor[rows, i], axis=1))
+        f *= np.maximum(hi - lo, 0.0)
     return f
-
-
-def _mvn_box_singular(sym, mean, lower, upper, n_samples, seed):
-    eigs, vecs = np.linalg.eigh(sym)
-    keep = eigs > max(1e-300, eigs[-1]) * sym.shape[0] * 1e-12
-    factor = vecs[:, keep] * np.sqrt(eigs[keep])
-    rank = factor.shape[1]
-    slack_lo = lower - 1e-12 * (1.0 + np.abs(lower))
-    slack_hi = upper + 1e-12 * (1.0 + np.abs(upper))
-    hits = 0
-    for _start, count, Z in gaussian_chunks(seed, n_samples, rank):
-        x = mean + Z @ factor.T
-        hits += int(np.count_nonzero(np.all((x >= slack_lo) & (x <= slack_hi), axis=1)))
-    return _binomial_probability(hits, n_samples, seed)

@@ -386,27 +386,21 @@ class ShrinkageSet:
         return self.box.contains(probe - self.center, tol=tol)
 
 
-def _signed_box(problem, tuning, b, zero_tol):
+def _shrinkage_set(problem, tuning, b, zero_tol, domain):
+    b = np.asarray(b, dtype=float).ravel()
+    if b.shape[0] != problem.p:
+        raise InputError("b must have length p")
     d = sign_partition(b, zero_tol)
     model = tuple(j for j in range(problem.p) if d.d[j] != 0)
-    signs = tuple(d.d[j] for j in model)
-    return face_box(tuning, model, signs)
+    box = face_box(tuning, model, tuple(d.d[j] for j in model))
+    return ShrinkageSet(center=problem.gram @ b, box=box, b=b.copy(), gram=problem.gram, domain=domain)
 
 
 def shrinkage_set_high(
     problem: DesignProblem, tuning: TuningVector, b, zero_tol: float = ZERO_TOL
 ) -> ShrinkageSet:
     """The X'y values whose Lasso solution set contains b (any rank)."""
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != problem.p:
-        raise InputError("b must have length p")
-    return ShrinkageSet(
-        center=problem.gram @ b,
-        box=_signed_box(problem, tuning, b, zero_tol),
-        b=b.copy(),
-        gram=problem.gram,
-        domain="xty",
-    )
+    return _shrinkage_set(problem, tuning, b, zero_tol, "xty")
 
 
 def shrinkage_set_low(
@@ -415,16 +409,7 @@ def shrinkage_set_low(
     """The least-squares estimates mapped to Lasso output b (full column rank)."""
     if problem.rank_x < problem.p:
         raise InputError("design is rank deficient; use shrinkage_set_high")
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != problem.p:
-        raise InputError("b must have length p")
-    return ShrinkageSet(
-        center=problem.gram @ b,
-        box=_signed_box(problem, tuning, b, zero_tol),
-        b=b.copy(),
-        gram=problem.gram,
-        domain="ls_estimate",
-    )
+    return _shrinkage_set(problem, tuning, b, zero_tol, "ls_estimate")
 
 
 def shrinkage_singleton(problem: DesignProblem, tuning: TuningVector, b) -> np.ndarray:
@@ -432,6 +417,8 @@ def shrinkage_singleton(problem: DesignProblem, tuning: TuningVector, b) -> np.n
     if problem.rank_x < problem.p:
         raise InputError("design is rank deficient; the singleton needs full column rank")
     b = np.asarray(b, dtype=float).ravel()
+    if not np.all(np.isfinite(b)):
+        raise InputError("b must be finite (no NaN or inf)")
     if np.any(b == 0.0):
         raise InputError("singleton form requires every coefficient nonzero")
     return b + np.linalg.solve(problem.gram, np.sign(b) * tuning.lam)
@@ -450,6 +437,8 @@ def map_ls_to_lasso(
     z_ls = np.asarray(z_ls, dtype=float).ravel()
     if z_ls.shape[0] != problem.p:
         raise InputError("z_ls must have length p")
+    if not np.all(np.isfinite(z_ls)):
+        raise InputError("z_ls must be finite (no NaN or inf)")
     sol = solve(problem, problem.X @ z_ls, tuning, tol=tol)
     area = shrinkage_set_low(problem, tuning, sol.b)
     if not area.contains(z_ls, tol=max(1e-7, 1e3 * tol)):

@@ -9,6 +9,7 @@ import pytest
 import lassodist as ld
 
 from conftest import FIXTURES, GOLDEN, SRC
+from mvn_oracle import singular_box_prob
 
 N1P2 = str(FIXTURES / "n1p2_uniform.json")
 N1P2_LAM12 = str(FIXTURES / "n1p2_lam12.json")
@@ -16,6 +17,7 @@ D2X3 = str(FIXTURES / "design_2x3.json")
 D2X4 = str(FIXTURES / "design_2x4.json")
 CORR2 = str(FIXTURES / "corr2.json")
 CORR3 = str(FIXTURES / "corr3.json")
+X2X3_RANK2 = str(FIXTURES / "x2x3_rank2.json")
 
 
 def run_cli(*args):
@@ -74,6 +76,7 @@ print(json.dumps(results))
     genz_calls = [
         ("orthant-prob", "--input", CORR3, "--signs", "0,0,0"),
         ("cdf", "--input", CORR3, "--z", "0.5,0.5,0.5"),
+        ("prob-zero", "--input", X2X3_RANK2),
     ]
     calls = [args for _, args in GOLDEN_CASES] + genz_calls
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -87,9 +90,23 @@ print(json.dumps(results))
     results = json.loads(proc.stdout)
     for (golden, _), (status, out) in zip(GOLDEN_CASES, results):
         assert status == 0 and out == (GOLDEN / golden).read_text(), golden
-    (mass_status, mass), (cdf_status, cdf) = results[len(GOLDEN_CASES):]
+    (mass_status, mass), (cdf_status, cdf), (zero_status, zero) = results[len(GOLDEN_CASES):]
     assert mass_status == 0 and json.loads(mass)["n_samples"] > 0
     assert cdf_status == 0 and 0.0 < json.loads(cdf)["cdf"] < 1.0
+    assert zero_status == 0 and json.loads(zero)["n_samples"] > 0
+
+
+def test_prob_zero_rank_two_of_three():
+    # a rank-deficient design takes the rectangle kernel, not Monte Carlo
+    proc = run_cli("prob-zero", "--input", X2X3_RANK2)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    env = json.loads((FIXTURES / "x2x3_rank2.json").read_text())
+    X, lam = np.array(env["X"]), np.array(env["lambda"])
+    gram = X.T @ X
+    want, _ = singular_box_prob(gram @ np.array(env["beta"]), gram, -lam, lam)
+    assert out["method"] == "quadrature" and out["seed"] == 0
+    assert abs(out["estimate"] - want) <= out["quad_tol"] < 1e-6
 
 
 def test_golden_json_is_valid_json():
@@ -158,6 +175,17 @@ def test_input_error_exit_codes(tmp_path):
 
     # missing required argument trips argparse
     assert run_cli("cdf", "--input", CORR2).returncode == 2
+
+    # non-finite vectors: one error line naming the input, no numpy warning
+    for args, name in (
+        (("shrinkage-map", "--input", CORR2, "--z", "inf,0"), "z_ls must be finite"),
+        (("shrinkage-map", "--input", CORR2, "--b", "nan,1"), "b must be finite"),
+        (("density-grid", "--input", CORR2, "--grid", "0:inf:3"), "finite lo and hi"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert name in proc.stderr
 
 
 def test_limit_errors_exit_code_3(tmp_path):

@@ -23,7 +23,9 @@ from lassodist.distribution import (
     _EXACT_TOL,
     _GENZ_POINTS,
     _KOROBOV,
+    _PIVOT_RTOL,
     _bvn_cdf,
+    _factor,
     _ndtr,
     _ndtri,
     _norm_cdf,
@@ -36,7 +38,7 @@ from lassodist.errors import (
     InputError,
     NumericalError,
 )
-from mvn_oracle import box_prob, cdf_value, event_prob
+from mvn_oracle import box_prob, cdf_value, event_prob, singular_box_prob
 
 GRAM2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 LAM2 = np.array([0.75, 0.75])
@@ -257,13 +259,23 @@ def test_prob_all_zero_mc(n1p2):
     assert abs(analytic.estimate - mc.estimate) <= 3.0 * mc.std_error + 1e-3
 
 
-def test_prob_all_zero_intermediate_rank_needs_mc(x2x3):
-    model = ld.gaussian_model(x2x3, np.zeros(3), 1.0)
-    t = ld.uniform_tuning(3, 1.0)
-    with pytest.raises(DimensionLimitError):
-        ld.prob_all_zero(x2x3, model, t)
-    r = ld.prob_all_zero(x2x3, model, t, method="mc", n_samples=4096, seed=2)
-    assert r.method == "monte-carlo" and 0.0 <= r.estimate <= 1.0
+def test_prob_all_zero_intermediate_rank(x2x3):
+    # rank 2 of p = 3: one rectangle on a two-column factor, the Genz
+    # transform in one dimension, against the eigenvector-coordinate oracle
+    # and against Monte Carlo over the solver
+    t = ld.tuning_vector([1.0, 0.8, 1.2])
+    for beta in ([0.0, 0.0, 0.0], [0.4, -0.3, 0.2]):
+        model = ld.gaussian_model(x2x3, beta, 1.0)
+        r = ld.prob_all_zero(x2x3, model, t, seed=3)
+        assert r.method == "quadrature" and r.n_samples == _GENZ_POINTS
+        mean = x2x3.gram @ model.beta
+        want, want_err = singular_box_prob(mean, x2x3.gram, -t.lam, t.lam)
+        assert want_err < 1e-12
+        assert abs(r.estimate - want) <= r.quad_tol
+        box = ld.mvn_box_probability(mean, x2x3.gram, -t.lam, t.lam, n_samples=_GENZ_POINTS, seed=3)
+        assert box.estimate == r.estimate and box.quad_tol == r.quad_tol
+        mc = ld.prob_all_zero(x2x3, model, t, method="mc", n_samples=20_000, seed=2)
+        assert abs(r.estimate - mc.estimate) <= 3.0 * mc.std_error + r.quad_tol
 
 
 def test_conditional_density_one_dimensional():
@@ -521,8 +533,10 @@ def test_ndtri_port_matches_scipy():
     assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want))
 
 
-def _scipy_genz_values(chol, a, b, w):
-    # the integrand with scipy's ufuncs: the reference for the numpy ports
+def _scipy_genz_values(chol, a, b, groups, w):
+    # the integrand with scipy's ufuncs: the reference for the numpy ports on
+    # full-rank factors, where the row that ends in column i is row i
+    assert [g.tolist() for g in groups] == [[i] for i in range(a.shape[0])]
     m, p = w.shape[0], a.shape[0]
     f = np.ones(m)
     ys = np.empty((m, p - 1))
@@ -557,11 +571,99 @@ def test_rectangle_matches_scipy_ufunc_integrand(monkeypatch):
 
 
 def test_mvn_box_singular_covariance():
-    # rank-one covariance: both coordinates equal one N(0,1) draw
+    # rank-one covariance: both coordinates equal one N(0,1) draw, an interval
     cov = np.ones((2, 2))
     r = ld.mvn_box_probability([0.0, 0.0], cov, [-1.0, -1.0], [1.0, 1.0], n_samples=40_000)
-    assert r.method == "monte-carlo"
-    assert abs(r.estimate - 0.6826894921370859) <= 4.0 * r.std_error + 2e-3
+    assert r.method == "quadrature" and r.n_samples == 0 and r.quad_tol == _EXACT_TOL
+    assert abs(r.estimate - 0.6826894921370859) <= 1e-14
+
+
+def test_mvn_box_rank_two_of_three():
+    # x = (w_1, w_2, w_1 + w_2): two columns under three rows, so the Genz
+    # transform runs in one dimension; the value is the oracle's, which equals
+    # 2 int_0^1 phi(w) (Phi(1 - w) - Phi(-1)) dw = 0.36849253273889432...
+    f = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    want, want_err = singular_box_prob(np.zeros(3), f @ f.T, -np.ones(3), np.ones(3))
+    assert abs(want - 0.36849253273889432) <= 1e-15 and want_err < 1e-13
+    for n_samples in (8192, _GENZ_POINTS):
+        r = ld.mvn_box_probability(np.zeros(3), f @ f.T, -np.ones(3), np.ones(3),
+                                   n_samples=n_samples)
+        assert r.method == "quadrature" and r.n_samples == n_samples
+        assert abs(r.estimate - want) <= r.quad_tol < 1e-6
+
+
+@pytest.mark.parametrize("f,mean,lower,upper", [
+    # a duplicated row, a negated row and a zero row around a full-rank pair
+    ([[1.0, 0.0], [0.5, 1.0], [-0.5, -1.0], [0.0, 0.0]], [0.2, -0.1, 0.1, 0.3],
+     [-1.0, -np.inf, -0.5, 0.0], [1.5, 0.8, np.inf, 0.5]),
+    # rank one in four coordinates, one of them of zero variance: an interval
+    ([[1.0], [-2.0], [0.0], [0.5]], [0.0, 0.3, -0.2, 0.1],
+     [-1.0, -1.0, -0.2, -np.inf], [np.inf, 2.0, 0.1, 0.4]),
+    # a row that ends in the first column after the second opened
+    ([[1.0, 0.0], [0.3, 0.8], [2.0, 0.0]], [0.0, 0.0, 0.0],
+     [-1.0, -1.0, -1.5], [1.0, 0.5, 1.0]),
+])
+def test_mvn_box_singular_matches_oracle(f, mean, lower, upper):
+    f = np.array(f)
+    cov = f @ f.T
+    want, want_err = singular_box_prob(mean, cov, lower, upper)
+    assert want_err < 1e-12 and want > 0.01
+    r = ld.mvn_box_probability(mean, cov, lower, upper, n_samples=_GENZ_POINTS)
+    assert r.method == "quadrature"
+    assert abs(r.estimate - want) <= r.quad_tol
+    if f.shape[1] == 1:
+        assert r.n_samples == 0 and r.quad_tol == _EXACT_TOL
+
+
+def test_mvn_box_zero_covariance_is_an_indicator():
+    cov = np.zeros((2, 2))
+    inside = ld.mvn_box_probability([0.5, 0.0], cov, [0.0, 0.0], [1.0, 0.0])
+    outside = ld.mvn_box_probability([0.5, 0.0], cov, [0.0, 1e-9], [1.0, 1.0])
+    # means off their point bounds by rounding (0.1 + 0.2 and 0.7 - 0.4
+    # against 0.3, one on each side) are inside
+    rounded = ld.mvn_box_probability([0.1 + 0.2, 0.7 - 0.4], cov, [0.3, 0.3], [0.3, 0.3])
+    assert (inside.estimate, outside.estimate, rounded.estimate) == (1.0, 0.0, 1.0)
+    assert inside.n_samples == outside.n_samples == 0
+
+
+def test_factor_matches_cholesky_and_drops_at_its_threshold():
+    # on full-rank covariances it is LAPACK's Cholesky to rounding, and
+    # bitwise for two coordinates, which keeps the p = 2 goldens' bytes
+    rng = np.random.default_rng(11)
+    for m in range(1, 7):
+        f = rng.normal(size=(m, m))
+        cov = f @ f.T / m + 0.3 * np.eye(m)
+        chol = np.linalg.cholesky(cov)
+        assert np.max(np.abs(_factor(cov) - chol)) <= 4e-16 * np.max(np.abs(chol)), m
+    for _ in range(200):
+        f = rng.normal(size=(2, 2))
+        cov = f @ f.T + 0.1 * np.eye(2)
+        assert np.array_equal(_factor(cov), np.linalg.cholesky(cov))
+    # the second pivot's remaining variance 1 - b^2 against 2 eps for m = 2:
+    # b = 1 - 2^-52 leaves exactly 2^-51 = 2 eps (dropped), b = 1 - 3 2^-53
+    # leaves 3 eps (kept)
+    assert _PIVOT_RTOL == 2.0**-52
+    for b, rank in ((1.0 - 2.0**-52, 1), (1.0 - 3.0 * 2.0**-53, 2)):
+        factor = _factor(np.array([[1.0, b], [b, 1.0]]))
+        assert factor.shape == (2, rank)
+        assert factor[1, 0] == b
+    # a dropped pivot's row keeps its entries but zeroes rounding-level ones:
+    # x_3 = 0.1 x_1 leaves 1.9e-18 on the second column before the zeroing
+    f = np.array([[0.7, 0.0], [0.2, 0.9], [0.07, 0.0]])
+    factor = _factor(f @ f.T)
+    assert factor.shape == (3, 2) and factor[2, 1] == 0.0
+    assert abs(factor[2, 0] - 0.07) <= 1e-17
+
+
+def test_mvn_box_rejects_fewer_than_two_shifts():
+    # one shift has no standard error (it would claim an exact result), none
+    # would divide by zero, and a negative count cannot size the lattice
+    mean, cov = np.zeros(3), np.eye(3) + 0.3
+    for n_shifts in (1, 0, -2):
+        with pytest.raises(InputError, match="n_shifts"):
+            ld.mvn_box_probability(mean, cov, -np.ones(3), np.ones(3), n_shifts=n_shifts)
+    r = ld.mvn_box_probability(mean, cov, -np.ones(3), np.ones(3), n_shifts=2)
+    assert r.n_samples == 8192 and r.quad_tol > 0.0
 
 
 def test_mvn_box_validation():
@@ -768,6 +870,74 @@ def test_genz_bound_covers_true_error():
         bounds.append(r.quad_tol)
         ref_errors.append(ref_err)
     errors, bounds = np.array(errors), np.array(bounds)
+    assert max(ref_errors) < 0.1 * np.median(bounds)
+    assert np.mean(errors <= bounds) >= 0.99
+    assert np.mean(errors <= bounds / 3.0) < 0.99
+
+
+def _grouped_factor_box(load, sd, group, lo, hi):
+    """P(lo <= x <= hi) for x_i = load_i t + sd_i e_{group_i}, t and e i.i.d.
+    N(0, 1): given t, each e_g lies in the intersection of its rows'
+    intervals, so this is a one-dimensional integral over t, split where two
+    rows of a group swap the binding bound; and quad's estimate of its error."""
+    rows = [np.flatnonzero(group == g) for g in range(group.max() + 1)]
+
+    def integrand(t):
+        a, b = (lo - load * t) / sd, (hi - load * t) / sd
+        return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) * math.prod(
+            max(ndtr(b[r].min()) - ndtr(a[r].max()), 0.0) for r in rows
+        )
+
+    cuts = set()
+    for r in rows:
+        for i, j in product(r, r):
+            slope = load[i] / sd[i] - load[j] / sd[j]
+            for u, v in product((lo[i], hi[i]), (lo[j], hi[j])):
+                if i < j and slope != 0.0 and np.isfinite(u) and np.isfinite(v):
+                    cuts.add((u / sd[i] - v / sd[j]) / slope)
+    cuts = sorted(t for t in cuts if -12.0 < t < 12.0)
+    return integrate.quad(integrand, -12.0, 12.0, points=cuts or None,
+                          epsabs=1e-15, epsrel=1e-13, limit=500)
+
+
+def test_genz_bound_covers_true_error_below_full_rank():
+    # the coverage check above on singular covariances: 240 seeded rectangles
+    # of 5 and 6 rows on four factor columns (one common factor, three
+    # idiosyncratic ones shared by pairs of rows), so the Genz transform runs
+    # in three dimensions with groups of two rows. Rounding keeps a fifth
+    # pivot in some of them; at least three quarters must run with q < m
+    rng = np.random.default_rng(1)
+    errors, bounds, ref_errors, below = [], [], [], 0
+    while len(errors) < 240:
+        k = 5 + len(errors) % 2
+        group = rng.permutation([0, 0, 1, 1, 2, 2][:k] if k == 6 else [0, 0, 1, 2, 2])
+        load = rng.normal(size=k) * rng.uniform(0.3, 1.0)
+        sd = rng.uniform(0.5, 1.2, k)
+        lo, hi = np.full(k, -np.inf), np.full(k, np.inf)
+        for i, kind in enumerate(rng.integers(3, size=k)):
+            edge = rng.normal(scale=0.8)
+            if kind == 0:
+                hi[i] = edge
+            elif kind == 1:
+                lo[i] = edge
+            else:
+                lo[i], hi[i] = edge - rng.uniform(0.3, 2.0), edge
+        ref, ref_err = _grouped_factor_box(load, sd, group, lo, hi)
+        if ref < 1e-3:
+            continue
+        f = np.zeros((k, 4))
+        f[:, 0], f[np.arange(k), 1 + group] = load, sd
+        cov = f @ f.T
+        below += _factor(cov).shape[1] < k
+        r = ld.mvn_box_probability(
+            np.zeros(k), cov, lo, hi, n_samples=_GENZ_POINTS, seed=len(errors)
+        )
+        assert r.n_samples == _GENZ_POINTS
+        errors.append(abs(r.estimate - ref))
+        bounds.append(r.quad_tol)
+        ref_errors.append(ref_err)
+    errors, bounds = np.array(errors), np.array(bounds)
+    assert below >= 180
     assert max(ref_errors) < 0.1 * np.median(bounds)
     assert np.mean(errors <= bounds) >= 0.99
     assert np.mean(errors <= bounds / 3.0) < 0.99
