@@ -6,144 +6,59 @@ estimator: atom masses, orthant-event probabilities, conditional densities
 and the joint CDF, next to the geometry that drives them (structural and
 selectable sets, uniqueness for every y, shrinkage correspondence with least
 squares) and a Monte-Carlo oracle for cross-checking any of it.
+
+`import lassodist` loads no submodule: each public name imports its home
+module on first use (PEP 562), so a caller pays only for what it touches.
 """
 
-from .distribution import (
-    OrthantEvent,
-    RegionProbability,
-    cdf,
-    conditional_density,
-    error_density,
-    error_orthant_event,
-    estimator_orthant_event,
-    mvn_box_probability,
-    orthant_mass,
-    prob_all_zero,
-    prob_orthant_event,
-    prob_region_high,
-    region_below,
-    region_support_includes,
-)
-from .errors import (
-    CombinatorialLimitError,
-    ConditioningError,
-    ConvergenceError,
-    DimensionLimitError,
-    InputError,
-    NumericalError,
-)
-from .geometry import (
-    FaceBox,
-    NonuniquenessWitness,
-    RowSpacePoint,
-    ShrinkageSet,
-    UniquenessVerdict,
-    ViolatingFace,
-    check_uniqueness,
-    construct_nonuniqueness_witness,
-    face_box,
-    face_intersects_row_space,
-    general_position,
-    map_ls_to_lasso,
-    selectable,
-    shrinkage_set_high,
-    shrinkage_set_low,
-    shrinkage_singleton,
-    structural_set,
-)
-from .model import (
-    DesignProblem,
-    GaussianModel,
-    SignVector,
-    TuningVector,
-    build_problem,
-    design_from_gram,
-    fiber_equivalent,
-    gaussian_model,
-    sign_partition,
-    tuning_vector,
-    uniform_tuning,
-)
-from .simulate import (
-    ComparisonReport,
-    EmpiricalSummary,
-    SimulationConfig,
-    compare_analytic_empirical,
-    estimate_nonuniqueness_probability,
-    run_simulation,
-)
-from .solver import (
-    KKTReport,
-    LassoSolution,
-    SolutionSetDescription,
-    describe_solution_set,
-    is_solution,
-    solve,
-    solve_many,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CombinatorialLimitError",
-    "ComparisonReport",
-    "ConditioningError",
-    "ConvergenceError",
-    "DesignProblem",
-    "DimensionLimitError",
-    "EmpiricalSummary",
-    "FaceBox",
-    "GaussianModel",
-    "InputError",
-    "KKTReport",
-    "LassoSolution",
-    "NonuniquenessWitness",
-    "NumericalError",
-    "OrthantEvent",
-    "RegionProbability",
-    "RowSpacePoint",
-    "ShrinkageSet",
-    "SignVector",
-    "SimulationConfig",
-    "SolutionSetDescription",
-    "TuningVector",
-    "UniquenessVerdict",
-    "ViolatingFace",
-    "build_problem",
-    "cdf",
-    "check_uniqueness",
-    "compare_analytic_empirical",
-    "conditional_density",
-    "construct_nonuniqueness_witness",
-    "describe_solution_set",
-    "design_from_gram",
-    "error_density",
-    "error_orthant_event",
-    "estimate_nonuniqueness_probability",
-    "estimator_orthant_event",
-    "face_box",
-    "face_intersects_row_space",
-    "fiber_equivalent",
-    "gaussian_model",
-    "general_position",
-    "is_solution",
-    "map_ls_to_lasso",
-    "mvn_box_probability",
-    "orthant_mass",
-    "prob_all_zero",
-    "prob_orthant_event",
-    "prob_region_high",
-    "region_below",
-    "region_support_includes",
-    "run_simulation",
-    "selectable",
-    "shrinkage_set_high",
-    "shrinkage_set_low",
-    "shrinkage_singleton",
-    "sign_partition",
-    "solve",
-    "solve_many",
-    "structural_set",
-    "tuning_vector",
-    "uniform_tuning",
-]
+# home module of each public name
+_HOMES = {name: module for module, names in {
+    "distribution": (
+        "OrthantEvent", "RegionProbability", "cdf", "conditional_density", "error_density",
+        "error_orthant_event", "estimator_orthant_event", "mvn_box_probability",
+        "orthant_mass", "prob_all_zero", "prob_orthant_event", "prob_region_high",
+        "region_below", "region_support_includes",
+    ),
+    "errors": (
+        "CombinatorialLimitError", "ConditioningError", "ConvergenceError",
+        "DimensionLimitError", "InputError", "NumericalError",
+    ),
+    "geometry": (
+        "FaceBox", "NonuniquenessWitness", "RowSpacePoint", "ShrinkageSet",
+        "UniquenessVerdict", "ViolatingFace", "check_uniqueness",
+        "construct_nonuniqueness_witness", "face_box", "face_intersects_row_space",
+        "general_position", "map_ls_to_lasso", "selectable", "shrinkage_set_high",
+        "shrinkage_set_low", "shrinkage_singleton", "structural_set",
+    ),
+    "model": (
+        "DesignProblem", "GaussianModel", "SignVector", "TuningVector", "build_problem",
+        "design_from_gram", "fiber_equivalent", "gaussian_model", "sign_partition",
+        "tuning_vector", "uniform_tuning",
+    ),
+    "simulate": (
+        "ComparisonReport", "EmpiricalSummary", "SimulationConfig",
+        "compare_analytic_empirical", "estimate_nonuniqueness_probability", "run_simulation",
+    ),
+    "solver": (
+        "KKTReport", "LassoSolution", "SolutionSetDescription", "describe_solution_set",
+        "is_solution", "solve", "solve_many",
+    ),
+}.items() for name in names}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -7,7 +7,8 @@ All user-facing indices are 1-based; all floating-point output is serialized
 with 17 significant digits so values round-trip exactly.
 
 Exit codes: 0 success, 2 input error, 3 numerical or dimensional limit,
-64 unknown subcommand.
+64 unknown subcommand. A call builds the parser of its own subcommand only,
+and each handler imports the engine it calls.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distribution, geometry, simulate as simulate_mod
 from .errors import (
     CombinatorialLimitError,
     ConditioningError,
@@ -38,7 +38,7 @@ from .model import (
     gaussian_model,
     tuning_vector,
 )
-from .solver import describe_solution_set, solve
+from .solver import solve
 
 _USAGE = """\
 usage: lassodist <subcommand> [options]
@@ -213,7 +213,7 @@ def _one_based(indices) -> list:
     return [int(j) + 1 for j in indices]
 
 
-def _prob_payload(rp: distribution.RegionProbability) -> dict:
+def _prob_payload(rp) -> dict:
     return {
         "estimate": rp.estimate,
         "std_error": rp.std_error,
@@ -239,6 +239,7 @@ def _cmd_solve(args) -> str:
 
 
 def _cmd_structural_set(args) -> str:
+    from . import geometry
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     members = geometry.structural_set(env.problem, tuning, tol=args.tol)
@@ -246,6 +247,7 @@ def _cmd_structural_set(args) -> str:
 
 
 def _cmd_selectable(args) -> str:
+    from . import geometry
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     model = _model_indices(args.model, env.problem.p)
@@ -254,6 +256,7 @@ def _cmd_selectable(args) -> str:
 
 
 def _cmd_check_unique(args) -> str:
+    from . import geometry
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     verdict = geometry.check_uniqueness(env.problem, tuning, tol=args.tol)
@@ -274,6 +277,7 @@ def _cmd_check_unique(args) -> str:
 
 
 def _cmd_general_position(args) -> str:
+    from . import geometry
     env = load_envelope(args.input)
     return render_json({"general_position": geometry.general_position(env.problem)})
 
@@ -283,6 +287,7 @@ def _model_from_env(env: Envelope) -> GaussianModel:
 
 
 def _cmd_prob_zero(args) -> str:
+    from . import distribution
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     rp = distribution.prob_all_zero(
@@ -293,6 +298,7 @@ def _cmd_prob_zero(args) -> str:
 
 
 def _cmd_orthant_prob(args) -> str:
+    from . import distribution
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     model = _model_from_env(env)
@@ -312,6 +318,7 @@ def _cmd_orthant_prob(args) -> str:
 
 
 def _cmd_cdf(args) -> str:
+    from . import distribution
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     model = _model_from_env(env)
@@ -329,6 +336,7 @@ def _cmd_cdf(args) -> str:
 
 
 def _cmd_density_grid(args) -> str:
+    from . import distribution
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     model = _model_from_env(env)
@@ -351,13 +359,14 @@ def _cmd_density_grid(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
+    from . import simulate
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     model = _model_from_env(env)
-    config = simulate_mod.SimulationConfig(
+    config = simulate.SimulationConfig(
         n_rep=args.reps, seed=args.seed, solver_tol=args.tol or 1e-10
     )
-    summary = simulate_mod.run_simulation(env.problem, model, tuning, config)
+    summary = simulate.run_simulation(env.problem, model, tuning, config)
     if args.report == "csv":
         lines = ["axis,z,ecdf"]
         for j, axis in enumerate(summary.ecdf_grid):
@@ -387,6 +396,7 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_shrinkage_map(args) -> str:
+    from . import geometry
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     p = env.problem.p
@@ -422,13 +432,12 @@ def _add_sampling(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _build_parsers():
-    parsers = {}
+def _subcommands():
+    """Subcommand -> (adds its options to a parser, handler)."""
+    table = {}
 
     def sub(name, configure, handler):
-        parser = argparse.ArgumentParser(prog=f"lassodist {name}")
-        configure(parser)
-        parsers[name] = (parser, handler)
+        table[name] = (configure, handler)
 
     def conf_solve(p):
         _add_common(p, tol_default=1e-10)
@@ -490,7 +499,7 @@ def _build_parsers():
         p.add_argument("--z", default=None, help="least-squares point, comma-separated")
 
     sub("shrinkage-map", conf_shrink, _cmd_shrinkage_map)
-    return parsers
+    return table
 
 
 _VALUE_FLAGS = frozenset({"--lam", "--y", "--z", "--b", "--signs", "--grid", "--model"})
@@ -517,11 +526,13 @@ def main(argv=None) -> int:
     if argv and argv[0] in ("-h", "--help"):
         sys.stdout.write(_USAGE)
         return 0
-    parsers = _build_parsers()
-    if not argv or argv[0] not in parsers:
+    subcommands = _subcommands()
+    if not argv or argv[0] not in subcommands:
         sys.stderr.write(_USAGE)
         return 64
-    parser, handler = parsers[argv[0]]
+    configure, handler = subcommands[argv[0]]
+    parser = argparse.ArgumentParser(prog=f"lassodist {argv[0]}")
+    configure(parser)
     try:
         args = parser.parse_args(_join_negative_values(argv[1:]))
     except SystemExit as exc:

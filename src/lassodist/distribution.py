@@ -21,9 +21,10 @@ terms. These paths need full column rank, except P(bhat = 0): in the
 reduced-rank representation X'y is a Gaussian of rank rk(X), and the
 rectangle kernel takes a factor of any rank (after Genz & Kwong 2000).
 
-Imports: the module needs numpy alone, and no call loads scipy. The Genz
-kernel's Phi and Phi^-1 are numpy ports of cephes ndtr and of Wichura's
-AS241 (_ndtr, _ndtri).
+Imports: the module needs numpy alone, and no call loads scipy. numpy.random
+loads at the first QMC block, which seeds its lattice shifts; closed-form
+calls never load it. The Genz kernel's Phi and Phi^-1 are numpy ports of
+cephes ndtr and of Wichura's AS241 (_ndtr, _ndtri).
 
 Event-threshold convention: a threshold z_j = -beta_j on a D+- coordinate is
 accepted and yields the open event {bhat_j < 0} (resp. > 0); thresholds
@@ -244,19 +245,21 @@ def _pattern(problem, model, tuning, signs):
     )
 
 
-def _pattern_prob(problem, model, tuning, signs, lower, upper, seq):
+def _pattern_prob(problem, model, tuning, signs, lower, upper, seed):
     """Rectangle-kernel results (estimate, standard error, rounding bound, QMC
     points) of P(lower_A <= u_A <= upper_A) and of P(s_0 in the lambda-box)
-    for one pattern; bounds off A are not read. The two blocks draw their
-    shifts from independent children of the SeedSequence seq."""
+    for one pattern; bounds off A are not read. seed is (entropy, spawn_key);
+    the two blocks take spawn keys key + (0,) and key + (1,), bitwise the
+    children SeedSequence(entropy, spawn_key=key).spawn(2)."""
     moving, (mean_a, cov_a), (mean_0, cov_0) = _pattern(problem, model, tuning, signs)
-    seq_a, seq_0 = seq.spawn(2)
+    entropy, key = seed
+    seed_a, seed_0 = (entropy, key + (0,)), (entropy, key + (1,))
     lo, hi = lower[moving] - mean_a, upper[moving] - mean_a
-    block_a = _rectangle(_factor(cov_a), lo, hi, seq_a)
+    block_a = _rectangle(_factor(cov_a), lo, hi, seed_a)
     lam_0 = tuning.lam[signs == 0]
     if np.any(lam_0 == 0.0):  # an unpenalized coordinate carries no atom at zero
         return block_a, (0.0, 0.0, 0.0, 0)
-    return block_a, _rectangle(_factor(cov_0), -lam_0 - mean_0, lam_0 - mean_0, seq_0)
+    return block_a, _rectangle(_factor(cov_0), -lam_0 - mean_0, lam_0 - mean_0, seed_0)
 
 
 def _product(block_a, block_0):
@@ -348,7 +351,7 @@ def prob_orthant_event(
     _require_quad(problem, problem.p)
     signs = d.as_array()
     estimate, se, tol, points = _product(*_pattern_prob(
-        problem, model, tuning, signs, *_orthant(signs, z), np.random.SeedSequence(seed)
+        problem, model, tuning, signs, *_orthant(signs, z), (seed, ())
     ))
     return _quadrature(estimate, _bound(se, tol), points, seed, quad_tol)
 
@@ -401,7 +404,7 @@ def prob_all_zero(
         raise InputError("method must be 'quad' or 'mc'")
     mean = problem.gram @ model.beta
     estimate, se, tol, points = _rectangle(
-        _factor(model.sigma**2 * problem.gram), -tuning.lam - mean, tuning.lam - mean, seed
+        _factor(model.sigma**2 * problem.gram), -tuning.lam - mean, tuning.lam - mean, (seed, ())
     )
     return _quadrature(estimate, _bound(se, tol), points, seed)
 
@@ -448,7 +451,7 @@ def conditional_density(
         raise InputError("z_active must be finite")
     bounds = _orthant(signs, -model.beta)
     (p_a, se_a, tol_a, _), (p_0, *_) = _pattern_prob(
-        problem, model, tuning, signs, *bounds, np.random.SeedSequence(0)
+        problem, model, tuning, signs, *bounds, (0, ())
     )
     bound = _bound(se_a, tol_a)  # the density divides by p_a alone
     if p_a * p_0 < 1e-12:
@@ -478,10 +481,11 @@ def cdf(
     probabilities: u_A in (-inf, min(z_j, -beta_j)] on D- and (-beta_j, z_j]
     on D+, s_0 in the lambda-box. A part is dropped whenever its own
     constraint set is empty (z_j < -beta_j on D0, z_j <= -beta_j on D+).
-    Each pattern draws its lattice shifts from its own child of
-    SeedSequence(0), so the parts' QMC errors are independent and the error
-    bound is 7 sqrt(sum of their squared standard errors) plus the summed
-    rounding terms. Raises NumericalError when that bound exceeds quad_tol.
+    Pattern i of the product order draws its lattice shifts from the seed
+    (0, (i,)), bitwise the child SeedSequence(0).spawn(3^p)[i], so the parts'
+    QMC errors are independent and the error bound is 7 sqrt(sum of their
+    squared standard errors) plus the summed rounding terms. Raises
+    NumericalError when that bound exceeds quad_tol.
     """
     _check_shapes(problem, model, tuning)
     _require_quad(problem, problem.p)
@@ -501,14 +505,13 @@ def cdf(
         raise InputError("coords must be 'error' or 'estimator'")
     atom = -model.beta
     total, var, tol = 0.0, 0.0, 0.0
-    patterns = product((-1, 0, 1), repeat=problem.p)
-    for pattern, seq in zip(patterns, np.random.SeedSequence(0).spawn(3**problem.p)):
+    for i, pattern in enumerate(product((-1, 0, 1), repeat=problem.p)):
         signs = np.array(pattern)
         if np.any((signs == 0) & (z < atom)) or np.any((signs == 1) & (z <= atom)):
             continue  # the atom misses the event, or (-beta_j, z_j] is empty
         lower, upper = _orthant(signs, atom)
         part, se, part_tol, _ = _product(*_pattern_prob(
-            problem, model, tuning, signs, lower, np.minimum(upper, z), seq
+            problem, model, tuning, signs, lower, np.minimum(upper, z), (0, (i,))
         ))
         total += part
         var += se * se
@@ -619,10 +622,10 @@ def mvn_box_probability(
     if not np.allclose(cov, sym, rtol=1e-8, atol=1e-12):
         raise InputError("covariance must be symmetric")
     eigs = np.linalg.eigvalsh(sym)
-    if eigs[0] < -1e-10 * max(1.0, eigs[-1]):
+    if p and eigs[0] < -1e-10 * max(1.0, eigs[-1]):  # an empty box has no spectrum
         raise InputError("covariance is not positive semidefinite")
     estimate, se, tol, points = _rectangle(
-        _factor(sym), lower - mean, upper - mean, seed, n_samples, n_shifts
+        _factor(sym), lower - mean, upper - mean, (seed, ()), n_samples, n_shifts
     )
     return _quadrature(estimate, _bound(se, tol), points, seed)
 
@@ -656,8 +659,10 @@ def _rectangle(factor, a, b, seed, n_samples=_GENZ_POINTS, n_shifts=8):
     by the intersection of their intervals. One column (the normal interval)
     or two rows on two columns (Genz's BVND) are exact to rounding. Otherwise,
     Genz's transform in q - 1 dimensions on n_shifts random shifts of one
-    Korobov lattice (see _shifted_lattice), with the standard error of the
-    mean of the shift estimates. seed is an int or a numpy SeedSequence.
+    Korobov lattice (see _shifted_lattice), one shift's points at a time,
+    with the standard error of the mean of the shift estimates. seed is
+    (entropy, spawn_key): the shifts are those of the numpy SeedSequence
+    (entropy, spawn_key=spawn_key), and an int seed s passes as (s, ()).
     """
     q = factor.shape[1]
     last = np.max(np.where(factor != 0.0, np.arange(q), -1), axis=1, initial=-1)
@@ -680,8 +685,10 @@ def _rectangle(factor, a, b, seed, n_samples=_GENZ_POINTS, n_shifts=8):
         rho, r = factor[1, 0] / sd[1], factor[1, 1] / sd[1]
         return _rectangle2(a / sd, b / sd, rho, r), 0.0, _EXACT_TOL, 0
     per_shift = 2 ** int(np.clip(np.ceil(np.log2(max(n_samples // n_shifts, 64))), 6, 16))
-    w = _shifted_lattice(per_shift, q - 1, n_shifts, seed)
-    estimates = _genz_values(factor, a, b, groups, w).reshape(n_shifts, per_shift).mean(axis=1)
+    estimates = np.array([
+        _genz_values(factor, a, b, groups, w).mean()
+        for w in _shifted_lattice(per_shift, q - 1, n_shifts, seed)
+    ])
     se = float(estimates.std(ddof=1) / math.sqrt(n_shifts))
     return float(estimates.mean()), se, _EXACT_TOL, n_shifts * per_shift
 
@@ -694,9 +701,10 @@ def _first_interval(factor, a, b, rows):
 def _shifted_lattice(n, dim, n_shifts, seed):
     """n_shifts random shifts of the rank-1 lattice x_i = frac(i z / n),
     z = (1, a, a^2, ...) mod n, each folded by the baker's transform
-    1 - |2x - 1|: an (n_shifts * n, dim) array, one shift after another.
+    1 - |2x - 1|: yields one (n, dim) array per shift.
 
-    The shifts are uniform draws of one Philox generator seeded by seed. The
+    The shifts are uniform draws of one Philox generator seeded by the numpy
+    SeedSequence of seed = (entropy, spawn_key), built only here. The
     Korobov multiplier a is _KOROBOV's entry for (n, dim). Dimensions beyond
     5 (factors of 7 or more columns) reuse the dim-5 multiplier, which was
     not chosen for them. The estimate stays unbiased, and z repeats no entry
@@ -709,9 +717,10 @@ def _shifted_lattice(n, dim, n_shifts, seed):
     for j in range(1, dim):
         z[j] = z[j - 1] * a % n
     lattice = (np.arange(n, dtype=np.int64)[:, None] * z % n) / n
-    shifts = np.random.Generator(np.random.Philox(seed)).random((n_shifts, 1, dim))
-    x = (lattice + shifts) % 1.0
-    return (1.0 - np.abs(2.0 * x - 1.0)).reshape(n_shifts * n, dim)
+    entropy, key = seed
+    seq = np.random.SeedSequence(entropy, spawn_key=key)
+    for shift in np.random.Generator(np.random.Philox(seq)).random((n_shifts, dim)):
+        yield 1.0 - np.abs(2.0 * ((lattice + shift) % 1.0) - 1.0)
 
 
 def _norm_cdf(x) -> float:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -20,14 +21,19 @@ CORR3 = str(FIXTURES / "corr3.json")
 X2X3_RANK2 = str(FIXTURES / "x2x3_rank2.json")
 
 
-def run_cli(*args):
+def run_python(*args):
+    """A fresh interpreter on the source tree."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "lassodist", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "lassodist", *args)
 
 
 GOLDEN_CASES = [
@@ -39,6 +45,9 @@ GOLDEN_CASES = [
     ("solve_n1p2_uniform.json", ("solve", "--input", N1P2)),
     ("orthant_prob_corr2.json", ("orthant-prob", "--input", CORR2, "--signs", "0,0")),
     ("cdf_corr2.json", ("cdf", "--input", CORR2, "--z", "0.4,-0.1")),
+    # Genz blocks: pins the lattice seeds and the per-shift evaluation
+    ("orthant_prob_corr3.json", ("orthant-prob", "--input", CORR3, "--signs", "0,0,0")),
+    ("cdf_corr3.json", ("cdf", "--input", CORR3, "--z", "0.5,0.5,0.5")),
     ("prob_zero_n1p2.json", ("prob-zero", "--input", N1P2)),
     ("prob_zero_n1p2_mc.json",
      ("prob-zero", "--input", N1P2, "--method", "mc", "--samples", "8192", "--seed", "1")),
@@ -79,13 +88,7 @@ print(json.dumps(results))
         ("prob-zero", "--input", X2X3_RANK2),
     ]
     calls = [args for _, args in GOLDEN_CASES] + genz_calls
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(calls)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_python("-c", code, json.dumps(calls))
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
     for (golden, _), (status, out) in zip(GOLDEN_CASES, results):
@@ -94,6 +97,77 @@ print(json.dumps(results))
     assert mass_status == 0 and json.loads(mass)["n_samples"] > 0
     assert cdf_status == 0 and 0.0 < json.loads(cdf)["cdf"] < 1.0
     assert zero_status == 0 and json.loads(zero)["n_samples"] > 0
+
+
+def _modules_after(*args):
+    """Run `python -m lassodist *args` in a fresh interpreter: (process, the
+    names in sys.modules at exit)."""
+    code = """
+import atexit, json, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\n" + json.dumps(sorted(sys.modules)) + "\\n"))
+runpy.run_module("lassodist", run_name="__main__", alter_sys=True)
+"""
+    proc = run_python("-c", code, *args)
+    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("args,golden,absent", [
+    (("check-unique", "--input", D2X4), "check_unique_2x4.json",
+     {"lassodist.distribution", "lassodist.simulate", "numpy.random"}),
+    (("orthant-prob", "--input", CORR2, "--signs", "0,0"), "orthant_prob_corr2.json",
+     {"lassodist.geometry", "lassodist.simulate", "numpy.random"}),
+], ids=["check-unique", "orthant-prob.closed-form"])
+def test_call_loads_only_its_engine(args, golden, absent):
+    proc, loaded = _modules_after(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_text()
+    assert not loaded & absent, loaded & absent
+
+
+def test_genz_block_loads_numpy_random():
+    proc, loaded = _modules_after("orthant-prob", "--input", CORR3, "--signs", "0,0,0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "orthant_prob_corr3.json").read_text()
+    assert {"numpy.random", "lassodist.distribution"} <= loaded
+
+
+def test_import_lassodist_loads_no_submodule():
+    proc = run_python("-c", "import json, sys, lassodist; print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "lassodist" in loaded
+    assert [m for m in loaded if m.startswith("lassodist.")] == []
+
+
+def test_public_names_resolve_to_their_home_modules():
+    homes = {}
+    for module in ("distribution", "errors", "geometry", "model", "simulate", "solver"):
+        mod = importlib.import_module(f"lassodist.{module}")
+        homes.update({name: mod for name in ld.__all__ if name in vars(mod)
+                      and getattr(mod, name).__module__ == mod.__name__})
+    assert sorted(homes) == ld.__all__ == sorted(set(ld.__all__))
+    for name, mod in homes.items():
+        assert getattr(ld, name) is getattr(mod, name), name
+    assert set(ld.__all__) <= set(dir(ld))
+    namespace = {}
+    exec("from lassodist import *", namespace)
+    assert {name: namespace[name] for name in ld.__all__} == {
+        name: getattr(mod, name) for name, mod in homes.items()
+    }
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ld.no_such_name  # noqa: B018
+
+
+def test_engine_table_covers_the_subcommands():
+    from lassodist import cli
+    from lassodist.__main__ import ENGINES
+
+    assert set(ENGINES) == set(cli._subcommands())
+    listed = [line.split()[0] for line in cli._USAGE.split("subcommands:")[1].splitlines()
+              if line.startswith("  ")]
+    assert listed == list(cli._subcommands())
+    for module in set(ENGINES.values()):
+        importlib.import_module(f"lassodist.{module}")
 
 
 def test_prob_zero_rank_two_of_three():

@@ -560,7 +560,7 @@ def test_rectangle_matches_scipy_ufunc_integrand(monkeypatch):
         b = a + rng.uniform(0.3, 4.0, k)
         a[rng.random(k) < 0.3] = -np.inf
         b[rng.random(k) < 0.3] = np.inf
-        cases.append((chol, a, b, int(rng.integers(2**31))))
+        cases.append((chol, a, b, (int(rng.integers(2**31)), ())))
     ours = [_rectangle(*case) for case in cases]
     monkeypatch.setattr(distribution, "_genz_values", _scipy_genz_values)
     theirs = [_rectangle(*case) for case in cases]
@@ -624,6 +624,12 @@ def test_mvn_box_zero_covariance_is_an_indicator():
     rounded = ld.mvn_box_probability([0.1 + 0.2, 0.7 - 0.4], cov, [0.3, 0.3], [0.3, 0.3])
     assert (inside.estimate, outside.estimate, rounded.estimate) == (1.0, 0.0, 1.0)
     assert inside.n_samples == outside.n_samples == 0
+
+
+def test_mvn_box_with_no_coordinates_is_certain():
+    # an empty box has an empty spectrum: the semidefiniteness check is skipped
+    r = ld.mvn_box_probability([], np.zeros((0, 0)), [], [])
+    assert (r.estimate, r.quad_tol, r.n_samples, r.seed) == (1.0, 0.0, 0, None)
 
 
 def test_factor_matches_cholesky_and_drops_at_its_threshold():
@@ -1065,7 +1071,9 @@ def test_korobov_table_matches_search():
 
 def test_shifted_lattice_is_a_folded_rank1_lattice():
     n, dim, n_shifts, seed = 64, 3, 4, 5
-    w = _shifted_lattice(n, dim, n_shifts, seed).reshape(n_shifts, n, dim)
+    # an int seed s passes as (s, ()): the shifts of Philox(s)
+    w = np.array(list(_shifted_lattice(n, dim, n_shifts, (seed, ()))))
+    assert w.shape == (n_shifts, n, dim)
     a = _KOROBOV[n, dim]
     lattice = (np.arange(n)[:, None] * np.array([1, a, a * a % n]) % n) / n
     shifts = np.random.Generator(np.random.Philox(seed)).random((n_shifts, dim))
