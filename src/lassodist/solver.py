@@ -15,20 +15,33 @@ which is what is_solution certifies and what coordinate descent uses as its
 convergence criterion.
 
 One batched coordinate-descent engine solves every response; solve is its
-one-row call. Every 10 sweeps it tries an active-set finish on each open
-row: with A the support of the current iterate and s its signs, it solves
+one-row call. It keeps the open rows coordinate-major, (p, rows), so each
+coordinate update reads and writes one contiguous row. After sweep 2 and
+then every 10 sweeps it tries an active-set finish on each open row (after
+sweep 2, only on the rows whose support did not change in that sweep): with
+A the support of the current iterate and s its signs, it solves
 G_AA b_A = X_A'y - s_A lam_A and sets b = 0 off A. The row closes on that
 solution only when |A| <= rk(X), LU meets no zero pivot in G_AA, the signs
-of b_A are s_A and b passes the KKT check above at tol; any other row stays
-in coordinate descent unchanged. On correlated and rank-deficient designs
-the sign pattern settles long before descent alone reaches tol: most rows
-now close within tens of sweeps and the slowest within a few hundred,
-where descent alone took hundreds to thousands.
+of b_A are s_A and b passes the KKT check above at tol. Any other row stays
+in coordinate descent, but keeps what the finish found in one step that
+does not raise L:
 
-The residual is evaluated after each of the first 9 sweeps, at every
-finish and after the last sweep, and nowhere else. A row that misses tol
-within max_iter sweeps keeps its best iterate among those evaluated:
-solve_many returns it, solve raises ConvergenceError carrying it.
+- where b_A was solved, a feature-sign step: move from the iterate toward
+  b_A up to the first sign change and set that coordinate to 0 (L is a
+  convex quadratic on the closed orthant face of s, minimized at b_A);
+- where G_AA is singular (|A| > rk(X), or equal columns), a step along a
+  null vector h of X_A, oriented so that sum lam_j s_j h_j <= 0, until a
+  coordinate of A reaches 0: the fit stays and the penalty does not rise.
+
+On small full-rank designs more than 90% of rows close by the first
+finish. On correlated and rank-deficient ones the slowest rows close within
+a few hundred sweeps, where a finish that discarded its rejected solutions
+left rows open for tens of thousands.
+
+The residual is evaluated after sweeps 1 and 2, at every finish and after
+the last sweep, and nowhere else. A row that misses tol within max_iter
+sweeps keeps its best iterate among those evaluated: solve_many returns it,
+solve raises ConvergenceError carrying it.
 """
 
 from __future__ import annotations
@@ -43,10 +56,16 @@ from .simplex import feasible
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
-# the active-set finish runs after every _FINISH_EVERY sweeps and solves its
-# batched systems in row blocks of about _FINISH_BYTES
+# the active-set finish runs after sweep _FIRST_FINISH and then after every
+# _FINISH_EVERY sweeps, and solves its batched systems in row blocks of about
+# _FINISH_BYTES
+_FIRST_FINISH = 2
 _FINISH_EVERY = 10
 _FINISH_BYTES = 1 << 20
+# relative tolerance of the null step: entries of a unit null vector at or
+# below it are rounding, and the step may move X_A b_A by at most this much
+# relative to ||X_A||_F ||b_A||
+_NULL_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,10 +106,6 @@ class SolutionSetDescription:
     is_unique_at_y: bool
 
 
-def _soft(u, t):
-    return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
-
-
 def _kkt_violation(g, b, lam, zero_tol):
     active = np.abs(b) > zero_tol
     return np.where(active, np.abs(g - np.sign(b) * lam), np.maximum(np.abs(g) - lam, 0.0))
@@ -110,85 +125,185 @@ def _check_inputs(problem, Y, tuning, tol=None):
     return Y
 
 
-def _descend(gram, lam, C, tol, max_iter, rank):
+def _descend(problem, lam, C, tol, max_iter):
     """Cyclic coordinate descent from b = 0 on each row of C = Y X, order 1..p,
-    with an active-set finish after every _FINISH_EVERY sweeps.
+    with an active-set finish after sweep _FIRST_FINISH and every
+    _FINISH_EVERY sweeps. The first finish tries only the rows whose support
+    did not change in sweep _FIRST_FINISH; later ones try every open row.
 
-    The KKT residual is evaluated after each sweep before the first finish,
-    then only at the finishes and after the last sweep. A row closes once an
-    evaluated residual meets tol or the finish accepts it; every row keeps
-    the best evaluated iterate and its residual.
+    The iterates are coordinate-major, (p, open rows), so that each
+    coordinate update reads and writes one contiguous row. The KKT residual
+    is evaluated after each sweep up to the first finish, then only at the
+    finishes and after the last sweep. A row closes once an evaluated
+    residual meets tol or the finish accepts it; every row keeps the best
+    evaluated iterate and its residual.
     """
+    gram = problem.gram
     m, p = C.shape
     diag = np.diag(gram).copy()
+    cols = np.ascontiguousarray(gram.T)  # cols[j] is column j of gram
     B = np.zeros((m, p))
     resids = np.full(m, np.inf)
-    rows, Ba, Ca = np.arange(m), B.copy(), C
+    rows, Bt, Ct = np.arange(m), np.zeros((p, m)), np.ascontiguousarray(C.T)
     for sweep in range(1, max_iter + 1):
         if rows.size == 0:
             break
         for j in range(p):
             if diag[j] <= 0.0:
                 continue  # zero column: coefficient pinned at 0
-            rho = Ca[:, j] - Ba @ gram[:, j] + diag[j] * Ba[:, j]
-            Ba[:, j] = _soft(rho, lam[j]) / diag[j]
-        finish = sweep % _FINISH_EVERY == 0
-        if not (finish or sweep < _FINISH_EVERY or sweep == max_iter):
+            # soft(c_j - G_j b + G_jj b_j, lam_j) / G_jj, in place
+            rho = cols[j] @ Bt
+            np.subtract(Ct[j], rho, out=rho)
+            rho += diag[j] * Bt[j]
+            u = np.abs(rho)
+            u -= lam[j]
+            np.maximum(u, 0.0, out=u)
+            u *= np.sign(rho)
+            np.divide(u, diag[j], out=Bt[j])
+        finish = sweep == _FIRST_FINISH or sweep % _FINISH_EVERY == 0
+        if not (finish or sweep < _FIRST_FINISH or sweep == max_iter):
             continue
-        r = _kkt_violation(Ca - Ba @ gram, Ba, lam, 0.0).max(axis=1)
+        r = _kkt_violation(Ct - gram @ Bt, Bt, lam[:, None], 0.0).max(axis=0)
         better = r < resids[rows]
-        B[rows[better]], resids[rows[better]] = Ba[better], r[better]
+        B[rows[better]], resids[rows[better]] = Bt[:, better].T, r[better]
         done = r <= tol
         if finish:
-            accepted, Bf, rf = _finish(gram, lam, Ca, Ba, ~done, tol, rank)
-            B[rows[accepted]], resids[rows[accepted]] = Bf[accepted], rf[accepted]
+            todo = ~done
+            if sweep == _FIRST_FINISH:
+                todo &= np.all((Bt != 0.0) == support, axis=0)
+            accepted, rf = _finish(problem, lam, Ct.T, Bt.T, todo, tol)
+            B[rows[accepted]], resids[rows[accepted]] = Bt[:, accepted].T, rf[accepted]
             done |= accepted
         if done.any():
-            rows, Ba, Ca = rows[~done], Ba[~done], Ca[~done]
+            rows, Bt, Ct = rows[~done], Bt[:, ~done], Ct[:, ~done]
+        if sweep == _FIRST_FINISH - 1:
+            support = Bt != 0.0
     return B, resids
 
 
-def _finish(gram, lam, C, Bc, todo, tol, rank):
-    """Active-set finish of the rows of Bc marked in todo.
+def _finish(problem, lam, C, B, todo, tol):
+    """Active-set finish of the rows of B marked in todo, in place.
 
     With A a row's support and s its signs, solve G_AA b_A = c_A - s_A lam_A
-    and set b = 0 off A. A row is accepted only when |A| <= rank, LU meets
+    and set b = 0 off A. A row is accepted only when |A| <= rk(X), LU meets
     no zero pivot in G_AA, b_A keeps the signs s_A and the KKT residual of b
-    (zero_tol 0) meets tol. Returns the accepted mask over the rows of Bc,
-    and solutions and residuals that are valid where it is set.
+    (zero_tol 0) meets tol; its row of B becomes that solution. Any other
+    row keeps what the finish found in one step that does not raise L:
+    toward the solution where one was found (_step_to_solution), else along
+    a null vector of X_A (_null_step). Returns the accepted mask over the
+    rows of B, and the residuals of the finish solutions, valid where a
+    system was solved and 0 elsewhere.
     """
-    active = Bc != 0.0
+    gram, Xt = problem.gram, problem.X.T
+    active = B != 0.0
     size = active.sum(axis=1)
-    cand = np.flatnonzero(todo & (size > 0) & (size <= rank))
-    accepted = np.zeros(Bc.shape[0], dtype=bool)
-    Bf, rf = np.zeros_like(Bc), np.zeros(Bc.shape[0])
-    # rows of one support size share a batch of |A| x |A| systems, solved in
-    # blocks of about _FINISH_BYTES
-    for k in np.unique(size[cand]):
+    cand = np.flatnonzero(todo & (size > 0))
+    accepted = np.zeros(B.shape[0], dtype=bool)
+    rf = np.zeros(B.shape[0])
+    # rows of one support size share a batch of |A| x |A| systems, handled
+    # in blocks of about _FINISH_BYTES; np.bincount rather than np.unique,
+    # which imports numpy.ma
+    for k in np.flatnonzero(np.bincount(size[cand])):
         group = cand[size[cand] == k]
         step = max(1, _FINISH_BYTES // (8 * k * k))
         for lo in range(0, group.size, step):
             i = group[lo:lo + step]
             A = np.nonzero(active[i])[1].reshape(i.size, k)
-            s = np.take_along_axis(np.sign(Bc[i]), A, axis=1)
-            M = gram[A[:, :, None], A[:, None, :]]
-            rhs = np.take_along_axis(C[i], A, axis=1) - s * lam[A]
-            try:
-                x = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
-                ok = np.ones(i.size, dtype=bool)
-            except np.linalg.LinAlgError:
-                # an exactly singular G_AA in the block, such as two equal
-                # columns in A; G_AA is positive semidefinite, so a positive
-                # determinant marks the systems that can be solved
-                ok = np.linalg.slogdet(M)[0] > 0
-                x = np.zeros_like(rhs)
-                x[ok] = np.linalg.solve(M[ok], rhs[ok, :, None])[:, :, 0]
-            b = np.zeros((i.size, Bc.shape[1]))
-            np.put_along_axis(b, A, x, axis=1)
-            r = _kkt_violation(C[i] - b @ gram, b, lam, 0.0).max(axis=1)
-            accepted[i] = ok & np.all(np.sign(x) == s, axis=1) & (r <= tol)
-            Bf[i], rf[i] = b, r
-    return accepted, Bf, rf
+            Bi = B[i]
+            bA = np.take_along_axis(Bi, A, axis=1)
+            ok = np.zeros(i.size, dtype=bool)
+            if k <= problem.rank_x:
+                s = np.sign(bA)
+                M = gram[A[:, :, None], A[:, None, :]]
+                cA = np.take_along_axis(C[i], A, axis=1)
+                rhs = cA - s * lam[A]
+                try:
+                    x = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+                    ok[:] = True
+                except np.linalg.LinAlgError:
+                    # an exactly singular G_AA in the block, such as two equal
+                    # columns in A; G_AA is positive semidefinite, so a positive
+                    # determinant marks the systems that can be solved
+                    ok = np.linalg.slogdet(M)[0] > 0
+                    x = np.zeros_like(rhs)
+                    x[ok] = np.linalg.solve(M[ok], rhs[ok, :, None])[:, :, 0]
+                b = np.zeros((i.size, B.shape[1]))
+                np.put_along_axis(b, A, x, axis=1)
+                r = _kkt_violation(C[i] - b @ gram, b, lam, 0.0).max(axis=1)
+                acc = ok & np.all(np.sign(x) == s, axis=1) & (r <= tol)
+                accepted[i], rf[i] = acc, np.where(ok, r, 0.0)
+                bA[acc] = x[acc]
+                move = np.flatnonzero(ok & ~acc)
+                if move.size:
+                    bA[move] = _step_to_solution(M[move], cA[move], lam[A[move]], bA[move],
+                                                 x[move])
+            stuck = np.flatnonzero(~ok)
+            if stuck.size:
+                bA[stuck] = _null_step(Xt[A[stuck]], lam[A[stuck]], bA[stuck])
+            np.put_along_axis(Bi, A, bA, axis=1)
+            B[i] = Bi
+    return accepted, rf
+
+
+def _objective_on_support(M, cA, lamA, bA):
+    """L(b) - ||y||^2 = b'Gb - 2c'b + 2 lam'|b| for rows of b supported on A."""
+    quad = np.einsum("ij,ijk,ik->i", bA, M, bA)
+    return quad - 2.0 * np.sum(cA * bA, axis=1) + 2.0 * np.sum(lamA * np.abs(bA), axis=1)
+
+
+def _step_to_solution(M, cA, lamA, bA, x):
+    """Feature-sign step from b_A toward the solution x of its face.
+
+    On the closed orthant face of the signs s of b_A, L is the convex
+    quadratic whose minimizer over the span of A is x, so L does not rise on
+    the segment from b_A to x while the signs hold. Move up to the first
+    coordinate whose sign would change and set it to 0; with no change, move
+    to x. A step whose evaluated objective is above b_A's, which rounding in
+    an ill-conditioned G_AA can cause, is not taken.
+    """
+    s = np.sign(bA)
+    flip = s * x <= 0.0
+    t = np.where(flip, np.abs(bA) / (np.abs(bA) + np.abs(x)), np.inf)
+    first = np.argmin(t, axis=1)
+    moved = flip.any(axis=1)
+    t_min = np.where(moved, t[np.arange(len(t)), first], 1.0)[:, None]
+    new = np.where(moved[:, None], bA + t_min * (x - bA), x)
+    new[s * new <= 0.0] = 0.0
+    new[np.flatnonzero(moved), first[moved]] = 0.0
+    worse = _objective_on_support(M, cA, lamA, new) > _objective_on_support(M, cA, lamA, bA)
+    new[worse] = bA[worse]
+    return new
+
+
+def _null_step(XtA, lamA, bA):
+    """Step along a null vector h of X_A until a coordinate of A reaches 0.
+
+    XtA holds X_A' per row, and X_A has no full column rank (|A| > rk(X), or
+    equal columns): h is its last right singular vector. Oriented so that
+    sum lam_j s_j h_j <= 0 and some s_j h_j < 0, the step leaves the fit
+    unchanged and does not raise the penalty while the signs s hold. Entries
+    of h at rounding level are taken as 0, and a step that moves X_A b_A by
+    more than _NULL_TOL relative, which a tiny entry of h can cause, is not
+    taken.
+    """
+    h = np.linalg.svd(XtA)[0][:, :, -1]
+    h[np.abs(h) <= _NULL_TOL] = 0.0
+    s = np.sign(bA)
+    flip = (np.sum(lamA * s * h, axis=1) > 0.0) | ~np.any(s * h < 0.0, axis=1)
+    h[flip] = -h[flip]
+    down = s * h < 0.0
+    t = np.where(down, np.abs(bA) / np.where(down, np.abs(h), 1.0), np.inf)
+    first = np.argmin(t, axis=1)
+    moves = np.flatnonzero(down.any(axis=1))
+    new = bA.copy()
+    new[moves] += t[moves, first[moves], None] * h[moves]
+    new[s * new <= 0.0] = 0.0
+    new[moves, first[moves]] = 0.0
+    shift = np.linalg.norm(np.einsum("ikn,ik->in", XtA, new - bA), axis=1)
+    scale = np.linalg.norm(XtA, axis=(1, 2)) * np.linalg.norm(bA, axis=1)
+    far = shift > _NULL_TOL * scale
+    new[far] = bA[far]
+    return new
 
 
 def solve(
@@ -209,7 +324,7 @@ def solve(
     the sweeps where the residual is evaluated.
     """
     Y = _check_inputs(problem, np.ravel(y), tuning, tol)
-    B, resids = _descend(problem.gram, tuning.lam, Y @ problem.X, tol, max_iter, problem.rank_x)
+    B, resids = _descend(problem, tuning.lam, Y @ problem.X, tol, max_iter)
     b, resid = B[0], float(resids[0])
     if resid > tol:
         raise ConvergenceError(
@@ -248,7 +363,7 @@ def solve_many(
     callers can count failures instead of dying mid-batch.
     """
     Y = _check_inputs(problem, Y, tuning, tol)
-    return _descend(problem.gram, tuning.lam, Y @ problem.X, tol, max_iter, problem.rank_x)
+    return _descend(problem, tuning.lam, Y @ problem.X, tol, max_iter)
 
 
 def is_solution(

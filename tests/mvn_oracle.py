@@ -26,10 +26,12 @@ def box_prob(mean, cov, lower, upper, abseps=1e-11):
     sd = np.sqrt(np.diag(cov))
     lo = np.where(np.isinf(lower), mean - 12.0 * sd, lower)
     hi = np.maximum(np.where(np.isinf(upper), mean + 12.0 * sd, upper), lo)
-    return float(
-        multivariate_normal.cdf(hi, mean=mean, cov=cov, lower_limit=lo,
-                                abseps=abseps, releps=0.0)
-    )
+    # scipy integrates by randomized QMC; a fixed generator per call makes the
+    # value repeat. The frozen distribution's seed reaches that integration
+    # whether or not the installed release's cdf takes an rng keyword
+    dist = multivariate_normal(mean=mean, cov=cov, seed=np.random.default_rng(0),
+                               abseps=abseps, releps=0.0)
+    return float(dist.cdf(hi, lower_limit=lo))
 
 
 def _event_box(gram, lam, beta, sigma, d, z):

@@ -131,6 +131,21 @@ def test_genz_block_loads_numpy_random():
     assert {"numpy.random", "lassodist.distribution"} <= loaded
 
 
+@pytest.mark.parametrize("args", [
+    ("prob-zero", "--input", CORR3, "--method", "mc", "--samples", "8192", "--seed", "1"),
+    ("simulate", "--input", CORR3, "--reps", "400", "--seed", "1"),
+], ids=["prob-zero.mc", "simulate"])
+def test_monte_carlo_call_skips_numpy_ma(args):
+    # numpy.ma costs 12-40 ms of import, and np.unique on a 1-d array loads
+    # it; on corr3 the solver's active-set finish runs in both calls
+    proc = run_python("-X", "importtime", "-m", "lassodist", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["seed"] == 1
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "numpy" in imported and "numpy.ma" not in imported
+
+
 def test_import_lassodist_loads_no_submodule():
     proc = run_python("-c", "import json, sys, lassodist; print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr

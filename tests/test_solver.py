@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lassodist as ld
@@ -8,7 +8,7 @@ from lassodist import solver
 from lassodist.errors import ConvergenceError, InputError
 from lassodist.model import ZERO_TOL
 from lassodist.solver import DEFAULT_TOL, kernel_sign_cone_nonempty
-from prox_oracle import ista_solve, objective
+from prox_oracle import ista_solve, objective, soft
 
 
 def test_soft_threshold_solution(n1p2):
@@ -195,7 +195,7 @@ def _sweep(gram, lam, C, B):
         if diag[j] <= 0.0:
             continue
         rho = C[:, j] - B @ gram[:, j] + diag[j] * B[:, j]
-        B[:, j] = solver._soft(rho, lam[j]) / diag[j]
+        B[:, j] = soft(rho, lam[j]) / diag[j]
 
 
 def _plain_descend(gram, lam, C, tol, max_iter):
@@ -290,12 +290,11 @@ def test_finish_skips_rows_it_cannot_solve(n1p2, x2x4, monkeypatch):
         systems.clear()
         C = Y @ prob.X
         B = np.zeros((Y.shape[0], prob.p))
-        for _ in range(solver._FINISH_EVERY):
+        for _ in range(solver._FIRST_FINISH):
             _sweep(prob.gram, lam, C, B)
         # at the first finish each row has more active coordinates than rk(X)
         assert np.all(np.count_nonzero(B, axis=1) > prob.rank_x)
-        accepted, _, _ = solver._finish(prob.gram, lam, C, B, np.ones(len(Y), bool), DEFAULT_TOL,
-                                        prob.rank_x)
+        accepted, _ = solver._finish(prob, lam, C, B, np.ones(len(Y), bool), DEFAULT_TOL)
         assert not accepted.any() and systems == []  # no system is even formed
         out, resids = ld.solve_many(prob, Y, ld.tuning_vector(lam))
         assert np.all(np.isfinite(out)) and np.all(resids <= DEFAULT_TOL)
@@ -303,12 +302,12 @@ def test_finish_skips_rows_it_cannot_solve(n1p2, x2x4, monkeypatch):
     systems.clear()
     Bc = np.array([[1.0, 0.5, 0.0, 0.0], [0.5, -0.25, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
     C = np.array([[3.0, 3.0, 6.0, 0.0]]).repeat(3, axis=0)
-    accepted, Bf, rf = solver._finish(x2x4.gram, np.ones(4), C, Bc, np.ones(3, bool), DEFAULT_TOL,
-                                      x2x4.rank_x)
+    accepted, rf = solver._finish(x2x4, np.ones(4), C, Bc, np.ones(3, bool), DEFAULT_TOL)
     # rows 0 and 2 form one block of 2 x 2 systems, which fails on row 0 and is
-    # solved again without it; row 1 has |A| = 3 > rk(X)
+    # solved again without it; row 1 has |A| = 3 > rk(X). The finish updates
+    # Bc in place
     assert systems == [2, 1] and not accepted[:2].any()
-    assert np.all(np.isfinite(Bf)) and np.all(np.isfinite(rf))
+    assert np.all(np.isfinite(Bc)) and np.all(np.isfinite(rf))
 
 
 def test_finish_acceptance_rule():
@@ -316,14 +315,15 @@ def test_finish_acceptance_rule():
     # (2, 1e-8); on the support {0} the finish gives (2, 0), 1e-8 off KKT.
     # Row 1: the same y on the right support. Row 2: y = (3, 1); on the
     # support {0, 1} the finish gives (2, 0), a solution whose second sign is
-    # not the iterate's, so the row stays in descent
+    # not the iterate's, so the row stays in descent, stepped to (2, 0): its
+    # second coordinate changes sign at the end of the segment
     prob = ld.build_problem(np.eye(2))
     C = np.array([[3.0, 1.0 + 1e-8], [3.0, 1.0 + 1e-8], [3.0, 1.0]])
     Bc = np.array([[1.5, 0.0], [1.5, 1e-9], [1.5, 0.5]])
-    accepted, Bf, rf = solver._finish(prob.gram, np.ones(2), C, Bc, np.ones(3, bool), DEFAULT_TOL, 2)
+    accepted, rf = solver._finish(prob, np.ones(2), C, Bc, np.ones(3, bool), DEFAULT_TOL)
     assert accepted.tolist() == [False, True, False]
     assert abs(rf[0] - 1e-8) <= 1e-12 and rf[1] <= DEFAULT_TOL
-    assert np.array_equal(Bf[2], [2.0, 0.0]) and rf[2] == 0.0
+    assert np.array_equal(Bc[2], [2.0, 0.0]) and rf[2] == 0.0
 
 
 def test_finish_closes_correlated_rows_within_300_sweeps():
@@ -336,3 +336,78 @@ def test_finish_closes_correlated_rows_within_300_sweeps():
     _, resids = ld.solve_many(ld.build_problem(X), Y, ld.uniform_tuning(30, 3.0), tol=1e-10,
                               max_iter=300)
     assert np.all(resids <= 1e-10)
+
+
+def test_rank_deficient_tail_row_closes_within_400_sweeps():
+    # a (5, 8) row whose descent support exceeds rk(X) = 5 at the first finish
+    # and whose coordinate with index 3 sits at |g_3| / lam_3 = 0.9997 in the
+    # solution; descent alone is still 1e-3 off KKT after 400 sweeps, and with
+    # a finish that drops its rejected solutions the row needed 4470 sweeps
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(5, 8))
+    beta = rng.uniform(-0.5, 0.5, 8)
+    y = (X @ beta + rng.normal(size=(512, 5)))[469]
+    prob, lam = ld.build_problem(X), np.ones(8)
+    C = y[None, :] @ X
+    B = np.zeros((1, 8))
+    for _ in range(solver._FIRST_FINISH):
+        _sweep(prob.gram, lam, C, B)
+    assert np.count_nonzero(B) > prob.rank_x
+    _, plain_resids = _plain_descend(prob.gram, lam, C, DEFAULT_TOL, 400)
+    assert plain_resids[0] > 1e-4
+    B, resids = ld.solve_many(prob, [y], ld.tuning_vector(lam), max_iter=400)
+    assert resids[0] <= DEFAULT_TOL
+    g = X.T @ y - prob.gram @ B[0]
+    assert 0.999 < abs(g[3]) < 1.0 and B[0][3] == 0.0
+    b_ista = ista_solve(X, y, lam)
+    assert objective(X, y, lam, B[0]) <= objective(X, y, lam, b_ista) + 1e-10
+
+
+def _step_case(draw, singular):
+    """A support A of k columns, an iterate b_A with signs s and the data of L on A."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(n + 1, n + 3)) if singular else draw(st.integers(1, n))
+    if draw(st.booleans()):
+        X = np.array([[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(n)], float)
+    else:
+        X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, k))
+    if singular and k > 1 and draw(st.booleans()):
+        X[:, -1] = X[:, 0]  # equal columns: singular at any n
+    y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n) * 3.0
+    lam = np.array([draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) for _ in range(k)])
+    b = np.array([draw(st.floats(0.01, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+                  for _ in range(k)])
+    return X, y, lam, b
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_step_to_solution_never_raises_objective(data):
+    X, y, lam, b = _step_case(data.draw, singular=False)
+    M = X.T @ X
+    assume(np.linalg.matrix_rank(M) == M.shape[0])
+    s = np.sign(b)
+    x = np.linalg.solve(M, X.T @ y - s * lam)
+    new = solver._step_to_solution(M[None], (X.T @ y)[None], lam[None], b[None], x[None])[0]
+    before = objective(X, y, lam, b)
+    assert objective(X, y, lam, new) <= before + 1e-12 * (1.0 + abs(before))
+    assert np.all(s * new >= 0.0)  # the signs hold on the segment
+    if np.linalg.cond(M) < 1e6:
+        assert not np.array_equal(new, b)  # only rounding can refuse the step
+    if np.any(s * x <= 0.0):
+        assert np.count_nonzero(new) < len(b) or np.array_equal(new, b)
+    else:
+        assert np.array_equal(new, x) or np.array_equal(new, b)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_null_step_keeps_fit_and_never_raises_objective(data):
+    X, y, lam, b = _step_case(data.draw, singular=True)
+    new = solver._null_step(X.T[None], lam[None], b[None])[0]
+    fit = X @ b
+    scale = max(np.linalg.norm(fit), np.linalg.norm(X) * np.linalg.norm(b))
+    assert np.linalg.norm(X @ new - fit) <= 1e-12 * scale
+    before = objective(X, y, lam, b)
+    assert objective(X, y, lam, new) <= before + 1e-12 * (1.0 + abs(before))
+    assert np.all(np.sign(b) * new >= 0.0) and np.count_nonzero(new) < len(b)
