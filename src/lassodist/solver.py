@@ -17,8 +17,7 @@ convergence criterion.
 One batched coordinate-descent engine solves every response; solve is its
 one-row call. It keeps the open rows coordinate-major, (p, rows), so each
 coordinate update reads and writes one contiguous row. After sweep 2 and
-then every 10 sweeps it tries an active-set finish on each open row (after
-sweep 2, only on the rows whose support did not change in that sweep): with
+then every 10 sweeps it tries an active-set finish on each open row: with
 A the support of the current iterate and s its signs, it solves
 G_AA b_A = X_A'y - s_A lam_A and sets b = 0 off A. The row closes on that
 solution only when |A| <= rk(X), LU meets no zero pivot in G_AA, the signs
@@ -127,9 +126,8 @@ def _check_inputs(problem, Y, tuning, tol=None):
 
 def _descend(problem, lam, C, tol, max_iter):
     """Cyclic coordinate descent from b = 0 on each row of C = Y X, order 1..p,
-    with an active-set finish after sweep _FIRST_FINISH and every
-    _FINISH_EVERY sweeps. The first finish tries only the rows whose support
-    did not change in sweep _FIRST_FINISH; later ones try every open row.
+    with an active-set finish of every open row after sweep _FIRST_FINISH
+    and every _FINISH_EVERY sweeps.
 
     The iterates are coordinate-major, (p, open rows), so that each
     coordinate update reads and writes one contiguous row. The KKT residual
@@ -168,16 +166,11 @@ def _descend(problem, lam, C, tol, max_iter):
         B[rows[better]], resids[rows[better]] = Bt[:, better].T, r[better]
         done = r <= tol
         if finish:
-            todo = ~done
-            if sweep == _FIRST_FINISH:
-                todo &= np.all((Bt != 0.0) == support, axis=0)
-            accepted, rf = _finish(problem, lam, Ct.T, Bt.T, todo, tol)
+            accepted, rf = _finish(problem, lam, Ct.T, Bt.T, ~done, tol)
             B[rows[accepted]], resids[rows[accepted]] = Bt[:, accepted].T, rf[accepted]
             done |= accepted
         if done.any():
             rows, Bt, Ct = rows[~done], Bt[:, ~done], Ct[:, ~done]
-        if sweep == _FIRST_FINISH - 1:
-            support = Bt != 0.0
     return B, resids
 
 
@@ -190,11 +183,13 @@ def _finish(problem, lam, C, B, todo, tol):
     (zero_tol 0) meets tol; its row of B becomes that solution. Any other
     row keeps what the finish found in one step that does not raise L:
     toward the solution where one was found (_step_to_solution), else along
-    a null vector of X_A (_null_step). Returns the accepted mask over the
-    rows of B, and the residuals of the finish solutions, valid where a
-    system was solved and 0 elsewhere.
+    a null vector of X_A (_null_step). The null step works on X_A', k x n
+    per row, so it takes a block's stuck rows in chunks of about
+    _FINISH_BYTES, counted as k max(k, n) entries per row. Returns the
+    accepted mask over the rows of B, and the residuals of the finish
+    solutions, valid where a system was solved and 0 elsewhere.
     """
-    gram, Xt = problem.gram, problem.X.T
+    gram, Xt, n = problem.gram, problem.X.T, problem.n
     active = B != 0.0
     size = active.sum(axis=1)
     cand = np.flatnonzero(todo & (size > 0))
@@ -238,8 +233,10 @@ def _finish(problem, lam, C, B, todo, tol):
                     bA[move] = _step_to_solution(M[move], cA[move], lam[A[move]], bA[move],
                                                  x[move])
             stuck = np.flatnonzero(~ok)
-            if stuck.size:
-                bA[stuck] = _null_step(Xt[A[stuck]], lam[A[stuck]], bA[stuck])
+            span = max(1, _FINISH_BYTES // (8 * k * max(k, n)))
+            for lo_s in range(0, stuck.size, span):
+                j = stuck[lo_s:lo_s + span]
+                bA[j] = _null_step(Xt[A[j]], lam[A[j]], bA[j])
             np.put_along_axis(Bi, A, bA, axis=1)
             B[i] = Bi
     return accepted, rf
@@ -279,14 +276,16 @@ def _null_step(XtA, lamA, bA):
     """Step along a null vector h of X_A until a coordinate of A reaches 0.
 
     XtA holds X_A' per row, and X_A has no full column rank (|A| > rk(X), or
-    equal columns): h is its last right singular vector. Oriented so that
+    equal columns): h is its last right singular vector, the last left one
+    of X_A'. For k <= n the thin SVD holds all k of those, and for k > n the
+    full one does, so no row holds an n x n factor. Oriented so that
     sum lam_j s_j h_j <= 0 and some s_j h_j < 0, the step leaves the fit
     unchanged and does not raise the penalty while the signs s hold. Entries
     of h at rounding level are taken as 0, and a step that moves X_A b_A by
     more than _NULL_TOL relative, which a tiny entry of h can cause, is not
     taken.
     """
-    h = np.linalg.svd(XtA)[0][:, :, -1]
+    h = np.linalg.svd(XtA, full_matrices=XtA.shape[1] > XtA.shape[2])[0][:, :, -1]
     h[np.abs(h) <= _NULL_TOL] = 0.0
     s = np.sign(bA)
     flip = (np.sum(lamA * s * h, axis=1) > 0.0) | ~np.any(s * h < 0.0, axis=1)
@@ -356,11 +355,11 @@ def solve_many(
     """Solve one Lasso per row of Y (m x n). Returns (B, residuals).
 
     The engine of solve(), which is its one-row call, with the same input
-    checks; every 10 sweeps it closes the rows whose active-set finish is
-    accepted (see the module docstring). A row still above tol after
-    max_iter sweeps comes back as its best iterate with that iterate's
-    residual, best among the sweeps where the residual is evaluated, so
-    callers can count failures instead of dying mid-batch.
+    checks; after sweep 2 and every 10 sweeps it closes the rows whose
+    active-set finish is accepted (see the module docstring). A row still
+    above tol after max_iter sweeps comes back as its best iterate with that
+    iterate's residual, best among the sweeps where the residual is
+    evaluated, so callers can count failures instead of dying mid-batch.
     """
     Y = _check_inputs(problem, Y, tuning, tol)
     return _descend(problem, tuning.lam, Y @ problem.X, tol, max_iter)

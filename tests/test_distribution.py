@@ -232,6 +232,15 @@ def test_prob_all_zero_full_rank(setup2):
     assert abs(r.estimate - expected) <= max(4.0 * r.quad_tol, 1e-6)
 
 
+def test_oracle_box_prob_repeats():
+    # scipy integrates a 4-coordinate box by randomized quasi-Monte Carlo, so
+    # the oracle repeats only where its fixed generator reaches that
+    # integration; unseeded, three calls here differ by up to 1.5e-8
+    cov = 0.5 * np.eye(4) + 0.5
+    args = (np.zeros(4), cov, -np.ones(4), np.full(4, 0.5))
+    assert box_prob(*args, abseps=1e-7) == box_prob(*args, abseps=1e-7)
+
+
 def test_prob_all_zero_rank_one(n1p2):
     t = ld.uniform_tuning(2, 2.0)
     # X'y = (y, 2y) lies in the box iff |y| <= 1; y ~ N(mu, 1)

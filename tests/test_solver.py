@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -363,15 +365,45 @@ def test_rank_deficient_tail_row_closes_within_400_sweeps():
     assert objective(X, y, lam, B[0]) <= objective(X, y, lam, b_ista) + 1e-10
 
 
+def test_null_steps_on_a_tall_design_stay_small(monkeypatch):
+    # n = 200 and column 0 equal to column 1 at a higher lam: descent makes
+    # both active, so the finish meets a singular G_AA on every row and takes
+    # null steps, each on X_A' of k x 200. An n x n factor per stuck row
+    # would hold 320 kB, or over 400 MB for 2000 rows; in chunks the solve
+    # stays within a few MB
+    rng = np.random.default_rng(5)
+    X0 = rng.normal(size=(200, 5))
+    X = np.column_stack([X0[:, 0], X0])
+    Y = X @ np.array([0.0, 0.4, -0.3, 0.2, 0.0, 0.1]) + rng.normal(size=(2000, 200))
+    lam = np.full(6, 8.0)
+    lam[0] = 12.0
+    stepped = []
+    null_step = solver._null_step
+    monkeypatch.setattr(solver, "_null_step",
+                        lambda XtA, *a: stepped.append(len(XtA)) or null_step(XtA, *a))
+    tracemalloc.start()
+    try:
+        B, resids = ld.solve_many(ld.build_problem(X), Y, ld.tuning_vector(lam), max_iter=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(stepped) >= 1000 and max(stepped) < 2000
+    assert peak < 16e6
+    assert np.all(resids <= DEFAULT_TOL) and np.all(B[:, 0] == 0.0)
+    # the solution is unique: the design without the dearer copy gives it
+    ref, _ = ld.solve_many(ld.build_problem(X0), Y, ld.tuning_vector(lam[1:]))
+    assert np.allclose(B[:, 1:], ref, rtol=0.0, atol=1e-8)
+
+
 def _step_case(draw, singular):
     """A support A of k columns, an iterate b_A with signs s and the data of L on A."""
     n = draw(st.integers(1, 4))
-    k = draw(st.integers(n + 1, n + 3)) if singular else draw(st.integers(1, n))
+    k = draw(st.integers(2, n + 3)) if singular else draw(st.integers(1, n))
     if draw(st.booleans()):
         X = np.array([[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(n)], float)
     else:
         X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, k))
-    if singular and k > 1 and draw(st.booleans()):
+    if singular and (k <= n or draw(st.booleans())):
         X[:, -1] = X[:, 0]  # equal columns: singular at any n
     y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n) * 3.0
     lam = np.array([draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) for _ in range(k)])
