@@ -23,8 +23,10 @@ rectangle kernel takes a factor of any rank (after Genz & Kwong 2000).
 
 Imports: the module needs numpy alone, and no call loads scipy. numpy.random
 loads at the first QMC block, which seeds its lattice shifts; closed-form
-calls never load it. The Genz kernel's Phi and Phi^-1 are numpy ports of
-cephes ndtr and of Wichura's AS241 (_ndtr, _ndtri).
+calls never load it. The solver and the replicate generator load only with
+the Monte-Carlo path (through `simulate`), so closed-form and Genz calls
+compile neither. The Genz kernel's Phi and Phi^-1 are numpy ports of cephes
+ndtr and of Wichura's AS241 (_ndtr, _ndtri).
 
 Event-threshold convention: a threshold z_j = -beta_j on a D+- coordinate is
 accepted and yields the open event {bhat_j < 0} (resp. > 0); thresholds
@@ -37,15 +39,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from importlib import import_module
 from itertools import product
 
 import numpy as np
 
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
 from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
-# uncalled here: perfbench/tracing.py wraps both and perfbench/worker.py calls solve_many
-from .rng import gaussian_chunks  # noqa: F401
-from .solver import solve_many  # noqa: F401
+
+# uncalled here, but read as attributes of this module: perfbench/tracing.py
+# wraps both and perfbench/worker.py calls solve_many. They load on first use
+_LAZY = {"solve_many": "solver", "gaussian_chunks": "rng"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
 
 QUAD_DIM_LIMIT = 6
 CDF_P_LIMIT = 4

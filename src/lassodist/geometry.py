@@ -5,24 +5,38 @@ decide which models are selectable, which coordinates the structural set
 keeps, and (through the faces one rank above rk(X)) whether the solution is
 unique for every response. All intersection questions reduce to small LP
 feasibility problems in z (the n response-space variables), solved by the
-phase-1 simplex.
+phase-1 simplex. Only `map_ls_to_lasso` runs the solver, which loads on
+first use (PEP 562).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CombinatorialLimitError, InputError, NumericalError
 from .model import ZERO_TOL, DesignProblem, TuningVector, sign_partition
 from .simplex import feasible_point
-from .solver import LassoSolution, solve
+
+if TYPE_CHECKING:
+    from .solver import LassoSolution
 
 UNIQUENESS_LIMIT = 14
 SELECTABLE_LIMIT = 30
 GENERAL_POSITION_LIMIT = 12
+
+
+def __getattr__(name):
+    if name != "solve":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .solver import solve
+
+    globals()[name] = solve  # later lookups skip this hook
+    return solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,7 +453,8 @@ def map_ls_to_lasso(
         raise InputError("z_ls must have length p")
     if not np.all(np.isfinite(z_ls)):
         raise InputError("z_ls must be finite (no NaN or inf)")
-    sol = solve(problem, problem.X @ z_ls, tuning, tol=tol)
+    # through the module attribute, so a replaced `solve` is the one that runs
+    sol = sys.modules[__name__].solve(problem, problem.X @ z_ls, tuning, tol=tol)
     area = shrinkage_set_low(problem, tuning, sol.b)
     if not area.contains(z_ls, tol=max(1e-7, 1e3 * tol)):
         raise NumericalError("solver output failed the shrinkage-area membership cross-check")

@@ -99,36 +99,83 @@ print(json.dumps(results))
     assert zero_status == 0 and json.loads(zero)["n_samples"] > 0
 
 
-def _modules_after(*args):
+def _state_at_exit(*args):
     """Run `python -m lassodist *args` in a fresh interpreter: (process, the
-    names in sys.modules at exit)."""
+    names in sys.modules at exit, gc.get_freeze_count() at exit)."""
     code = """
-import atexit, json, runpy, sys
-atexit.register(lambda: sys.stderr.write("\\n" + json.dumps(sorted(sys.modules)) + "\\n"))
+import atexit, gc, json, runpy, sys
+atexit.register(lambda: sys.stderr.write(
+    "\\n" + json.dumps([sorted(sys.modules), gc.get_freeze_count()]) + "\\n"))
 runpy.run_module("lassodist", run_name="__main__", alter_sys=True)
 """
     proc = run_python("-c", code, *args)
-    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
+    modules, frozen = json.loads(proc.stderr.splitlines()[-1])
+    return proc, set(modules), frozen
 
 
 @pytest.mark.parametrize("args,golden,absent", [
     (("check-unique", "--input", D2X4), "check_unique_2x4.json",
-     {"lassodist.distribution", "lassodist.simulate", "numpy.random"}),
+     {"lassodist.distribution", "lassodist.simulate", "lassodist.solver", "numpy.random"}),
     (("orthant-prob", "--input", CORR2, "--signs", "0,0"), "orthant_prob_corr2.json",
-     {"lassodist.geometry", "lassodist.simulate", "numpy.random"}),
+     {"lassodist.geometry", "lassodist.simulate", "lassodist.solver", "lassodist.simplex",
+      "lassodist.rng", "numpy.random"}),
 ], ids=["check-unique", "orthant-prob.closed-form"])
 def test_call_loads_only_its_engine(args, golden, absent):
-    proc, loaded = _modules_after(*args)
+    proc, loaded, _ = _state_at_exit(*args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / golden).read_text()
     assert not loaded & absent, loaded & absent
 
 
 def test_genz_block_loads_numpy_random():
-    proc, loaded = _modules_after("orthant-prob", "--input", CORR3, "--signs", "0,0,0")
+    proc, loaded, _ = _state_at_exit("orthant-prob", "--input", CORR3, "--signs", "0,0,0")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "orthant_prob_corr3.json").read_text()
     assert {"numpy.random", "lassodist.distribution"} <= loaded
+
+
+def test_call_freezes_the_heap_before_teardown():
+    # the interpreter's final collections skip frozen objects; atexit
+    # handlers (this one included) and stdout are unaffected
+    proc, _, frozen = _state_at_exit("orthant-prob", "--input", CORR2, "--signs", "0,0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "orthant_prob_corr2.json").read_text()
+    assert frozen > 0
+
+
+def _spy(calls, fn):
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return spy
+
+
+def test_solver_runs_through_its_module_attributes(monkeypatch, capsys, corr2):
+    # perfbench/tracing.py replaces these attributes with timing wrappers
+    import lassodist.cli
+    import lassodist.distribution
+    import lassodist.geometry
+    import lassodist.rng
+    import lassodist.solver
+
+    calls = []
+    monkeypatch.setattr(lassodist.cli, "solve", _spy(calls, lassodist.solver.solve))
+    assert lassodist.cli.main(["solve", "--input", N1P2]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "solve_n1p2_uniform.json").read_text()
+    assert len(calls) == 1
+
+    tuning = ld.uniform_tuning(2, 0.4)
+    want = lassodist.geometry.map_ls_to_lasso(corr2, tuning, [0.9, -0.6])
+    calls.clear()
+    monkeypatch.setattr(lassodist.geometry, "solve", _spy(calls, lassodist.solver.solve))
+    got = lassodist.geometry.map_ls_to_lasso(corr2, tuning, [0.9, -0.6])
+    assert len(calls) == 1 and np.array_equal(got.b, want.b)
+
+    assert lassodist.distribution.solve_many is lassodist.solver.solve_many
+    assert lassodist.distribution.gaussian_chunks is lassodist.rng.gaussian_chunks
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lassodist.cli.no_such_name  # noqa: B018
 
 
 @pytest.mark.parametrize("args", [
