@@ -52,12 +52,21 @@ _HOMES = {name: module for module, names in {
 __all__ = sorted(_HOMES)
 
 
-def __getattr__(name):
-    if name not in _HOMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
+def _lazy(namespace, homes):
+    """A module `__getattr__` (PEP 562) that imports each name of `homes`
+    (name -> submodule of this package) on first use and stores it in the
+    module's `namespace`, so later lookups skip the hook."""
+
+    def __getattr__(name):
+        if name not in homes:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f".{homes[name]}", __name__), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy(globals(), _HOMES)
 
 
 def __dir__():

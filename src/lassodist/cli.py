@@ -7,9 +7,14 @@ All user-facing indices are 1-based; all floating-point output is serialized
 with 17 significant digits so values round-trip exactly.
 
 Exit codes: 0 success, 2 input error, 3 numerical or dimensional limit,
-64 unknown subcommand. A call builds the parser of its own subcommand only,
-and each handler imports the engine it calls; `solve` loads the solver on
-first use (PEP 562), so no other subcommand compiles it.
+64 unknown subcommand.
+
+Each subcommand is declared once, in `_SUBCOMMANDS`: its usage line, its
+handler and its options in parser order. The top-level usage text is built
+from that table, a call builds the parser of its own subcommand only, and
+the options that take a comma list or grid spec are the ones whose value may
+start with "-". Each handler imports the engine it calls; `solve` loads the
+solver on first use (PEP 562), so no other subcommand compiles it.
 
 `entry()`, the path of `python -m lassodist` and of the console script,
 freezes the garbage collector's tracked objects (`gc.freeze`) once `main()`
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lazy
 from .errors import (
     CombinatorialLimitError,
     ConditioningError,
@@ -49,33 +55,7 @@ from .model import (
 )
 
 
-def __getattr__(name):
-    if name != "solve":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .solver import solve
-
-    globals()[name] = solve  # later lookups skip this hook
-    return solve
-
-
-_USAGE = """\
-usage: lassodist <subcommand> [options]
-
-subcommands:
-  solve             weighted Lasso solution for a given y
-  structural-set    coordinates that some y can activate
-  selectable        can a given model be the active set exactly
-  check-unique      uniqueness of the solution for every y
-  general-position  columns-in-general-position test
-  prob-zero         P(bhat = 0)
-  orthant-prob      probability of one sign-orthant event
-  cdf               joint distribution function of the error
-  density-grid      CSV grid of the continuous-part density (p = 2)
-  simulate          Monte-Carlo replicates and empirical summaries
-  shrinkage-map     least-squares <-> Lasso correspondence
-
-Run `lassodist <subcommand> --help` for the options of one subcommand.
-"""
+__getattr__ = _lazy(globals(), {"solve": "solver"})
 
 
 def _render(obj, indent=0):
@@ -148,7 +128,10 @@ def load_envelope(path: str) -> Envelope:
     def vec(name, length):
         if data.get(name) is None:
             return None
-        v = np.asarray(data[name], dtype=float).ravel()
+        try:
+            v = np.asarray(data[name], dtype=float).ravel()
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: '{name}' is not a numeric vector: {exc}") from exc
         if v.shape[0] != length:
             raise InputError(f"{path}: '{name}' must have length {length}, got {v.shape[0]}")
         return v
@@ -157,9 +140,10 @@ def load_envelope(path: str) -> Envelope:
     beta = vec("beta", p)
     y = vec("y", problem.n)
     sigma = data.get("sigma")
-    if sigma is None:
-        sigma = 1.0
-    sigma = float(sigma)
+    try:
+        sigma = 1.0 if sigma is None else float(sigma)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: 'sigma' is not a number: {exc}") from exc
     if not sigma > 0:
         raise InputError(f"{path}: 'sigma' must be positive")
     if beta is None:
@@ -167,11 +151,15 @@ def load_envelope(path: str) -> Envelope:
     return Envelope(problem=problem, lam=lam, beta=beta, sigma=sigma, y=y)
 
 
-def _csv_floats(text: str, what: str) -> np.ndarray:
+def _vector(text: str, flag: str, length: int) -> np.ndarray:
+    """Parse the comma-separated value of `flag`, which must have `length` entries."""
     try:
-        return np.array([float(t) for t in text.split(",") if t.strip() != ""])
+        v = np.array([float(t) for t in text.split(",") if t.strip() != ""])
     except ValueError as exc:
-        raise InputError(f"bad {what} value: {exc}") from exc
+        raise InputError(f"bad {flag} value: {exc}") from exc
+    if v.shape[0] != length:
+        raise InputError(f"{flag} must have length {length}")
+    return v
 
 
 def _model_indices(text: str | None, p: int):
@@ -207,10 +195,7 @@ def _grid_spec(text: str):
 
 def _need_lam(env: Envelope, override: str | None) -> TuningVector:
     if override is not None:
-        lam = _csv_floats(override, "--lam")
-        if lam.shape[0] != env.problem.p:
-            raise InputError(f"--lam must have length {env.problem.p}")
-        return tuning_vector(lam)
+        return tuning_vector(_vector(override, "--lam", env.problem.p))
     if env.lam is None:
         raise InputError("the envelope has no 'lambda' and no --lam was given")
     return tuning_vector(env.lam)
@@ -218,10 +203,7 @@ def _need_lam(env: Envelope, override: str | None) -> TuningVector:
 
 def _need_y(env: Envelope, override: str | None) -> np.ndarray:
     if override is not None:
-        y = _csv_floats(override, "--y")
-        if y.shape[0] != env.problem.n:
-            raise InputError(f"--y must have length {env.problem.n}")
-        return y
+        return _vector(override, "--y", env.problem.n)
     if env.y is None:
         raise InputError("the envelope has no 'y' and no --y was given")
     return env.y
@@ -322,12 +304,11 @@ def _cmd_orthant_prob(args) -> str:
     tuning = _need_lam(env, args.lam)
     model = _model_from_env(env)
     p = env.problem.p
-    signs = [int(v) for v in _csv_floats(args.signs, "--signs")]
-    if len(signs) != p:
-        raise InputError(f"--signs must have length {p}")
-    z = _csv_floats(args.z, "--z") if args.z is not None else np.zeros(p)
-    if z.shape[0] != p:
-        raise InputError(f"--z must have length {p}")
+    signs = _vector(args.signs, "--signs", p)
+    if any(s not in (-1.0, 0.0, 1.0) for s in signs):
+        raise InputError(f"--signs entries must be -1, 0 or 1, got {args.signs!r}")
+    signs = [int(s) for s in signs]
+    z = _vector(args.z, "--z", p) if args.z is not None else np.zeros(p)
     event = distribution.estimator_orthant_event(model, z, SignVector(d=tuple(signs)))
     rp = distribution.prob_orthant_event(
         env.problem, model, tuning, event,
@@ -341,9 +322,7 @@ def _cmd_cdf(args) -> str:
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     model = _model_from_env(env)
-    z = _csv_floats(args.z, "--z")
-    if z.shape[0] != env.problem.p:
-        raise InputError(f"--z must have length {env.problem.p}")
+    z = _vector(args.z, "--z", env.problem.p)
     # the JSON output cannot echo an infinite threshold
     if not np.all(np.isfinite(z)):
         raise InputError(
@@ -382,9 +361,7 @@ def _cmd_simulate(args) -> str:
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     model = _model_from_env(env)
-    config = simulate.SimulationConfig(
-        n_rep=args.reps, seed=args.seed, solver_tol=args.tol or 1e-10
-    )
+    config = simulate.SimulationConfig(n_rep=args.reps, seed=args.seed, solver_tol=args.tol)
     summary = simulate.run_simulation(env.problem, model, tuning, config)
     if args.report == "csv":
         lines = ["axis,z,ecdf"]
@@ -422,9 +399,7 @@ def _cmd_shrinkage_map(args) -> str:
     if (args.b is None) == (args.z is None):
         raise InputError("shrinkage-map needs exactly one of --b or --z")
     if args.z is not None:
-        z = _csv_floats(args.z, "--z")
-        if z.shape[0] != p:
-            raise InputError(f"--z must have length {p}")
+        z = _vector(args.z, "--z", p)
         sol = geometry.map_ls_to_lasso(env.problem, tuning, z)
         return render_json({
             "direction": "ls-to-lasso",
@@ -432,106 +407,81 @@ def _cmd_shrinkage_map(args) -> str:
             "b": sol.b,
             "active_model": _one_based(sol.active_model),
         })
-    b = _csv_floats(args.b, "--b")
-    if b.shape[0] != p:
-        raise InputError(f"--b must have length {p}")
+    b = _vector(args.b, "--b", p)
     z = geometry.shrinkage_singleton(env.problem, tuning, b)
     return render_json({"direction": "lasso-to-ls", "b": b, "z_ls": z})
 
 
-def _add_common(parser, *, tol_default=None):
-    parser.add_argument("--input", required=True, help="problem envelope JSON file")
-    parser.add_argument("--lam", default=None, help="override lambda, comma-separated")
-    parser.add_argument("--tol", type=float, default=tol_default)
+def _opt(flag, **kwargs):
+    return flag, False, kwargs
 
 
-def _add_sampling(parser):
-    parser.add_argument("--method", choices=("quad", "mc"), default="quad")
-    parser.add_argument("--samples", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=0)
+def _list(flag, help, **kwargs):
+    """A comma list or grid spec, whose value may start with "-"."""
+    return flag, True, {"help": help, **kwargs}
 
 
-def _subcommands():
-    """Subcommand -> (adds its options to a parser, handler)."""
-    table = {}
-
-    def sub(name, configure, handler):
-        table[name] = (configure, handler)
-
-    def conf_solve(p):
-        _add_common(p, tol_default=1e-10)
-        p.add_argument("--y", default=None, help="response vector, comma-separated")
-
-    sub("solve", conf_solve, _cmd_solve)
-    sub("structural-set", lambda p: _add_common(p, tol_default=1e-9), _cmd_structural_set)
-
-    def conf_selectable(p):
-        _add_common(p, tol_default=1e-9)
-        p.add_argument("--model", default=None, help="1-based indices, comma-separated")
-
-    sub("selectable", conf_selectable, _cmd_selectable)
-    sub("check-unique", lambda p: _add_common(p, tol_default=1e-9), _cmd_check_unique)
-    sub("general-position", lambda p: p.add_argument("--input", required=True),
-        _cmd_general_position)
-
-    def conf_prob_zero(p):
-        _add_common(p)
-        _add_sampling(p)
-
-    sub("prob-zero", conf_prob_zero, _cmd_prob_zero)
-
-    def conf_orthant(p):
-        _add_common(p)
-        _add_sampling(p)
-        p.add_argument("--signs", required=True,
-                       help="orthant signs in {-1,0,1}, comma-separated")
-        p.add_argument("--z", default=None,
-                       help="estimator-coordinate thresholds, comma-separated (default 0)")
-
-    sub("orthant-prob", conf_orthant, _cmd_orthant_prob)
-
-    def conf_cdf(p):
-        _add_common(p)
-        p.add_argument("--z", required=True, help="evaluation point, comma-separated")
-        p.add_argument("--coords", choices=("error", "estimator"), default="error")
-
-    sub("cdf", conf_cdf, _cmd_cdf)
-
-    def conf_grid(p):
-        _add_common(p)
-        p.add_argument("--grid", action="append",
-                       help="lo:hi:steps, once per axis (repeat for distinct axes)")
-
-    sub("density-grid", conf_grid, _cmd_density_grid)
-
-    def conf_sim(p):
-        _add_common(p)
-        p.add_argument("--reps", type=int, default=100_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--report", choices=("json", "csv"), default="json")
-
-    sub("simulate", conf_sim, _cmd_simulate)
-
-    def conf_shrink(p):
-        _add_common(p)
-        p.add_argument("--b", default=None, help="Lasso solution, comma-separated")
-        p.add_argument("--z", default=None, help="least-squares point, comma-separated")
-
-    sub("shrinkage-map", conf_shrink, _cmd_shrinkage_map)
-    return table
+def _tol(default):
+    return _opt("--tol", type=float, default=default)
 
 
-_VALUE_FLAGS = frozenset({"--lam", "--y", "--z", "--b", "--signs", "--grid", "--model"})
+_INPUT = _opt("--input", required=True, help="problem envelope JSON file")
+_LAM = _list("--lam", "override lambda, comma-separated")
+_SAMPLING = (
+    _opt("--method", choices=("quad", "mc"), default="quad"),
+    _opt("--samples", type=int, default=100_000),
+    _opt("--seed", type=int, default=0),
+)
+
+# subcommand -> (usage line, handler, options in parser order)
+_SUBCOMMANDS = {
+    "solve": ("weighted Lasso solution for a given y", _cmd_solve, (
+        _INPUT, _LAM, _tol(1e-10), _list("--y", "response vector, comma-separated"))),
+    "structural-set": ("coordinates that some y can activate", _cmd_structural_set, (
+        _INPUT, _LAM, _tol(1e-9))),
+    "selectable": ("can a given model be the active set exactly", _cmd_selectable, (
+        _INPUT, _LAM, _tol(1e-9), _list("--model", "1-based indices, comma-separated"))),
+    "check-unique": ("uniqueness of the solution for every y", _cmd_check_unique, (
+        _INPUT, _LAM, _tol(1e-9))),
+    "general-position": ("columns-in-general-position test", _cmd_general_position, (
+        _opt("--input", required=True),)),
+    "prob-zero": ("P(bhat = 0)", _cmd_prob_zero, (_INPUT, _LAM, *_SAMPLING)),
+    "orthant-prob": ("probability of one sign-orthant event", _cmd_orthant_prob, (
+        _INPUT, _LAM, *_SAMPLING,
+        _list("--signs", "orthant signs in {-1,0,1}, comma-separated", required=True),
+        _list("--z", "estimator-coordinate thresholds, comma-separated (default 0)"))),
+    "cdf": ("joint distribution function of the error", _cmd_cdf, (
+        _INPUT, _LAM, _list("--z", "evaluation point, comma-separated", required=True),
+        _opt("--coords", choices=("error", "estimator"), default="error"))),
+    "density-grid": ("CSV grid of the continuous-part density (p = 2)", _cmd_density_grid, (
+        _INPUT, _LAM,
+        _list("--grid", "lo:hi:steps, once per axis (repeat for distinct axes)",
+              action="append"))),
+    "simulate": ("Monte-Carlo replicates and empirical summaries", _cmd_simulate, (
+        _INPUT, _LAM, _tol(1e-10), _opt("--reps", type=int, default=100_000),
+        _opt("--seed", type=int, default=0),
+        _opt("--report", choices=("json", "csv"), default="json"))),
+    "shrinkage-map": ("least-squares <-> Lasso correspondence", _cmd_shrinkage_map, (
+        _INPUT, _LAM, _list("--b", "Lasso solution, comma-separated"),
+        _list("--z", "least-squares point, comma-separated"))),
+}
+
+_USAGE = (
+    "usage: lassodist <subcommand> [options]\n\nsubcommands:\n"
+    + "".join(f"  {name:<18}{line}\n" for name, (line, _, _) in _SUBCOMMANDS.items())
+    + "\nRun `lassodist <subcommand> --help` for the options of one subcommand.\n"
+)
 
 
-def _join_negative_values(tokens):
-    """Turn `--z -0.5,1` into `--z=-0.5,1` so argparse accepts the value."""
+def _join_negative_values(tokens, lists):
+    """Turn `--z -0.5,1` into `--z=-0.5,1` for each flag in `lists`, so
+    argparse accepts the value."""
     out = []
     i = 0
     while i < len(tokens):
         tok = tokens[i]
         nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-        if tok in _VALUE_FLAGS and nxt is not None and nxt.startswith("-"):
+        if tok in lists and nxt is not None and nxt.startswith("-"):
             out.append(f"{tok}={nxt}")
             i += 2
         else:
@@ -545,15 +495,16 @@ def main(argv=None) -> int:
     if argv and argv[0] in ("-h", "--help"):
         sys.stdout.write(_USAGE)
         return 0
-    subcommands = _subcommands()
-    if not argv or argv[0] not in subcommands:
+    if not argv or argv[0] not in _SUBCOMMANDS:
         sys.stderr.write(_USAGE)
         return 64
-    configure, handler = subcommands[argv[0]]
+    _, handler, options = _SUBCOMMANDS[argv[0]]
     parser = argparse.ArgumentParser(prog=f"lassodist {argv[0]}")
-    configure(parser)
+    for flag, _, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    lists = {flag for flag, is_list, _ in options if is_list}
     try:
-        args = parser.parse_args(_join_negative_values(argv[1:]))
+        args = parser.parse_args(_join_negative_values(argv[1:], lists))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:

@@ -39,25 +39,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import import_module
 from itertools import product
 
 import numpy as np
 
+from . import _lazy
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
 from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
 
 # uncalled here, but read as attributes of this module: perfbench/tracing.py
 # wraps both and perfbench/worker.py calls solve_many. They load on first use
-_LAZY = {"solve_many": "solver", "gaussian_chunks": "rng"}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_LAZY[name]}", __package__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
+__getattr__ = _lazy(globals(), {"solve_many": "solver", "gaussian_chunks": "rng"})
 
 
 QUAD_DIM_LIMIT = 6
@@ -382,7 +374,7 @@ def _event_indicator(z, d: SignVector, beta, zero_tol):
 
 
 def _mc_probability(problem, model, tuning, indicator, n_samples, seed, solver_tol):
-    from .simulate import _solve_replicates  # simulate imports this module at load time
+    from .simulate import _solve_replicates  # loads the solver, which closed forms never run
 
     hits = []
     _solve_replicates(problem, model, tuning, n_samples, seed, solver_tol,

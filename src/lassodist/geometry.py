@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _lazy
 from .errors import CombinatorialLimitError, InputError, NumericalError
 from .model import ZERO_TOL, DesignProblem, TuningVector, sign_partition
 from .simplex import feasible_point
@@ -30,13 +31,7 @@ SELECTABLE_LIMIT = 30
 GENERAL_POSITION_LIMIT = 12
 
 
-def __getattr__(name):
-    if name != "solve":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .solver import solve
-
-    globals()[name] = solve  # later lookups skip this hook
-    return solve
+__getattr__ = _lazy(globals(), {"solve": "solver"})
 
 
 @dataclass(frozen=True, eq=False)

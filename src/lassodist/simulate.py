@@ -10,15 +10,18 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distribution import RegionProbability, _binomial_probability
 from .errors import ConvergenceError, InputError
 from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
 from .rng import gaussian_chunks
 from .solver import DEFAULT_TOL, kernel_sign_cone_nonempty, solve_many
 from .solver import _cone_arguments, _uniqueness_classes
+
+if TYPE_CHECKING:
+    from .distribution import RegionProbability
 
 # a Monte-Carlo call counts up to this share of unconverged replicates, and raises above it
 _MAX_UNCONVERGED_SHARE = 0.001
@@ -178,6 +181,8 @@ def estimate_nonuniqueness_probability(
     config: SimulationConfig,
 ) -> RegionProbability:
     """Fraction of replicates whose solution set is not a single point."""
+    from .distribution import _binomial_probability  # other calls never compile it
+
     summary = run_simulation(problem, model, tuning, config)
     return _binomial_probability(summary.nonunique_count, config.n_rep, config.seed)
 

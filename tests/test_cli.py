@@ -119,7 +119,9 @@ runpy.run_module("lassodist", run_name="__main__", alter_sys=True)
     (("orthant-prob", "--input", CORR2, "--signs", "0,0"), "orthant_prob_corr2.json",
      {"lassodist.geometry", "lassodist.simulate", "lassodist.solver", "lassodist.simplex",
       "lassodist.rng", "numpy.random"}),
-], ids=["check-unique", "orthant-prob.closed-form"])
+    (("simulate", "--input", N1P2, "--reps", "2000", "--seed", "3"), "simulate_n1p2.json",
+     {"lassodist.distribution", "lassodist.geometry"}),
+], ids=["check-unique", "orthant-prob.closed-form", "simulate"])
 def test_call_loads_only_its_engine(args, golden, absent):
     proc, loaded, _ = _state_at_exit(*args)
     assert proc.returncode == 0, proc.stderr
@@ -224,10 +226,10 @@ def test_engine_table_covers_the_subcommands():
     from lassodist import cli
     from lassodist.__main__ import ENGINES
 
-    assert set(ENGINES) == set(cli._subcommands())
+    assert set(ENGINES) == set(cli._SUBCOMMANDS)
     listed = [line.split()[0] for line in cli._USAGE.split("subcommands:")[1].splitlines()
               if line.startswith("  ")]
-    assert listed == list(cli._subcommands())
+    assert listed == list(cli._SUBCOMMANDS)
     for module in set(ENGINES.values()):
         importlib.import_module(f"lassodist.{module}")
 
@@ -284,6 +286,26 @@ def test_help_and_usage():
     assert none.returncode == 64
 
 
+def test_every_subcommand_builds_its_parser(capsys):
+    # a call builds only its own parser, so a bad option spec would show
+    # only when that one subcommand runs
+    from lassodist import cli
+
+    for name in cli._SUBCOMMANDS:
+        assert cli.main([name, "--help"]) == 0, name
+        assert capsys.readouterr().out.startswith(f"usage: lassodist {name} "), name
+
+
+def test_tol_only_where_it_is_read():
+    for args in (("cdf", "--input", CORR2, "--z", "0.4,-0.1", "--tol", "1e-3"),
+                 ("prob-zero", "--input", N1P2, "--tol", "1e-3")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2 and "--tol" in proc.stderr, args
+    # simulate's default tolerance sits in the option table; 0 is not mapped to it
+    zero = run_cli("simulate", "--input", N1P2, "--reps", "10", "--tol", "0")
+    assert zero.returncode == 2 and zero.stderr == "error: tolerances must be positive\n"
+
+
 def test_input_error_exit_codes(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -298,6 +320,20 @@ def test_input_error_exit_codes(tmp_path):
 
     # envelope has no y and none was passed
     assert run_cli("solve", "--input", D2X4).returncode == 2
+
+    # malformed vectors and sigma: one error line naming the entry, no traceback
+    for i, (fields, name) in enumerate((
+        ({"lambda": "ab"}, "'lambda'"),
+        ({"lambda": [1, [2, 3]]}, "'lambda'"),
+        ({"lambda": [1, 1], "sigma": "x"}, "'sigma'"),
+        ({"lambda": [1, 1], "sigma": [1]}, "'sigma'"),
+    )):
+        env = tmp_path / f"malformed{i}.json"
+        env.write_text(json.dumps({"X": [[1.0, 2.0]], **fields}))
+        proc = run_cli("check-unique", "--input", str(env))
+        assert proc.returncode == 2, fields
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert name in proc.stderr
 
     wrong_z = run_cli("cdf", "--input", CORR2, "--z", "0.1,0.2,0.3")
     assert wrong_z.returncode == 2
@@ -336,6 +372,14 @@ def test_limit_errors_exit_code_3(tmp_path):
 
     grid3 = run_cli("density-grid", "--input", str(big), "--grid", "0:1:2")
     assert grid3.returncode == 3
+
+
+def test_signs_outside_minus_one_zero_one_rejected():
+    # no entry is truncated to an integer
+    for signs in ("0.7,0.2", "1,2", "-1,nan"):
+        proc = run_cli("orthant-prob", "--input", CORR2, "--signs", signs)
+        assert proc.returncode == 2, signs
+        assert proc.stderr.startswith("error: --signs"), proc.stderr
 
 
 def test_negative_flag_values_accepted():
