@@ -21,12 +21,13 @@ terms. These paths need full column rank, except P(bhat = 0): in the
 reduced-rank representation X'y is a Gaussian of rank rk(X), and the
 rectangle kernel takes a factor of any rank (after Genz & Kwong 2000).
 
-Imports: the module needs numpy alone, and no call loads scipy. numpy.random
-loads at the first QMC block, which seeds its lattice shifts; closed-form
-calls never load it. The solver and the replicate generator load only with
-the Monte-Carlo path (through `simulate`), so closed-form and Genz calls
-compile neither. The Genz kernel's Phi and Phi^-1 are numpy ports of cephes
-ndtr and of Wichura's AS241 (_ndtr, _ndtri).
+Imports: the module needs numpy alone, and no call loads scipy. The first
+QMC block loads `rng`, whose pure-Python Philox stream draws the lattice
+shifts; closed-form calls never load it, and no quadrature call loads
+numpy.random. The solver and the Gaussian replicate generator load only
+with the Monte-Carlo path (through `simulate`), so closed-form and Genz
+calls compile neither. The Genz kernel's Phi and Phi^-1 are numpy ports of
+cephes ndtr and of Wichura's AS241 (_ndtr, _ndtri).
 
 Event-threshold convention: a threshold z_j = -beta_j on a D+- coordinate is
 accepted and yields the open event {bhat_j < 0} (resp. > 0); thresholds
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import _lazy
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
-from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
+from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector, _check_seed
 
 # uncalled here, but read as attributes of this module: perfbench/tracing.py
 # wraps both and perfbench/worker.py calls solve_many. They load on first use
@@ -342,6 +343,7 @@ def prob_orthant_event(
     """
     _check_shapes(problem, model, tuning)
     _validate_event(event, model, problem.p)
+    seed = _check_seed(seed)
     z, d = event.z, event.d
 
     if method == "mc":
@@ -400,6 +402,7 @@ def prob_all_zero(
     whose lattice shifts seed seeds).
     """
     _check_shapes(problem, model, tuning)
+    seed = _check_seed(seed)
     if method == "mc":
         def all_zero(B, _tol=zero_tol):
             return np.all(np.abs(B) <= _tol, axis=1)
@@ -623,6 +626,7 @@ def mvn_box_probability(
         raise InputError("lower bound exceeds upper bound")
     if n_shifts < 2:
         raise InputError(f"n_shifts must be at least 2 for a standard error, got {n_shifts}")
+    seed = _check_seed(seed)
     sym = 0.5 * (cov + cov.T)
     if not np.allclose(cov, sym, rtol=1e-8, atol=1e-12):
         raise InputError("covariance must be symmetric")
@@ -666,8 +670,9 @@ def _rectangle(factor, a, b, seed, n_samples=_GENZ_POINTS, n_shifts=8):
     Genz's transform in q - 1 dimensions on n_shifts random shifts of one
     Korobov lattice (see _shifted_lattice), one shift's points at a time,
     with the standard error of the mean of the shift estimates. seed is
-    (entropy, spawn_key): the shifts are those of the numpy SeedSequence
-    (entropy, spawn_key=spawn_key), and an int seed s passes as (s, ()).
+    (entropy, spawn_key): the shifts are rng.philox_uniforms(entropy,
+    spawn_key, ...), bitwise numpy's Philox stream of SeedSequence(entropy,
+    spawn_key=spawn_key), and an int seed s passes as (s, ()).
     """
     q = factor.shape[1]
     last = np.max(np.where(factor != 0.0, np.arange(q), -1), axis=1, initial=-1)
@@ -708,23 +713,26 @@ def _shifted_lattice(n, dim, n_shifts, seed):
     z = (1, a, a^2, ...) mod n, each folded by the baker's transform
     1 - |2x - 1|: yields one (n, dim) array per shift.
 
-    The shifts are uniform draws of one Philox generator seeded by the numpy
-    SeedSequence of seed = (entropy, spawn_key), built only here. The
-    Korobov multiplier a is _KOROBOV's entry for (n, dim). Dimensions beyond
-    5 (factors of 7 or more columns) reuse the dim-5 multiplier, which was
-    not chosen for them. The estimate stays unbiased, and z repeats no entry
-    up to dimension 16 at any n of the table (the least multiplicative order
-    of a multiplier there is 16); beyond that, coordinates repeat and the
-    rule degrades.
+    The shifts are the first n_shifts * dim uniforms, row by row, of
+    rng.philox_uniforms(entropy, spawn_key) for seed = (entropy, spawn_key):
+    a pure-Python port of numpy's Philox stream of SeedSequence(entropy,
+    spawn_key=spawn_key), so they are bitwise numpy's and do not depend on
+    the installed numpy. The Korobov multiplier a is _KOROBOV's entry for
+    (n, dim). Dimensions beyond 5 (factors of 7 or more columns) reuse the
+    dim-5 multiplier, which was not chosen for them. The estimate stays
+    unbiased, and z repeats no entry up to dimension 16 at any n of the
+    table (the least multiplicative order of a multiplier there is 16);
+    beyond that, coordinates repeat and the rule degrades.
     """
     a = _KOROBOV[n, min(max(dim, 2), 5)]  # z = (1,) in one dimension
     z = np.ones(dim, dtype=np.int64)
     for j in range(1, dim):
         z[j] = z[j - 1] * a % n
     lattice = (np.arange(n, dtype=np.int64)[:, None] * z % n) / n
+    from .rng import philox_uniforms  # closed-form calls never load rng
+
     entropy, key = seed
-    seq = np.random.SeedSequence(entropy, spawn_key=key)
-    for shift in np.random.Generator(np.random.Philox(seq)).random((n_shifts, dim)):
+    for shift in np.reshape(philox_uniforms(entropy, key, n_shifts * dim), (n_shifts, dim)):
         yield 1.0 - np.abs(2.0 * ((lattice + shift) % 1.0) - 1.0)
 
 

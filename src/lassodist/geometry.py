@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _lazy
 from .errors import CombinatorialLimitError, InputError, NumericalError
-from .model import ZERO_TOL, DesignProblem, TuningVector, sign_partition
+from .model import ZERO_TOL, DesignProblem, TuningVector, _check_tol, sign_partition
 from .simplex import feasible_point
 
 if TYPE_CHECKING:
@@ -117,6 +117,7 @@ def face_intersects_row_space(problem: DesignProblem, face: FaceBox, tol: float 
     """
     if face.lam.shape[0] != problem.p:
         raise InputError("face does not match the design dimension")
+    _check_tol(tol)
     X = problem.X
     fixed = face.fixed_sign != 0
     a_eq = X[:, fixed].T
@@ -138,6 +139,7 @@ def selectable(problem: DesignProblem, tuning: TuningVector, model, tol: float =
     model = sorted({int(j) for j in model})
     if tuning.p != problem.p:
         raise InputError("tuning vector length does not match the design")
+    _check_tol(tol)
     if any(not 0 <= j < problem.p for j in model):
         raise InputError("model indices out of range")
     if len(model) > SELECTABLE_LIMIT:
@@ -160,6 +162,7 @@ def structural_set(problem: DesignProblem, tuning: TuningVector, tol: float = 1e
     """
     if tuning.p != problem.p:
         raise InputError("tuning vector length does not match the design")
+    _check_tol(tol)
     members = []
     for j in range(problem.p):
         if tuning.lam[j] == 0.0:
@@ -256,6 +259,7 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
     """
     if tuning.p != problem.p:
         raise InputError("tuning vector length does not match the design")
+    _check_tol(tol)
     if problem.p > UNIQUENESS_LIMIT:
         raise CombinatorialLimitError(
             f"p={problem.p} exceeds the enumeration limit {UNIQUENESS_LIMIT}; "

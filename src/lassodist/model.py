@@ -7,6 +7,7 @@ construction time and frozen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,24 @@ ZERO_TOL = 1e-9
 
 # singular value sigma_k counts toward the rank iff sigma_k > max(n,p)*smax*RANK_RTOL
 RANK_RTOL = 1e-12
+
+
+def _check_seed(seed) -> int:
+    """seed as an int; a negative or non-integral seed raises InputError."""
+    try:
+        if int(seed) == seed and seed >= 0:
+            return int(seed)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError("seed must be a nonnegative integer")
+
+
+def _check_tol(tol, name: str = "tol") -> None:
+    """Raise InputError unless tol is finite and positive."""
+    if not tol > 0:
+        raise InputError(f"{name} must be positive")
+    if not math.isfinite(tol):
+        raise InputError(f"{name} must be finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
+from .model import _check_seed, _check_tol
 from .rng import gaussian_chunks
 from .solver import DEFAULT_TOL, kernel_sign_cone_nonempty, solve_many
 from .solver import _cone_arguments, _uniqueness_classes
@@ -39,10 +40,9 @@ class SimulationConfig:
     def __post_init__(self):
         if int(self.n_rep) != self.n_rep or self.n_rep < 1:
             raise InputError("n_rep must be a positive integer")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise InputError("seed must be a nonnegative integer")
-        if not (self.zero_tol > 0 and self.solver_tol > 0):
-            raise InputError("tolerances must be positive")
+        _check_seed(self.seed)
+        _check_tol(self.zero_tol, "tolerances")
+        _check_tol(self.solver_tol, "tolerances")
         if self.ecdf_points < 2 or not self.ecdf_span > 0:
             raise InputError("ecdf grid needs >= 2 points and a positive span")
 

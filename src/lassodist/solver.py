@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .model import ZERO_TOL, DesignProblem, TuningVector
+from .model import ZERO_TOL, DesignProblem, TuningVector, _check_tol
 from .simplex import feasible
 
 DEFAULT_TOL = 1e-10
@@ -119,8 +119,8 @@ def _check_inputs(problem, Y, tuning, tol=None):
         raise InputError("responses have non-finite entries")
     if tuning.p != problem.p:
         raise InputError("tuning vector length does not match the design")
-    if tol is not None and not tol > 0:
-        raise InputError("tol must be positive")
+    if tol is not None:
+        _check_tol(tol)
     return Y
 
 
@@ -374,7 +374,7 @@ def is_solution(
     zero_tol: float = ZERO_TOL,
 ) -> KKTReport:
     """Certify b against the first-order conditions at tolerance tol."""
-    y = _check_inputs(problem, np.ravel(y), tuning)[0]
+    y = _check_inputs(problem, np.ravel(y), tuning, tol)[0]
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != problem.p:
         raise InputError(f"b must have length p={problem.p}")

@@ -113,27 +113,30 @@ runpy.run_module("lassodist", run_name="__main__", alter_sys=True)
     return proc, set(modules), frozen
 
 
-@pytest.mark.parametrize("args,golden,absent", [
-    (("check-unique", "--input", D2X4), "check_unique_2x4.json",
+# a Genz block draws its lattice shifts through lassodist.rng, without numpy.random
+_QUADRATURE_ABSENT = {"lassodist.geometry", "lassodist.simulate", "lassodist.solver",
+                      "lassodist.simplex", "numpy.random"}
+
+
+@pytest.mark.parametrize("args,golden,present,absent", [
+    (("check-unique", "--input", D2X4), "check_unique_2x4.json", {"lassodist.geometry"},
      {"lassodist.distribution", "lassodist.simulate", "lassodist.solver", "numpy.random"}),
     (("orthant-prob", "--input", CORR2, "--signs", "0,0"), "orthant_prob_corr2.json",
-     {"lassodist.geometry", "lassodist.simulate", "lassodist.solver", "lassodist.simplex",
-      "lassodist.rng", "numpy.random"}),
+     {"lassodist.distribution"}, _QUADRATURE_ABSENT | {"lassodist.rng"}),
+    (("orthant-prob", "--input", CORR3, "--signs", "0,0,0"), "orthant_prob_corr3.json",
+     {"lassodist.distribution", "lassodist.rng"}, _QUADRATURE_ABSENT),
+    (("cdf", "--input", CORR3, "--z", "0.5,0.5,0.5"), "cdf_corr3.json",
+     {"lassodist.distribution", "lassodist.rng"}, _QUADRATURE_ABSENT),
     (("simulate", "--input", N1P2, "--reps", "2000", "--seed", "3"), "simulate_n1p2.json",
+     {"lassodist.simulate", "lassodist.solver", "numpy.random"},
      {"lassodist.distribution", "lassodist.geometry"}),
-], ids=["check-unique", "orthant-prob.closed-form", "simulate"])
-def test_call_loads_only_its_engine(args, golden, absent):
+], ids=["check-unique", "orthant-prob.closed-form", "orthant-prob.genz", "cdf.genz", "simulate"])
+def test_call_loads_only_its_engine(args, golden, present, absent):
     proc, loaded, _ = _state_at_exit(*args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / golden).read_text()
+    assert present <= loaded, present - loaded
     assert not loaded & absent, loaded & absent
-
-
-def test_genz_block_loads_numpy_random():
-    proc, loaded, _ = _state_at_exit("orthant-prob", "--input", CORR3, "--signs", "0,0,0")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / "orthant_prob_corr3.json").read_text()
-    assert {"numpy.random", "lassodist.distribution"} <= loaded
 
 
 def test_call_freezes_the_heap_before_teardown():
@@ -306,6 +309,22 @@ def test_tol_only_where_it_is_read():
     assert zero.returncode == 2 and zero.stderr == "error: tolerances must be positive\n"
 
 
+def test_tol_must_be_finite_and_positive(capsys):
+    # each of these exits 0 with a changed answer if the tolerance is let through
+    from lassodist import cli
+
+    for args in (("structural-set", "--input", N1P2, "--tol", "-1"),
+                 ("structural-set", "--input", N1P2, "--tol", "nan"),
+                 ("check-unique", "--input", N1P2, "--tol", "0"),
+                 ("check-unique", "--input", N1P2, "--tol", "-1"),
+                 ("selectable", "--input", N1P2, "--model", "2", "--tol", "inf"),
+                 ("solve", "--input", N1P2, "--tol", "inf"),
+                 ("simulate", "--input", N1P2, "--tol", "inf", "--reps", "5")):
+        assert cli.main(list(args)) == 2, args
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "must be" in err, (args, err)
+
+
 def test_input_error_exit_codes(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -344,6 +363,14 @@ def test_input_error_exit_codes(tmp_path):
 
     wrong_signs = run_cli("orthant-prob", "--input", CORR2, "--signs", "1")
     assert wrong_signs.returncode == 2
+
+    # a negative seed: Genz blocks (corr3) and a closed form (corr2) alike
+    for args in (("orthant-prob", "--input", CORR3, "--signs", "0,0,0", "--seed", "-1"),
+                 ("prob-zero", "--input", CORR3, "--seed", "-5"),
+                 ("orthant-prob", "--input", CORR2, "--signs", "0,0", "--seed", "-1")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert proc.stderr == "error: seed must be a nonnegative integer\n", proc.stderr
 
     # missing required argument trips argparse
     assert run_cli("cdf", "--input", CORR2).returncode == 2

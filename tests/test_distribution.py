@@ -681,6 +681,26 @@ def test_mvn_box_rejects_fewer_than_two_shifts():
     assert r.n_samples == 8192 and r.quad_tol > 0.0
 
 
+def test_negative_seed_raises_input_error(setup2):
+    # closed forms (p = 2) and Genz blocks (p = 3), quadrature and Monte Carlo
+    prob, model, tuning = setup2
+    gram3 = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.4], [0.2, 0.4, 1.0]])
+    prob3 = ld.design_from_gram(gram3)
+    model3, tuning3 = ld.gaussian_model(prob3, np.zeros(3), 1.0), ld.uniform_tuning(3, 0.5)
+    event2, event3 = ld.error_orthant_event(-BETA2, (0, 0)), ld.error_orthant_event(np.zeros(3), (0, 0, 0))
+    for call in (
+        lambda: ld.prob_orthant_event(prob, model, tuning, event2, seed=-1),
+        lambda: ld.prob_orthant_event(prob3, model3, tuning3, event3, seed=-1),
+        lambda: ld.prob_all_zero(prob3, model3, tuning3, seed=-5),
+        lambda: ld.prob_all_zero(prob, model, tuning, method="mc", n_samples=10, seed=-1),
+        lambda: ld.mvn_box_probability(np.zeros(3), gram3, -np.ones(3), np.ones(3), seed=-1),
+        lambda: ld.prob_region_high(prob, model, tuning, ld.region_below([0.0, 0.0]),
+                                    n_samples=10, seed=-1),
+    ):
+        with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+            call()
+
+
 def test_mvn_box_validation():
     with pytest.raises(InputError):
         ld.mvn_box_probability([0.0], [[1.0]], [1.0], [-1.0])

@@ -11,6 +11,20 @@ from lassodist import geometry
 from lassodist.geometry import _sign_patterns, face_box, face_intersects_row_space
 
 
+def test_tolerances_must_be_finite_and_positive(n1p2):
+    t = ld.uniform_tuning(2, 1.0)
+    face = face_box(t, (1,), (1,))
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        for call in (
+            lambda: ld.structural_set(n1p2, t, tol=tol),
+            lambda: ld.selectable(n1p2, t, (1,), tol=tol),
+            lambda: ld.check_uniqueness(n1p2, t, tol=tol),
+            lambda: face_intersects_row_space(n1p2, face, tol=tol),
+        ):
+            with pytest.raises(InputError, match="tol must be"):
+                call()
+
+
 def test_face_box_basics():
     t = ld.tuning_vector([1.0, 2.0, 0.0])
     face = face_box(t, (0, 2), (-1, -1))

@@ -17,8 +17,11 @@ def test_config_validation():
         ld.SimulationConfig(n_rep=0)
     with pytest.raises(InputError):
         ld.SimulationConfig(seed=-1)
-    with pytest.raises(InputError):
-        ld.SimulationConfig(zero_tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(InputError):
+            ld.SimulationConfig(zero_tol=tol)
+        with pytest.raises(InputError):
+            ld.SimulationConfig(solver_tol=tol)
     with pytest.raises(InputError):
         ld.SimulationConfig(ecdf_points=1)
     with pytest.raises(InputError):

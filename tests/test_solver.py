@@ -94,8 +94,9 @@ def test_solve_many_checks_inputs_like_solve(n1p2):
     t = ld.uniform_tuning(2, 1.0)
     with pytest.raises(InputError):
         ld.solve_many(n1p2, [[np.nan], [3.0], [np.inf]], t)
-    with pytest.raises(InputError):
-        ld.solve_many(n1p2, [[3.0]], t, tol=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(InputError):
+            ld.solve_many(n1p2, [[3.0]], t, tol=tol)
     with pytest.raises(InputError):
         ld.solve_many(n1p2, [[3.0, 1.0]], t)
 
@@ -108,8 +109,13 @@ def test_input_validation(n1p2):
         ld.solve(n1p2, [np.nan], t)
     with pytest.raises(InputError):
         ld.solve(n1p2, [1.0], ld.uniform_tuning(3, 1.0))
-    with pytest.raises(InputError):
-        ld.solve(n1p2, [1.0], t, tol=0.0)
+    # an infinite tolerance would accept the first sweep's iterate, and
+    # would certify any b
+    for tol in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InputError):
+            ld.solve(n1p2, [1.0], t, tol=tol)
+        with pytest.raises(InputError):
+            ld.is_solution(n1p2, [1.0], t, [5.0, 5.0], tol=tol)
     with pytest.raises(InputError):
         ld.is_solution(n1p2, [1.0], t, [0.0, 0.0, 0.0])
 
