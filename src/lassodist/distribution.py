@@ -22,10 +22,10 @@ reduced-rank representation X'y is a Gaussian of rank rk(X), and the
 rectangle kernel takes a factor of any rank (after Genz & Kwong 2000).
 
 Imports: the module needs numpy alone, and no call loads scipy. The first
-QMC block loads `rng`, whose pure-Python Philox stream draws the lattice
-shifts; closed-form calls never load it, and no quadrature call loads
-numpy.random. The solver and the Gaussian replicate generator load only
-with the Monte-Carlo path (through `simulate`), so closed-form and Genz
+QMC block imports the standard library's `random` to draw the lattice
+shifts; closed-form calls never import it, and no quadrature call loads
+numpy.random. The solver and the Gaussian replicate generator (`rng`) load
+only with the Monte-Carlo path (through `simulate`), so closed-form and Genz
 calls compile neither. The Genz kernel's Phi and Phi^-1 are numpy ports of
 cephes ndtr and of Wichura's AS241 (_ndtr, _ndtri).
 
@@ -46,7 +46,8 @@ import numpy as np
 
 from . import _lazy
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
-from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector, _check_seed
+from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
+from .model import _check_seed, _check_zero_tol
 
 # uncalled here, but read as attributes of this module: perfbench/tracing.py
 # wraps both and perfbench/worker.py calls solve_many. They load on first use
@@ -255,8 +256,7 @@ def _pattern_prob(problem, model, tuning, signs, lower, upper, seed):
     """Rectangle-kernel results (estimate, standard error, rounding bound, QMC
     points) of P(lower_A <= u_A <= upper_A) and of P(s_0 in the lambda-box)
     for one pattern; bounds off A are not read. seed is (entropy, spawn_key);
-    the two blocks take spawn keys key + (0,) and key + (1,), bitwise the
-    children SeedSequence(entropy, spawn_key=key).spawn(2)."""
+    the two blocks take spawn keys key + (0,) and key + (1,)."""
     moving, (mean_a, cov_a), (mean_0, cov_0) = _pattern(problem, model, tuning, signs)
     entropy, key = seed
     seed_a, seed_0 = (entropy, key + (0,)), (entropy, key + (1,))
@@ -344,6 +344,7 @@ def prob_orthant_event(
     _check_shapes(problem, model, tuning)
     _validate_event(event, model, problem.p)
     seed = _check_seed(seed)
+    _check_zero_tol(zero_tol)
     z, d = event.z, event.d
 
     if method == "mc":
@@ -403,6 +404,7 @@ def prob_all_zero(
     """
     _check_shapes(problem, model, tuning)
     seed = _check_seed(seed)
+    _check_zero_tol(zero_tol)
     if method == "mc":
         def all_zero(B, _tol=zero_tol):
             return np.all(np.abs(B) <= _tol, axis=1)
@@ -490,9 +492,9 @@ def cdf(
     on D+, s_0 in the lambda-box. A part is dropped whenever its own
     constraint set is empty (z_j < -beta_j on D0, z_j <= -beta_j on D+).
     Pattern i of the product order draws its lattice shifts from the seed
-    (0, (i,)), bitwise the child SeedSequence(0).spawn(3^p)[i], so the parts'
-    QMC errors are independent and the error bound is 7 sqrt(sum of their
-    squared standard errors) plus the summed rounding terms. Raises
+    (0, (i,)), so the parts' QMC errors are independent and the error bound
+    is 7 sqrt(sum of their squared standard errors) plus the summed rounding
+    terms. Raises
     NumericalError when that bound exceeds quad_tol.
     """
     _check_shapes(problem, model, tuning)
@@ -554,6 +556,7 @@ def error_density(problem: DesignProblem, model: GaussianModel, tuning: TuningVe
 
 def region_support_includes(j: int, zero_tol: float = ZERO_TOL):
     """Predicate factory: solutions whose coordinate j is active."""
+    _check_zero_tol(zero_tol)
 
     def region(B):
         return np.abs(B[:, j]) > zero_tol
@@ -670,9 +673,8 @@ def _rectangle(factor, a, b, seed, n_samples=_GENZ_POINTS, n_shifts=8):
     Genz's transform in q - 1 dimensions on n_shifts random shifts of one
     Korobov lattice (see _shifted_lattice), one shift's points at a time,
     with the standard error of the mean of the shift estimates. seed is
-    (entropy, spawn_key): the shifts are rng.philox_uniforms(entropy,
-    spawn_key, ...), bitwise numpy's Philox stream of SeedSequence(entropy,
-    spawn_key=spawn_key), and an int seed s passes as (s, ()).
+    (entropy, spawn_key), which seeds the shifts (see _lattice_shifts); an
+    int seed s passes as (s, ()).
     """
     q = factor.shape[1]
     last = np.max(np.where(factor != 0.0, np.arange(q), -1), axis=1, initial=-1)
@@ -713,27 +715,34 @@ def _shifted_lattice(n, dim, n_shifts, seed):
     z = (1, a, a^2, ...) mod n, each folded by the baker's transform
     1 - |2x - 1|: yields one (n, dim) array per shift.
 
-    The shifts are the first n_shifts * dim uniforms, row by row, of
-    rng.philox_uniforms(entropy, spawn_key) for seed = (entropy, spawn_key):
-    a pure-Python port of numpy's Philox stream of SeedSequence(entropy,
-    spawn_key=spawn_key), so they are bitwise numpy's and do not depend on
-    the installed numpy. The Korobov multiplier a is _KOROBOV's entry for
-    (n, dim). Dimensions beyond 5 (factors of 7 or more columns) reuse the
-    dim-5 multiplier, which was not chosen for them. The estimate stays
-    unbiased, and z repeats no entry up to dimension 16 at any n of the
-    table (the least multiplicative order of a multiplier there is 16);
-    beyond that, coordinates repeat and the rule degrades.
+    The shifts are _lattice_shifts(seed, n_shifts, dim). The Korobov
+    multiplier a is _KOROBOV's entry for (n, dim). Dimensions beyond 5
+    (factors of 7 or more columns) reuse the dim-5 multiplier, which was not
+    chosen for them. The estimate stays unbiased, and z repeats no entry up
+    to dimension 16 at any n of the table (the least multiplicative order of
+    a multiplier there is 16); beyond that, coordinates repeat and the rule
+    degrades.
     """
     a = _KOROBOV[n, min(max(dim, 2), 5)]  # z = (1,) in one dimension
     z = np.ones(dim, dtype=np.int64)
     for j in range(1, dim):
         z[j] = z[j - 1] * a % n
     lattice = (np.arange(n, dtype=np.int64)[:, None] * z % n) / n
-    from .rng import philox_uniforms  # closed-form calls never load rng
+    for shift in _lattice_shifts(seed, n_shifts, dim):
+        yield 1.0 - np.abs(2.0 * ((lattice + shift) % 1.0) - 1.0)
+
+
+def _lattice_shifts(seed, n_shifts, dim):
+    """The (n_shifts, dim) shifts of one QMC block for seed = (entropy,
+    spawn_key), row by row the first draws of a fresh random.Random seeded by
+    the ints joined by ":" ((7, (0, 1)) seeds "7:0:1"), a string injective in
+    the pair. CPython repeats a str seed's stream across versions, and the
+    global random state is untouched."""
+    import random  # closed-form calls never import it
 
     entropy, key = seed
-    for shift in np.reshape(philox_uniforms(entropy, key, n_shifts * dim), (n_shifts, dim)):
-        yield 1.0 - np.abs(2.0 * ((lattice + shift) % 1.0) - 1.0)
+    draw = random.Random(":".join(map(str, (entropy, *key)))).random
+    return np.array([draw() for _ in range(n_shifts * dim)]).reshape(n_shifts, dim)
 
 
 def _norm_cdf(x) -> float:

@@ -39,6 +39,18 @@ def _check_tol(tol, name: str = "tol") -> None:
         raise InputError(f"{name} must be finite")
 
 
+def _check_zero_tol(zero_tol) -> None:
+    """Raise InputError unless zero_tol is finite and nonnegative (0 is legal)."""
+    if not (zero_tol >= 0 and math.isfinite(zero_tol)):
+        raise InputError("zero_tol must be finite and nonnegative")
+
+
+def _numerical_rank(s, shape) -> int:
+    """The rank of an n x p matrix with descending singular values s (RANK_RTOL)."""
+    smax = float(s[0]) if s.size else 0.0
+    return int(np.sum(s > max(shape) * smax * RANK_RTOL))
+
+
 @dataclass(frozen=True, eq=False)
 class DesignProblem:
     """A fixed design matrix with its cached linear-algebra companions.
@@ -70,10 +82,9 @@ def build_problem(X) -> DesignProblem:
     if not np.all(np.isfinite(X)):
         raise InputError("design matrix has non-finite entries")
     n, p = X.shape
-    # full_matrices=True: we need all of V to split row space from null space
-    _, s, vt = np.linalg.svd(X, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > max(n, p) * smax * RANK_RTOL))
+    # all of V splits row space from null space; only n < p needs full matrices for it
+    _, s, vt = np.linalg.svd(X, full_matrices=n < p)
+    rank = _numerical_rank(s, X.shape)
     return DesignProblem(
         X=X,
         gram=X.T @ X,
@@ -173,8 +184,7 @@ class SignVector:
 
 def sign_partition(z, zero_tol: float = ZERO_TOL) -> SignVector:
     """Classify each coordinate of z as -1, 0 or +1; |z_j| <= zero_tol is 0."""
-    if zero_tol < 0:
-        raise InputError("zero_tol must be nonnegative")
+    _check_zero_tol(zero_tol)
     z = np.asarray(z, dtype=float).ravel()
     d = np.sign(z)
     d[np.abs(z) <= zero_tol] = 0.0

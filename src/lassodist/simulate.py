@@ -43,8 +43,8 @@ class SimulationConfig:
         _check_seed(self.seed)
         _check_tol(self.zero_tol, "tolerances")
         _check_tol(self.solver_tol, "tolerances")
-        if self.ecdf_points < 2 or not self.ecdf_span > 0:
-            raise InputError("ecdf grid needs >= 2 points and a positive span")
+        if self.ecdf_points < 2 or not (self.ecdf_span > 0 and math.isfinite(self.ecdf_span)):
+            raise InputError("ecdf grid needs >= 2 points and a finite positive span")
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .model import ZERO_TOL, DesignProblem, TuningVector, _check_tol
+from .model import ZERO_TOL, DesignProblem, TuningVector, _check_tol, _check_zero_tol
+from .model import _numerical_rank
 from .simplex import feasible
 
 DEFAULT_TOL = 1e-10
@@ -375,6 +376,7 @@ def is_solution(
 ) -> KKTReport:
     """Certify b against the first-order conditions at tolerance tol."""
     y = _check_inputs(problem, np.ravel(y), tuning, tol)[0]
+    _check_zero_tol(zero_tol)
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != problem.p:
         raise InputError(f"b must have length p={problem.p}")
@@ -402,10 +404,7 @@ def kernel_sign_cone_nonempty(problem, boundary, constrained, constrained_signs,
     X = problem.X
     if free:
         cols = X[:, free]
-        s = np.linalg.svd(cols, compute_uv=False)
-        smax = float(s[0]) if s.size else 0.0
-        rank = int(np.sum(s > max(cols.shape) * smax * 1e-12))
-        if rank < len(free):
+        if _numerical_rank(np.linalg.svd(cols, compute_uv=False), cols.shape) < len(free):
             return True
     if not constrained:
         return False
@@ -449,6 +448,7 @@ def describe_solution_set(
     zero_tol: float = ZERO_TOL,
 ) -> SolutionSetDescription:
     """Solve, classify the equicorrelation structure, decide uniqueness at y."""
+    _check_zero_tol(zero_tol)
     anchor = solve(problem, y, tuning, tol=tol)
     y = np.asarray(y, dtype=float).ravel()
     g = problem.X.T @ y - problem.gram @ anchor.b

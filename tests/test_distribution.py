@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -1100,12 +1101,13 @@ def test_korobov_table_matches_search():
 
 def test_shifted_lattice_is_a_folded_rank1_lattice():
     n, dim, n_shifts, seed = 64, 3, 4, 5
-    # an int seed s passes as (s, ()): the shifts of Philox(s)
+    # an int seed s passes as (s, ()): the shifts of random.Random("s")
     w = np.array(list(_shifted_lattice(n, dim, n_shifts, (seed, ()))))
     assert w.shape == (n_shifts, n, dim)
     a = _KOROBOV[n, dim]
     lattice = (np.arange(n)[:, None] * np.array([1, a, a * a % n]) % n) / n
-    shifts = np.random.Generator(np.random.Philox(seed)).random((n_shifts, dim))
+    draw = random.Random(str(seed)).random
+    shifts = [[draw() for _ in range(dim)] for _ in range(n_shifts)]
     for s in range(n_shifts):
         x = (lattice + shifts[s]) % 1.0
         assert np.allclose(w[s], 1.0 - np.abs(2.0 * x - 1.0), rtol=0.0, atol=1e-15)

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,20 @@ def test_build_problem_bases_orthonormal():
     assert np.allclose(N.T @ N, np.eye(2), atol=1e-12)
     assert np.allclose(X @ N, 0.0, atol=1e-10)
     assert np.allclose(U.T @ N, 0.0, atol=1e-12)
+
+
+def test_build_problem_keeps_no_n_by_n_factor():
+    # a tall design: the full SVD's 3000 x 3000 U alone takes 72 MB
+    X = np.random.default_rng(5).normal(size=(3000, 4))
+    tracemalloc.start()
+    try:
+        prob = ld.build_problem(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+    assert prob.rank_x == 4 and prob.null_space_basis.shape == (4, 0)
+    assert np.allclose(prob.row_space_basis.T @ prob.row_space_basis, np.eye(4), atol=1e-12)
 
 
 def test_build_problem_rejects_nonfinite():
@@ -83,6 +100,36 @@ def test_sign_partition_thresholds():
     z = np.array([-1.0, -1e-12, 0.0, 1e-12, 3.0])
     assert tuple(ld.sign_partition(z).d) == (-1, 0, 0, 0, 1)
     assert tuple(ld.sign_partition(z, zero_tol=0.0).d) == (-1, -1, 0, 1, 1)
+
+
+def test_zero_tol_must_be_finite_and_nonnegative(corr2):
+    model = ld.gaussian_model(corr2, [0.2, -0.1], 1.0)
+    tuning = ld.uniform_tuning(2, 0.5)
+    event = ld.error_orthant_event([-0.2, 0.1], (0, 0))
+    y, b = [0.9, -0.4], [0.3, 0.0]
+    mc = {"method": "mc", "n_samples": 16}
+    calls = {
+        "sign_partition": lambda tol: ld.sign_partition(b, tol),
+        "prob_orthant_event": lambda tol: ld.prob_orthant_event(
+            corr2, model, tuning, event, zero_tol=tol),
+        "prob_orthant_event.mc": lambda tol: ld.prob_orthant_event(
+            corr2, model, tuning, event, zero_tol=tol, **mc),
+        "prob_all_zero": lambda tol: ld.prob_all_zero(corr2, model, tuning, zero_tol=tol),
+        "prob_all_zero.mc": lambda tol: ld.prob_all_zero(
+            corr2, model, tuning, zero_tol=tol, **mc),
+        "region_support_includes": lambda tol: ld.region_support_includes(0, tol),
+        "is_solution": lambda tol: ld.is_solution(corr2, y, tuning, b, zero_tol=tol),
+        "describe_solution_set": lambda tol: ld.describe_solution_set(
+            corr2, y, tuning, zero_tol=tol),
+        "shrinkage_set_high": lambda tol: ld.shrinkage_set_high(corr2, tuning, b, tol),
+        "shrinkage_set_low": lambda tol: ld.shrinkage_set_low(corr2, tuning, b, tol),
+    }
+    for name, call in calls.items():
+        call(0.0)  # zero counts only exact zeros
+        for tol in (math.nan, -1.0, math.inf):
+            with pytest.raises(InputError, match="zero_tol must be finite and nonnegative"):
+                call(tol)
+                pytest.fail(f"{name} accepted zero_tol={tol}")
 
 
 def test_gaussian_model_mu(n1p2):

@@ -24,8 +24,9 @@ def test_config_validation():
             ld.SimulationConfig(solver_tol=tol)
     with pytest.raises(InputError):
         ld.SimulationConfig(ecdf_points=1)
-    with pytest.raises(InputError):
-        ld.SimulationConfig(ecdf_span=0.0)
+    for span in (0.0, math.inf, math.nan):
+        with pytest.raises(InputError):
+            ld.SimulationConfig(ecdf_span=span)
 
 
 def test_runs_are_deterministic(n1p2):
