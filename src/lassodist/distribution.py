@@ -47,7 +47,7 @@ import numpy as np
 from . import _lazy
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
 from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
-from .model import _check_seed, _check_zero_tol
+from .model import _as_signs, _as_vector, _check_dims, _check_seed, _check_zero_tol
 
 # uncalled here, but read as attributes of this module: perfbench/tracing.py
 # wraps both and perfbench/worker.py calls solve_many. They load on first use
@@ -169,12 +169,8 @@ class OrthantEvent:
 
 
 def error_orthant_event(z, d) -> OrthantEvent:
-    z = np.asarray(z, dtype=float).ravel()
-    if not isinstance(d, SignVector):
-        d = SignVector(d=tuple(int(v) for v in d))
-    if z.shape[0] != d.p:
-        raise InputError("thresholds and sign vector must have equal length")
-    return OrthantEvent(z=z, d=d)
+    d = _as_signs(d)
+    return OrthantEvent(z=_as_vector(z, d.p, "z"), d=d)
 
 
 def estimator_orthant_event(model: GaussianModel, z, d=None) -> OrthantEvent:
@@ -184,27 +180,18 @@ def estimator_orthant_event(model: GaussianModel, z, d=None) -> OrthantEvent:
     mapped to D0. Internally the event is stored in error coordinates
     (z - beta on D+-, -beta on D0).
     """
-    z = np.asarray(z, dtype=float).ravel()
-    if d is None:
-        d = SignVector(d=tuple(int(v) for v in np.sign(z)))
-    elif not isinstance(d, SignVector):
-        d = SignVector(d=tuple(int(v) for v in d))
-    if z.shape[0] != d.p or z.shape[0] != model.beta.shape[0]:
-        raise InputError("thresholds, sign vector and model must have equal length")
-    z_err = z - model.beta
-    for j in d.d_zero:
+    z = _as_vector(z, model.beta.shape[0], "z")
+    event = error_orthant_event(z - model.beta, np.sign(z) if d is None else d)
+    for j in event.d.d_zero:
         if abs(z[j]) > _EVENT_SIDE_TOL:
             raise InputError(f"D0 coordinate {j} needs threshold 0, got {z[j]!r}")
-        z_err[j] = -model.beta[j]
-    return OrthantEvent(z=z_err, d=d)
+        event.z[j] = -model.beta[j]
+    return event
 
 
-def _validate_event(event: OrthantEvent, model: GaussianModel, p: int):
-    z, d = event.z, event.d
-    if z.shape[0] != p or d.p != p or model.beta.shape[0] != p:
-        raise InputError("event does not match the problem dimension")
-    if not np.all(np.isfinite(z)):
-        raise InputError("event thresholds must be finite")
+def _validate_event(z, d: SignVector, model: GaussianModel):
+    """The event thresholds z as a vector, checked against the signs d and the model."""
+    z = _as_vector(z, d.p, "event thresholds")
     # threshold positions relative to the orthant split, positive on the wrong side
     signs, zb = d.as_array(), z + model.beta
     wrong = np.flatnonzero(np.where(signs == 0, np.abs(zb), -signs * zb) > _EVENT_SIDE_TOL)
@@ -214,11 +201,7 @@ def _validate_event(event: OrthantEvent, model: GaussianModel, p: int):
             f"coordinate {j}: threshold z_j = {z[j]!r} lies on the wrong side of "
             f"-beta_j = {-model.beta[j]!r} for d_j = {signs[j]} (D0 requires equality)"
         )
-
-
-def _check_shapes(problem: DesignProblem, model: GaussianModel, tuning: TuningVector):
-    if tuning.p != problem.p or model.beta.shape[0] != problem.p:
-        raise InputError("model/tuning dimensions do not match the design")
+    return z
 
 
 class _CenteredGaussian:
@@ -310,15 +293,15 @@ def _binomial_probability(hits, n_samples, seed) -> RegionProbability:
     )
 
 
-def _require_quad(problem, dim):
+def _require_quad(problem):
     if problem.rank_x < problem.p:
         raise InputError(
             "quadrature needs full column rank (the Gaussian on X'y is singular); "
             "use method='mc'"
         )
-    if dim > QUAD_DIM_LIMIT:
+    if problem.p > QUAD_DIM_LIMIT:
         raise DimensionLimitError(
-            f"integration dimension {dim} exceeds {QUAD_DIM_LIMIT}; use method='mc'"
+            f"integration dimension {problem.p} exceeds {QUAD_DIM_LIMIT}; use method='mc'"
         )
 
 
@@ -341,11 +324,11 @@ def prob_orthant_event(
     standard errors of the QMC blocks plus the kernels' rounding terms); seed
     also seeds the random lattice shifts.
     """
-    _check_shapes(problem, model, tuning)
-    _validate_event(event, model, problem.p)
+    d = _as_signs(event.d)
+    _check_dims(problem, tuning, model, d)
+    z = _validate_event(event.z, d, model)
     seed = _check_seed(seed)
     _check_zero_tol(zero_tol)
-    z, d = event.z, event.d
 
     if method == "mc":
         return _mc_probability(
@@ -356,7 +339,7 @@ def prob_orthant_event(
     if method != "quad":
         raise InputError("method must be 'quad' or 'mc'")
 
-    _require_quad(problem, problem.p)
+    _require_quad(problem)
     signs = d.as_array()
     estimate, se, tol, points = _product(*_pattern_prob(
         problem, model, tuning, signs, *_orthant(signs, z), (seed, ())
@@ -402,7 +385,7 @@ def prob_all_zero(
     for rk(X) = 1 or p = 2, else Genz's transform in rk(X) - 1 dimensions,
     whose lattice shifts seed seeds).
     """
-    _check_shapes(problem, model, tuning)
+    _check_dims(problem, tuning, model)
     seed = _check_seed(seed)
     _check_zero_tol(zero_tol)
     if method == "mc":
@@ -429,7 +412,7 @@ def orthant_mass(
     """P(bhat in O^d): the orthant event with all thresholds at the boundary."""
     return prob_orthant_event(
         problem, model, tuning,
-        OrthantEvent(z=-model.beta.copy(), d=d),
+        OrthantEvent(z=-model.beta.copy(), d=_as_signs(d)),
         **kwargs,
     )
 
@@ -450,15 +433,12 @@ def conditional_density(
     It is phi_A(z_active) / P(u_A in the orthant). Raises NumericalError
     when the QMC error bound of P(u_A in the orthant) exceeds quad_tol.
     """
-    _check_shapes(problem, model, tuning)
-    _require_quad(problem, problem.p)
-    z_active = np.asarray(z_active, dtype=float).ravel()
+    d = _as_signs(d)
+    _check_dims(problem, tuning, model, d)
+    _require_quad(problem)
+    z_active = _as_vector(z_active, d.norm1, "z_active")
     signs = d.as_array()
     moving, (mean_a, cov_a), _ = _pattern(problem, model, tuning, signs)
-    if z_active.shape[0] != moving.size:
-        raise InputError(f"z_active must have length ||d||_1 = {moving.size}")
-    if not np.all(np.isfinite(z_active)):
-        raise InputError("z_active must be finite")
     bounds = _orthant(signs, -model.beta)
     (p_a, se_a, tol_a, _), (p_0, *_) = _pattern_prob(
         problem, model, tuning, signs, *bounds, (0, ())
@@ -497,18 +477,14 @@ def cdf(
     terms. Raises
     NumericalError when that bound exceeds quad_tol.
     """
-    _check_shapes(problem, model, tuning)
-    _require_quad(problem, problem.p)
+    _check_dims(problem, tuning, model)
+    _require_quad(problem)
     if problem.p > CDF_P_LIMIT:
         raise DimensionLimitError(
             f"cdf sums 3^p rectangle products; p = {problem.p} > {CDF_P_LIMIT}. "
             "Use the simulation module's empirical CDF instead."
         )
-    z = np.asarray(z, dtype=float).ravel()
-    if z.shape[0] != problem.p:
-        raise InputError("z must have length p")
-    if np.any(np.isnan(z)):
-        raise InputError("z must not be NaN")
+    z = _as_vector(z, problem.p, "z", allow_inf=True)
     if coords == "estimator":
         z = z - model.beta
     elif coords != "error":
@@ -539,13 +515,9 @@ def error_density(problem: DesignProblem, model: GaussianModel, tuning: TuningVe
     there it equals |det X'X| times the Gaussian at X'X z + d*lam.
     Lower-dimensional parts carry no p-dimensional density and report 0.
     """
-    _check_shapes(problem, model, tuning)
-    _require_quad(problem, problem.p)
-    z = np.asarray(z, dtype=float).ravel()
-    if z.shape[0] != problem.p:
-        raise InputError("z must have length p")
-    if not np.all(np.isfinite(z)):
-        raise InputError("z must be finite")
+    _check_dims(problem, tuning, model)
+    _require_quad(problem)
+    z = _as_vector(z, problem.p, "z")
     d = np.sign(z + model.beta)
     if np.any(d == 0.0):
         return 0.0
@@ -566,7 +538,7 @@ def region_support_includes(j: int, zero_tol: float = ZERO_TOL):
 
 def region_below(z):
     """Predicate factory: solutions componentwise <= z (estimator coordinates)."""
-    z = np.asarray(z, dtype=float).ravel()
+    z = _as_vector(z, None, "z", allow_inf=True)
 
     def region(B):
         return np.all(B <= z, axis=1)
@@ -591,7 +563,7 @@ def prob_region_high(
     through mu = X beta, so fiber-equivalent parameter vectors give
     bit-identical results at the same seed.
     """
-    _check_shapes(problem, model, tuning)
+    _check_dims(problem, tuning, model)
     if method != "mc":
         raise InputError(
             "prob_region_high is Monte Carlo only; prob_all_zero/prob_orthant_event "
@@ -614,17 +586,15 @@ def mvn_box_probability(
     The reported error bound is seven standard errors of the mean of the
     shift estimates plus a rounding term.
     """
-    mean = np.asarray(mean, dtype=float).ravel()
-    lower = np.asarray(lower, dtype=float).ravel()
-    upper = np.asarray(upper, dtype=float).ravel()
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    mean = _as_vector(mean, None, "mean")
     p = mean.shape[0]
-    if cov.shape != (p, p) or lower.shape[0] != p or upper.shape[0] != p:
-        raise InputError("mean/cov/bounds dimensions are inconsistent")
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise InputError("mean and covariance must be finite")
-    if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
-        raise InputError("bounds must not be NaN")
+    lower = _as_vector(lower, p, "lower", allow_inf=True)
+    upper = _as_vector(upper, p, "upper", allow_inf=True)
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if cov.shape != (p, p):
+        raise InputError(f"covariance must be {p} x {p}")
+    if not np.all(np.isfinite(cov)):
+        raise InputError("covariance must be finite")
     if np.any(lower > upper):
         raise InputError("lower bound exceeds upper bound")
     if n_shifts < 2:

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _lazy
 from .errors import CombinatorialLimitError, InputError, NumericalError
-from .model import ZERO_TOL, DesignProblem, TuningVector, _check_tol, sign_partition
+from .model import ZERO_TOL, DesignProblem, TuningVector, _as_signs, _as_vector, _check_dims
+from .model import _check_tol, sign_partition
 from .simplex import feasible_point
 
 if TYPE_CHECKING:
@@ -52,9 +53,7 @@ class FaceBox:
         return tuple(int(j) for j in np.flatnonzero(self.fixed_sign != 0))
 
     def contains(self, v, tol: float = 1e-9) -> bool:
-        v = np.asarray(v, dtype=float).ravel()
-        if v.shape[0] != self.lam.shape[0]:
-            raise InputError("probe vector has the wrong length")
+        v = _as_vector(v, self.lam.shape[0], "probe vector")
         fixed = self.fixed_sign != 0
         if np.any(np.abs(v[fixed] - self.fixed_sign[fixed] * self.lam[fixed]) > tol):
             return False
@@ -63,8 +62,8 @@ class FaceBox:
 
 def face_box(tuning: TuningVector, model, signs) -> FaceBox:
     model = tuple(int(j) for j in model)
-    signs = tuple(int(s) for s in signs)
-    if len(model) != len(signs) or any(s not in (-1, 1) for s in signs):
+    signs = _as_signs(signs).d
+    if len(model) != len(signs) or 0 in signs:
         raise InputError("each model index needs a sign in {-1, +1}")
     if len(set(model)) != len(model):
         raise InputError("model indices must be distinct")
@@ -76,15 +75,15 @@ def face_box(tuning: TuningVector, model, signs) -> FaceBox:
     return FaceBox(lam=tuning.lam, fixed_sign=fixed)
 
 
-def _sign_slots(tuning, model, fix_first=False):
+def _sign_slots(tuning, model):
     """The signs each index of a face family may take, lam_j = 0 slots collapsed to +1.
 
-    fix_first pins the first positively-penalized index at +1; valid whenever
-    the caller's feasibility question is invariant under v -> -v (col(X') is
-    a subspace and the box is symmetric), which halves the enumeration.
+    The first positively-penalized index is pinned at +1: every caller's
+    feasibility question is invariant under v -> -v (col(X') is a subspace
+    and the box is symmetric), which halves the enumeration.
     """
     slots = []
-    fixed_one = fix_first
+    fixed_one = True
     for j in model:
         if tuning.lam[j] == 0.0:
             slots.append((1,))
@@ -96,9 +95,10 @@ def _sign_slots(tuning, model, fix_first=False):
     return slots
 
 
-def _sign_patterns(tuning, model, fix_first=False):
-    """All sign resolutions of a face family, in product order of _sign_slots."""
-    return product(*_sign_slots(tuning, model, fix_first))
+def _sign_patterns(tuning, model):
+    """The sign resolutions of a face family up to v -> -v, in product order
+    of _sign_slots."""
+    return product(*_sign_slots(tuning, model))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +137,7 @@ def selectable(problem: DesignProblem, tuning: TuningVector, model, tol: float =
     True iff some sign resolution of the face family B_model meets col(X').
     """
     model = sorted({int(j) for j in model})
-    if tuning.p != problem.p:
-        raise InputError("tuning vector length does not match the design")
+    _check_dims(problem, tuning)
     _check_tol(tol)
     if any(not 0 <= j < problem.p for j in model):
         raise InputError("model indices out of range")
@@ -148,7 +147,7 @@ def selectable(problem: DesignProblem, tuning: TuningVector, model, tol: float =
         )
     if not model:
         return True  # v = 0 lies in every lambda-box and in col(X')
-    for signs in _sign_patterns(tuning, model, fix_first=True):
+    for signs in _sign_patterns(tuning, model):
         if face_intersects_row_space(problem, face_box(tuning, model, signs), tol) is not None:
             return True
     return False
@@ -160,8 +159,7 @@ def structural_set(problem: DesignProblem, tuning: TuningVector, tol: float = 1e
     By v -> -v symmetry only the +1 face of each index needs an LP; indices
     with lam_j = 0 are always members (z = 0 certifies them).
     """
-    if tuning.p != problem.p:
-        raise InputError("tuning vector length does not match the design")
+    _check_dims(problem, tuning)
     _check_tol(tol)
     members = []
     for j in range(problem.p):
@@ -185,7 +183,7 @@ def _meeting_pairs(problem, tuning, members, tol):
     lam = tuning.lam
     pairs = set()
     for pair in combinations(members, 2):
-        for signs in _sign_patterns(tuning, pair, fix_first=True):
+        for signs in _sign_patterns(tuning, pair):
             if face_intersects_row_space(problem, face_box(tuning, pair, signs), tol) is None:
                 continue
             mirror = [s if lam[j] == 0.0 else -s for j, s in zip(pair, signs)]
@@ -195,13 +193,13 @@ def _meeting_pairs(problem, tuning, members, tol):
 
 
 def _pair_consistent_signs(tuning, model, pairs):
-    """_sign_patterns(tuning, model, fix_first=True), in the same order, less
+    """_sign_patterns(tuning, model), in the same order, less
     every pattern with a signed pair outside `pairs`.
 
     Signs are chosen slot by slot and a prefix is dropped as soon as one of
     its pairs misses, so pruned patterns are never enumerated.
     """
-    slots = _sign_slots(tuning, model, fix_first=True)
+    slots = _sign_slots(tuning, model)
     signs = []
 
     def extend(t):
@@ -257,8 +255,7 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
     in the exhaustive scan, so the verdict, the reported face, its point and
     the witness are those of the exhaustive scan.
     """
-    if tuning.p != problem.p:
-        raise InputError("tuning vector length does not match the design")
+    _check_dims(problem, tuning)
     _check_tol(tol)
     if problem.p > UNIQUENESS_LIMIT:
         raise CombinatorialLimitError(
@@ -303,15 +300,14 @@ def construct_nonuniqueness_witness(
     conditions at y = z + Xb while differing in coordinate j by 1/(2c).
     """
     model = sorted(int(j) for j in model)
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape[0] != problem.p:
-        raise InputError("v must have length p")
+    _check_dims(problem, tuning)
+    v = _as_vector(v, problem.p, "v")
     if len(model) <= problem.rank_x:
         raise InputError("witness construction needs |model| > rank(X)")
     X, lam = problem.X, tuning.lam
     if z is None:
         z, *_ = np.linalg.lstsq(X.T, v, rcond=None)
-    z = np.asarray(z, dtype=float).ravel()
+    z = _as_vector(z, problem.n, "z")
     if np.max(np.abs(X.T @ z - v)) > 1e-8 * (1.0 + np.max(np.abs(v))):
         raise InputError("v is not a row-space point (no z with X'z = v)")
 
@@ -394,15 +390,14 @@ class ShrinkageSet:
     domain: str
 
     def contains(self, point, tol: float = 1e-9) -> bool:
-        point = np.asarray(point, dtype=float).ravel()
+        point = _as_vector(point, self.b.shape[0], "point")
         probe = self.gram @ point if self.domain == "ls_estimate" else point
         return self.box.contains(probe - self.center, tol=tol)
 
 
 def _shrinkage_set(problem, tuning, b, zero_tol, domain):
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != problem.p:
-        raise InputError("b must have length p")
+    _check_dims(problem, tuning)
+    b = _as_vector(b, problem.p, "b")
     d = sign_partition(b, zero_tol)
     model = tuple(j for j in range(problem.p) if d.d[j] != 0)
     box = face_box(tuning, model, tuple(d.d[j] for j in model))
@@ -429,9 +424,8 @@ def shrinkage_singleton(problem: DesignProblem, tuning: TuningVector, b) -> np.n
     """The unique LS point mapped to an all-active b:  b + (X'X)^{-1}(sgn(b) lam)."""
     if problem.rank_x < problem.p:
         raise InputError("design is rank deficient; the singleton needs full column rank")
-    b = np.asarray(b, dtype=float).ravel()
-    if not np.all(np.isfinite(b)):
-        raise InputError("b must be finite (no NaN or inf)")
+    _check_dims(problem, tuning)
+    b = _as_vector(b, problem.p, "b")
     if np.any(b == 0.0):
         raise InputError("singleton form requires every coefficient nonzero")
     return b + np.linalg.solve(problem.gram, np.sign(b) * tuning.lam)
@@ -447,11 +441,7 @@ def map_ls_to_lasso(
     """
     if problem.rank_x < problem.p:
         raise InputError("design is rank deficient; the LS map needs full column rank")
-    z_ls = np.asarray(z_ls, dtype=float).ravel()
-    if z_ls.shape[0] != problem.p:
-        raise InputError("z_ls must have length p")
-    if not np.all(np.isfinite(z_ls)):
-        raise InputError("z_ls must be finite (no NaN or inf)")
+    z_ls = _as_vector(z_ls, problem.p, "z_ls")
     # through the module attribute, so a replaced `solve` is the one that runs
     sol = sys.modules[__name__].solve(problem, problem.X @ z_ls, tuning, tol=tol)
     area = shrinkage_set_low(problem, tuning, sol.b)

@@ -45,6 +45,49 @@ def _check_zero_tol(zero_tol) -> None:
         raise InputError("zero_tol must be finite and nonnegative")
 
 
+def _as_vector(v, length, name: str, allow_inf: bool = False) -> np.ndarray:
+    """v as a flat float array of `length` entries (any length when None).
+
+    A non-numeric v, another length, a NaN entry or, unless allow_inf, a
+    +-inf entry raises InputError naming v.
+    """
+    try:
+        v = np.asarray(v, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} is not a numeric vector") from exc
+    if length is not None and v.shape[0] != length:
+        raise InputError(f"{name} must have length {length}, got {v.shape[0]}")
+    if allow_inf:
+        if np.any(np.isnan(v)):
+            raise InputError(f"{name} must not be NaN")
+    elif not np.all(np.isfinite(v)):
+        raise InputError(f"{name} must be finite (no NaN or inf)")
+    return v
+
+
+def _check_dims(problem, tuning=None, model=None, d=None) -> None:
+    """Raise InputError unless the tuning vector, the model's beta and the
+    SignVector d, each where given, have the design's p entries."""
+    for name, size in (
+        ("tuning vector", None if tuning is None else tuning.p),
+        ("beta", None if model is None else model.beta.shape[0]),
+        ("sign vector", None if d is None else d.p),
+    ):
+        if size is not None and size != problem.p:
+            raise InputError(f"{name} has length {size}; the design has p={problem.p}")
+
+
+def _as_signs(d) -> SignVector:
+    """d as a SignVector; an entry outside {-1, 0, +1} raises InputError
+    rather than being truncated to one."""
+    if isinstance(d, SignVector):
+        return d
+    d = _as_vector(d, None, "sign vector")
+    if not np.all(np.isin(d, (-1.0, 0.0, 1.0))):
+        raise InputError("sign vector entries must be -1, 0 or +1")
+    return SignVector(d=tuple(int(v) for v in d))
+
+
 def _numerical_rank(s, shape) -> int:
     """The rank of an n x p matrix with descending singular values s (RANK_RTOL)."""
     smax = float(s[0]) if s.size else 0.0
@@ -132,20 +175,19 @@ class TuningVector:
 
 
 def tuning_vector(lam) -> TuningVector:
-    lam = np.asarray(lam, dtype=float).ravel()
+    lam = _as_vector(lam, None, "tuning vector")
     if lam.size < 1:
         raise InputError("tuning vector must have at least one entry")
-    if not np.all(np.isfinite(lam)):
-        raise InputError("tuning vector has non-finite entries")
     if np.any(lam < 0):
         raise InputError("tuning weights must be nonnegative")
     return TuningVector(lam=lam, m0=tuple(int(j) for j in np.flatnonzero(lam == 0.0)))
 
 
 def uniform_tuning(p: int, lam_bar: float) -> TuningVector:
-    if lam_bar < 0:
-        raise InputError("tuning weights must be nonnegative")
-    return tuning_vector(np.full(int(p), float(lam_bar)))
+    """The weight lam_bar on each of p coordinates; p must be a positive integer."""
+    if not (isinstance(p, (int, np.integer)) and p >= 1):
+        raise InputError(f"p must be a positive integer, got {p!r}")
+    return tuning_vector(np.full(p, float(lam_bar)))
 
 
 @dataclass(frozen=True)
@@ -185,7 +227,7 @@ class SignVector:
 def sign_partition(z, zero_tol: float = ZERO_TOL) -> SignVector:
     """Classify each coordinate of z as -1, 0 or +1; |z_j| <= zero_tol is 0."""
     _check_zero_tol(zero_tol)
-    z = np.asarray(z, dtype=float).ravel()
+    z = _as_vector(z, None, "z", allow_inf=True)
     d = np.sign(z)
     d[np.abs(z) <= zero_tol] = 0.0
     return SignVector(d=tuple(int(v) for v in d))
@@ -206,11 +248,7 @@ class GaussianModel:
 
 
 def gaussian_model(problem: DesignProblem, beta, sigma: float) -> GaussianModel:
-    beta = np.asarray(beta, dtype=float).ravel()
-    if beta.shape[0] != problem.p:
-        raise InputError(f"beta must have length p={problem.p}")
-    if not np.all(np.isfinite(beta)):
-        raise InputError("beta has non-finite entries")
+    beta = _as_vector(beta, problem.p, "beta")
     sigma = float(sigma)
     if not np.isfinite(sigma) or sigma <= 0:
         raise InputError("sigma must be a positive real")
@@ -219,6 +257,6 @@ def gaussian_model(problem: DesignProblem, beta, sigma: float) -> GaussianModel:
 
 def fiber_equivalent(m1: GaussianModel, m2: GaussianModel, problem: DesignProblem) -> bool:
     """True iff both models induce the same mean X beta (same fiber element)."""
-    if m1.beta.shape[0] != problem.p or m2.beta.shape[0] != problem.p:
-        raise InputError("models do not match the design dimension")
+    _check_dims(problem, model=m1)
+    _check_dims(problem, model=m2)
     return bool(np.allclose(m1.mu, m2.mu, rtol=1e-9, atol=1e-12))

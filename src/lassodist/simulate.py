@@ -16,16 +16,13 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
-from .model import _check_seed, _check_tol
+from .model import _check_dims, _check_seed, _check_tol
 from .rng import gaussian_chunks
 from .solver import DEFAULT_TOL, kernel_sign_cone_nonempty, solve_many
 from .solver import _cone_arguments, _uniqueness_classes
 
 if TYPE_CHECKING:
     from .distribution import RegionProbability
-
-# a Monte-Carlo call counts up to this share of unconverged replicates, and raises above it
-_MAX_UNCONVERGED_SHARE = 0.001
 
 
 @dataclass(frozen=True)
@@ -53,6 +50,9 @@ class EmpiricalSummary:
 
     ecdf_grid is axis-major: ecdf_grid[j] is a tuple of (z, Fhat_j(z)) pairs
     for the estimator coordinate b_j on a grid centered at beta_j.
+    convergence_failures is always 0, since run_simulation raises at the
+    first unconverged replicate; the field stays for readers of the record
+    and of the CLI's JSON output.
     """
 
     n_rep: int
@@ -82,20 +82,19 @@ def _ecdf_axes(problem: DesignProblem, model: GaussianModel, config: SimulationC
 def _solve_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume):
     """Solve n_rep replicates y = mu + sigma*z chunk by chunk; pass each (Y, B) to consume.
 
-    Returns the number of replicates that missed solver_tol, and raises
-    ConvergenceError when they exceed _MAX_UNCONVERGED_SHARE of n_rep.
+    Raises ConvergenceError at the first chunk that holds a replicate whose
+    solution misses solver_tol, so no unconverged replicate is ever counted.
     """
-    fails = 0
-    for _start, _count, Z in gaussian_chunks(seed, n_rep, problem.n):
+    for start, count, Z in gaussian_chunks(seed, n_rep, problem.n):
         Y = model.mu + model.sigma * Z
         B, resids = solve_many(problem, Y, tuning, tol=solver_tol)
-        fails += int(np.sum(resids > solver_tol))
+        fails = int(np.count_nonzero(resids > solver_tol))
+        if fails:
+            raise ConvergenceError(
+                f"Monte Carlo replicates {start}..{start + count - 1}: {fails} missed "
+                f"solver_tol={solver_tol:g}"
+            )
         consume(Y, B)
-    if fails > _MAX_UNCONVERGED_SHARE * n_rep:
-        raise ConvergenceError(
-            f"{fails} of {n_rep} Monte Carlo replicates failed to reach solver_tol={solver_tol:g}"
-        )
-    return fails
 
 
 def run_simulation(
@@ -108,11 +107,10 @@ def run_simulation(
 
     Per replicate: the sign pattern of b at zero_tol, its support, whether the
     solution set at that y is a single point, and per-axis ECDF counts. Fails
-    with ConvergenceError when more than 0.1% of replicates miss solver_tol;
-    below that they are counted and reported in convergence_failures.
+    with ConvergenceError as soon as one replicate misses solver_tol, so
+    convergence_failures is always 0.
     """
-    if tuning.p != problem.p or model.beta.shape[0] != problem.p:
-        raise InputError("model/tuning dimensions do not match the design")
+    _check_dims(problem, tuning, model)
     sign_counts: Counter = Counter()
     support_counts: Counter = Counter()
     grids = _ecdf_axes(problem, model, config)
@@ -136,8 +134,7 @@ def run_simulation(
         if not always_unique:
             nonunique += _count_nonunique(problem, tuning, config, Y, B, cone_cache)
 
-    fails = _solve_replicates(problem, model, tuning, config.n_rep, config.seed,
-                              config.solver_tol, count)
+    _solve_replicates(problem, model, tuning, config.n_rep, config.seed, config.solver_tol, count)
     ecdf_grid = tuple(
         tuple((float(z), int(h) / config.n_rep) for z, h in zip(grids[j], ecdf_hits[j]))
         for j in range(problem.p)
@@ -149,7 +146,6 @@ def run_simulation(
         support_freq=dict(support_counts),
         ecdf_grid=ecdf_grid,
         nonunique_count=nonunique,
-        convergence_failures=fails,
     )
 
 

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .model import ZERO_TOL, DesignProblem, TuningVector, _check_tol, _check_zero_tol
-from .model import _numerical_rank
+from .model import ZERO_TOL, DesignProblem, TuningVector, _as_vector, _check_dims, _check_tol
+from .model import _check_zero_tol, _numerical_rank
 from .simplex import feasible
 
 DEFAULT_TOL = 1e-10
@@ -118,8 +118,7 @@ def _check_inputs(problem, Y, tuning, tol=None):
         raise InputError(f"each response must have length n={problem.n}")
     if not np.all(np.isfinite(Y)):
         raise InputError("responses have non-finite entries")
-    if tuning.p != problem.p:
-        raise InputError("tuning vector length does not match the design")
+    _check_dims(problem, tuning)
     if tol is not None:
         _check_tol(tol)
     return Y
@@ -377,9 +376,7 @@ def is_solution(
     """Certify b against the first-order conditions at tolerance tol."""
     y = _check_inputs(problem, np.ravel(y), tuning, tol)[0]
     _check_zero_tol(zero_tol)
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != problem.p:
-        raise InputError(f"b must have length p={problem.p}")
+    b = _as_vector(b, problem.p, "b")
     g = problem.X.T @ y - problem.gram @ b
     viol = _kkt_violation(g, b, tuning.lam, zero_tol)
     worst = int(np.argmax(viol))

@@ -231,7 +231,7 @@ def _exhaustive_first_face(problem, tuning, tol=1e-9):
     if rank >= problem.p:
         return None
     for model in combinations(range(problem.p), rank + 1):
-        for signs in _sign_patterns(tuning, model, fix_first=True):
+        for signs in _sign_patterns(tuning, model):
             point = face_intersects_row_space(problem, face_box(tuning, model, signs), tol)
             if point is not None:
                 return model, tuple(signs), point
@@ -322,6 +322,6 @@ def test_uniqueness_lp_count_near_full_rank(monkeypatch):
     calls = _count_lps(monkeypatch)
     assert ld.check_uniqueness(prob, t).unique
     # a unique verdict means the exhaustive scan ran every face
-    exhaustive = sum(1 for m in combinations(range(12), 12) for _ in _sign_patterns(t, m, True))
+    exhaustive = sum(1 for m in combinations(range(12), 12) for _ in _sign_patterns(t, m))
     assert exhaustive == 2**11
     assert len(calls) <= exhaustive + prob.p + len(members) * (len(members) - 1)

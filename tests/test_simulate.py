@@ -1,11 +1,16 @@
+import functools
+import json
 import math
 
 import numpy as np
 import pytest
 
 import lassodist as ld
-from lassodist.errors import InputError
+from lassodist import simulate, solver
+from lassodist.errors import ConvergenceError, InputError
 from lassodist.rng import gaussian_chunks
+
+from conftest import FIXTURES
 
 ATOM_N1P2 = 0.4772498680518208  # P(bhat = 0) for X = (1 2), lam = 2, mu = 1
 TWO_PHI_M1 = 0.31731050786291415  # nonuniqueness probability for lam = (1 2)'
@@ -146,6 +151,38 @@ def test_dimension_mismatch_rejected(corr2, x2x3):
     model = ld.gaussian_model(corr2, [0.0, 0.0], 1.0)
     with pytest.raises(InputError):
         ld.run_simulation(x2x3, model, ld.uniform_tuning(3, 1.0), ld.SimulationConfig(n_rep=10))
+
+
+def _one_replicate_missed(*args, **kwargs):
+    B, resids = solver.solve_many(*args, **kwargs)
+    resids[0] = math.inf
+    return B, resids
+
+
+# one sweep leaves many replicates above solver_tol; a single miss among 2000
+# replicates is a share below 0.1%, which a tolerance by share would let through
+@pytest.mark.parametrize("solve_many", [
+    functools.partial(solver.solve_many, max_iter=1), _one_replicate_missed,
+], ids=["one-sweep", "one-miss"])
+def test_monte_carlo_raises_on_an_unconverged_replicate(monkeypatch, solve_many):
+    monkeypatch.setattr(simulate, "solve_many", solve_many)
+    env = json.loads((FIXTURES / "corr3.json").read_text())
+    prob = ld.build_problem(env["X"])
+    model = ld.gaussian_model(prob, env["beta"], env["sigma"])
+    t = ld.tuning_vector(env["lambda"])
+    event = ld.error_orthant_event(-model.beta, (0, 0, 0))
+    n = 2000
+    calls = {
+        "run_simulation": lambda: ld.run_simulation(prob, model, t, ld.SimulationConfig(n_rep=n)),
+        "prob_orthant_event": lambda: ld.prob_orthant_event(
+            prob, model, t, event, method="mc", n_samples=n),
+        "prob_region_high": lambda: ld.prob_region_high(
+            prob, model, t, ld.region_support_includes(0), n_samples=n),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ConvergenceError):
+            call()
+            pytest.fail(f"{name} counted an unconverged replicate")
 
 
 def test_comparison_report_passes_within_noise():
