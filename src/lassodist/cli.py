@@ -44,15 +44,8 @@ from .errors import (
     InputError,
     NumericalError,
 )
-from .model import (
-    DesignProblem,
-    GaussianModel,
-    SignVector,
-    TuningVector,
-    build_problem,
-    gaussian_model,
-    tuning_vector,
-)
+from .model import DEFAULT_TOL, DesignProblem, GaussianModel, TuningVector, _as_signs, _as_vector
+from .model import build_problem, gaussian_model, tuning_vector
 
 
 __getattr__ = _lazy(globals(), {"solve": "solver"})
@@ -128,13 +121,7 @@ def load_envelope(path: str) -> Envelope:
     def vec(name, length):
         if data.get(name) is None:
             return None
-        try:
-            v = np.asarray(data[name], dtype=float).ravel()
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}: '{name}' is not a numeric vector: {exc}") from exc
-        if v.shape[0] != length:
-            raise InputError(f"{path}: '{name}' must have length {length}, got {v.shape[0]}")
-        return v
+        return _as_vector(data[name], length, f"{path}: '{name}'", allow_inf=True)
 
     lam = vec("lambda", p)
     beta = vec("beta", p)
@@ -162,20 +149,14 @@ def _vector(text: str, flag: str, length: int) -> np.ndarray:
     return v
 
 
-def _model_indices(text: str | None, p: int):
-    """Parse a 1-based comma-separated index list into 0-based indices."""
+def _model_indices(text: str | None):
+    """Parse a 1-based comma-separated index list into 0-based indices, unchecked."""
     if text is None or text.strip() == "":
         return []
-    out = []
-    for tok in text.split(","):
-        try:
-            k = int(tok)
-        except ValueError as exc:
-            raise InputError(f"bad model index {tok!r}") from exc
-        if not 1 <= k <= p:
-            raise InputError(f"model index {k} outside 1..{p}")
-        out.append(k - 1)
-    return sorted(set(out))
+    try:
+        return [int(tok) - 1 for tok in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad --model value {text!r}: {exc}") from exc
 
 
 def _grid_spec(text: str):
@@ -251,9 +232,9 @@ def _cmd_selectable(args) -> str:
     from . import geometry
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
-    model = _model_indices(args.model, env.problem.p)
+    model = _model_indices(args.model)
     flag = geometry.selectable(env.problem, tuning, model, tol=args.tol)
-    return render_json({"model": _one_based(model), "selectable": flag})
+    return render_json({"model": _one_based(sorted(model)), "selectable": flag})
 
 
 def _cmd_check_unique(args) -> str:
@@ -304,17 +285,14 @@ def _cmd_orthant_prob(args) -> str:
     tuning = _need_lam(env, args.lam)
     model = _model_from_env(env)
     p = env.problem.p
-    signs = _vector(args.signs, "--signs", p)
-    if any(s not in (-1.0, 0.0, 1.0) for s in signs):
-        raise InputError(f"--signs entries must be -1, 0 or 1, got {args.signs!r}")
-    signs = [int(s) for s in signs]
+    signs = _as_signs(_vector(args.signs, "--signs", p), "--signs")
     z = _vector(args.z, "--z", p) if args.z is not None else np.zeros(p)
-    event = distribution.estimator_orthant_event(model, z, SignVector(d=tuple(signs)))
+    event = distribution.estimator_orthant_event(model, z, signs)
     rp = distribution.prob_orthant_event(
         env.problem, model, tuning, event,
         method=args.method, n_samples=args.samples, seed=args.seed,
     )
-    return render_json({"signs": signs, "z": z, **_prob_payload(rp)})
+    return render_json({"signs": signs.d, "z": z, **_prob_payload(rp)})
 
 
 def _cmd_cdf(args) -> str:
@@ -436,7 +414,7 @@ _SAMPLING = (
 # subcommand -> (usage line, handler, options in parser order)
 _SUBCOMMANDS = {
     "solve": ("weighted Lasso solution for a given y", _cmd_solve, (
-        _INPUT, _LAM, _tol(1e-10), _list("--y", "response vector, comma-separated"))),
+        _INPUT, _LAM, _tol(DEFAULT_TOL), _list("--y", "response vector, comma-separated"))),
     "structural-set": ("coordinates that some y can activate", _cmd_structural_set, (
         _INPUT, _LAM, _tol(1e-9))),
     "selectable": ("can a given model be the active set exactly", _cmd_selectable, (
@@ -458,7 +436,7 @@ _SUBCOMMANDS = {
         _list("--grid", "lo:hi:steps, once per axis (repeat for distinct axes)",
               action="append"))),
     "simulate": ("Monte-Carlo replicates and empirical summaries", _cmd_simulate, (
-        _INPUT, _LAM, _tol(1e-10), _opt("--reps", type=int, default=100_000),
+        _INPUT, _LAM, _tol(DEFAULT_TOL), _opt("--reps", type=int, default=100_000),
         _opt("--seed", type=int, default=0),
         _opt("--report", choices=("json", "csv"), default="json"))),
     "shrinkage-map": ("least-squares <-> Lasso correspondence", _cmd_shrinkage_map, (

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import _lazy
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
-from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
+from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
 from .model import _as_signs, _as_vector, _check_dims, _check_seed, _check_zero_tol
 
 # uncalled here, but read as attributes of this module: perfbench/tracing.py
@@ -316,7 +316,7 @@ def prob_orthant_event(
     seed: int = 0,
     quad_tol: float = 1e-5,
     zero_tol: float = ZERO_TOL,
-    solver_tol: float = 1e-10,
+    solver_tol: float = DEFAULT_TOL,
 ) -> RegionProbability:
     """P(u_j <= z_j on D-, u_j >= z_j on D+, bhat_j = 0 on D0).
 
@@ -377,7 +377,7 @@ def prob_all_zero(
     n_samples: int = 100_000,
     seed: int = 0,
     zero_tol: float = ZERO_TOL,
-    solver_tol: float = 1e-10,
+    solver_tol: float = DEFAULT_TOL,
 ) -> RegionProbability:
     """P(bhat = 0) = P(X'y inside the lambda-box), at any rank of X.
 
@@ -555,13 +555,15 @@ def prob_region_high(
     *,
     n_samples: int = 100_000,
     seed: int = 0,
-    solver_tol: float = 1e-10,
+    solver_tol: float = DEFAULT_TOL,
 ) -> RegionProbability:
     """P(bhat in B) for an arbitrary vectorized solution predicate, any rank.
 
-    Monte Carlo over the solver. The estimate depends on the model only
-    through mu = X beta, so fiber-equivalent parameter vectors give
-    bit-identical results at the same seed.
+    region maps an (m, p) block of solutions to m truth values; it is tried
+    on one row of zeros before any replicate is solved. Monte Carlo over the
+    solver. The estimate depends on the model only through mu = X beta, so
+    fiber-equivalent parameter vectors give bit-identical results at the
+    same seed.
     """
     _check_dims(problem, tuning, model)
     if method != "mc":
@@ -569,6 +571,12 @@ def prob_region_high(
             "prob_region_high is Monte Carlo only; prob_all_zero/prob_orthant_event "
             "have the deterministic paths"
         )
+    try:
+        shape = np.shape(region(np.zeros((1, problem.p))))
+    except (IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"region predicate fails on a (1, {problem.p}) block: {exc}") from exc
+    if shape != (1,):
+        raise InputError(f"region predicate must map a (1, p) block to shape (1,), got {shape}")
     return _mc_probability(problem, model, tuning, region, n_samples, seed, solver_tol)
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import _lazy
 from .errors import CombinatorialLimitError, InputError, NumericalError
-from .model import ZERO_TOL, DesignProblem, TuningVector, _as_signs, _as_vector, _check_dims
-from .model import _check_tol, sign_partition
+from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_indices, _as_signs
+from .model import _as_vector, _check_dims, _check_tol, sign_partition
 from .simplex import feasible_point
 
 if TYPE_CHECKING:
@@ -61,16 +61,12 @@ class FaceBox:
 
 
 def face_box(tuning: TuningVector, model, signs) -> FaceBox:
-    model = tuple(int(j) for j in model)
+    model = _as_indices(model, tuning.p)
     signs = _as_signs(signs).d
     if len(model) != len(signs) or 0 in signs:
         raise InputError("each model index needs a sign in {-1, +1}")
-    if len(set(model)) != len(model):
-        raise InputError("model indices must be distinct")
     fixed = np.zeros(tuning.p, dtype=int)
     for j, s in zip(model, signs):
-        if not 0 <= j < tuning.p:
-            raise InputError(f"model index {j} out of range")
         fixed[j] = 1 if tuning.lam[j] == 0.0 else s
     return FaceBox(lam=tuning.lam, fixed_sign=fixed)
 
@@ -136,11 +132,9 @@ def selectable(problem: DesignProblem, tuning: TuningVector, model, tol: float =
 
     True iff some sign resolution of the face family B_model meets col(X').
     """
-    model = sorted({int(j) for j in model})
+    model = sorted(_as_indices(model, problem.p))
     _check_dims(problem, tuning)
     _check_tol(tol)
-    if any(not 0 <= j < problem.p for j in model):
-        raise InputError("model indices out of range")
     if len(model) > SELECTABLE_LIMIT:
         raise CombinatorialLimitError(
             f"model has {len(model)} indices; sign enumeration capped at {SELECTABLE_LIMIT}"
@@ -299,7 +293,7 @@ def construct_nonuniqueness_witness(
     X b = X b_tilde and g = X'y - X'Xb = v, so both satisfy the first-order
     conditions at y = z + Xb while differing in coordinate j by 1/(2c).
     """
-    model = sorted(int(j) for j in model)
+    model = sorted(_as_indices(model, problem.p))
     _check_dims(problem, tuning)
     v = _as_vector(v, problem.p, "v")
     if len(model) <= problem.rank_x:
@@ -432,7 +426,7 @@ def shrinkage_singleton(problem: DesignProblem, tuning: TuningVector, b) -> np.n
 
 
 def map_ls_to_lasso(
-    problem: DesignProblem, tuning: TuningVector, z_ls, tol: float = 1e-10
+    problem: DesignProblem, tuning: TuningVector, z_ls, tol: float = DEFAULT_TOL
 ) -> LassoSolution:
     """The unique b whose shrinkage area contains the given LS estimate.
 

@@ -17,6 +17,9 @@ from .errors import InputError
 # default |b_j| <= ZERO_TOL  <=>  coordinate j counts as zero
 ZERO_TOL = 1e-9
 
+# default solver tolerance on the KKT residual
+DEFAULT_TOL = 1e-10
+
 # singular value sigma_k counts toward the rank iff sigma_k > max(n,p)*smax*RANK_RTOL
 RANK_RTOL = 1e-12
 
@@ -77,15 +80,31 @@ def _check_dims(problem, tuning=None, model=None, d=None) -> None:
             raise InputError(f"{name} has length {size}; the design has p={problem.p}")
 
 
-def _as_signs(d) -> SignVector:
+def _as_signs(d, name: str = "sign vector") -> SignVector:
     """d as a SignVector; an entry outside {-1, 0, +1} raises InputError
-    rather than being truncated to one."""
+    naming d rather than being truncated to one."""
     if isinstance(d, SignVector):
         return d
-    d = _as_vector(d, None, "sign vector")
+    d = _as_vector(d, None, name)
     if not np.all(np.isin(d, (-1.0, 0.0, 1.0))):
-        raise InputError("sign vector entries must be -1, 0 or +1")
+        raise InputError(f"{name} entries must be -1, 0 or +1")
     return SignVector(d=tuple(int(v) for v in d))
+
+
+def _as_indices(indices, p: int, name: str = "model") -> tuple:
+    """indices as a tuple of ints in the given order; an entry that is not an
+    integer in 0..p-1 or repeats an earlier one raises InputError naming its
+    1-based position, which reads the same for 0- and 1-based indices."""
+    out = []
+    for k, j in enumerate(indices, 1):
+        try:
+            ok = int(j) == j and 0 <= j < p and int(j) not in out
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise InputError(f"{name} entry {k} repeats or is not an integer column index (p={p})")
+        out.append(int(j))
+    return tuple(out)
 
 
 def _numerical_rank(s, shape) -> int:

@@ -15,10 +15,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .model import ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
+from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
 from .model import _check_dims, _check_seed, _check_tol
 from .rng import gaussian_chunks
-from .solver import DEFAULT_TOL, kernel_sign_cone_nonempty, solve_many
+from .solver import kernel_sign_cone_nonempty, solve_many
 from .solver import _cone_arguments, _uniqueness_classes
 
 if TYPE_CHECKING:

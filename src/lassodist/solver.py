@@ -50,11 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .model import ZERO_TOL, DesignProblem, TuningVector, _as_vector, _check_dims, _check_tol
-from .model import _check_zero_tol, _numerical_rank
+from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_vector, _check_dims
+from .model import _check_tol, _check_zero_tol, _numerical_rank
 from .simplex import feasible
 
-DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 # the active-set finish runs after sweep _FIRST_FINISH and then after every
 # _FINISH_EVERY sweeps, and solves its batched systems in row blocks of about

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -346,6 +347,8 @@ def test_input_error_exit_codes(tmp_path):
         ({"lambda": [1, [2, 3]]}, "'lambda'"),
         ({"lambda": [1, 1], "sigma": "x"}, "'sigma'"),
         ({"lambda": [1, 1], "sigma": [1]}, "'sigma'"),
+        # rejected at load although check-unique reads no y
+        ({"lambda": [1, 1], "y": [float("nan")]}, "'y'"),
     )):
         env = tmp_path / f"malformed{i}.json"
         env.write_text(json.dumps({"X": [[1.0, 2.0]], **fields}))
@@ -407,6 +410,30 @@ def test_signs_outside_minus_one_zero_one_rejected():
         proc = run_cli("orthant-prob", "--input", CORR2, "--signs", signs)
         assert proc.returncode == 2, signs
         assert proc.stderr.startswith("error: --signs"), proc.stderr
+
+
+def test_model_indices_checked_by_the_library(capsys):
+    # 1-based on the command line, echoed sorted; a repeat is rejected, not merged
+    from lassodist import cli
+
+    assert cli.main(["selectable", "--input", D2X4, "--model", "3,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["model"] == [1, 3]
+    for model in ("1,1", "2,1,2", "0", "5", "1.5"):
+        assert cli.main(["selectable", "--input", D2X4, "--model", model]) == 2, model
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (model, err)
+
+
+def test_perfbench_trace_sites_resolve():
+    # perfbench/tracing.py wraps lassodist functions at these import sites,
+    # so its traced run breaks if a refactor drops one
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", SRC.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SITES
+    for modname, attr, _ in tracing.SITES:
+        assert callable(getattr(importlib.import_module(modname), attr, None)), (modname, attr)
 
 
 def test_negative_flag_values_accepted():

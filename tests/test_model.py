@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lassodist as ld
+from lassodist import simulate, solver
 from lassodist.errors import InputError
 
 
@@ -165,7 +166,9 @@ _MC = {"n_samples": 16}
 # (entry point, malformed input) -> the call. Input kinds: a tuning vector,
 # a model's beta, a vector or a sign vector of the wrong length; a NaN
 # entry; a sign vector with an entry outside {-1, 0, 1} ("signs"); a
-# non-integral dimension ("p")
+# non-integral dimension ("p"); a model index that is non-integral, repeated,
+# negative or p ("index-..."); a region predicate that cannot read p columns
+# ("region-...")
 _MALFORMED = {
     ("gaussian_model", "length"): lambda: ld.gaussian_model(_P2, [0.2], 1.0),
     ("gaussian_model", "nan"): lambda: ld.gaussian_model(_P2, _NAN, 1.0),
@@ -220,12 +223,20 @@ _MALFORMED = {
         _P2, _M2, _T1, ld.region_support_includes(0), **_MC),
     ("prob_region_high", "beta"): lambda: ld.prob_region_high(
         _P2, _M3, _T2, ld.region_support_includes(0), **_MC),
+    ("prob_region_high", "region-column"): lambda: ld.prob_region_high(
+        _P2, _M2, _T2, ld.region_support_includes(5), **_MC),
+    ("prob_region_high", "region-length"): lambda: ld.prob_region_high(
+        _P2, _M2, _T2, ld.region_below([1.0, 2.0, 3.0]), **_MC),
     ("region_below", "nan"): lambda: ld.region_below(_NAN),
     ("mvn_box_probability", "length"): lambda: ld.mvn_box_probability(
         [0.0, 0.0], np.eye(2), [-1.0, -1.0, -1.0], [1.0, 1.0]),
     ("mvn_box_probability", "nan"): lambda: ld.mvn_box_probability(
         _NAN, np.eye(2), [-1.0, -1.0], [1.0, 1.0]),
     ("selectable", "tuning"): lambda: ld.selectable(_P2, _T1, (0,)),
+    ("selectable", "index-fraction"): lambda: ld.selectable(_P2, _T2, (0.7,)),
+    ("selectable", "index-repeat"): lambda: ld.selectable(_P2, _T2, (0, 0)),
+    ("selectable", "index-negative"): lambda: ld.selectable(_P2, _T2, (-1,)),
+    ("selectable", "index-p"): lambda: ld.selectable(_P2, _T2, (2,)),
     ("structural_set", "tuning"): lambda: ld.structural_set(_P2, _T1),
     ("check_uniqueness", "tuning"): lambda: ld.check_uniqueness(_P1X2, _T1),
     ("construct_nonuniqueness_witness", "tuning"): lambda: ld.construct_nonuniqueness_witness(
@@ -234,9 +245,21 @@ _MALFORMED = {
         _P1X2, ld.tuning_vector([1.0, 2.0]), (0, 1), _THREE),
     ("construct_nonuniqueness_witness", "nan"): lambda: ld.construct_nonuniqueness_witness(
         _P1X2, ld.tuning_vector([1.0, 2.0]), (0, 1), [math.nan, 2.0]),
+    ("construct_nonuniqueness_witness", "index-fraction"): lambda: (
+        ld.construct_nonuniqueness_witness(_P2, _T2, (0, 0.9, 1), [0.5, 0.5])),
+    ("construct_nonuniqueness_witness", "index-repeat"): lambda: (
+        ld.construct_nonuniqueness_witness(_P1X2, _T2, (1, 1), [0.75, 1.5])),
+    ("construct_nonuniqueness_witness", "index-negative"): lambda: (
+        ld.construct_nonuniqueness_witness(_P1X2, _T2, (-1, 0), [0.75, 1.5])),
+    ("construct_nonuniqueness_witness", "index-p"): lambda: (
+        ld.construct_nonuniqueness_witness(_P1X2, _T2, (0, 2), [0.75, 1.5])),
     ("FaceBox.contains", "length"): lambda: ld.face_box(_T2, (0,), (1,)).contains(_THREE),
     ("FaceBox.contains", "nan"): lambda: ld.face_box(_T2, (0,), (1,)).contains(_NAN),
     ("face_box", "signs"): lambda: ld.face_box(_T2, (0,), (1.7,)),
+    ("face_box", "index-fraction"): lambda: ld.face_box(_T2, (0.5,), (1,)),
+    ("face_box", "index-repeat"): lambda: ld.face_box(_T2, (0, 0), (1, 1)),
+    ("face_box", "index-negative"): lambda: ld.face_box(_T2, (-1,), (1,)),
+    ("face_box", "index-p"): lambda: ld.face_box(_T2, (2,), (1,)),
     ("ShrinkageSet.contains", "length"): lambda: ld.shrinkage_set_low(
         _P2, _T2, [0.5, 0.0]).contains(_THREE),
     ("ShrinkageSet.contains", "nan"): lambda: ld.shrinkage_set_low(
@@ -277,6 +300,23 @@ _MALFORMED = {
 def test_malformed_input_raises_input_error(case):
     with pytest.raises(InputError):
         _MALFORMED[case]()
+
+
+def test_region_predicate_checked_before_any_replicate(monkeypatch):
+    chunks = []
+
+    def spy(*args, **kwargs):
+        chunks.append(args)
+        return solver.solve_many(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "solve_many", spy)
+    for kind in ("region-column", "region-length"):
+        with pytest.raises(InputError):
+            _MALFORMED[("prob_region_high", kind)]()
+    assert chunks == []
+    # a predicate that reads p columns still samples
+    ld.prob_region_high(_P2, _M2, _T2, ld.region_below([1.0, 2.0]), **_MC)
+    assert len(chunks) == 1
 
 
 def test_sign_vector_may_be_a_plain_sequence():
