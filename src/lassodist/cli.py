@@ -119,9 +119,8 @@ def load_envelope(path: str) -> Envelope:
     p = problem.p
 
     def vec(name, length):
-        if data.get(name) is None:
-            return None
-        return _as_vector(data[name], length, f"{path}: '{name}'", allow_inf=True)
+        v = data.get(name)
+        return None if v is None else _as_vector(v, length, f"{path}: '{name}'")
 
     lam = vec("lambda", p)
     beta = vec("beta", p)

@@ -527,8 +527,10 @@ def error_density(problem: DesignProblem, model: GaussianModel, tuning: TuningVe
 
 
 def region_support_includes(j: int, zero_tol: float = ZERO_TOL):
-    """Predicate factory: solutions whose coordinate j is active."""
+    """Predicate factory: solutions whose coordinate j (an int >= 0) is active."""
     _check_zero_tol(zero_tol)
+    if not (isinstance(j, (int, np.integer)) and j >= 0):
+        raise InputError(f"column index must be a nonnegative integer, got {j!r}")
 
     def region(B):
         return np.abs(B[:, j]) > zero_tol
@@ -541,6 +543,8 @@ def region_below(z):
     z = _as_vector(z, None, "z", allow_inf=True)
 
     def region(B):
+        if B.shape[1] != z.size:
+            raise ValueError(f"{z.size} bounds for {B.shape[1]} columns")
         return np.all(B <= z, axis=1)
 
     return region

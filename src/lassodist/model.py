@@ -91,10 +91,9 @@ def _as_signs(d, name: str = "sign vector") -> SignVector:
     return SignVector(d=tuple(int(v) for v in d))
 
 
-def _as_indices(indices, p: int, name: str = "model") -> tuple:
-    """indices as a tuple of ints in the given order; an entry that is not an
-    integer in 0..p-1 or repeats an earlier one raises InputError naming its
-    1-based position, which reads the same for 0- and 1-based indices."""
+def _as_indices(indices, p: int) -> tuple:
+    """indices as a tuple of ints in order; an entry that is not an integer in
+    0..p-1, or a repeat, raises InputError naming its position (entry 1, 2, ...)."""
     out = []
     for k, j in enumerate(indices, 1):
         try:
@@ -102,7 +101,7 @@ def _as_indices(indices, p: int, name: str = "model") -> tuple:
         except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
-            raise InputError(f"{name} entry {k} repeats or is not an integer column index (p={p})")
+            raise InputError(f"model entry {k} repeats or is not an integer column index (p={p})")
         out.append(int(j))
     return tuple(out)
 

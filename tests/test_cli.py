@@ -349,6 +349,7 @@ def test_input_error_exit_codes(tmp_path):
         ({"lambda": [1, 1], "sigma": [1]}, "'sigma'"),
         # rejected at load although check-unique reads no y
         ({"lambda": [1, 1], "y": [float("nan")]}, "'y'"),
+        ({"lambda": [1, 1], "y": [float("inf")]}, "'y'"),
     )):
         env = tmp_path / f"malformed{i}.json"
         env.write_text(json.dumps({"X": [[1.0, 2.0]], **fields}))

@@ -227,7 +227,11 @@ _MALFORMED = {
         _P2, _M2, _T2, ld.region_support_includes(5), **_MC),
     ("prob_region_high", "region-length"): lambda: ld.prob_region_high(
         _P2, _M2, _T2, ld.region_below([1.0, 2.0, 3.0]), **_MC),
+    ("prob_region_high", "region-short"): lambda: ld.prob_region_high(
+        _P2, _M2, _T2, ld.region_below([1.0]), **_MC),
     ("region_below", "nan"): lambda: ld.region_below(_NAN),
+    ("region_support_includes", "index-negative"): lambda: ld.region_support_includes(-1),
+    ("region_support_includes", "index-fraction"): lambda: ld.region_support_includes(0.5),
     ("mvn_box_probability", "length"): lambda: ld.mvn_box_probability(
         [0.0, 0.0], np.eye(2), [-1.0, -1.0, -1.0], [1.0, 1.0]),
     ("mvn_box_probability", "nan"): lambda: ld.mvn_box_probability(
@@ -310,7 +314,7 @@ def test_region_predicate_checked_before_any_replicate(monkeypatch):
         return solver.solve_many(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "solve_many", spy)
-    for kind in ("region-column", "region-length"):
+    for kind in ("region-column", "region-length", "region-short"):
         with pytest.raises(InputError):
             _MALFORMED[("prob_region_high", kind)]()
     assert chunks == []
