@@ -55,6 +55,9 @@ GOLDEN_CASES = [
     ("simulate_n1p2.json", ("simulate", "--input", N1P2, "--reps", "2000", "--seed", "3")),
     ("simulate_n1p2.csv",
      ("simulate", "--input", N1P2, "--reps", "2000", "--seed", "3", "--report", "csv")),
+    # three replicate chunks with p > n: blocks, pattern counting and cone tests
+    ("simulate_x2x3_rank2.json",
+     ("simulate", "--input", X2X3_RANK2, "--reps", "10000", "--seed", "5")),
     ("shrinkage_map_corr2.json", ("shrinkage-map", "--input", CORR2, "--b", "0.5,-0.3")),
     ("density_grid_corr2.csv", ("density-grid", "--input", CORR2, "--grid", "-1:1:5")),
 ]

@@ -438,14 +438,53 @@ def test_step_to_solution_never_raises_objective(data):
         assert np.array_equal(new, x) or np.array_equal(new, b)
 
 
-@given(st.data())
-@settings(deadline=None, max_examples=200)
-def test_null_step_keeps_fit_and_never_raises_objective(data):
-    X, y, lam, b = _step_case(data.draw, singular=True)
+def _refused_null_step_shift(X, lam, b):
+    """How far the null step's candidate moves X b, and the bound _NULL_TOL * |X|_F |b|
+    above which _null_step refuses it. The candidate is rebuilt from the same
+    singular vector the solver takes, oriented and cut as its docstring says."""
+    Xt = X.T[None]
+    h = np.linalg.svd(Xt, full_matrices=Xt.shape[1] > Xt.shape[2])[0][0, :, -1]
+    h[np.abs(h) <= solver._NULL_TOL] = 0.0
+    s = np.sign(b)
+    if np.sum(lam * s * h) > 0.0 or not np.any(s * h < 0.0):
+        h = -h
+    down = s * h < 0.0
+    t = np.where(down, np.abs(b) / np.where(down, np.abs(h), 1.0), np.inf)
+    first = int(np.argmin(t))
+    cand = b + t[first] * h
+    cand[s * cand <= 0.0] = 0.0
+    cand[first] = 0.0
+    # the fit moves only by rounding; measure it in the solver's own order
+    shift = np.linalg.norm(np.einsum("ikn,ik->in", Xt, (cand - b)[None]))
+    return shift, solver._NULL_TOL * np.linalg.norm(X) * np.linalg.norm(b)
+
+
+def _check_null_step(X, y, lam, b):
     new = solver._null_step(X.T[None], lam[None], b[None])[0]
     fit = X @ b
     scale = max(np.linalg.norm(fit), np.linalg.norm(X) * np.linalg.norm(b))
     assert np.linalg.norm(X @ new - fit) <= 1e-12 * scale
     before = objective(X, y, lam, b)
     assert objective(X, y, lam, new) <= before + 1e-12 * (1.0 + abs(before))
-    assert np.all(np.sign(b) * new >= 0.0) and np.count_nonzero(new) < len(b)
+    assert np.all(np.sign(b) * new >= 0.0)
+    # a coordinate reaches 0, or the step would move the fit by more than
+    # _NULL_TOL relative and b comes back unchanged
+    if np.count_nonzero(new) == len(b):
+        shift, bound = _refused_null_step_shift(X, lam, b)
+        assert np.array_equal(new, b) and shift > bound
+    return new
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_null_step_keeps_fit_and_never_raises_objective(data):
+    _check_null_step(*_step_case(data.draw, singular=True))
+
+
+def test_null_step_refuses_a_step_that_moves_the_fit():
+    # the null vector carries 4.2e-4 on the only penalized coordinate, so the
+    # step is 5.9e3 long and moves X b by 4.7e-13, above 1e-13 * |X| |b| = 3.8e-13
+    X = np.random.default_rng(19463).normal(size=(1, 3))
+    lam, b = np.array([0.0, 0.5, 0.0]), np.array([-1.0, 2.5, -1.0])
+    new = _check_null_step(X, np.array([1.0]), lam, b)
+    assert np.array_equal(new, b)
