@@ -32,6 +32,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii  # what json.dumps does to one str
 
 import numpy as np
 
@@ -72,6 +73,8 @@ def _render(obj, indent=0):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if set(map(type, obj)) == {int}:  # plain ints; bools and numpy scalars go below
+            return "[" + ", ".join(map(str, obj)) + "]"
         if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in obj):
             return "[" + ", ".join(_render(v) for v in obj) + "]"
         pad = "  " * (indent + 1)
@@ -82,7 +85,8 @@ def _render(obj, indent=0):
             return "{}"
         pad = "  " * (indent + 1)
         inner = ",\n".join(
-            f"{pad}{json.dumps(str(k))}: {_render(v, indent + 1)}" for k, v in obj.items()
+            f"{pad}{encode_basestring_ascii(str(k))}: {_render(v, indent + 1)}"
+            for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + "  " * indent + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -346,15 +350,15 @@ def _cmd_simulate(args) -> str:
             for z, f in axis:
                 lines.append(f"{j + 1},{z:.17g},{f:.17g}")
         return "\n".join(lines) + "\n"
+    n_rep = summary.n_rep
     sign_rows = [
-        {"signs": list(sv.d), "count": summary.sign_pattern_freq[sv],
-         "freq": summary.sign_pattern_freq[sv] / summary.n_rep}
-        for sv in sorted(summary.sign_pattern_freq, key=lambda s: s.d)
+        {"signs": list(sv.d), "count": count, "freq": count / n_rep}
+        for sv, count in sorted(summary.sign_pattern_freq.items(), key=lambda kv: kv[0].d)
     ]
+    # supports are distinct, so sorting the pairs sorts by support alone
     support_rows = [
-        {"support": _one_based(sup), "count": summary.support_freq[sup],
-         "freq": summary.support_freq[sup] / summary.n_rep}
-        for sup in sorted(summary.support_freq)
+        {"support": _one_based(sup), "count": count, "freq": count / n_rep}
+        for sup, count in sorted(summary.support_freq.items())
     ]
     return render_json({
         "n_rep": summary.n_rep,

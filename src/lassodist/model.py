@@ -215,7 +215,7 @@ class SignVector:
     d: tuple
 
     def __post_init__(self):
-        if any(v not in (-1, 0, 1) for v in self.d):
+        if not all(map((-1, 0, 1).__contains__, self.d)):
             raise InputError("sign vector entries must be -1, 0 or +1")
 
     @property

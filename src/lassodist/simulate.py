@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -121,12 +122,10 @@ def run_simulation(
 
     def count(Y, B):
         nonlocal nonunique
-        s_class = np.where(B > config.zero_tol, 1, np.where(B < -config.zero_tol, -1, 0))
+        s_class = (B > config.zero_tol).view(np.int8) - (B < -config.zero_tol).view(np.int8)
         patterns, counts = np.unique(s_class, axis=0, return_counts=True)
-        for row, cnt in zip(patterns, counts):
-            key = SignVector(d=tuple(int(v) for v in row))
-            sign_counts[key] += int(cnt)
-            support_counts[tuple(int(j) for j in np.flatnonzero(row))] += int(cnt)
+        for d, cnt in zip(patterns.tolist(), counts.tolist()):
+            sign_counts[tuple(d)] += cnt
 
         for j in range(problem.p):
             ecdf_hits[j] += np.count_nonzero(B[:, j][:, None] <= grids[j][None, :], axis=0)
@@ -135,6 +134,10 @@ def run_simulation(
             nonunique += _count_nonunique(problem, tuning, config, Y, B, cone_cache)
 
     _solve_replicates(problem, model, tuning, config.n_rep, config.seed, config.solver_tol, count)
+    # keys in the order the patterns were first seen, so each support also
+    # enters support_counts where its first pattern was seen
+    for d, cnt in sign_counts.items():
+        support_counts[tuple(compress(range(len(d)), d))] += cnt
     ecdf_grid = tuple(
         tuple((float(z), int(h) / config.n_rep) for z, h in zip(grids[j], ecdf_hits[j]))
         for j in range(problem.p)
@@ -142,7 +145,7 @@ def run_simulation(
     return EmpiricalSummary(
         n_rep=config.n_rep,
         seed=config.seed,
-        sign_pattern_freq=dict(sign_counts),
+        sign_pattern_freq={SignVector(d=d): cnt for d, cnt in sign_counts.items()},
         support_freq=dict(support_counts),
         ecdf_grid=ecdf_grid,
         nonunique_count=nonunique,

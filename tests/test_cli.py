@@ -5,10 +5,16 @@ import os
 import subprocess
 import sys
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lassodist as ld
+from lassodist.cli import render_json
+from lassodist.errors import NumericalError
 
 from conftest import FIXTURES, GOLDEN, SRC
 from mvn_oracle import singular_box_prob
@@ -68,6 +74,77 @@ def test_golden_outputs_are_byte_stable(golden, args):
     proc = run_cli(*args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / golden).read_text()
+
+
+def _generic_render(obj, indent=0):
+    """cli._render before its plain-int list path, kept as the reference."""
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x) or math.isinf(x):
+            raise NumericalError("non-finite value in output")
+        if x == 0.0:
+            x = 0.0
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in obj):
+            return "[" + ", ".join(_generic_render(v) for v in obj) + "]"
+        pad = "  " * (indent + 1)
+        inner = ",\n".join(pad + _generic_render(v, indent + 1) for v in obj)
+        return "[\n" + inner + "\n" + "  " * indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = "  " * (indent + 1)
+        inner = ",\n".join(
+            f"{pad}{json.dumps(str(k))}: {_generic_render(v, indent + 1)}" for k, v in obj.items()
+        )
+        return "{\n" + inner + "\n" + "  " * indent + "}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _outcome(render, obj):
+    try:
+        return render(obj)
+    except NumericalError:
+        return NumericalError
+
+
+_ints = st.integers(-(10**20), 10**20)
+_leaves = st.one_of(
+    _ints, st.booleans(), st.none(), st.text(max_size=4), st.just(-0.0), st.floats(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.floats(width=32).map(np.float32),
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.lists(_ints | st.booleans(), max_size=6),
+        st.lists(st.integers(-1000, 1000), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_payloads)
+@settings(deadline=None, max_examples=300)
+def test_render_matches_the_generic_renderer(obj):
+    # plain-int lists take a join of str; bools, numpy scalars and floats
+    # in a list keep the per-value path
+    assert _outcome(render_json, obj) == _outcome(lambda o: _generic_render(o) + "\n", obj)
 
 
 def test_cli_runs_without_scipy():
