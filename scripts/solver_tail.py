@@ -1,14 +1,18 @@
 """Solver work on the benchmark's Monte-Carlo designs: solve_many time, sweeps to close, tail.
 
 Builds the perfbench `sampling` envelopes of one workload seed, draws the
-responses that the workload's Monte-Carlo calls solve (4096-row chunks, the
-calls' own seeds) and prints one JSON object:
+responses that the workload's Monte-Carlo calls solve (the calls' own seeds)
+and prints one JSON object. Responses are solved in the blocks that the
+measured checkout's Monte-Carlo loop uses (`simulate._BLOCK_CHUNKS`
+4096-row RNG chunks per solve_many call; one chunk in checkouts that predate
+blocks), or in blocks of --block-chunks chunks:
 
     python3 scripts/solver_tail.py --part times --seed 43 --reps 5
+    python3 scripts/solver_tail.py --part times --seed 43 --block-chunks 1
     python3 scripts/solver_tail.py --part sweeps --seed 43
     python3 scripts/solver_tail.py --part tail --seed 43 --mc-seeds 0:60
 
-`times`: in-process solve_many time per design, summed over the chunks of
+`times`: in-process solve_many time per design, summed over the blocks of
 one call (m2 and m3: 100,000 rows; wide5x8: 2048; corr50x30: 1024), median
 of --reps after one warm-up. `sweeps`: for each row, the least max_iter on
 a grid at which it meets tol, and quantiles of that over the rows. `tail`:
@@ -45,11 +49,14 @@ def designs(workloads, seed, outdir):
     }
 
 
-def chunks(ld, gaussian_chunks, path, rows, mc_seed):
+def blocks(ld, np, gaussian_chunks, per_block, path, rows, mc_seed):
+    """The design, tuning and responses of one call, per_block RNG chunks to a block."""
     env = json.loads(Path(path).read_text())
     problem = ld.build_problem(env["X"])
     model = ld.gaussian_model(problem, env["beta"], env["sigma"])
-    Ys = [model.mu + model.sigma * Z for _, _, Z in gaussian_chunks(mc_seed, rows, problem.n)]
+    Zs = [Z for _, _, Z in gaussian_chunks(mc_seed, rows, problem.n)]
+    Ys = [model.mu + model.sigma * np.concatenate(Zs[i:i + per_block])
+          for i in range(0, len(Zs), per_block)]
     return problem, ld.tuning_vector(env["lambda"]), Ys
 
 
@@ -65,6 +72,8 @@ def main(argv=None):
     ap.add_argument("--reps", type=int, default=5)
     ap.add_argument("--mc-seeds", default="0:60", help="lo:hi, Monte-Carlo seeds of --part tail")
     ap.add_argument("--src", default=str(ROOT), help="checkout whose src/ is measured")
+    ap.add_argument("--block-chunks", type=int, default=None,
+                    help="RNG chunks per solve_many call (default: the checkout's own)")
     ap.add_argument("--out", default=str(ROOT / ".bench_out" / "solver_tail"),
                     help="directory for the generated envelopes")
     args = ap.parse_args(argv)
@@ -75,13 +84,16 @@ def main(argv=None):
     import workloads
 
     import lassodist as ld
+    from lassodist import simulate
     from lassodist.rng import gaussian_chunks
 
+    per_block = args.block_chunks or getattr(simulate, "_BLOCK_CHUNKS", 1)
+    chunks = lambda *case: blocks(ld, np, gaussian_chunks, per_block, *case)
     cases = designs(workloads, args.seed, Path(args.out) / str(args.seed))
-    result = {}
+    result = {"block_chunks": per_block}
     if args.part == "times":
         for name, (path, rows, mc_seed) in cases.items():
-            problem, tuning, Ys = chunks(ld, gaussian_chunks, path, rows, mc_seed)
+            problem, tuning, Ys = chunks(path, rows, mc_seed)
             solve_all(ld, problem, tuning, Ys)
             ms = []
             for _ in range(args.reps):
@@ -92,7 +104,7 @@ def main(argv=None):
                             "unconverged": int(np.sum(np.array(resids) > TOL))}
     elif args.part == "sweeps":
         for name, (path, rows, mc_seed) in cases.items():
-            problem, tuning, Ys = chunks(ld, gaussian_chunks, path, rows, mc_seed)
+            problem, tuning, Ys = chunks(path, rows, mc_seed)
             closed = np.full(rows, np.inf)
             for k in GRID:
                 resids = np.array(solve_all(ld, problem, tuning, Ys, max_iter=k))
@@ -110,7 +122,7 @@ def main(argv=None):
         lo, hi = (int(v) for v in args.mc_seeds.split(":"))
         path = cases["wide5x8"][0]
         for mc_seed in range(lo, hi):
-            problem, tuning, Ys = chunks(ld, gaussian_chunks, path, 2048, mc_seed)
+            problem, tuning, Ys = chunks(path, 2048, mc_seed)
             row = {f"open_at_{k}": int(np.sum(np.array(solve_all(ld, problem, tuning, Ys, k)) > TOL))
                    for k in (400, 500)}
             t0 = time.perf_counter()

@@ -185,6 +185,65 @@ def test_monte_carlo_raises_on_an_unconverged_replicate(monkeypatch, solve_many)
             pytest.fail(f"{name} counted an unconverged replicate")
 
 
+def _rank2_case():
+    env = json.loads((FIXTURES / "x2x3_rank2.json").read_text())
+    prob = ld.build_problem(env["X"])
+    return prob, ld.gaussian_model(prob, env["beta"], env["sigma"]), ld.tuning_vector(env["lambda"])
+
+
+@pytest.mark.parametrize("n_rep", [1, 4095, 4097, 8192, 10001])
+def test_blocks_match_chunk_by_chunk_solves(monkeypatch, n_rep):
+    # a block of two RNG chunks gives each row the bits of its own chunk's solve
+    prob, model, t = _rank2_case()
+    ref = [solver.solve_many(prob, model.mu + model.sigma * Z, t)[0]
+           for _, _, Z in gaussian_chunks(11, n_rep, prob.n)]
+    blocks = []
+    simulate._solve_replicates(prob, model, t, n_rep, 11, 1e-10, lambda Y, B: blocks.append(B))
+    assert [len(B) for B in blocks] == [min(8192, n_rep - s) for s in range(0, n_rep, 8192)]
+    assert np.array_equal(np.vstack(blocks), np.vstack(ref))
+
+    cfg = ld.SimulationConfig(n_rep=n_rep, seed=11)
+    summary = ld.run_simulation(prob, model, t, cfg)
+    zero = ld.prob_all_zero(prob, model, t, method="mc", n_samples=n_rep, seed=11)
+    monkeypatch.setattr(simulate, "_BLOCK_CHUNKS", 1)
+    by_chunk = ld.run_simulation(prob, model, t, cfg)
+    assert summary.sign_pattern_freq == by_chunk.sign_pattern_freq
+    assert summary.support_freq == by_chunk.support_freq
+    assert summary.ecdf_grid == by_chunk.ecdf_grid
+    assert summary.nonunique_count == by_chunk.nonunique_count
+    assert zero.estimate == ld.prob_all_zero(
+        prob, model, t, method="mc", n_samples=n_rep, seed=11).estimate
+
+
+def test_region_predicates_receive_whole_blocks():
+    prob, model, t = _rank2_case()
+    rows = []
+
+    def region(B):
+        rows.append(B.shape[0])
+        return B[:, 0] > 0.0
+
+    ld.prob_region_high(prob, model, t, region, n_samples=10001, seed=2)
+    assert rows == [1, 8192, 1809]  # the probe row, then two blocks
+
+
+def test_convergence_error_names_the_failing_block(monkeypatch):
+    prob, model, t = _rank2_case()
+    calls = []
+
+    def second_block_misses(*args, **kwargs):
+        B, resids = solver.solve_many(*args, **kwargs)
+        calls.append(len(B))
+        if len(calls) == 2:
+            resids[-1] = math.inf
+        return B, resids
+
+    monkeypatch.setattr(simulate, "solve_many", second_block_misses)
+    with pytest.raises(ConvergenceError, match=r"replicates 8192\.\.10000: 1 missed"):
+        ld.run_simulation(prob, model, t, ld.SimulationConfig(n_rep=10001))
+    assert calls == [8192, 1809]
+
+
 def test_comparison_report_passes_within_noise():
     analytic = ld.RegionProbability(0.477250, 0.0, "quadrature", 0, None, 1e-4)
     empirical = ld.RegionProbability(0.4785, 0.00158, "monte-carlo", 100_000, 0, 0.0)
