@@ -31,7 +31,6 @@ import gc
 import json
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii  # what json.dumps does to one str
 
 import numpy as np
@@ -46,7 +45,7 @@ from .errors import (
     NumericalError,
 )
 from .model import DEFAULT_TOL, DesignProblem, GaussianModel, TuningVector, _as_signs, _as_vector
-from .model import build_problem, gaussian_model, tuning_vector
+from .model import _record, build_problem, gaussian_model, tuning_vector
 
 
 __getattr__ = _lazy(globals(), {"solve": "solver"})
@@ -96,7 +95,7 @@ def render_json(obj) -> str:
     return _render(obj) + "\n"
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class Envelope:
     problem: DesignProblem
     lam: np.ndarray | None

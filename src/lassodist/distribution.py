@@ -39,7 +39,6 @@ to one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -47,7 +46,7 @@ import numpy as np
 from . import _lazy
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
 from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
-from .model import _as_signs, _as_vector, _check_dims, _check_seed, _check_zero_tol
+from .model import _as_signs, _as_vector, _check_dims, _check_seed, _check_zero_tol, _record
 
 # uncalled here, but read as attributes of this module: perfbench/tracing.py
 # wraps both and perfbench/worker.py calls solve_many. They load on first use
@@ -140,7 +139,7 @@ _AS241_F = (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751
             5.99832206555887937690e-1, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class RegionProbability:
     """A probability estimate together with how it was obtained.
 
@@ -156,7 +155,7 @@ class RegionProbability:
     quad_tol: float
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class OrthantEvent:
     """Thresholds z (error coordinates) with the orthant signs d.
 

@@ -12,7 +12,6 @@ first use (PEP 562).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import TYPE_CHECKING
 
@@ -21,7 +20,7 @@ import numpy as np
 from . import _lazy
 from .errors import CombinatorialLimitError, InputError, NumericalError
 from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_indices, _as_signs
-from .model import _as_vector, _check_dims, _check_tol, sign_partition
+from .model import _as_vector, _check_dims, _check_tol, _record, sign_partition
 from .simplex import feasible_point
 
 if TYPE_CHECKING:
@@ -35,7 +34,7 @@ GENERAL_POSITION_LIMIT = 12
 __getattr__ = _lazy(globals(), {"solve": "solver"})
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class FaceBox:
     """A fully sign-resolved face of the box prod_j [-lam_j, lam_j].
 
@@ -97,7 +96,7 @@ def _sign_patterns(tuning, model):
     return product(*_sign_slots(tuning, model))
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class RowSpacePoint:
     """A point v = X'z of the row space, with its certificate z."""
 
@@ -209,21 +208,21 @@ def _pair_consistent_signs(tuning, model, pairs):
     return extend(0)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class NonuniquenessWitness:
     y: np.ndarray
     b: np.ndarray
     b_tilde: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class ViolatingFace:
     model: tuple
     signs: tuple
     v: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class UniquenessVerdict:
     unique: bool
     witness: NonuniquenessWitness | None
@@ -367,7 +366,7 @@ def general_position(problem: DesignProblem) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class ShrinkageSet:
     """All points mapped to the Lasso output b.
 

@@ -8,7 +8,6 @@ construction time and frozen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +21,63 @@ DEFAULT_TOL = 1e-10
 
 # singular value sigma_k counts toward the rank iff sigma_k > max(n,p)*smax*RANK_RTOL
 RANK_RTOL = 1e-12
+
+
+def _record(cls=None, *, eq=False):
+    """Class decorator: an immutable record over the class's annotated fields.
+
+    It does what a frozen dataclass does here, without generating code per
+    class: construction by position or keyword in annotation order, class
+    attributes as defaults (a dict default is copied for each record),
+    __post_init__ when the class has one, AttributeError on assignment or
+    deletion and the repr Name(field=value, ...). With eq=True, records of
+    one class compare and hash by their field values; otherwise by identity.
+    Fields live in the instance __dict__, so pickle and copy work unchanged.
+    """
+    if cls is None:
+        return lambda c: _record(c, eq=eq)
+    name = cls.__name__
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {k: cls.__dict__[k] for k in names if k in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{name}() takes {len(names)} fields, got {len(args)} positional")
+        values = dict(zip(names, args))
+        for k, v in kwargs.items():
+            if k not in names or k in values:
+                raise TypeError(f"{name}() got an unexpected or repeated field {k!r}")
+            values[k] = v
+        state = self.__dict__
+        for k in names:
+            if k in values:
+                state[k] = values[k]
+            elif k in defaults:
+                state[k] = dict(defaults[k]) if type(defaults[k]) is dict else defaults[k]
+            else:
+                raise TypeError(f"{name}() missing field {k!r}")
+        if post_init is not None:
+            post_init(self)
+
+    def __setattr__(self, k, v):
+        raise AttributeError(f"cannot assign to field {k!r}")
+
+    def __delattr__(self, k):
+        raise AttributeError(f"cannot delete field {k!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={self.__dict__[k]!r}" for k in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    cls.__init__, cls.__setattr__, cls.__delattr__ = __init__, __setattr__, __delattr__
+    cls.__repr__ = __repr__
+    if eq:
+        values = lambda r: tuple(r.__dict__[k] for k in names)
+        cls.__eq__ = lambda self, other: (
+            values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented)
+        cls.__hash__ = lambda self: hash(values(self))
+    return cls
 
 
 def _check_seed(seed) -> int:
@@ -112,7 +168,7 @@ def _numerical_rank(s, shape) -> int:
     return int(np.sum(s > max(shape) * smax * RANK_RTOL))
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class DesignProblem:
     """A fixed design matrix with its cached linear-algebra companions.
 
@@ -173,7 +229,7 @@ def design_from_gram(gram) -> DesignProblem:
     return build_problem(chol.T)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class TuningVector:
     """Per-coordinate penalty weights lambda_j >= 0.
 
@@ -208,7 +264,7 @@ def uniform_tuning(p: int, lam_bar: float) -> TuningVector:
     return tuning_vector(np.full(p, float(lam_bar)))
 
 
-@dataclass(frozen=True)
+@_record(eq=True)
 class SignVector:
     """A vector d in {-1, 0, +1}^p and the index partition it induces."""
 
@@ -251,7 +307,7 @@ def sign_partition(z, zero_tol: float = ZERO_TOL) -> SignVector:
     return SignVector(d=tuple(int(v) for v in d))
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class GaussianModel:
     """Response model y = X beta + eps, eps ~ N(0, sigma^2 I_n).
 

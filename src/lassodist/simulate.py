@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, islice
 from typing import TYPE_CHECKING
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
-from .model import _check_dims, _check_seed, _check_tol
+from .model import _check_dims, _check_seed, _check_tol, _record
 from .rng import gaussian_chunks
 from .solver import kernel_sign_cone_nonempty, solve_many
 from .solver import _cone_arguments, _uniqueness_classes
@@ -34,7 +33,7 @@ if TYPE_CHECKING:
 _BLOCK_CHUNKS = 2
 
 
-@dataclass(frozen=True)
+@_record(eq=True)
 class SimulationConfig:
     n_rep: int = 100_000
     seed: int = 0
@@ -53,7 +52,7 @@ class SimulationConfig:
             raise InputError("ecdf grid needs >= 2 points and a finite positive span")
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class EmpiricalSummary:
     """Counters over n_rep solved replicates.
 
@@ -66,8 +65,8 @@ class EmpiricalSummary:
 
     n_rep: int
     seed: int
-    sign_pattern_freq: dict = field(default_factory=dict)
-    support_freq: dict = field(default_factory=dict)
+    sign_pattern_freq: dict = {}  # each record gets its own copy
+    support_freq: dict = {}
     ecdf_grid: tuple = ()
     nonunique_count: int = 0
     convergence_failures: int = 0
@@ -200,7 +199,7 @@ def estimate_nonuniqueness_probability(
     return _binomial_probability(summary.nonunique_count, config.n_rep, config.seed)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class ComparisonReport:
     analytic: RegionProbability
     empirical: RegionProbability

@@ -45,13 +45,12 @@ solve raises ConvergenceError carrying it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_vector, _check_dims
-from .model import _check_tol, _check_zero_tol, _numerical_rank
+from .model import _check_tol, _check_zero_tol, _numerical_rank, _record
 from .simplex import feasible
 
 DEFAULT_MAX_ITER = 100_000
@@ -67,7 +66,7 @@ _FINISH_BYTES = 1 << 20
 _NULL_TOL = 1e-13
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class LassoSolution:
     b: np.ndarray
     fit: np.ndarray
@@ -76,7 +75,7 @@ class LassoSolution:
     active_model: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class KKTReport:
     """Verdict of the first-order conditions plus the worst violation."""
 
@@ -88,7 +87,7 @@ class KKTReport:
         return self.ok
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class SolutionSetDescription:
     """The full solution set at one response y.
 

@@ -346,3 +346,117 @@ def test_rank_matches_numpy(X):
         assert np.allclose(U.T @ U, np.eye(prob.rank_x), atol=1e-10)
     # null basis really annihilates the design
     assert np.allclose(X @ prob.null_space_basis, 0.0, atol=1e-9)
+
+
+def _records():
+    """(record, field names in order, value equality) for every public record."""
+    from lassodist.cli import Envelope
+
+    prob = ld.build_problem(np.array([[1.0, 2.0]]))
+    v = np.array([0.5, -0.25])
+    sv = ld.SignVector(d=(1, 0))
+    face = ld.FaceBox(lam=np.ones(2), fixed_sign=np.array([1, 0]))
+    sol = ld.LassoSolution(b=v, fit=np.array([0.0]), objective=1.5, kkt_residual=1e-12,
+                           active_model=(0, 1))
+    rp = ld.RegionProbability(0.25, 0.01, "monte-carlo", 100, 3, 0.0)
+    witness = ld.NonuniquenessWitness(y=np.array([4.0]), b=v, b_tilde=-v)
+    return [
+        (prob, ("X", "gram", "rank_x", "row_space_basis", "null_space_basis"), False),
+        (ld.TuningVector(lam=v, m0=()), ("lam", "m0"), False),
+        (sv, ("d",), True),
+        (ld.GaussianModel(beta=v, sigma=1.0, mu=np.array([0.0])), ("beta", "sigma", "mu"), False),
+        (rp, ("estimate", "std_error", "method", "n_samples", "seed", "quad_tol"), False),
+        (ld.OrthantEvent(z=v, d=sv), ("z", "d"), False),
+        (face, ("lam", "fixed_sign"), False),
+        (ld.RowSpacePoint(v=v, z=np.array([1.0])), ("v", "z"), False),
+        (witness, ("y", "b", "b_tilde"), False),
+        (ld.ViolatingFace(model=(0, 1), signs=(1, -1), v=v), ("model", "signs", "v"), False),
+        (ld.UniquenessVerdict(unique=False, witness=witness, violating_face=None),
+         ("unique", "witness", "violating_face"), False),
+        (ld.ShrinkageSet(center=v, box=face, b=v, gram=prob.gram, domain="xty"),
+         ("center", "box", "b", "gram", "domain"), False),
+        (ld.SimulationConfig(n_rep=10, seed=2),
+         ("n_rep", "seed", "zero_tol", "solver_tol", "ecdf_points", "ecdf_span"), True),
+        (ld.EmpiricalSummary(n_rep=10, seed=2, sign_pattern_freq={sv: 10}, support_freq={(0,): 10},
+                             ecdf_grid=(((0.0, 0.5),),), nonunique_count=1),
+         ("n_rep", "seed", "sign_pattern_freq", "support_freq", "ecdf_grid", "nonunique_count",
+          "convergence_failures"), False),
+        (ld.ComparisonReport(analytic=rp, empirical=rp, discrepancy=0.0, tolerance=0.1,
+                             passed=True),
+         ("analytic", "empirical", "discrepancy", "tolerance", "passed"), False),
+        (sol, ("b", "fit", "objective", "kkt_residual", "active_model"), False),
+        (ld.KKTReport(ok=True, max_violation=0.0, worst_index=1),
+         ("ok", "max_violation", "worst_index"), False),
+        (ld.SolutionSetDescription(fit=np.array([0.0]), anchor=sol, equicorrelation_signs=(1, 0),
+                                   is_unique_at_y=True),
+         ("fit", "anchor", "equicorrelation_signs", "is_unique_at_y"), False),
+        (Envelope(problem=prob, lam=v, beta=v, sigma=1.0, y=None),
+         ("problem", "lam", "beta", "sigma", "y"), False),
+    ]
+
+
+_RECORDS = sorted(name for name in ld.__all__ if isinstance(getattr(ld, name), type)
+                  and getattr(ld, name).__repr__.__qualname__.startswith("_record."))
+
+
+def test_every_public_record_is_in_the_contract_table():
+    assert len(_RECORDS) == 18
+    assert {type(rec).__name__ for rec, _, _ in _records()} == {*_RECORDS, "Envelope"}
+
+
+@pytest.mark.parametrize("name", [*_RECORDS, "Envelope"])
+def test_record_contract(name):
+    import copy
+    import pickle
+
+    rec, names, by_value = next(r for r in _records() if type(r[0]).__name__ == name)
+    cls = type(rec)
+    values = [getattr(rec, k) for k in names]
+    text = f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in zip(names, values)) + ")"
+    assert repr(rec) == text
+    positional = cls(*values)
+    assert repr(positional) == text and all(getattr(positional, k) is v
+                                            for k, v in zip(names, values))
+    for k in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, k, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, k)
+    assert repr(rec) == text
+    # value equality and hash only where declared; identity elsewhere
+    assert rec == rec and hash(rec) == hash(rec)
+    if by_value:
+        assert positional == rec and hash(positional) == hash(rec)
+    else:
+        assert positional != rec and hash(rec) == object.__hash__(rec)
+    clones = [copy.copy(rec), copy.deepcopy(rec)]
+    clones += [pickle.loads(pickle.dumps(rec, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert type(clone) is cls and repr(clone) == text
+        assert (clone == rec) is by_value
+        with pytest.raises(AttributeError):
+            setattr(clone, names[0], None)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values[1:], **{names[0]: values[0], "extra": None})
+
+
+def test_record_defaults_and_checks():
+    a, b = ld.EmpiricalSummary(1, 0), ld.EmpiricalSummary(n_rep=1, seed=0)
+    assert a.sign_pattern_freq == {} and a.sign_pattern_freq is not b.sign_pattern_freq
+    assert a.support_freq is not b.support_freq
+    a.sign_pattern_freq[ld.SignVector((1,))] = 1
+    assert b.sign_pattern_freq == {} and ld.EmpiricalSummary(1, 0).sign_pattern_freq == {}
+    assert (a.ecdf_grid, a.nonunique_count, a.convergence_failures) == ((), 0, 0)
+    assert ld.SimulationConfig() == ld.SimulationConfig(100_000, 0)
+    with pytest.raises(TypeError):
+        ld.SignVector()
+    # __post_init__ runs on every construction, positional or keyword
+    with pytest.raises(InputError):
+        ld.SignVector((2,))
+    with pytest.raises(InputError):
+        ld.SimulationConfig(0)
+    with pytest.raises(InputError):
+        ld.SimulationConfig(n_rep=10, ecdf_points=1)
