@@ -135,7 +135,7 @@ def run_simulation(
 
     def count(Y, B):
         nonlocal nonunique
-        s_class = (B > config.zero_tol).view(np.int8) - (B < -config.zero_tol).view(np.int8)
+        s_class = np.where(B > config.zero_tol, 1, np.where(B < -config.zero_tol, -1, 0))
         patterns, counts = np.unique(s_class, axis=0, return_counts=True)
         for d, cnt in zip(patterns.tolist(), counts.tolist()):
             sign_counts[tuple(d)] += cnt
