@@ -73,10 +73,10 @@ def _record(cls=None, *, eq=False):
     cls.__init__, cls.__setattr__, cls.__delattr__ = __init__, __setattr__, __delattr__
     cls.__repr__ = __repr__
     if eq:
-        values = lambda r: tuple(r.__dict__[k] for k in names)
+        key = lambda r: tuple(r.__dict__[k] for k in names)
         cls.__eq__ = lambda self, other: (
-            values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented)
-        cls.__hash__ = lambda self: hash(values(self))
+            key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented)
+        cls.__hash__ = lambda self: hash(key(self))
     return cls
 
 

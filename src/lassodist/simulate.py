@@ -3,9 +3,9 @@
 Replicates are drawn in fixed-size chunks whose RNG streams are keyed by
 (seed, chunk index), so a summary depends only on (seed, n_rep) and never on
 how the chunks would be scheduled across workers. They are solved and
-counted in blocks of up to _BLOCK_CHUNKS consecutive chunks; the solver
-treats rows independently, so a block gives each row the bits its chunk
-alone would.
+counted in blocks of up to _BLOCK_CHUNKS consecutive chunks. The solver
+treats rows independently, so a block gives each row what its chunk alone
+would, bit for bit where BLAS sums a row in the same order in both batches.
 """
 
 from __future__ import annotations
