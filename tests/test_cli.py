@@ -1,11 +1,10 @@
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
-
-import math
 
 import numpy as np
 import pytest
