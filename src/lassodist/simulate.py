@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     from .distribution import RegionProbability
 
 # RNG chunks per solve_many call. Two cut a 100k-replicate p = 3 solve by
-# about 14%; blocks of four chunks or more raise such a call's peak RSS
+# about 16%; blocks of four chunks or more raise such a call's peak RSS
 # above that of a 1024-replicate (50, 30) simulate.
 _BLOCK_CHUNKS = 2
 
