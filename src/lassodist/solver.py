@@ -55,8 +55,8 @@ from .simplex import feasible
 
 DEFAULT_MAX_ITER = 100_000
 # the active-set finish runs after sweep _FIRST_FINISH and then after every
-# _FINISH_EVERY sweeps, and solves its batched systems in row blocks of about
-# _FINISH_BYTES
+# _FINISH_EVERY sweeps, and solves its batched systems in row blocks whose
+# transient arrays take about _FINISH_BYTES
 _FIRST_FINISH = 2
 _FINISH_EVERY = 10
 _FINISH_BYTES = 1 << 20
@@ -194,11 +194,15 @@ def _finish(problem, lam, C, B, todo, tol):
     accepted = np.zeros(B.shape[0], dtype=bool)
     rf = np.zeros(B.shape[0])
     # rows of one support size share a batch of |A| x |A| systems, handled
-    # in blocks of about _FINISH_BYTES; np.bincount rather than np.unique,
-    # which imports numpy.ma
+    # in blocks of about _FINISH_BYTES. A row of a batch holds G_AA and the
+    # solver's copy of it, about a dozen k-vectors (indices, signs, right-hand
+    # side, solution, step temporaries) and about eight p-vectors (its rows of
+    # B and C, the finish solution, KKT temporaries). np.bincount rather than
+    # np.unique, which imports numpy.ma
+    p = B.shape[1]
     for k in np.flatnonzero(np.bincount(size[cand])):
         group = cand[size[cand] == k]
-        step = max(1, _FINISH_BYTES // (8 * k * k))
+        step = max(1, _FINISH_BYTES // (8 * (2 * k * k + 12 * k + 8 * p)))
         for lo in range(0, group.size, step):
             i = group[lo:lo + step]
             A = np.nonzero(active[i])[1].reshape(i.size, k)
@@ -220,7 +224,7 @@ def _finish(problem, lam, C, B, todo, tol):
                     ok = np.linalg.slogdet(M)[0] > 0
                     x = np.zeros_like(rhs)
                     x[ok] = np.linalg.solve(M[ok], rhs[ok, :, None])[:, :, 0]
-                b = np.zeros((i.size, B.shape[1]))
+                b = np.zeros((i.size, p))
                 np.put_along_axis(b, A, x, axis=1)
                 r = _kkt_violation(C[i] - b @ gram, b, lam, 0.0).max(axis=1)
                 acc = ok & np.all(np.sign(x) == s, axis=1) & (r <= tol)
