@@ -99,8 +99,10 @@ def _solve_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume):
     for first in chunks:
         block = [first, *islice(chunks, _BLOCK_CHUNKS - 1)]
         start, count = first[0], sum(c for _, c, _ in block)
-        Z = first[2] if len(block) == 1 else np.concatenate([z for _, _, z in block])
-        Y = model.mu + model.sigma * Z
+        Y = model.sigma * (first[2] if len(block) == 1 else np.concatenate([z for _, _, z in block]))
+        Y += model.mu
+        # only Y and B of this block stay alive while it is solved and counted
+        del first, block
         B, resids = solve_many(problem, Y, tuning, tol=solver_tol)
         fails = int(np.count_nonzero(resids > solver_tol))
         if fails:
@@ -109,6 +111,7 @@ def _solve_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume):
                 f"solver_tol={solver_tol:g}"
             )
         consume(Y, B)
+        del Y, B, resids
 
 
 def run_simulation(
