@@ -5,10 +5,9 @@ responses that the workload's Monte-Carlo calls solve (the calls' own seeds)
 and prints one JSON object. Responses are solved in the blocks that the
 measured checkout's Monte-Carlo loop uses (`simulate._BLOCK_CHUNKS`
 4096-row RNG chunks per solve_many call; one chunk in checkouts that predate
-blocks), or in blocks of --block-chunks chunks:
+blocks):
 
     python3 scripts/solver_tail.py --part times --seed 43 --reps 5
-    python3 scripts/solver_tail.py --part times --seed 43 --block-chunks 1
     python3 scripts/solver_tail.py --part sweeps --seed 43
     python3 scripts/solver_tail.py --part tail --seed 43 --mc-seeds 0:60
 
@@ -72,8 +71,6 @@ def main(argv=None):
     ap.add_argument("--reps", type=int, default=5)
     ap.add_argument("--mc-seeds", default="0:60", help="lo:hi, Monte-Carlo seeds of --part tail")
     ap.add_argument("--src", default=str(ROOT), help="checkout whose src/ is measured")
-    ap.add_argument("--block-chunks", type=int, default=None,
-                    help="RNG chunks per solve_many call (default: the checkout's own)")
     ap.add_argument("--out", default=str(ROOT / ".bench_out" / "solver_tail"),
                     help="directory for the generated envelopes")
     args = ap.parse_args(argv)
@@ -87,7 +84,7 @@ def main(argv=None):
     from lassodist import simulate
     from lassodist.rng import gaussian_chunks
 
-    per_block = args.block_chunks or getattr(simulate, "_BLOCK_CHUNKS", 1)
+    per_block = getattr(simulate, "_BLOCK_CHUNKS", 1)
     chunks = lambda *case: blocks(ld, np, gaussian_chunks, per_block, *case)
     cases = designs(workloads, args.seed, Path(args.out) / str(args.seed))
     result = {"block_chunks": per_block}
