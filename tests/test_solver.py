@@ -401,6 +401,24 @@ def test_null_steps_on_a_tall_design_stay_small(monkeypatch):
     assert np.allclose(B[:, 1:], ref, rtol=0.0, atol=1e-8)
 
 
+def test_finish_batches_stay_near_the_byte_budget():
+    # 20,000 rows supported on all 3 columns of a p = 3 design. Sized by the
+    # 3 x 3 systems alone, a batch took 14,563 rows and the finish peaked at
+    # 9.4 MB; sized by every array a row holds, a batch stays near
+    # _FINISH_BYTES, and what remains is a few bytes of bookkeeping per row
+    rng = np.random.default_rng(3)
+    prob = ld.build_problem(rng.normal(size=(3, 3)))
+    m = 20_000
+    C, B = rng.normal(size=(m, 3)), rng.normal(size=(m, 3))
+    tracemalloc.start()
+    try:
+        solver._finish(prob, np.full(3, 0.3), C, B, np.ones(m, dtype=bool), DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * solver._FINISH_BYTES + 64 * m
+
+
 def _step_case(draw, singular):
     """A support A of k columns, an iterate b_A with signs s and the data of L on A."""
     n = draw(st.integers(1, 4))
