@@ -16,6 +16,15 @@ the options that take a comma list or grid spec are the ones whose value may
 start with "-". Each handler imports the engine it calls; `solve` loads the
 solver on first use (PEP 562), so no other subcommand compiles it.
 
+A handler returns its output as one string, except `simulate`'s JSON
+report, which returns the pieces of `_json._render` with its rows made from
+the summary one at a time; `main()` writes them in batches of about
+`_json._BATCH` characters. Every part of the report but its rows renders
+before the first write, so an error leaves stdout empty. The JSON renderer
+lives in its own module because every call compiles this one from source,
+and the compiler's transient memory, which grows with a module's size,
+showed in the peak RSS of every call.
+
 `entry()`, the path of `python -m lassodist` and of the console script,
 freezes the garbage collector's tracked objects (`gc.freeze`) once `main()`
 has returned. The interpreter's final collections then skip the container
@@ -29,13 +38,14 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import sys
-from json.encoder import encode_basestring_ascii  # what json.dumps does to one str
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from . import _lazy
+from ._json import _batches, _render, render_json
 from .errors import (
     CombinatorialLimitError,
     ConditioningError,
@@ -49,50 +59,6 @@ from .model import _record, build_problem, gaussian_model, tuning_vector
 
 
 __getattr__ = _lazy(globals(), {"solve": "solver"})
-
-
-def _render(obj, indent=0):
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x) or math.isinf(x):
-            raise NumericalError("non-finite value in output")
-        if x == 0.0:
-            x = 0.0  # never emit -0
-        return format(x, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) == {int}:  # plain ints; bools and numpy scalars go below
-            return "[" + ", ".join(map(str, obj)) + "]"
-        if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in obj):
-            return "[" + ", ".join(_render(v) for v in obj) + "]"
-        pad = "  " * (indent + 1)
-        inner = ",\n".join(pad + _render(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + "  " * indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        pad = "  " * (indent + 1)
-        inner = ",\n".join(
-            f"{pad}{encode_basestring_ascii(str(k))}: {_render(v, indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + "  " * indent + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def render_json(obj) -> str:
-    return _render(obj) + "\n"
 
 
 @_record
@@ -336,7 +302,7 @@ def _cmd_density_grid(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args):
     from . import simulate
     env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
@@ -350,25 +316,33 @@ def _cmd_simulate(args) -> str:
                 lines.append(f"{j + 1},{z:.17g},{f:.17g}")
         return "\n".join(lines) + "\n"
     n_rep = summary.n_rep
-    sign_rows = [
-        {"signs": list(sv.d), "count": count, "freq": count / n_rep}
-        for sv, count in sorted(summary.sign_pattern_freq.items(), key=lambda kv: kv[0].d)
-    ]
-    # supports are distinct, so sorting the pairs sorts by support alone
-    support_rows = [
-        {"support": _one_based(sup), "count": count, "freq": count / n_rep}
-        for sup, count in sorted(summary.support_freq.items())
-    ]
-    return render_json({
+
+    # Rows are made as the report is written, from ints and count / n_rep,
+    # which always render. Each section sorts its table's keys when it is
+    # reached, not (key, count) pairs, which would add a tuple per pattern
+    # (1.8 MB at 28,052 patterns) once the summary is whole.
+    def sign_rows():
+        freq = summary.sign_pattern_freq
+        for sv in sorted(freq, key=attrgetter("d")):
+            count = freq[sv]
+            yield {"signs": sv.d, "count": count, "freq": count / n_rep}
+
+    def support_rows():
+        freq = summary.support_freq
+        for sup in sorted(freq):
+            count = freq[sup]
+            yield {"support": _one_based(sup), "count": count, "freq": count / n_rep}
+
+    return chain(_render({
         "n_rep": summary.n_rep,
         "seed": summary.seed,
         "nonunique_count": summary.nonunique_count,
         "nonunique_freq": summary.nonunique_count / summary.n_rep,
         "convergence_failures": summary.convergence_failures,
-        "sign_pattern_freq": sign_rows,
-        "support_freq": support_rows,
+        "sign_pattern_freq": sign_rows(),
+        "support_freq": support_rows(),
         "ecdf_grid": [[[z, f] for z, f in axis] for axis in summary.ecdf_grid],
-    })
+    }), ("\n",))
 
 
 def _cmd_shrinkage_map(args) -> str:
@@ -489,6 +463,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         out = handler(args)
+        # a handler returns its output, or pieces of it to write as they are made
+        for text in [out] if isinstance(out, str) else _batches(out):
+            sys.stdout.write(text)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -496,7 +473,6 @@ def main(argv=None) -> int:
             ConditioningError, ConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    sys.stdout.write(out)
     return 0
 
 

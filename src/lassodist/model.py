@@ -80,14 +80,20 @@ def _record(cls=None, *, eq=False):
     return cls
 
 
-def _check_seed(seed) -> int:
-    """seed as an int; a negative or non-integral seed raises InputError."""
+def _as_int(value, least: int, message: str) -> int:
+    """value as an int when it is an integer >= least; anything else (2.5,
+    NaN, inf, a string) raises InputError(message)."""
     try:
-        if int(seed) == seed and seed >= 0:
-            return int(seed)
+        if int(value) == value and value >= least:
+            return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise InputError("seed must be a nonnegative integer")
+    raise InputError(message)
+
+
+def _check_seed(seed) -> int:
+    """seed as an int; a negative or non-integral seed raises InputError."""
+    return _as_int(seed, 0, "seed must be a nonnegative integer")
 
 
 def _check_tol(tol, name: str = "tol") -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
-from .model import _check_dims, _check_seed, _check_tol, _record
+from .model import _as_int, _check_dims, _check_seed, _check_tol, _record
 from .rng import gaussian_chunks
 from .solver import kernel_sign_cone_nonempty, solve_many
 from .solver import _cone_arguments, _uniqueness_classes
@@ -31,6 +31,8 @@ if TYPE_CHECKING:
 # about 16%; blocks of four chunks or more raise such a call's peak RSS
 # above that of a 1024-replicate (50, 30) simulate.
 _BLOCK_CHUNKS = 2
+# a sign pattern's code holds s_j + 1 in byte j; this table turns it into s_j as int8
+_SIGN_OF_CODE = bytes.maketrans(b"\x00\x01\x02", b"\xff\x00\x01")
 
 
 @_record(eq=True)
@@ -43,13 +45,17 @@ class SimulationConfig:
     ecdf_span: float = 4.0
 
     def __post_init__(self):
-        if int(self.n_rep) != self.n_rep or self.n_rep < 1:
-            raise InputError("n_rep must be a positive integer")
-        _check_seed(self.seed)
+        # counts are kept as int, so n_rep=2.0 reports 2 and the ECDF grid
+        # gets an integral number of points
+        state = self.__dict__
+        state["n_rep"] = _as_int(self.n_rep, 1, "n_rep must be a positive integer")
+        state["seed"] = _check_seed(self.seed)
         _check_tol(self.zero_tol, "tolerances")
         _check_tol(self.solver_tol, "tolerances")
-        if self.ecdf_points < 2 or not (self.ecdf_span > 0 and math.isfinite(self.ecdf_span)):
-            raise InputError("ecdf grid needs >= 2 points and a finite positive span")
+        grid = "ecdf grid needs an integral number >= 2 of points and a finite positive span"
+        state["ecdf_points"] = _as_int(self.ecdf_points, 2, grid)
+        if not (self.ecdf_span > 0 and math.isfinite(self.ecdf_span)):
+            raise InputError(grid)
 
 
 @_record
@@ -99,10 +105,12 @@ def _solve_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume):
     for first in chunks:
         block = [first, *islice(chunks, _BLOCK_CHUNKS - 1)]
         start, count = first[0], sum(c for _, c, _ in block)
-        Y = model.sigma * (first[2] if len(block) == 1 else np.concatenate([z for _, _, z in block]))
-        Y += model.mu
-        # only Y and B of this block stay alive while it is solved and counted
+        # the draws are fresh, so they are scaled and shifted in place; only Y
+        # and B of this block stay alive while it is solved and counted
+        Y = first[2] if len(block) == 1 else np.concatenate([z for _, _, z in block])
         del first, block
+        Y *= model.sigma
+        Y += model.mu
         B, resids = solve_many(problem, Y, tuning, tol=solver_tol)
         fails = int(np.count_nonzero(resids > solver_tol))
         if fails:
@@ -129,7 +137,6 @@ def run_simulation(
     """
     _check_dims(problem, tuning, model)
     sign_counts: Counter = Counter()
-    support_counts: Counter = Counter()
     grids = _ecdf_axes(problem, model, config)
     ecdf_hits = [np.zeros(config.ecdf_points, dtype=np.int64) for _ in range(problem.p)]
     nonunique = 0
@@ -138,10 +145,12 @@ def run_simulation(
 
     def count(Y, B):
         nonlocal nonunique
-        s_class = np.where(B > config.zero_tol, 1, np.where(B < -config.zero_tol, -1, 0))
-        patterns, counts = np.unique(s_class, axis=0, return_counts=True)
-        for d, cnt in zip(patterns.tolist(), counts.tolist()):
-            sign_counts[tuple(d)] += cnt
+        # byte s_j + 1 per coordinate, so byte order is the order of the signs
+        codes = np.add(B > config.zero_tol, 1, dtype=np.uint8)
+        codes -= B < -config.zero_tol
+        patterns, counts = _distinct_rows(codes)
+        for code, cnt in zip(patterns.tolist(), counts.tolist()):
+            sign_counts[tuple(memoryview(code.translate(_SIGN_OF_CODE)).cast("b"))] += cnt
 
         for j in range(problem.p):
             ecdf_hits[j] += np.count_nonzero(B[:, j][:, None] <= grids[j][None, :], axis=0)
@@ -151,9 +160,12 @@ def run_simulation(
 
     _solve_replicates(problem, model, tuning, config.n_rep, config.seed, config.solver_tol, count)
     # keys in the order the patterns were first seen, so each support also
-    # enters support_counts where its first pattern was seen
+    # enters support_freq where its first pattern was seen
+    sign_freq, support_freq = {}, {}
     for d, cnt in sign_counts.items():
-        support_counts[tuple(compress(range(len(d)), d))] += cnt
+        sign_freq[SignVector(d=d)] = cnt
+        support = tuple(compress(range(len(d)), d))
+        support_freq[support] = support_freq.get(support, 0) + cnt
     ecdf_grid = tuple(
         tuple((float(z), int(h) / config.n_rep) for z, h in zip(grids[j], ecdf_hits[j]))
         for j in range(problem.p)
@@ -161,8 +173,8 @@ def run_simulation(
     return EmpiricalSummary(
         n_rep=config.n_rep,
         seed=config.seed,
-        sign_pattern_freq={SignVector(d=d): cnt for d, cnt in sign_counts.items()},
-        support_freq=dict(support_counts),
+        sign_pattern_freq=sign_freq,
+        support_freq=support_freq,
         ecdf_grid=ecdf_grid,
         nonunique_count=nonunique,
     )
@@ -176,17 +188,34 @@ def _count_nonunique(problem, tuning, config, Y, B, cache):
     """
     G = Y @ problem.X - B @ problem.gram
     classes = _uniqueness_classes(G, B, tuning.lam, config.solver_tol, config.zero_tol)
-    patterns, counts = np.unique(classes, axis=0, return_counts=True)
+    patterns, counts = _distinct_rows(classes)
     total = 0
-    for row, cnt in zip(patterns, counts):
-        key = row.tobytes()
+    for key, cnt in zip(patterns.tolist(), counts.tolist()):
         verdict = cache.get(key)
         if verdict is None:
+            row = np.frombuffer(key, dtype=np.int8)
             verdict = kernel_sign_cone_nonempty(problem, *_cone_arguments(row))
             cache[key] = verdict
         if verdict:
-            total += int(cnt)
+            total += cnt
     return total
+
+
+def _distinct_rows(codes):
+    """The distinct rows of a C-contiguous (m, p) array of bytes, as bytes in
+    byte order, and how often each occurs. Sorts codes in place.
+
+    Each row is one np.void of p bytes, so the rows sort and compare without
+    the copies that np.unique(axis=0) makes, and without numpy.ma, which
+    np.unique loads.
+    """
+    rows = codes.view(np.dtype((np.void, codes.shape[1]))).ravel()
+    rows.sort()
+    first = np.empty(rows.size, dtype=bool)
+    first[0] = True
+    first[1:] = rows[1:] != rows[:-1]
+    starts = np.flatnonzero(first)
+    return rows[starts], np.diff(starts, append=rows.size)
 
 
 def estimate_nonuniqueness_probability(

@@ -105,8 +105,24 @@ class SolutionSetDescription:
 
 
 def _kkt_violation(g, b, lam, zero_tol):
-    active = np.abs(b) > zero_tol
-    return np.where(active, np.abs(g - np.sign(b) * lam), np.maximum(np.abs(g) - lam, 0.0))
+    """Per-entry KKT violation of b, written over g = X'y - X'Xb and returned.
+
+    |g_j - sgn(b_j) lam_j| where |b_j| > zero_tol, else max(|g_j| - lam_j, 0).
+    One temporary the size of b holds the threshold subtracted from g and then
+    the one subtracted from |g|: s_j lam_j and 0 on the support, 0 and lam_j
+    off it. Subtracting an exact 0 changes nothing, so each entry is bitwise
+    that of its formula.
+    """
+    t = np.sign(b)
+    if zero_tol > 0:
+        t[np.abs(b) <= zero_tol] = 0.0
+    t *= lam
+    g -= t
+    np.abs(g, out=g)
+    np.abs(t, out=t)
+    np.subtract(lam, t, out=t)
+    g -= t
+    return np.maximum(g, 0.0, out=g)
 
 
 def _check_inputs(problem, Y, tuning, tol=None):
@@ -122,7 +138,7 @@ def _check_inputs(problem, Y, tuning, tol=None):
     return Y
 
 
-def _descend(problem, lam, C, tol, max_iter):
+def _descend(problem, lam, Y, tol, max_iter):
     """Cyclic coordinate descent from b = 0 on each row of C = Y X, order 1..p,
     with an active-set finish of every open row after sweep _FIRST_FINISH
     and every _FINISH_EVERY sweeps.
@@ -132,15 +148,17 @@ def _descend(problem, lam, C, tol, max_iter):
     is evaluated after each sweep up to the first finish, then only at the
     finishes and after the last sweep. A row closes once an evaluated
     residual meets tol or the finish accepts it; every row keeps the best
-    evaluated iterate and its residual.
+    evaluated iterate and its residual. Beside the iterates, their
+    right-hand sides and the result, the residual takes two arrays the size
+    of the open rows and the finish its batches of about _FINISH_BYTES.
     """
     gram = problem.gram
-    m, p = C.shape
+    m, p = Y.shape[0], problem.p
     diag = np.diag(gram).copy()
     cols = np.ascontiguousarray(gram.T)  # cols[j] is column j of gram
     B = np.zeros((m, p))
     resids = np.full(m, np.inf)
-    rows, Bt, Ct = np.arange(m), np.zeros((p, m)), np.ascontiguousarray(C.T)
+    rows, Bt, Ct = np.arange(m), np.zeros((p, m)), np.ascontiguousarray((Y @ problem.X).T)
     for sweep in range(1, max_iter + 1):
         if rows.size == 0:
             break
@@ -159,17 +177,31 @@ def _descend(problem, lam, C, tol, max_iter):
         finish = sweep == _FIRST_FINISH or sweep % _FINISH_EVERY == 0
         if not (finish or sweep < _FIRST_FINISH or sweep == max_iter):
             continue
-        r = _kkt_violation(Ct - gram @ Bt, Bt, lam[:, None], 0.0).max(axis=0)
+        g = gram @ Bt
+        r = _kkt_violation(np.subtract(Ct, g, out=g), Bt, lam[:, None], 0.0).max(axis=0)
+        del g
         better = r < resids[rows]
-        B[rows[better]], resids[rows[better]] = Bt[:, better].T, r[better]
+        _store(B, resids, rows[better], Bt, better, r)
         done = r <= tol
         if finish:
             accepted, rf = _finish(problem, lam, Ct.T, Bt.T, ~done, tol)
-            B[rows[accepted]], resids[rows[accepted]] = Bt[:, accepted].T, rf[accepted]
+            _store(B, resids, rows[accepted], Bt, accepted, rf)
             done |= accepted
         if done.any():
-            rows, Bt, Ct = rows[~done], Bt[:, ~done], Ct[:, ~done]
+            # one array at a time, so the old and new copies of both never coexist
+            keep = ~done
+            rows = rows[keep]
+            Bt = Bt[:, keep]
+            Ct = Ct[:, keep]
     return B, resids
+
+
+def _store(B, resids, idx, Bt, mask, r):
+    """B[idx] = Bt[:, mask].T and resids[idx] = r[mask], one coordinate at a
+    time, so that no copy of the open rows' iterates is made."""
+    for j, row in enumerate(Bt):
+        B[idx, j] = row[mask]
+    resids[idx] = r[mask]
 
 
 def _finish(problem, lam, C, B, todo, tol):
@@ -325,7 +357,7 @@ def solve(
     the sweeps where the residual is evaluated.
     """
     Y = _check_inputs(problem, np.ravel(y), tuning, tol)
-    B, resids = _descend(problem, tuning.lam, Y @ problem.X, tol, max_iter)
+    B, resids = _descend(problem, tuning.lam, Y, tol, max_iter)
     b, resid = B[0], float(resids[0])
     if resid > tol:
         raise ConvergenceError(
@@ -364,7 +396,7 @@ def solve_many(
     evaluated, so callers can count failures instead of dying mid-batch.
     """
     Y = _check_inputs(problem, Y, tuning, tol)
-    return _descend(problem, tuning.lam, Y @ problem.X, tol, max_iter)
+    return _descend(problem, tuning.lam, Y, tol, max_iter)
 
 
 def is_solution(

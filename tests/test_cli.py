@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import importlib.util
 import json
@@ -5,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lassodist as ld
+from lassodist import _json, cli, simulate
 from lassodist.cli import render_json
 from lassodist.errors import NumericalError
 
@@ -25,6 +28,7 @@ D2X4 = str(FIXTURES / "design_2x4.json")
 CORR2 = str(FIXTURES / "corr2.json")
 CORR3 = str(FIXTURES / "corr3.json")
 X2X3_RANK2 = str(FIXTURES / "x2x3_rank2.json")
+N12P10 = str(FIXTURES / "n12p10.json")
 
 
 def run_python(*args):
@@ -63,6 +67,8 @@ GOLDEN_CASES = [
     # three replicate chunks with p > n: blocks, pattern counting and cone tests
     ("simulate_x2x3_rank2.json",
      ("simulate", "--input", X2X3_RANK2, "--reps", "10000", "--seed", "5")),
+    # 885 sign patterns and 414 supports, 149 kB: a report written in several batches
+    ("simulate_n12p10.json", ("simulate", "--input", N12P10, "--reps", "4000", "--seed", "7")),
     ("shrinkage_map_corr2.json", ("shrinkage-map", "--input", CORR2, "--b", "0.5,-0.3")),
     ("density_grid_corr2.csv", ("density-grid", "--input", CORR2, "--grid", "-1:1:5")),
 ]
@@ -76,7 +82,7 @@ def test_golden_outputs_are_byte_stable(golden, args):
 
 
 def _generic_render(obj, indent=0):
-    """cli._render before its plain-int list path, kept as the reference."""
+    """The renderer before its plain-int list path, kept as the reference."""
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if obj is None:
@@ -144,6 +150,87 @@ def test_render_matches_the_generic_renderer(obj):
     # plain-int lists take a join of str; bools, numpy scalars and floats
     # in a list keep the per-value path
     assert _outcome(render_json, obj) == _outcome(lambda o: _generic_render(o) + "\n", obj)
+
+
+def _lazy(obj):
+    """obj with each list and tuple made an iterator, as a streamed report's rows are."""
+    if isinstance(obj, dict):
+        return {k: _lazy(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return iter([_lazy(v) for v in obj])
+    return obj
+
+
+def _streamed(obj):
+    """What main() writes for obj's pieces, plus the closing newline."""
+    return "".join(_json._batches(_json._render(obj))) + "\n"
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_streamed_report_matches_the_whole_text(monkeypatch, golden):
+    text = (GOLDEN / golden).read_text()
+    doc = json.loads(text)
+    assert render_json(doc) == text
+    monkeypatch.setattr(_json, "_BATCH", 1000)
+    batches = list(_json._batches(_json._render(_lazy(doc))))
+    assert "".join(batches) + "\n" == text
+    # every batch but the last holds at least _BATCH characters
+    assert all(len(b) >= 1000 for b in batches[:-1]) and len(batches) > len(text) // 2000
+
+
+@given(_payloads)
+@settings(deadline=None, max_examples=300)
+def test_streamed_render_matches_render_json(obj):
+    # an iterator renders as the list of its items, and an error is raised
+    # wherever render_json would raise it
+    assert _outcome(_streamed, _lazy(obj)) == _outcome(render_json, obj)
+
+
+def _keep_summary(monkeypatch):
+    """Make simulate.run_simulation return its first summary on every later call."""
+    kept = []
+    run = simulate.run_simulation
+    monkeypatch.setattr(simulate, "run_simulation", lambda *a: kept[0] if kept else
+                        kept.append(run(*a)) or kept[0])
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_report_streams_in_bounded_memory(monkeypatch):
+    # 149 kB of report on n12p10. With its rows made as they are written the
+    # report takes 0.31 MB traced (the summary aside) and the whole call
+    # 2.25 MB; built as dicts and one string, with the solver's wider
+    # temporaries, they take 0.90 and 3.2 MB
+    args = ["simulate", "--input", N12P10, "--reps", "4000", "--seed", "7"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert cli.main(args) == 0
+        call = _traced_peak(lambda: cli.main(args))
+        _keep_summary(monkeypatch)
+        cli.main(args)
+        report = _traced_peak(lambda: cli.main(args))
+    assert call < 2.7e6 and report < 0.6e6
+
+
+def test_failed_report_writes_nothing(monkeypatch, capsys):
+    # the ECDF grid comes after 149 kB of rows: a NaN in it raises before
+    # the first batch is written
+    axes = simulate._ecdf_axes
+
+    def nan_axes(*args):
+        grids = axes(*args)
+        grids[len(grids) // 2][3] = math.nan
+        return grids
+
+    monkeypatch.setattr(simulate, "_ecdf_axes", nan_axes)
+    assert cli.main(["simulate", "--input", N12P10, "--reps", "4000", "--seed", "7"]) == 3
+    assert capsys.readouterr() == ("", "error: non-finite value in output\n")
 
 
 def test_cli_runs_without_scipy():

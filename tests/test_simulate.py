@@ -34,6 +34,27 @@ def test_config_validation():
             ld.SimulationConfig(ecdf_span=span)
 
 
+def test_config_counts_must_be_integers():
+    # rejected at construction, not later by np.linspace with a TypeError
+    for points in (2.5, math.nan, math.inf, "21"):
+        with pytest.raises(InputError):
+            ld.SimulationConfig(ecdf_points=points)
+    for n_rep in (2.5, math.nan, math.inf):
+        with pytest.raises(InputError):
+            ld.SimulationConfig(n_rep=n_rep)
+
+
+def test_config_keeps_integral_counts_as_int(n1p2):
+    cfg = ld.SimulationConfig(n_rep=2.0, seed=3.0, ecdf_points=5.0)
+    assert [(type(v), v) for v in (cfg.n_rep, cfg.seed, cfg.ecdf_points)] == [(int, 2), (int, 3),
+                                                                               (int, 5)]
+    assert cfg == ld.SimulationConfig(n_rep=2, seed=3, ecdf_points=5)
+    summary = ld.run_simulation(n1p2, ld.gaussian_model(n1p2, [1.0, 0.0], 1.0),
+                                ld.uniform_tuning(2, 2.0), cfg)
+    assert type(summary.n_rep) is int and type(summary.seed) is int
+    assert [len(axis) for axis in summary.ecdf_grid] == [5, 5]
+
+
 def test_runs_are_deterministic(n1p2):
     model = ld.gaussian_model(n1p2, [1.0, 0.0], 1.0)
     t = ld.uniform_tuning(2, 2.0)
@@ -213,6 +234,36 @@ def test_blocks_match_chunk_by_chunk_solves(monkeypatch, n_rep):
     assert summary.nonunique_count == by_chunk.nonunique_count
     assert zero.estimate == ld.prob_all_zero(
         prob, model, t, method="mc", n_samples=n_rep, seed=11).estimate
+
+
+@pytest.mark.parametrize("fixture,n_rep,seed", [("x2x3_rank2.json", 10_000, 5),
+                                                 ("n12p10.json", 4000, 7)])
+def test_summary_tables_keep_first_seen_order(fixture, n_rep, seed):
+    # sign patterns enter the summary block by block, each block's new ones
+    # in sorted order, and each support with its first pattern: the order of
+    # counting each block's rows with np.unique(axis=0)
+    env = json.loads((FIXTURES / fixture).read_text())
+    prob = ld.build_problem(env["X"])
+    model = ld.gaussian_model(prob, env["beta"], env["sigma"])
+    t = ld.tuning_vector(env["lambda"])
+    cfg = ld.SimulationConfig(n_rep=n_rep, seed=seed)
+    blocks = []
+    simulate._solve_replicates(prob, model, t, n_rep, seed, cfg.solver_tol,
+                               lambda Y, B: blocks.append(B))
+    signs, supports = {}, {}
+    for B in blocks:
+        classes = np.where(B > cfg.zero_tol, 1, np.where(B < -cfg.zero_tol, -1, 0))
+        patterns, counts = np.unique(classes, axis=0, return_counts=True)
+        for d, count in zip(map(tuple, patterns.tolist()), counts.tolist()):
+            signs[d] = signs.get(d, 0) + count
+    for d, count in signs.items():
+        support = tuple(j for j, v in enumerate(d) if v)
+        supports[support] = supports.get(support, 0) + count
+
+    summary = ld.run_simulation(prob, model, t, cfg)
+    assert [(sv.d, count) for sv, count in summary.sign_pattern_freq.items()] == list(signs.items())
+    assert list(summary.support_freq.items()) == list(supports.items())
+    assert len(blocks) == -(-n_rep // 8192)
 
 
 def test_region_predicates_receive_whole_blocks():
