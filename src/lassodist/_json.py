@@ -1,4 +1,4 @@
-"""JSON text of the command line's outputs, whole or in pieces.
+"""JSON text of the command line's outputs, whole or as a stream of rows.
 
 Floats are written with 17 significant digits, so they round-trip exactly,
 and never as -0; a NaN or an infinity raises NumericalError. Indentation is
@@ -7,10 +7,8 @@ two spaces per level, and a list of plain values stays on one line.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
-from itertools import chain
 from json.encoder import encode_basestring_ascii  # what json.dumps does to one str
 
 import numpy as np
@@ -21,22 +19,25 @@ from .errors import NumericalError
 _BATCH = 1 << 16
 
 
-def _inline(obj):
-    """The one-line JSON text of obj, or None when its text spans lines: a
-    dict with entries, a list that holds a container, or an iterator."""
+def _text(obj, indent=0):
+    """The JSON text of obj, whose first line starts at depth indent."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple, dict)):
         if not obj:
             return "{}" if isinstance(obj, dict) else "[]"
+        pad = "  " * (indent + 1)
         if isinstance(obj, dict):
-            return None
+            lines = (f"{pad}{encode_basestring_ascii(str(k))}: {_text(v, indent + 1)}"
+                     for k, v in obj.items())
+            return "{\n" + ",\n".join(lines) + "\n" + "  " * indent + "}"
         if set(map(type, obj)) == {int}:  # plain ints; bools and numpy scalars go below
             return "[" + ", ".join(map(str, obj)) + "]"
-        if any(isinstance(v, _CONTAINERS) for v in obj):
-            return None
-        return "[" + ", ".join(map(_inline, obj)) + "]"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        if not any(isinstance(v, (list, tuple, dict, np.ndarray)) for v in obj):
+            return "[" + ", ".join(map(_text, obj)) + "]"
+        lines = (pad + _text(v, indent + 1) for v in obj)
+        return "[\n" + ",\n".join(lines) + "\n" + "  " * indent + "]"
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
         return "null"
@@ -44,84 +45,37 @@ def _inline(obj):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isnan(x) or math.isinf(x):
+        if not math.isfinite(x):
             raise NumericalError("non-finite value in output")
-        if x == 0.0:
-            x = 0.0  # never emit -0
-        return format(x, ".17g")
+        return format(x + 0.0, ".17g")  # -0.0 + 0.0 is 0.0: never emit -0
     if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, Iterator):
-        return None
+        return encode_basestring_ascii(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-# a list that holds one of these spans lines, one entry per line
-_CONTAINERS = (list, tuple, dict, np.ndarray, Iterator)
-_NO_ITEM = object()
-
-
-def _render(obj, indent=0):
-    """Yield the JSON text of obj in pieces.
-
-    A dict or a list that holds a container spans lines, one entry per line,
-    and an iterator renders as the list of its items. A dict renders every
-    entry but an iterator before it yields its first piece, so a value that
-    cannot be written (a non-finite float) raises before any output. An
-    iterator's items are made and rendered one at a time, each yielded as it
-    is done, so rows made on demand are never held whole.
-    """
-    text = _inline(obj)
-    if text is None:
-        yield from _lines(obj, indent)
-    else:
-        yield text
-
-
-def _lines(obj, indent):
-    """_render of a value whose text spans lines."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    pad = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        # each entry as its whole line, or as (key, iterator) to stream
-        lines = []
-        for k, v in obj.items():
-            head = f"{pad}{encode_basestring_ascii(str(k))}: "
-            text = _inline(v)
-            if text is None and not isinstance(v, Iterator):
-                text = "".join(_lines(v, indent + 1))
-            lines.append((head, v) if text is None else head + text)
-        out, close = "{\n", "}"
-    else:
-        if isinstance(obj, Iterator):
-            first = next(obj, _NO_ITEM)
-            if first is _NO_ITEM or not isinstance(first, _CONTAINERS):
-                # plain values share one line, which needs them all
-                yield from _render([] if first is _NO_ITEM else [first, *obj], indent)
-                return
-            obj = chain((first,), obj)
-        lines = ((pad, v) for v in obj)
-        out, close = "[\n", "]"
-    for i, line in enumerate(lines):
-        if i:
-            out += ",\n"
-        if type(line) is str:
-            out += line
-            continue
-        head, v = line
-        text = _inline(v)
-        if text is None:
-            yield out + head
-            out = ""
-            yield from _lines(v, indent + 1)
-        else:
-            out += head + text
-    yield out + "\n" + "  " * indent + close
-
-
 def render_json(obj) -> str:
-    return "".join(_render(obj)) + "\n"
+    return _text(obj) + "\n"
+
+
+def stream_json(report: dict):
+    """Yield render_json(report) in pieces. A value of report may be an
+    iterator of dict rows, which renders as the list of its rows, one piece
+    per row, each made as it is reached; every other value renders before
+    the first piece, so a non-finite float raises before any output."""
+    entries = [(f"  {encode_basestring_ascii(str(k))}: ",
+                v if isinstance(v, Iterator) else _text(v, 1)) for k, v in report.items()]
+    out = "{"
+    for i, (head, value) in enumerate(entries):
+        out += (",\n" if i else "\n") + head
+        if isinstance(value, str):
+            out += value
+            continue
+        opening, close = "[\n    ", "[]"
+        for row in value:
+            yield out + opening + _text(row, 2)
+            out, opening, close = "", ",\n    ", "\n  ]"
+        out += close
+    yield out + ("\n}\n" if entries else "}\n")
 
 
 def _batches(pieces):

@@ -17,13 +17,14 @@ start with "-". Each handler imports the engine it calls; `solve` loads the
 solver on first use (PEP 562), so no other subcommand compiles it.
 
 A handler returns its output as one string, except `simulate`'s JSON
-report, which returns the pieces of `_json._render` with its rows made from
-the summary one at a time; `main()` writes them in batches of about
-`_json._BATCH` characters. Every part of the report but its rows renders
-before the first write, so an error leaves stdout empty. The JSON renderer
-lives in its own module because every call compiles this one from source,
-and the compiler's transient memory, which grows with a module's size,
-showed in the peak RSS of every call.
+report, which returns the pieces of `_json.stream_json`: its sign-pattern
+and support rows are made from the summary one at a time, and `main()`
+writes the pieces in batches of about `_json._BATCH` characters. Every part
+of the report but its rows renders before the first write, so an error
+leaves stdout empty. The JSON renderer lives in its own module because
+every call compiles this one from source, and the compiler's transient
+memory, which grows with a module's size, showed in the peak RSS of every
+call.
 
 `entry()`, the path of `python -m lassodist` and of the console script,
 freezes the garbage collector's tracked objects (`gc.freeze`) once `main()`
@@ -39,13 +40,12 @@ import argparse
 import gc
 import json
 import sys
-from itertools import chain
 from operator import attrgetter
 
 import numpy as np
 
 from . import _lazy
-from ._json import _batches, _render, render_json
+from ._json import _batches, render_json, stream_json
 from .errors import (
     CombinatorialLimitError,
     ConditioningError,
@@ -333,7 +333,7 @@ def _cmd_simulate(args):
             count = freq[sup]
             yield {"support": _one_based(sup), "count": count, "freq": count / n_rep}
 
-    return chain(_render({
+    return stream_json({
         "n_rep": summary.n_rep,
         "seed": summary.seed,
         "nonunique_count": summary.nonunique_count,
@@ -342,7 +342,7 @@ def _cmd_simulate(args):
         "sign_pattern_freq": sign_rows(),
         "support_freq": support_rows(),
         "ecdf_grid": [[[z, f] for z, f in axis] for axis in summary.ecdf_grid],
-    }), ("\n",))
+    })
 
 
 def _cmd_shrinkage_map(args) -> str:

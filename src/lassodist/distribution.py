@@ -46,7 +46,8 @@ import numpy as np
 from . import _lazy
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
 from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
-from .model import _as_signs, _as_vector, _check_dims, _check_seed, _check_zero_tol, _record
+from .model import _as_int, _as_signs, _as_vector, _check_dims, _check_seed, _check_tol
+from .model import _check_zero_tol, _record
 
 # uncalled here, but read as attributes of this module: perfbench/tracing.py
 # wraps both and perfbench/worker.py calls solve_many. They load on first use
@@ -203,21 +204,12 @@ def _validate_event(z, d: SignVector, model: GaussianModel):
     return z
 
 
-class _CenteredGaussian:
-    """log-density of N(0, cov) with the covariance factored once."""
-
-    def __init__(self, cov):
-        self.chol = np.linalg.cholesky(cov)
-        self.log_norm = -cov.shape[0] * _LOG_SQRT_2PI - float(
-            np.sum(np.log(np.diag(self.chol)))
-        )
-
-    def logpdf(self, x):
-        w = np.linalg.solve(self.chol, x)
-        return self.log_norm - 0.5 * float(w @ w)
-
-    def pdf(self, x):
-        return math.exp(self.logpdf(x))
+def _gaussian_pdf(cov, x):
+    """Density of N(0, cov) at x."""
+    chol = np.linalg.cholesky(cov)
+    log_norm = -cov.shape[0] * _LOG_SQRT_2PI - float(np.sum(np.log(np.diag(chol))))
+    w = np.linalg.solve(chol, x)
+    return math.exp(log_norm - 0.5 * float(w @ w))
 
 
 def _pattern(problem, model, tuning, signs):
@@ -234,17 +226,18 @@ def _pattern(problem, model, tuning, signs):
     )
 
 
-def _pattern_prob(problem, model, tuning, signs, lower, upper, seed):
+def _pattern_prob(pattern, lam, signs, lower, upper, seed):
     """Rectangle-kernel results (estimate, standard error, rounding bound, QMC
     points) of P(lower_A <= u_A <= upper_A) and of P(s_0 in the lambda-box)
-    for one pattern; bounds off A are not read. seed is (entropy, spawn_key);
-    the two blocks take spawn keys key + (0,) and key + (1,)."""
-    moving, (mean_a, cov_a), (mean_0, cov_0) = _pattern(problem, model, tuning, signs)
+    for the sign pattern signs, whose Gaussian blocks _pattern gave; bounds
+    off A are not read. seed is (entropy, spawn_key); the two blocks take
+    spawn keys key + (0,) and key + (1,)."""
+    moving, (mean_a, cov_a), (mean_0, cov_0) = pattern
     entropy, key = seed
     seed_a, seed_0 = (entropy, key + (0,)), (entropy, key + (1,))
     lo, hi = lower[moving] - mean_a, upper[moving] - mean_a
     block_a = _rectangle(_factor(cov_a), lo, hi, seed_a)
-    lam_0 = tuning.lam[signs == 0]
+    lam_0 = lam[signs == 0]
     if np.any(lam_0 == 0.0):  # an unpenalized coordinate carries no atom at zero
         return block_a, (0.0, 0.0, 0.0, 0)
     return block_a, _rectangle(_factor(cov_0), -lam_0 - mean_0, lam_0 - mean_0, seed_0)
@@ -328,6 +321,7 @@ def prob_orthant_event(
     z = _validate_event(event.z, d, model)
     seed = _check_seed(seed)
     _check_zero_tol(zero_tol)
+    _check_zero_tol(quad_tol, "quad_tol")  # 0 reports the kernels' own bound
 
     if method == "mc":
         return _mc_probability(
@@ -341,7 +335,8 @@ def prob_orthant_event(
     _require_quad(problem)
     signs = d.as_array()
     estimate, se, tol, points = _product(*_pattern_prob(
-        problem, model, tuning, signs, *_orthant(signs, z), (seed, ())
+        _pattern(problem, model, tuning, signs), tuning.lam, signs, *_orthant(signs, z),
+        (seed, ()),
     ))
     return _quadrature(estimate, _bound(se, tol), points, seed, quad_tol)
 
@@ -361,6 +356,7 @@ def _event_indicator(z, d: SignVector, beta, zero_tol):
 def _mc_probability(problem, model, tuning, indicator, n_samples, seed, solver_tol):
     from .simulate import _solve_replicates  # loads the solver, which closed forms never run
 
+    n_samples = _as_int(n_samples, 1, "n_samples must be a positive integer")
     hits = []
     _solve_replicates(problem, model, tuning, n_samples, seed, solver_tol,
                       lambda Y, B: hits.append(int(np.count_nonzero(indicator(B)))))
@@ -434,13 +430,14 @@ def conditional_density(
     """
     d = _as_signs(d)
     _check_dims(problem, tuning, model, d)
+    _check_tol(quad_tol, "quad_tol")
     _require_quad(problem)
     z_active = _as_vector(z_active, d.norm1, "z_active")
     signs = d.as_array()
-    moving, (mean_a, cov_a), _ = _pattern(problem, model, tuning, signs)
-    bounds = _orthant(signs, -model.beta)
+    pattern = _pattern(problem, model, tuning, signs)
+    moving, (mean_a, cov_a), _ = pattern
     (p_a, se_a, tol_a, _), (p_0, *_) = _pattern_prob(
-        problem, model, tuning, signs, *bounds, (0, ())
+        pattern, tuning.lam, signs, *_orthant(signs, -model.beta), (0, ())
     )
     bound = _bound(se_a, tol_a)  # the density divides by p_a alone
     if p_a * p_0 < 1e-12:
@@ -452,7 +449,7 @@ def conditional_density(
     # strict orthant indicator on the moving coordinates
     if not np.all(signs[moving] * (z_active + model.beta[moving]) > 0.0):
         return 0.0
-    return _CenteredGaussian(cov_a).pdf(z_active - mean_a) / p_a
+    return _gaussian_pdf(cov_a, z_active - mean_a) / p_a
 
 
 def cdf(
@@ -477,6 +474,7 @@ def cdf(
     NumericalError when that bound exceeds quad_tol.
     """
     _check_dims(problem, tuning, model)
+    _check_tol(quad_tol, "quad_tol")
     _require_quad(problem)
     if problem.p > CDF_P_LIMIT:
         raise DimensionLimitError(
@@ -496,7 +494,8 @@ def cdf(
             continue  # the atom misses the event, or (-beta_j, z_j] is empty
         lower, upper = _orthant(signs, atom)
         part, se, part_tol, _ = _product(*_pattern_prob(
-            problem, model, tuning, signs, lower, np.minimum(upper, z), (0, (i,))
+            _pattern(problem, model, tuning, signs), tuning.lam, signs,
+            lower, np.minimum(upper, z), (0, (i,)),
         ))
         total += part
         var += se * se
@@ -520,9 +519,8 @@ def error_density(problem: DesignProblem, model: GaussianModel, tuning: TuningVe
     d = np.sign(z + model.beta)
     if np.any(d == 0.0):
         return 0.0
-    density = _CenteredGaussian(model.sigma**2 * problem.gram)
     jac = abs(float(np.linalg.det(problem.gram)))
-    return jac * density.pdf(problem.gram @ z + d * tuning.lam)
+    return jac * _gaussian_pdf(model.sigma**2 * problem.gram, problem.gram @ z + d * tuning.lam)
 
 
 def region_support_includes(j: int, zero_tol: float = ZERO_TOL):
@@ -588,8 +586,9 @@ def mvn_box_probability(
 ) -> RegionProbability:
     """P(lower <= x <= upper) for x ~ N(mean, cov), bounds may be infinite.
 
-    A NaN bound, a non-finite mean or covariance entry, or n_shifts < 2
-    raises InputError. The covariance may be singular (see _rectangle): a
+    A NaN bound, a non-finite mean or covariance entry, an n_samples that is
+    not a positive integer or an n_shifts that is not an integer >= 2 raises
+    InputError. The covariance may be singular (see _rectangle): a
     factor of one column, or of two coordinates, has a closed form; beyond
     that the separation-of-variables transform runs on n_shifts random shifts
     of a Korobov lattice of about n_samples / n_shifts points, whose
@@ -608,8 +607,9 @@ def mvn_box_probability(
         raise InputError("covariance must be finite")
     if np.any(lower > upper):
         raise InputError("lower bound exceeds upper bound")
-    if n_shifts < 2:
-        raise InputError(f"n_shifts must be at least 2 for a standard error, got {n_shifts}")
+    n_samples = _as_int(n_samples, 1, f"n_samples must be a positive integer, got {n_samples!r}")
+    n_shifts = _as_int(
+        n_shifts, 2, f"n_shifts must be an integer >= 2 for a standard error, got {n_shifts!r}")
     seed = _check_seed(seed)
     sym = 0.5 * (cov + cov.T)
     if not np.allclose(cov, sym, rtol=1e-8, atol=1e-12):

@@ -104,10 +104,10 @@ def _check_tol(tol, name: str = "tol") -> None:
         raise InputError(f"{name} must be finite")
 
 
-def _check_zero_tol(zero_tol) -> None:
+def _check_zero_tol(zero_tol, name: str = "zero_tol") -> None:
     """Raise InputError unless zero_tol is finite and nonnegative (0 is legal)."""
     if not (zero_tol >= 0 and math.isfinite(zero_tol)):
-        raise InputError("zero_tol must be finite and nonnegative")
+        raise InputError(f"{name} must be finite and nonnegative")
 
 
 def _as_vector(v, length, name: str, allow_inf: bool = False) -> np.ndarray:

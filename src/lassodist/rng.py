@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
-from .model import _check_seed
+from .model import _as_int, _check_seed
 
 CHUNK = 4096
 
@@ -26,9 +25,7 @@ def normal_chunk(seed: int, chunk_index: int, shape) -> np.ndarray:
 def gaussian_chunks(seed: int, n_samples: int, dim: int):
     """Yield (start, count, Z) blocks with Z of shape (count, dim), iid N(0,1)."""
     seed = _check_seed(seed)
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise InputError("n_samples must be >= 1")
+    n_samples = _as_int(n_samples, 1, "n_samples must be a positive integer")
     start = 0
     chunk_index = 0
     while start < n_samples:

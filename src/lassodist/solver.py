@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_vector, _check_dims
-from .model import _check_tol, _check_zero_tol, _numerical_rank, _record
+from .model import _as_int, _check_tol, _check_zero_tol, _numerical_rank, _record
 from .simplex import feasible
 
 DEFAULT_MAX_ITER = 100_000
@@ -357,6 +357,7 @@ def solve(
     the sweeps where the residual is evaluated.
     """
     Y = _check_inputs(problem, np.ravel(y), tuning, tol)
+    max_iter = _as_int(max_iter, 1, "max_iter must be a positive integer")
     B, resids = _descend(problem, tuning.lam, Y, tol, max_iter)
     b, resid = B[0], float(resids[0])
     if resid > tol:
@@ -396,6 +397,7 @@ def solve_many(
     evaluated, so callers can count failures instead of dying mid-batch.
     """
     Y = _check_inputs(problem, Y, tuning, tol)
+    max_iter = _as_int(max_iter, 1, "max_iter must be a positive integer")
     return _descend(problem, tuning.lam, Y, tol, max_iter)
 
 

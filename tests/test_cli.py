@@ -152,18 +152,11 @@ def test_render_matches_the_generic_renderer(obj):
     assert _outcome(render_json, obj) == _outcome(lambda o: _generic_render(o) + "\n", obj)
 
 
-def _lazy(obj):
-    """obj with each list and tuple made an iterator, as a streamed report's rows are."""
-    if isinstance(obj, dict):
-        return {k: _lazy(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return iter([_lazy(v) for v in obj])
-    return obj
-
-
-def _streamed(obj):
-    """What main() writes for obj's pieces, plus the closing newline."""
-    return "".join(_json._batches(_json._render(obj))) + "\n"
+def _rows_lazy(doc):
+    """doc with each top-level list of dicts made an iterator, as a streamed
+    report's rows are."""
+    return {k: iter(v) if isinstance(v, list) and all(isinstance(r, dict) for r in v) else v
+            for k, v in doc.items()}
 
 
 @pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
@@ -172,18 +165,26 @@ def test_streamed_report_matches_the_whole_text(monkeypatch, golden):
     doc = json.loads(text)
     assert render_json(doc) == text
     monkeypatch.setattr(_json, "_BATCH", 1000)
-    batches = list(_json._batches(_json._render(_lazy(doc))))
-    assert "".join(batches) + "\n" == text
+    batches = list(_json._batches(_json.stream_json(_rows_lazy(doc))))
+    assert "".join(batches) == text
     # every batch but the last holds at least _BATCH characters
     assert all(len(b) >= 1000 for b in batches[:-1]) and len(batches) > len(text) // 2000
 
 
-@given(_payloads)
+# a report's values: payloads, and lists of dict rows, each streamed as an
+# iterator (True) or rendered whole (False)
+_rows = st.lists(st.dictionaries(st.text(max_size=4), _payloads, max_size=3), max_size=4)
+_entries = _payloads.map(lambda v: (v, False)) | st.tuples(_rows, st.booleans())
+
+
+@given(st.dictionaries(st.text(max_size=4), _entries, max_size=5))
 @settings(deadline=None, max_examples=300)
-def test_streamed_render_matches_render_json(obj):
-    # an iterator renders as the list of its items, and an error is raised
-    # wherever render_json would raise it
-    assert _outcome(_streamed, _lazy(obj)) == _outcome(render_json, obj)
+def test_streamed_render_matches_render_json(report):
+    # an error is raised wherever render_json raises it
+    whole = {k: v for k, (v, _) in report.items()}
+    streamed = {k: iter(v) if lazy else v for k, (v, lazy) in report.items()}
+    stream = _outcome(lambda r: "".join(_json.stream_json(r)), streamed)
+    assert stream == _outcome(render_json, whole)
 
 
 def _keep_summary(monkeypatch):

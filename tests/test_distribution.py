@@ -680,6 +680,10 @@ def test_mvn_box_rejects_fewer_than_two_shifts():
             ld.mvn_box_probability(mean, cov, -np.ones(3), np.ones(3), n_shifts=n_shifts)
     r = ld.mvn_box_probability(mean, cov, -np.ones(3), np.ones(3), n_shifts=2)
     assert r.n_samples == 8192 and r.quad_tol > 0.0
+    # an integral float counts as its int
+    three = [ld.mvn_box_probability(mean, cov, -np.ones(3), np.ones(3), n_shifts=k).estimate
+             for k in (3, 3.0)]
+    assert three[0] == three[1]
 
 
 def test_negative_seed_raises_input_error(setup2):

@@ -168,7 +168,8 @@ _MC = {"n_samples": 16}
 # entry; a sign vector with an entry outside {-1, 0, 1} ("signs"); a
 # non-integral dimension ("p"); a model index that is non-integral, repeated,
 # negative or p ("index-..."); a region predicate that cannot read p columns
-# ("region-...")
+# ("region-..."); a tolerance, sample count, shift count or sweep limit that
+# is NaN, infinite, zero, negative, fractional or a string
 _MALFORMED = {
     ("gaussian_model", "length"): lambda: ld.gaussian_model(_P2, [0.2], 1.0),
     ("gaussian_model", "nan"): lambda: ld.gaussian_model(_P2, _NAN, 1.0),
@@ -195,10 +196,20 @@ _MALFORMED = {
         _P2, _M2, _T2, ld.OrthantEvent(z=np.array([0.1, 0.2]), d=(0.5, 1))),
     ("prob_all_zero", "tuning"): lambda: ld.prob_all_zero(_P2, _M2, _T1),
     ("prob_all_zero", "beta"): lambda: ld.prob_all_zero(_P2, _M3, _T2),
+    ("prob_all_zero", "n_samples-fraction"): lambda: ld.prob_all_zero(
+        _P2, _M2, _T2, method="mc", n_samples=2.5, seed=1),
+    ("prob_all_zero", "n_samples-string"): lambda: ld.prob_all_zero(
+        _P2, _M2, _T2, method="mc", n_samples="10", seed=1),
     ("orthant_mass", "tuning"): lambda: ld.orthant_mass(_P2, _M2, _T1, (0, 0)),
     ("orthant_mass", "beta"): lambda: ld.orthant_mass(_P2, _M3, _T2, (0, 0)),
     ("orthant_mass", "signs-length"): lambda: ld.orthant_mass(_P2, _M2, _T2, _D3),
     ("orthant_mass", "signs"): lambda: ld.orthant_mass(_P2, _M2, _T2, [1, 0.5]),
+    ("orthant_mass", "quad_tol-nan"): lambda: ld.orthant_mass(
+        _P2, _M2, _T2, (0, 0), quad_tol=math.nan),
+    ("orthant_mass", "quad_tol-inf"): lambda: ld.orthant_mass(
+        _P2, _M2, _T2, (0, 0), quad_tol=math.inf),
+    ("orthant_mass", "quad_tol-negative"): lambda: ld.orthant_mass(
+        _P2, _M2, _T2, (0, 0), quad_tol=-1.0),
     ("conditional_density", "tuning"): lambda: ld.conditional_density(
         _P2, _M2, _T1, (1, 0), [0.1]),
     ("conditional_density", "beta"): lambda: ld.conditional_density(
@@ -211,10 +222,22 @@ _MALFORMED = {
         _P2, _M2, _T2, (1, 0), [0.1, 0.2]),
     ("conditional_density", "nan"): lambda: ld.conditional_density(
         _P2, _M2, _T2, (1, 0), [math.nan]),
+    ("conditional_density", "quad_tol-nan"): lambda: ld.conditional_density(
+        _P2, _M2, _T2, (1, 0), [0.1], quad_tol=math.nan),
+    ("conditional_density", "quad_tol-inf"): lambda: ld.conditional_density(
+        _P2, _M2, _T2, (1, 0), [0.1], quad_tol=math.inf),
+    ("conditional_density", "quad_tol-zero"): lambda: ld.conditional_density(
+        _P2, _M2, _T2, (1, 0), [0.1], quad_tol=0.0),
+    ("conditional_density", "quad_tol-negative"): lambda: ld.conditional_density(
+        _P2, _M2, _T2, (1, 0), [0.1], quad_tol=-1.0),
     ("cdf", "tuning"): lambda: ld.cdf(_P2, _M2, _T1, [0.1, 0.2]),
     ("cdf", "beta"): lambda: ld.cdf(_P2, _M3, _T2, [0.1, 0.2]),
     ("cdf", "length"): lambda: ld.cdf(_P2, _M2, _T2, _THREE),
     ("cdf", "nan"): lambda: ld.cdf(_P2, _M2, _T2, _NAN),
+    ("cdf", "quad_tol-nan"): lambda: ld.cdf(_P2, _M2, _T2, [0.1, 0.2], quad_tol=math.nan),
+    ("cdf", "quad_tol-inf"): lambda: ld.cdf(_P2, _M2, _T2, [0.1, 0.2], quad_tol=math.inf),
+    ("cdf", "quad_tol-zero"): lambda: ld.cdf(_P2, _M2, _T2, [0.1, 0.2], quad_tol=0.0),
+    ("cdf", "quad_tol-negative"): lambda: ld.cdf(_P2, _M2, _T2, [0.1, 0.2], quad_tol=-1.0),
     ("error_density", "tuning"): lambda: ld.error_density(_P2, _M2, _T1, [0.1, 0.2]),
     ("error_density", "beta"): lambda: ld.error_density(_P2, _M3, _T2, [0.1, 0.2]),
     ("error_density", "length"): lambda: ld.error_density(_P2, _M2, _T2, _THREE),
@@ -236,6 +259,14 @@ _MALFORMED = {
         [0.0, 0.0], np.eye(2), [-1.0, -1.0, -1.0], [1.0, 1.0]),
     ("mvn_box_probability", "nan"): lambda: ld.mvn_box_probability(
         _NAN, np.eye(2), [-1.0, -1.0], [1.0, 1.0]),
+    ("mvn_box_probability", "n_samples-zero"): lambda: ld.mvn_box_probability(
+        np.zeros(3), np.eye(3), -np.ones(3), np.ones(3), n_samples=0),
+    ("mvn_box_probability", "n_samples-negative"): lambda: ld.mvn_box_probability(
+        np.zeros(3), np.eye(3), -np.ones(3), np.ones(3), n_samples=-3),
+    ("mvn_box_probability", "n_samples-fraction"): lambda: ld.mvn_box_probability(
+        np.zeros(3), np.eye(3), -np.ones(3), np.ones(3), n_samples=2.5),
+    ("mvn_box_probability", "n_shifts-fraction"): lambda: ld.mvn_box_probability(
+        np.zeros(3), np.eye(3), -np.ones(3), np.ones(3), n_shifts=2.5),
     ("selectable", "tuning"): lambda: ld.selectable(_P2, _T1, (0,)),
     ("selectable", "index-fraction"): lambda: ld.selectable(_P2, _T2, (0.7,)),
     ("selectable", "index-repeat"): lambda: ld.selectable(_P2, _T2, (0, 0)),
@@ -283,7 +314,15 @@ _MALFORMED = {
     ("solve", "tuning"): lambda: ld.solve(_P2, [1.0, 0.5], _T1),
     ("solve", "length"): lambda: ld.solve(_P2, _THREE, _T2),
     ("solve", "nan"): lambda: ld.solve(_P2, _NAN, _T2),
+    ("solve", "max_iter-zero"): lambda: ld.solve(_P2, [1.0, 0.5], _T2, max_iter=0),
+    ("solve", "max_iter-negative"): lambda: ld.solve(_P2, [1.0, 0.5], _T2, max_iter=-1),
+    ("solve", "max_iter-fraction"): lambda: ld.solve(_P2, [1.0, 0.5], _T2, max_iter=2.5),
     ("solve_many", "tuning"): lambda: ld.solve_many(_P2, [[1.0, 0.5]], _T1),
+    ("solve_many", "max_iter-zero"): lambda: ld.solve_many(_P2, [[1.0, 0.5]], _T2, max_iter=0),
+    ("solve_many", "max_iter-negative"): lambda: ld.solve_many(
+        _P2, [[1.0, 0.5]], _T2, max_iter=-1),
+    ("solve_many", "max_iter-fraction"): lambda: ld.solve_many(
+        _P2, [[1.0, 0.5]], _T2, max_iter=2.5),
     ("is_solution", "tuning"): lambda: ld.is_solution(_P2, [1.0, 0.5], _T1, [0.3, 0.0]),
     ("is_solution", "length"): lambda: ld.is_solution(_P2, [1.0, 0.5], _T2, _THREE),
     ("is_solution", "nan"): lambda: ld.is_solution(_P2, [1.0, 0.5], _T2, [math.nan, 0.0]),
