@@ -13,8 +13,10 @@ Each subcommand is declared once, in `_SUBCOMMANDS`: its usage line, its
 handler and its options in parser order. The top-level usage text is built
 from that table, a call builds the parser of its own subcommand only, and
 the options that take a comma list or grid spec are the ones whose value may
-start with "-". Each handler imports the engine it calls; `solve` loads the
-solver on first use (PEP 562), so no other subcommand compiles it.
+start with "-". `main()` loads the envelope once, with its model built by
+`gaussian_model`, and passes it to the handler with the parsed options.
+Each handler imports the engine it calls; `solve` loads the solver on first
+use (PEP 562), so no other subcommand compiles it.
 
 A handler returns its output as one string, except `simulate`'s JSON
 report, which returns the pieces of `_json.stream_json`: its sign-pattern
@@ -54,8 +56,8 @@ from .errors import (
     InputError,
     NumericalError,
 )
-from .model import DEFAULT_TOL, DesignProblem, GaussianModel, TuningVector, _as_signs, _as_vector
-from .model import _record, build_problem, gaussian_model, tuning_vector
+from .model import DEFAULT_TOL, LP_TOL, DesignProblem, GaussianModel, TuningVector, _as_signs
+from .model import _as_vector, _record, build_problem, gaussian_model, tuning_vector
 
 
 __getattr__ = _lazy(globals(), {"solve": "solver"})
@@ -65,8 +67,7 @@ __getattr__ = _lazy(globals(), {"solve": "solver"})
 class Envelope:
     problem: DesignProblem
     lam: np.ndarray | None
-    beta: np.ndarray
-    sigma: float
+    model: GaussianModel
     y: np.ndarray | None
 
 
@@ -80,11 +81,7 @@ def load_envelope(path: str) -> Envelope:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "X" not in data:
         raise InputError(f"{path}: envelope must be a JSON object with an 'X' matrix")
-    try:
-        X = np.asarray(data["X"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: 'X' is not a numeric matrix: {exc}") from exc
-    problem = build_problem(X)
+    problem = build_problem(data["X"])
     p = problem.p
 
     def vec(name, length):
@@ -99,11 +96,8 @@ def load_envelope(path: str) -> Envelope:
         sigma = 1.0 if sigma is None else float(sigma)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: 'sigma' is not a number: {exc}") from exc
-    if not sigma > 0:
-        raise InputError(f"{path}: 'sigma' must be positive")
-    if beta is None:
-        beta = np.zeros(p)
-    return Envelope(problem=problem, lam=lam, beta=beta, sigma=sigma, y=y)
+    model = gaussian_model(problem, np.zeros(p) if beta is None else beta, sigma)
+    return Envelope(problem=problem, lam=lam, model=model, y=y)
 
 
 def _vector(text: str, flag: str, length: int) -> np.ndarray:
@@ -162,19 +156,7 @@ def _one_based(indices) -> list:
     return [int(j) + 1 for j in indices]
 
 
-def _prob_payload(rp) -> dict:
-    return {
-        "estimate": rp.estimate,
-        "std_error": rp.std_error,
-        "method": rp.method,
-        "n_samples": rp.n_samples,
-        "seed": rp.seed,
-        "quad_tol": rp.quad_tol,
-    }
-
-
-def _cmd_solve(args) -> str:
-    env = load_envelope(args.input)
+def _cmd_solve(args, env) -> str:
     tuning = _need_lam(env, args.lam)
     y = _need_y(env, args.y)
     # through the module attribute, so a replaced `solve` is the one that runs
@@ -188,86 +170,69 @@ def _cmd_solve(args) -> str:
     })
 
 
-def _cmd_structural_set(args) -> str:
+def _cmd_structural_set(args, env) -> str:
     from . import geometry
-    env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     members = geometry.structural_set(env.problem, tuning, tol=args.tol)
     return render_json({"structural_set": _one_based(members)})
 
 
-def _cmd_selectable(args) -> str:
+def _cmd_selectable(args, env) -> str:
     from . import geometry
-    env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     model = _model_indices(args.model)
     flag = geometry.selectable(env.problem, tuning, model, tol=args.tol)
     return render_json({"model": _one_based(sorted(model)), "selectable": flag})
 
 
-def _cmd_check_unique(args) -> str:
+def _cmd_check_unique(args, env) -> str:
     from . import geometry
-    env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     verdict = geometry.check_uniqueness(env.problem, tuning, tol=args.tol)
-    payload: dict = {"unique": verdict.unique}
-    if verdict.unique:
-        payload["witness"] = None
-        payload["face"] = None
-    else:
-        w = verdict.witness
-        face = verdict.violating_face
-        payload["witness"] = {"y": w.y, "b": w.b, "b_tilde": w.b_tilde}
-        payload["face"] = {
+    face = verdict.violating_face
+    return render_json({
+        "unique": verdict.unique,
+        "witness": None if verdict.unique else vars(verdict.witness),
+        "face": None if verdict.unique else {
             "model": _one_based(face.model),
             "signs": [int(s) for s in face.signs],
             "v": face.v,
-        }
-    return render_json(payload)
+        },
+    })
 
 
-def _cmd_general_position(args) -> str:
+def _cmd_general_position(args, env) -> str:
     from . import geometry
-    env = load_envelope(args.input)
     return render_json({"general_position": geometry.general_position(env.problem)})
 
 
-def _model_from_env(env: Envelope) -> GaussianModel:
-    return gaussian_model(env.problem, env.beta, env.sigma)
-
-
-def _cmd_prob_zero(args) -> str:
+def _cmd_prob_zero(args, env) -> str:
     from . import distribution
-    env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     rp = distribution.prob_all_zero(
-        env.problem, _model_from_env(env), tuning,
+        env.problem, env.model, tuning,
         method=args.method, n_samples=args.samples, seed=args.seed,
     )
-    return render_json(_prob_payload(rp))
+    return render_json(vars(rp))
 
 
-def _cmd_orthant_prob(args) -> str:
+def _cmd_orthant_prob(args, env) -> str:
     from . import distribution
-    env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
-    model = _model_from_env(env)
     p = env.problem.p
     signs = _as_signs(_vector(args.signs, "--signs", p), "--signs")
     z = _vector(args.z, "--z", p) if args.z is not None else np.zeros(p)
-    event = distribution.estimator_orthant_event(model, z, signs)
+    event = distribution.estimator_orthant_event(env.model, z, signs)
     rp = distribution.prob_orthant_event(
-        env.problem, model, tuning, event,
+        env.problem, env.model, tuning, event,
         method=args.method, n_samples=args.samples, seed=args.seed,
     )
-    return render_json({"signs": signs.d, "z": z, **_prob_payload(rp)})
+    return render_json({"signs": signs.d, "z": z, **vars(rp)})
 
 
-def _cmd_cdf(args) -> str:
+def _cmd_cdf(args, env) -> str:
     from . import distribution
-    env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
-    model = _model_from_env(env)
     z = _vector(args.z, "--z", env.problem.p)
     # the JSON output cannot echo an infinite threshold
     if not np.all(np.isfinite(z)):
@@ -275,15 +240,13 @@ def _cmd_cdf(args) -> str:
             "--z entries must be finite (no NaN or inf); lassodist.cdf in Python "
             "accepts infinite thresholds"
         )
-    value = distribution.cdf(env.problem, model, tuning, z, coords=args.coords)
+    value = distribution.cdf(env.problem, env.model, tuning, z, coords=args.coords)
     return render_json({"z": z, "coords": args.coords, "cdf": value})
 
 
-def _cmd_density_grid(args) -> str:
+def _cmd_density_grid(args, env) -> str:
     from . import distribution
-    env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
-    model = _model_from_env(env)
     if env.problem.p != 2:
         raise DimensionLimitError("density-grid renders two-coordinate designs only")
     specs = args.grid or []
@@ -297,18 +260,16 @@ def _cmd_density_grid(args) -> str:
     lines = ["z1,z2,value"]
     for z1 in g1:
         for z2 in g2:
-            val = distribution.error_density(env.problem, model, tuning, (z1, z2))
+            val = distribution.error_density(env.problem, env.model, tuning, (z1, z2))
             lines.append(f"{z1:.17g},{z2:.17g},{val:.17g}")
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args):
+def _cmd_simulate(args, env):
     from . import simulate
-    env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
-    model = _model_from_env(env)
     config = simulate.SimulationConfig(n_rep=args.reps, seed=args.seed, solver_tol=args.tol)
-    summary = simulate.run_simulation(env.problem, model, tuning, config)
+    summary = simulate.run_simulation(env.problem, env.model, tuning, config)
     if args.report == "csv":
         lines = ["axis,z,ecdf"]
         for j, axis in enumerate(summary.ecdf_grid):
@@ -345,9 +306,8 @@ def _cmd_simulate(args):
     })
 
 
-def _cmd_shrinkage_map(args) -> str:
+def _cmd_shrinkage_map(args, env) -> str:
     from . import geometry
-    env = load_envelope(args.input)
     tuning = _need_lam(env, args.lam)
     p = env.problem.p
     if (args.b is None) == (args.z is None):
@@ -392,11 +352,11 @@ _SUBCOMMANDS = {
     "solve": ("weighted Lasso solution for a given y", _cmd_solve, (
         _INPUT, _LAM, _tol(DEFAULT_TOL), _list("--y", "response vector, comma-separated"))),
     "structural-set": ("coordinates that some y can activate", _cmd_structural_set, (
-        _INPUT, _LAM, _tol(1e-9))),
+        _INPUT, _LAM, _tol(LP_TOL))),
     "selectable": ("can a given model be the active set exactly", _cmd_selectable, (
-        _INPUT, _LAM, _tol(1e-9), _list("--model", "1-based indices, comma-separated"))),
+        _INPUT, _LAM, _tol(LP_TOL), _list("--model", "1-based indices, comma-separated"))),
     "check-unique": ("uniqueness of the solution for every y", _cmd_check_unique, (
-        _INPUT, _LAM, _tol(1e-9))),
+        _INPUT, _LAM, _tol(LP_TOL))),
     "general-position": ("columns-in-general-position test", _cmd_general_position, (
         _opt("--input", required=True),)),
     "prob-zero": ("P(bhat = 0)", _cmd_prob_zero, (_INPUT, _LAM, *_SAMPLING)),
@@ -462,7 +422,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
-        out = handler(args)
+        out = handler(args, load_envelope(args.input))
         # a handler returns its output, or pieces of it to write as they are made
         for text in [out] if isinstance(out, str) else _batches(out):
             sys.stdout.write(text)

@@ -86,6 +86,7 @@ _KOROBOV = {
     (32768, 2): 12031, (32768, 3): 8895, (32768, 4): 1475, (32768, 5): 1543,
     (65536, 2): 19463, (65536, 3): 15395, (65536, 4): 19303, (65536, 5): 9143,
 }
+_MAX_LATTICE = max(n for n, _ in _KOROBOV)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
@@ -587,12 +588,14 @@ def mvn_box_probability(
     """P(lower <= x <= upper) for x ~ N(mean, cov), bounds may be infinite.
 
     A NaN bound, a non-finite mean or covariance entry, an n_samples that is
-    not a positive integer or an n_shifts that is not an integer >= 2 raises
+    not a positive integer, an n_shifts that is not an integer >= 2 or an
+    n_samples // n_shifts above 2^16, the largest lattice of _KOROBOV, raises
     InputError. The covariance may be singular (see _rectangle): a
     factor of one column, or of two coordinates, has a closed form; beyond
     that the separation-of-variables transform runs on n_shifts random shifts
-    of a Korobov lattice of about n_samples / n_shifts points, whose
-    multipliers are tuned for up to six coordinates (see _shifted_lattice).
+    of a Korobov lattice of n_samples // n_shifts points rounded up to a power
+    of two and to at least 64, whose multipliers are tuned for up to six
+    coordinates (see _shifted_lattice).
     The reported error bound is seven standard errors of the mean of the
     shift estimates plus a rounding term.
     """
@@ -610,6 +613,9 @@ def mvn_box_probability(
     n_samples = _as_int(n_samples, 1, f"n_samples must be a positive integer, got {n_samples!r}")
     n_shifts = _as_int(
         n_shifts, 2, f"n_shifts must be an integer >= 2 for a standard error, got {n_shifts!r}")
+    if n_samples // n_shifts > _MAX_LATTICE:
+        raise InputError(f"n_samples // n_shifts must be at most {_MAX_LATTICE}, the largest "
+                         f"lattice, got {n_samples} // {n_shifts}")
     seed = _check_seed(seed)
     sym = 0.5 * (cov + cov.T)
     if not np.allclose(cov, sym, rtol=1e-8, atol=1e-12):

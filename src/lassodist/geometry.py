@@ -19,8 +19,8 @@ import numpy as np
 
 from . import _lazy
 from .errors import CombinatorialLimitError, InputError, NumericalError
-from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_indices, _as_signs
-from .model import _as_vector, _check_dims, _check_tol, _record, sign_partition
+from .model import DEFAULT_TOL, LP_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_indices
+from .model import _as_signs, _as_vector, _check_dims, _check_tol, _record, sign_partition
 from .simplex import feasible_point
 
 if TYPE_CHECKING:
@@ -104,7 +104,7 @@ class RowSpacePoint:
     z: np.ndarray
 
 
-def face_intersects_row_space(problem: DesignProblem, face: FaceBox, tol: float = 1e-9):
+def face_intersects_row_space(problem: DesignProblem, face: FaceBox, tol: float = LP_TOL):
     """Find v = X'z inside the face, or None if col(X') misses it.
 
     LP feasibility in z: (X'z)_j pinned on the face's model, boxed elsewhere.
@@ -126,7 +126,7 @@ def face_intersects_row_space(problem: DesignProblem, face: FaceBox, tol: float 
     return RowSpacePoint(v=X.T @ z, z=z)
 
 
-def selectable(problem: DesignProblem, tuning: TuningVector, model, tol: float = 1e-9) -> bool:
+def selectable(problem: DesignProblem, tuning: TuningVector, model, tol: float = LP_TOL) -> bool:
     """Can some response make the Lasso select exactly this model?
 
     True iff some sign resolution of the face family B_model meets col(X').
@@ -146,7 +146,7 @@ def selectable(problem: DesignProblem, tuning: TuningVector, model, tol: float =
     return False
 
 
-def structural_set(problem: DesignProblem, tuning: TuningVector, tol: float = 1e-9) -> tuple:
+def structural_set(problem: DesignProblem, tuning: TuningVector, tol: float = LP_TOL) -> tuple:
     """Indices that appear in some Lasso solution for some response.
 
     By v -> -v symmetry only the +1 face of each index needs an LP; indices
@@ -229,7 +229,7 @@ class UniquenessVerdict:
     violating_face: ViolatingFace | None
 
 
-def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 1e-9) -> UniquenessVerdict:
+def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = LP_TOL) -> UniquenessVerdict:
     """Is the Lasso solution unique for every response y?
 
     Unique iff col(X') misses every face B_M with |M| > rk(X); by face

@@ -19,6 +19,9 @@ ZERO_TOL = 1e-9
 # default solver tolerance on the KKT residual
 DEFAULT_TOL = 1e-10
 
+# default feasibility tolerance of the phase-1 simplex LPs
+LP_TOL = 1e-9
+
 # singular value sigma_k counts toward the rank iff sigma_k > max(n,p)*smax*RANK_RTOL
 RANK_RTOL = 1e-12
 
@@ -199,7 +202,10 @@ class DesignProblem:
 
 def build_problem(X) -> DesignProblem:
     """Build a DesignProblem from an n x p array-like (rows = observations)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    try:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"design matrix is not a numeric matrix: {exc}") from exc
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise InputError("design matrix must be 2-d with at least one row and column")
     if not np.all(np.isfinite(X)):
@@ -223,7 +229,10 @@ def design_from_gram(gram) -> DesignProblem:
     Useful when a problem is specified through X'X only: the Cholesky factor
     L with LL' = gram gives X = L', and X'X = gram exactly.
     """
-    gram = np.asarray(gram, dtype=float)
+    try:
+        gram = np.asarray(gram, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"gram is not a numeric matrix: {exc}") from exc
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise InputError("gram must be a square matrix")
     if not np.allclose(gram, gram.T, rtol=1e-12, atol=1e-12):
@@ -329,8 +338,11 @@ class GaussianModel:
 
 def gaussian_model(problem: DesignProblem, beta, sigma: float) -> GaussianModel:
     beta = _as_vector(beta, problem.p, "beta")
-    sigma = float(sigma)
-    if not np.isfinite(sigma) or sigma <= 0:
+    try:
+        sigma = float(sigma)
+    except (TypeError, ValueError):
+        sigma = math.nan
+    if not (math.isfinite(sigma) and sigma > 0):
         raise InputError("sigma must be a positive real")
     return GaussianModel(beta=beta, sigma=sigma, mu=problem.X @ beta)
 

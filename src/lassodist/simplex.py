@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
+from .model import LP_TOL
 
 _PIVOT_EPS = 1e-10
 _MAX_PIVOTS = 20000
@@ -43,7 +44,7 @@ def _pivot(tab, row, col):
     tab[hit] -= factor[hit, None] * tab[row]
 
 
-def feasible_point(a_eq, b_eq, a_ub, b_ub, n_free, tol=1e-9):
+def feasible_point(a_eq, b_eq, a_ub, b_ub, n_free, tol=LP_TOL):
     """Return some x with A_eq x = b_eq and A_ub x <= b_ub, or None.
 
     A point is accepted when the phase-1 optimum is <= tol and the extracted
@@ -132,5 +133,5 @@ def feasible_point(a_eq, b_eq, a_ub, b_ub, n_free, tol=1e-9):
     return x
 
 
-def feasible(a_eq, b_eq, a_ub, b_ub, n_free, tol=1e-9) -> bool:
+def feasible(a_eq, b_eq, a_ub, b_ub, n_free, tol=LP_TOL) -> bool:
     return feasible_point(a_eq, b_eq, a_ub, b_ub, n_free, tol=tol) is not None

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
-from .model import _as_int, _check_dims, _check_seed, _check_tol, _record
+from .model import _as_int, _check_dims, _check_seed, _check_tol, _check_zero_tol, _record
 from .rng import gaussian_chunks
 from .solver import kernel_sign_cone_nonempty, solve_many
 from .solver import _cone_arguments, _uniqueness_classes
@@ -50,7 +50,7 @@ class SimulationConfig:
         state = self.__dict__
         state["n_rep"] = _as_int(self.n_rep, 1, "n_rep must be a positive integer")
         state["seed"] = _check_seed(self.seed)
-        _check_tol(self.zero_tol, "tolerances")
+        _check_zero_tol(self.zero_tol)
         _check_tol(self.solver_tol, "tolerances")
         grid = "ecdf grid needs an integral number >= 2 of points and a finite positive span"
         state["ecdf_points"] = _as_int(self.ecdf_points, 2, grid)

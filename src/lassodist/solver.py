@@ -49,8 +49,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_vector, _check_dims
-from .model import _as_int, _check_tol, _check_zero_tol, _numerical_rank, _record
+from .model import DEFAULT_TOL, LP_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_vector
+from .model import _as_int, _check_dims, _check_tol, _check_zero_tol, _numerical_rank, _record
 from .simplex import feasible
 
 DEFAULT_MAX_ITER = 100_000
@@ -419,7 +419,7 @@ def is_solution(
     return KKTReport(ok=bool(viol[worst] <= tol), max_violation=float(viol[worst]), worst_index=worst)
 
 
-def kernel_sign_cone_nonempty(problem, boundary, constrained, constrained_signs, tol=1e-9):
+def kernel_sign_cone_nonempty(problem, boundary, constrained, constrained_signs, tol=LP_TOL):
     """Does {h != 0 : supp(h) in boundary, Xh = 0, s_k h_{c_k} >= 0} exist?
 
     `boundary` are the indices allowed to move, `constrained` a subset of them

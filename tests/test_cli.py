@@ -358,6 +358,11 @@ def test_solver_runs_through_its_module_attributes(monkeypatch, capsys, corr2):
         lassodist.cli.no_such_name  # noqa: B018
 
 
+def test_render_rejects_unserialisable_objects():
+    with pytest.raises(TypeError, match="cannot serialize"):
+        render_json({"x": [object()]})
+
+
 @pytest.mark.parametrize("args", [
     ("prob-zero", "--input", CORR3, "--method", "mc", "--samples", "8192", "--seed", "1"),
     ("simulate", "--input", CORR3, "--reps", "400", "--seed", "1"),
@@ -515,12 +520,16 @@ def test_input_error_exit_codes(tmp_path):
     # envelope has no y and none was passed
     assert run_cli("solve", "--input", D2X4).returncode == 2
 
-    # malformed vectors and sigma: one error line naming the entry, no traceback
+    # malformed X, vectors and sigma: one error line naming the entry, no traceback
     for i, (fields, name) in enumerate((
+        ({"X": [[1.0, "a"]], "lambda": [1, 1]}, "not a numeric matrix"),
         ({"lambda": "ab"}, "'lambda'"),
         ({"lambda": [1, [2, 3]]}, "'lambda'"),
         ({"lambda": [1, 1], "sigma": "x"}, "'sigma'"),
         ({"lambda": [1, 1], "sigma": [1]}, "'sigma'"),
+        # the model is built at load, so a subcommand that reads none checks sigma too
+        ({"lambda": [1, 1], "sigma": 0}, "sigma must be a positive real"),
+        ({"lambda": [1, 1], "sigma": float("inf")}, "sigma must be a positive real"),
         # rejected at load although check-unique reads no y
         ({"lambda": [1, 1], "y": [float("nan")]}, "'y'"),
         ({"lambda": [1, 1], "y": [float("inf")]}, "'y'"),
@@ -553,11 +562,25 @@ def test_input_error_exit_codes(tmp_path):
     # missing required argument trips argparse
     assert run_cli("cdf", "--input", CORR2).returncode == 2
 
-    # non-finite vectors: one error line naming the input, no numpy warning
+    # an empty --model is the empty model, not an error
+    empty = run_cli("selectable", "--input", D2X4, "--model", "")
+    assert empty.returncode == 0 and '"selectable": true' in empty.stdout
+
+    # a malformed envelope, option or grid spec: one error line naming the
+    # input, no numpy warning
+    listed = tmp_path / "listed.json"
+    listed.write_text("[[1.0, 2.0]]")
     for args, name in (
+        (("solve", "--input", str(listed)), "must be a JSON object"),
+        (("structural-set", "--input", N1P2, "--lam", "1,x"), "bad --lam value"),
         (("shrinkage-map", "--input", CORR2, "--z", "inf,0"), "z_ls must be finite"),
         (("shrinkage-map", "--input", CORR2, "--b", "nan,1"), "b must be finite"),
         (("density-grid", "--input", CORR2, "--grid", "0:inf:3"), "finite lo and hi"),
+        (("density-grid", "--input", CORR2, "--grid", "0:1"), "must be lo:hi:steps"),
+        (("density-grid", "--input", CORR2, "--grid", "0:x:3"), "bad grid spec"),
+        (("density-grid", "--input", CORR2, "--grid", "1:0:3"), "needs hi >= lo"),
+        (("density-grid", "--input", CORR2), "needs --grid"),
+        (("density-grid", "--input", CORR2, *("--grid", "0:1:2") * 3), "at most two"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args

@@ -99,6 +99,14 @@ def test_uniqueness_verdicts(n1p2, x2x4):
     assert ld.is_solution(n1p2, w.y, t, w.b, tol=1e-8).ok
     assert ld.is_solution(n1p2, w.y, t, w.b_tilde, tol=1e-8).ok
     assert np.max(np.abs(w.b - w.b_tilde)) > 1e-6
+    # rebuilt from the face alone, the certificate z comes from least squares
+    face = v2.violating_face
+    w = ld.construct_nonuniqueness_witness(n1p2, t, face.model, face.v)
+    assert ld.is_solution(n1p2, w.y, t, w.b, tol=1e-8)
+    assert ld.is_solution(n1p2, w.y, t, w.b_tilde, tol=1e-8)
+    with pytest.raises(InputError, match="not a row-space point"):
+        ld.construct_nonuniqueness_witness(
+            n1p2, t, face.model, face.v + n1p2.null_space_basis[:, 0])
 
     # not in general position, yet unique for every uniform weight
     for lam_bar in (0.5, 1.0, 3.0):

@@ -124,6 +124,7 @@ def test_zero_tol_must_be_finite_and_nonnegative(corr2):
             corr2, y, tuning, zero_tol=tol),
         "shrinkage_set_high": lambda tol: ld.shrinkage_set_high(corr2, tuning, b, tol),
         "shrinkage_set_low": lambda tol: ld.shrinkage_set_low(corr2, tuning, b, tol),
+        "SimulationConfig": lambda tol: ld.SimulationConfig(zero_tol=tol),
     }
     for name, call in calls.items():
         call(0.0)  # zero counts only exact zeros
@@ -169,12 +170,20 @@ _MC = {"n_samples": 16}
 # non-integral dimension ("p"); a model index that is non-integral, repeated,
 # negative or p ("index-..."); a region predicate that cannot read p columns
 # ("region-..."); a tolerance, sample count, shift count or sweep limit that
-# is NaN, infinite, zero, negative, fractional or a string
+# is NaN, infinite, zero, negative, fractional, a string or above its cap; a
+# matrix or sigma that is not numeric, or a matrix of the wrong shape
 _MALFORMED = {
+    ("build_problem", "string"): lambda: ld.build_problem([["a", 1.0]]),
+    ("build_problem", "ragged"): lambda: ld.build_problem([[1.0, [2.0]]]),
+    ("build_problem", "3-d"): lambda: ld.build_problem(np.ones((2, 2, 2))),
+    ("design_from_gram", "string"): lambda: ld.design_from_gram([["a"]]),
+    ("design_from_gram", "non-square"): lambda: ld.design_from_gram(np.ones((2, 3))),
     ("gaussian_model", "length"): lambda: ld.gaussian_model(_P2, [0.2], 1.0),
     ("gaussian_model", "nan"): lambda: ld.gaussian_model(_P2, _NAN, 1.0),
+    ("gaussian_model", "sigma-string"): lambda: ld.gaussian_model(_P2, [0, 0], "x"),
     ("fiber_equivalent", "beta"): lambda: ld.fiber_equivalent(_M2, _M3, _P2),
     ("tuning_vector", "nan"): lambda: ld.tuning_vector(_NAN),
+    ("tuning_vector", "empty"): lambda: ld.tuning_vector([]),
     ("uniform_tuning", "p"): lambda: ld.uniform_tuning(2.5, 1.0),
     ("sign_partition", "nan"): lambda: ld.sign_partition(_NAN),
     ("error_orthant_event", "length"): lambda: ld.error_orthant_event(_THREE, (1, 1)),
@@ -200,6 +209,7 @@ _MALFORMED = {
         _P2, _M2, _T2, method="mc", n_samples=2.5, seed=1),
     ("prob_all_zero", "n_samples-string"): lambda: ld.prob_all_zero(
         _P2, _M2, _T2, method="mc", n_samples="10", seed=1),
+    ("prob_all_zero", "method"): lambda: ld.prob_all_zero(_P2, _M2, _T2, method="x"),
     ("orthant_mass", "tuning"): lambda: ld.orthant_mass(_P2, _M2, _T1, (0, 0)),
     ("orthant_mass", "beta"): lambda: ld.orthant_mass(_P2, _M3, _T2, (0, 0)),
     ("orthant_mass", "signs-length"): lambda: ld.orthant_mass(_P2, _M2, _T2, _D3),
@@ -252,6 +262,8 @@ _MALFORMED = {
         _P2, _M2, _T2, ld.region_below([1.0, 2.0, 3.0]), **_MC),
     ("prob_region_high", "region-short"): lambda: ld.prob_region_high(
         _P2, _M2, _T2, ld.region_below([1.0]), **_MC),
+    ("prob_region_high", "region-shape"): lambda: ld.prob_region_high(
+        _P2, _M2, _T2, lambda B: B > 0.0, **_MC),
     ("region_below", "nan"): lambda: ld.region_below(_NAN),
     ("region_support_includes", "index-negative"): lambda: ld.region_support_includes(-1),
     ("region_support_includes", "index-fraction"): lambda: ld.region_support_includes(0.5),
@@ -267,11 +279,14 @@ _MALFORMED = {
         np.zeros(3), np.eye(3), -np.ones(3), np.ones(3), n_samples=2.5),
     ("mvn_box_probability", "n_shifts-fraction"): lambda: ld.mvn_box_probability(
         np.zeros(3), np.eye(3), -np.ones(3), np.ones(3), n_shifts=2.5),
+    ("mvn_box_probability", "n_samples-cap"): lambda: ld.mvn_box_probability(
+        np.zeros(3), np.eye(3), -np.ones(3), np.ones(3), n_samples=2**20),
     ("selectable", "tuning"): lambda: ld.selectable(_P2, _T1, (0,)),
     ("selectable", "index-fraction"): lambda: ld.selectable(_P2, _T2, (0.7,)),
     ("selectable", "index-repeat"): lambda: ld.selectable(_P2, _T2, (0, 0)),
     ("selectable", "index-negative"): lambda: ld.selectable(_P2, _T2, (-1,)),
     ("selectable", "index-p"): lambda: ld.selectable(_P2, _T2, (2,)),
+    ("selectable", "index-string"): lambda: ld.selectable(_P2, _T2, ("a",)),
     ("structural_set", "tuning"): lambda: ld.structural_set(_P2, _T1),
     ("check_uniqueness", "tuning"): lambda: ld.check_uniqueness(_P1X2, _T1),
     ("construct_nonuniqueness_witness", "tuning"): lambda: ld.construct_nonuniqueness_witness(
@@ -295,6 +310,9 @@ _MALFORMED = {
     ("face_box", "index-repeat"): lambda: ld.face_box(_T2, (0, 0), (1, 1)),
     ("face_box", "index-negative"): lambda: ld.face_box(_T2, (-1,), (1,)),
     ("face_box", "index-p"): lambda: ld.face_box(_T2, (2,), (1,)),
+    ("face_box", "signs-length"): lambda: ld.face_box(_T2, (0, 1), (1,)),
+    ("face_intersects_row_space", "p"): lambda: ld.face_intersects_row_space(
+        _P2, ld.face_box(ld.uniform_tuning(3, 0.75), (0,), (1,))),
     ("ShrinkageSet.contains", "length"): lambda: ld.shrinkage_set_low(
         _P2, _T2, [0.5, 0.0]).contains(_THREE),
     ("ShrinkageSet.contains", "nan"): lambda: ld.shrinkage_set_low(
@@ -429,8 +447,8 @@ def _records():
         (ld.SolutionSetDescription(fit=np.array([0.0]), anchor=sol, equicorrelation_signs=(1, 0),
                                    is_unique_at_y=True),
          ("fit", "anchor", "equicorrelation_signs", "is_unique_at_y"), False),
-        (Envelope(problem=prob, lam=v, beta=v, sigma=1.0, y=None),
-         ("problem", "lam", "beta", "sigma", "y"), False),
+        (Envelope(problem=prob, lam=v, model=ld.gaussian_model(prob, v, 1.0), y=None),
+         ("problem", "lam", "model", "y"), False),
     ]
 
 

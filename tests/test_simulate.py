@@ -22,9 +22,10 @@ def test_config_validation():
         ld.SimulationConfig(n_rep=0)
     with pytest.raises(InputError):
         ld.SimulationConfig(seed=-1)
-    for tol in (0.0, math.inf, math.nan):
+    for tol in (math.inf, math.nan):
         with pytest.raises(InputError):
             ld.SimulationConfig(zero_tol=tol)
+    for tol in (0.0, math.inf, math.nan):
         with pytest.raises(InputError):
             ld.SimulationConfig(solver_tol=tol)
     with pytest.raises(InputError):
@@ -53,6 +54,16 @@ def test_config_keeps_integral_counts_as_int(n1p2):
                                 ld.uniform_tuning(2, 2.0), cfg)
     assert type(summary.n_rep) is int and type(summary.seed) is int
     assert [len(axis) for axis in summary.ecdf_grid] == [5, 5]
+
+
+def test_zero_column_axis_spans_sigma():
+    # b_2 is always 0 and has no spread to scale its ECDF axis: the axis
+    # spans ecdf_span sigma around beta_2
+    prob = ld.build_problem(np.array([[1.0, 0.0], [0.5, 0.0]]))
+    model = ld.gaussian_model(prob, [0.4, 0.0], 2.0)
+    cfg = ld.SimulationConfig(n_rep=200, seed=1, ecdf_points=5)
+    s = ld.run_simulation(prob, model, ld.uniform_tuning(2, 0.5), cfg)
+    assert s.ecdf_grid[1] == ((-8.0, 0.0), (-4.0, 0.0), (0.0, 1.0), (4.0, 1.0), (8.0, 1.0))
 
 
 def test_runs_are_deterministic(n1p2):
