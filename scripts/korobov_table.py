@@ -1,6 +1,6 @@
 """Regenerate the Korobov multipliers of the Genz rectangle kernel.
 
-`lassodist.distribution._KOROBOV` maps (n, dim) to the multiplier a of the
+`lassodist._genz._KOROBOV` maps (n, dim) to the multiplier a of the
 rank-1 lattice x_i = frac(i z / n), z = (1, a, a^2, ..., a^(dim-1)) mod n.
 For each n = 2^6 .. 2^16 and dim = 2 .. 5, a is the odd multiplier that
 minimises the unweighted P2 figure of merit (Sloan & Joe 1994)
@@ -80,13 +80,13 @@ def render(tab):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
-                    help="compare with lassodist.distribution._KOROBOV; exit 1 on any difference")
+                    help="compare with lassodist._genz._KOROBOV; exit 1 on any difference")
     args = ap.parse_args(argv)
     tab = table()
     if not args.check:
         print(render(tab))
         return 0
-    from lassodist.distribution import _KOROBOV
+    from lassodist._genz import _KOROBOV
 
     diff = [(key, a, _KOROBOV.get(key)) for key, a in tab.items() if _KOROBOV.get(key) != a]
     for (n, dim), a, committed in diff:

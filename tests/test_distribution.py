@@ -18,20 +18,17 @@ from scipy.stats import multivariate_normal, norm
 
 import lassodist as ld
 from conftest import SRC
-from lassodist import distribution
+from lassodist import _genz
+from lassodist._genz import _KOROBOV, _lattice_size, _ndtr, _ndtri, _shifted_lattice
 from lassodist.distribution import (
     _BOUND_SE,
     _EXACT_TOL,
     _GENZ_POINTS,
-    _KOROBOV,
     _PIVOT_RTOL,
     _bvn_cdf,
     _factor,
-    _ndtr,
-    _ndtri,
     _norm_cdf,
     _rectangle,
-    _shifted_lattice,
 )
 from lassodist.errors import (
     ConditioningError,
@@ -572,7 +569,7 @@ def test_rectangle_matches_scipy_ufunc_integrand(monkeypatch):
         b[rng.random(k) < 0.3] = np.inf
         cases.append((chol, a, b, (int(rng.integers(2**31)), ())))
     ours = [_rectangle(*case) for case in cases]
-    monkeypatch.setattr(distribution, "_genz_values", _scipy_genz_values)
+    monkeypatch.setattr(_genz, "_genz_values", _scipy_genz_values)
     theirs = [_rectangle(*case) for case in cases]
     assert sum(np.isinf(a).any() and np.isinf(b).any() for _, a, b, _ in cases) > 0
     for mine, ref in zip(ours, theirs):
@@ -1101,6 +1098,18 @@ def test_korobov_table_matches_search():
     assert all(a % 2 == 1 and 1 < a < n // 2 for (n, _), a in _KOROBOV.items())
     small = script.table(max_log2_n=10)
     assert small == {key: a for key, a in _KOROBOV.items() if key[0] <= 2**10}
+
+
+def test_lattice_size_spans_the_korobov_table():
+    # the points per shift are n_samples // n_shifts rounded up to a power of
+    # two, clipped to the lattice sizes of _KOROBOV and to no literal of their own
+    sizes = sorted({n for n, _ in _KOROBOV})
+    assert _lattice_size(1, 8) == sizes[0]
+    assert _lattice_size(10**9, 8) == sizes[-1]
+    assert [_lattice_size(8 * n, 8) for n in sizes] == sizes
+    assert [_lattice_size(8 * n + 8, 8) for n in sizes[:-1]] == sizes[1:]
+    r = ld.mvn_box_probability(np.zeros(3), np.eye(3) + 0.5, -np.ones(3), np.ones(3), n_samples=1)
+    assert r.n_samples == 8 * sizes[0]
 
 
 def test_shifted_lattice_is_a_folded_rank1_lattice():
