@@ -281,27 +281,30 @@ runpy.run_module("lassodist", run_name="__main__", alter_sys=True)
     return proc, set(modules), frozen
 
 
-# a Genz block draws its lattice shifts from the standard library's random
+# a Genz block draws its lattice shifts from the standard library's random;
+# numpy.random (and the secrets and OpenSSL modules it loads) loads on no call
 _QUADRATURE_ABSENT = {"lassodist.geometry", "lassodist.rng", "lassodist.simulate",
-                      "lassodist.solver", "lassodist.simplex", "numpy.random"}
+                      "lassodist.solver", "lassodist.simplex", "numpy.random", "secrets"}
+# the Genz kernel compiles on the first Genz block only
+_MC_ABSENT = {"lassodist._genz", "numpy.random", "secrets"}
 
 
 @pytest.mark.parametrize("args,golden,present,absent", [
     (("check-unique", "--input", D2X4), "check_unique_2x4.json", {"lassodist.geometry"},
      {"lassodist.distribution", "lassodist.simulate", "lassodist.solver", "numpy.random"}),
     (("orthant-prob", "--input", CORR2, "--signs", "0,0"), "orthant_prob_corr2.json",
-     {"lassodist.distribution"}, _QUADRATURE_ABSENT),
+     {"lassodist.distribution"}, _QUADRATURE_ABSENT | {"lassodist._genz"}),
     (("orthant-prob", "--input", CORR3, "--signs", "0,0,0"), "orthant_prob_corr3.json",
-     {"lassodist.distribution", "random"}, _QUADRATURE_ABSENT),
+     {"lassodist.distribution", "lassodist._genz", "random"}, _QUADRATURE_ABSENT),
     (("cdf", "--input", CORR3, "--z", "0.5,0.5,0.5"), "cdf_corr3.json",
-     {"lassodist.distribution", "random"}, _QUADRATURE_ABSENT),
+     {"lassodist.distribution", "lassodist._genz", "random"}, _QUADRATURE_ABSENT),
     (("simulate", "--input", N1P2, "--reps", "2000", "--seed", "3"), "simulate_n1p2.json",
-     {"lassodist.simulate", "lassodist.solver", "numpy.random"},
-     {"lassodist.distribution", "lassodist.geometry"}),
+     {"lassodist.simulate", "lassodist.solver", "lassodist.rng"},
+     _MC_ABSENT | {"lassodist.distribution", "lassodist.geometry"}),
     (("prob-zero", "--input", N1P2, "--method", "mc", "--samples", "8192", "--seed", "1"),
      "prob_zero_n1p2_mc.json",
-     {"lassodist.distribution", "lassodist.simulate", "lassodist.solver", "numpy.random"},
-     {"lassodist.geometry"}),
+     {"lassodist.distribution", "lassodist.simulate", "lassodist.solver", "lassodist.rng"},
+     _MC_ABSENT | {"lassodist.geometry"}),
 ], ids=["check-unique", "orthant-prob.closed-form", "orthant-prob.genz", "cdf.genz", "simulate",
         "prob-zero.mc"])
 def test_call_loads_only_its_engine(args, golden, present, absent):
