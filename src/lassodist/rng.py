@@ -20,9 +20,11 @@ depend on the installed numpy's generator code:
 - the normals: numpy's 256-strip ziggurat (Marsaglia & Tsang 2000;
   random_standard_normal in numpy's distributions.c), one word per attempt.
   Low byte: the strip; bit 8: the sign; the next 52 bits: the magnitude.
-  The about 2% of attempts that miss the fast test are resolved in stream
-  order on Python floats, with math.exp and math.log1p (the C library's, as
-  in numpy), each consuming the uniforms that follow it.
+  The fast test runs on whole arrays. The about 1.6% of attempts that miss
+  it are resolved in stream order, each consuming the uniforms that follow
+  it: the strip test with numpy's exp, and with math.exp (the C library's,
+  as in numpy's C code) wherever the two could disagree; the base strip's
+  tail on Python floats with math.log1p.
 The ziggurat's fi, wi and ki tables are numpy's, bytes copied from the
 installed numpy's libnpyrandom.a; they cannot be recomputed to the last bit.
 scripts/ziggurat_table.py prints them, and with --check compares them with
@@ -86,17 +88,15 @@ def normal_chunk(seed: int, chunk_index: int, shape) -> np.ndarray:
     while filled < flat.size:
         owed = int((flat.size - filled) * _WORDS_PER_NORMAL) + _EXTRA_WORDS - carry.size
         blocks = max(1, min(_SLICE_BLOCKS, owed // 4))
-        words = _philox(keys, counter, blocks)
+        work = _philox(keys, counter, blocks, carry)
         counter += blocks
-        if carry.size:
-            words = np.concatenate([carry, words])
-        x, keep = _ziggurat(words)
+        words, x, keep = _ziggurat(work)
         stop = _resolve(words, x, keep)
         draws = x[:stop][keep[:stop]][:flat.size - filled]
         flat[filled:filled + draws.size] = draws
         filled += draws.size
         carry = words[stop:].copy()
-        del words, x, keep, draws  # the next slice's working set starts empty
+        del work, words, x, keep, draws  # the next slice's working set starts empty
     return out
 
 
@@ -205,10 +205,14 @@ def _philox_tables():
     return _tables
 
 
-def _philox(keys, first, n):
-    """The words of the Philox4x64-10 blocks of counters first .. first +
-    n - 1 (below 2^64), n <= _SLICE_BLOCKS, in stream order: a uint64 array
-    of 4n.
+def _philox(keys, first, n, carry):
+    """The working set of a slice: a (3, m) uint64 array, m = carry.size +
+    4n, whose last row is carry and then the words of the Philox4x64-10
+    blocks of counters first .. first + n - 1 (below 2^64), n <=
+    _SLICE_BLOCKS, in stream order. The other rows are scratch, here and in
+    _ziggurat. One allocation per slice lets the allocator hand the same
+    memory to the next slice: separate arrays page-faulted about 70 times a
+    chunk, about 5 ms of a 100,000-replicate p = 3 call, and this none.
 
     Counter words c1..c3 are 0, so round 0 maps (c, 0, 0, 0) to (k0, 0,
     hi(M0 c) ^ k1, lo(M0 c)); no key enters its products, which are cached
@@ -222,9 +226,9 @@ def _philox(keys, first, n):
         h0, l0 = round0[:, first - 1:first - 1 + n]
     else:
         h0, l0 = _round0(first, n, muls[:, :1])
-    a, lo, spare, t1 = np.empty((4, 2 * n), dtype=_U64)
-    words = np.empty((2, 2 * n), dtype=_U64)  # t2 and t3 until the words go in
-    t2, t3 = words
+    work = np.empty((3, carry.size + 4 * n), dtype=_U64)
+    a, lo, spare, t1 = work.reshape(-1)[:8 * n].reshape(4, 2 * n)
+    t2, t3 = work[2, carry.size:].reshape(2, 2 * n)  # until the words go in
     c0, c2 = a[:n], a[n:]
     (k00, k01), (k10, k11) = keys[0], keys[1]
     # round 1 on (k00, 0, h0 ^ k01, l0)
@@ -243,27 +247,30 @@ def _philox(keys, first, n):
         spare[n:] ^= a[:n]
         a, spare = spare, a
         b1, b3 = lo[n:], lo[:n]
-    words = words.reshape(n, 4)
+    work[2, :carry.size] = carry
+    words = work[2, carry.size:].reshape(n, 4)
     words[:, 0] = a[:n]
     words[:, 1] = b1
     words[:, 2] = a[n:]
     words[:, 3] = b3
-    return words.reshape(-1)
+    return work
 
 
-def _ziggurat(words):
-    """The fast ziggurat attempt of each word: (x, keep), x = +-magnitude
-    wi[strip] and keep the test magnitude < ki[strip] that returns it."""
-    index = np.bitwise_and(words, 511).view(np.int64)  # the strip and the sign bit
-    x = _WI_SIGNED.take(index)
+def _ziggurat(work):
+    """The fast ziggurat attempt of each word of a slice's working set (see
+    _philox): (words, x, keep), x = +-magnitude wi[strip] and keep the test
+    magnitude < ki[strip] that returns it."""
+    mag, x, words = work
+    index = np.bitwise_and(words, 511, out=mag).view(np.int64)  # the strip and the sign bit
+    x = _WI_SIGNED.take(index, out=x.view(np.float64))
     bound = _KI.take(index)
-    mag = np.right_shift(words, 9, out=index.view(_U64))
+    np.right_shift(words, 9, out=mag)
     mag &= _M52
     keep = mag.view(np.int64) < bound
     magf = bound.view(np.float64)  # the product then needs no cast buffer
     magf[...] = mag
     x *= magf
-    return x, keep
+    return words, x, keep
 
 
 def _resolve(words, x, keep):
