@@ -12,6 +12,7 @@ Genz & Bretz 2009, ch. 4).
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -113,8 +114,6 @@ def _lattice_shifts(seed, n_shifts, dim):
     the ints joined by ":" ((7, (0, 1)) seeds "7:0:1"), a string injective in
     the pair. CPython repeats a str seed's stream across versions, and the
     global random state is untouched."""
-    import random  # closed-form calls never import it
-
     entropy, key = seed
     draw = random.Random(":".join(map(str, (entropy, *key)))).random
     return np.array([draw() for _ in range(n_shifts * dim)]).reshape(n_shifts, dim)
