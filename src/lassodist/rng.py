@@ -78,7 +78,8 @@ _tables = None
 
 
 def normal_chunk(seed: int, chunk_index: int, shape) -> np.ndarray:
-    """numpy's Generator(Philox(SeedSequence((seed, chunk_index)))).standard_normal(shape), bitwise."""
+    """numpy's Generator(Philox(SeedSequence((seed, chunk_index)))).standard_normal(shape),
+    bitwise. A negative or non-integral seed or chunk index raises InputError."""
     out = np.empty(shape)
     flat = out.reshape(-1)
     keys = _round_keys(*_philox_key(_check_seed(seed), _as_int(
@@ -194,9 +195,10 @@ def _round0(first, n, muls):
 
 
 def _philox_tables():
-    """(round 0 of the counters 1.._SLICE_BLOCKS, a (2, _SLICE_BLOCKS) array;
-    (M, M_lo, M_hi), each _SLICE_BLOCKS copies of M0 then as many of M1 and
-    their 32-bit halves, whose middle 2n entries serve two lanes of n)."""
+    """The tables built on first use: round 0 of the counters
+    1.._SLICE_BLOCKS, a (2, _SLICE_BLOCKS) array of hi and lo, and the rows
+    M, M_lo, M_hi of _SLICE_BLOCKS copies of M0 and then as many of M1 (and
+    their 32-bit halves), whose middle 2n columns serve two lanes of n."""
     global _tables
     if _tables is None:
         half = np.array([_PHILOX_M0, _PHILOX_M1], dtype=_U64).repeat(_SLICE_BLOCKS)
