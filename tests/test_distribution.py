@@ -372,6 +372,30 @@ def test_error_density_formula(setup2):
     assert ld.error_density(prob, model, tuning, [0.0, 0.2]) == 0.0
 
 
+def test_error_density_needs_full_rank_at_any_p():
+    # p = 7 is past QUAD_DIM_LIMIT, but the density integrates nothing
+    rng = np.random.default_rng(707)
+    X = rng.normal(size=(12, 7))
+    prob = ld.build_problem(X)
+    beta = rng.normal(size=7)
+    model = ld.gaussian_model(prob, beta, 0.8)
+    tuning = ld.tuning_vector(rng.uniform(0.5, 1.5, size=7))
+    z = rng.normal(scale=0.3, size=7)
+    d = np.sign(z + beta)
+    assert np.all(d != 0.0)
+    # u = G^-1 (X'eps - d lam) ~ N(-G^-1 d lam, sigma^2 G^-1) on the orthant of d
+    gram = X.T @ X
+    cov = 0.8**2 * np.linalg.inv(gram)
+    r = z + np.linalg.solve(gram, d * tuning.lam)
+    want = math.exp(-0.5 * r @ np.linalg.solve(cov, r)) / math.sqrt(
+        (2.0 * math.pi) ** 7 * np.linalg.det(cov))
+    got = ld.error_density(prob, model, tuning, z)
+    assert want > 0.0 and abs(got - want) <= 1e-9 * want
+    wide = ld.build_problem(X[:5])
+    with pytest.raises(InputError):
+        ld.error_density(wide, ld.gaussian_model(wide, beta, 0.8), tuning, z)
+
+
 def test_error_density_rejects_non_finite_points(setup2):
     prob, model, tuning = setup2
     for bad in ([np.nan, 0.2], [0.3, np.inf], [-np.inf, -np.inf]):
@@ -427,6 +451,40 @@ def test_region_predicates(n1p2):
     assert never.estimate == 0.0
     with pytest.raises(InputError):
         ld.prob_region_high(n1p2, model, t, ld.region_below([0.0, 0.0]), method="quad")
+
+
+def test_mc_probabilities_equal_prob_region_high(setup2, n1p2):
+    # method="mc" is prob_region_high with the event's predicate: the same
+    # record, field for field, at the same seed and solver tolerance
+    zero_tol = 1e-9
+    cases = (
+        (*setup2, ld.error_orthant_event([0.1, 0.25], (1, 0))),
+        (n1p2, ld.gaussian_model(n1p2, [1.0, 0.0], 1.0), ld.uniform_tuning(2, 2.0),
+         ld.error_orthant_event([-1.0, 0.3], (0, 1))),
+    )
+    for prob, model, tuning, event in cases:
+        signs = event.d.as_array()
+        edge = signs * (event.z + model.beta)
+
+        def in_event(B):
+            sb = signs * B
+            moving = (sb > zero_tol) & (sb >= edge)
+            return np.all(np.where(signs == 0, np.abs(B) <= zero_tol, moving), axis=1)
+
+        def all_zero(B):
+            return np.all(np.abs(B) <= zero_tol, axis=1)
+
+        kwargs = dict(n_samples=10_000, seed=11, solver_tol=1e-9)
+        pairs = (
+            (ld.prob_orthant_event(prob, model, tuning, event, method="mc",
+                                   zero_tol=zero_tol, **kwargs), in_event),
+            (ld.prob_all_zero(prob, model, tuning, method="mc", zero_tol=zero_tol, **kwargs),
+             all_zero),
+        )
+        for got, region in pairs:
+            want = ld.prob_region_high(prob, model, tuning, region, **kwargs)
+            assert 0.0 < want.estimate < 1.0
+            assert vars(got) == vars(want)
 
 
 def test_mvn_box_exact_one_dimensional():

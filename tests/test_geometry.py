@@ -333,3 +333,95 @@ def test_uniqueness_lp_count_near_full_rank(monkeypatch):
     exhaustive = sum(1 for m in combinations(range(12), 12) for _ in _sign_patterns(t, m))
     assert exhaustive == 2**11
     assert len(calls) <= exhaustive + prob.p + len(members) * (len(members) - 1)
+
+
+def _lp_log(monkeypatch):
+    """Spy on the LPs of the geometry entry points: one entry per LP, the
+    face's signs as -0+ with a * when it meets col(X'), and the arguments and
+    the point of each LP."""
+    faces, lps = [], []
+    real_face, real_lp = geometry.face_intersects_row_space, geometry.feasible_point
+
+    def face_spy(problem, face, tol=1e-9):
+        faces.append("".join("-0+"[s + 1] for s in face.fixed_sign))
+        return real_face(problem, face, tol)
+
+    def lp_spy(*args, **kwargs):
+        z = real_lp(*args, **kwargs)
+        lps.append((args, kwargs, z))
+        return z
+
+    monkeypatch.setattr(geometry, "face_intersects_row_space", face_spy)
+    monkeypatch.setattr(geometry, "feasible_point", lp_spy)
+
+    def take():
+        assert len(faces) == len(lps)
+        log = " ".join(f + ("*" if z is not None else "") for f, (_, _, z) in zip(faces, lps))
+        points = [z for *_, z in lps if z is not None]
+        # each point is the one its LP gives when solved alone
+        for args, kwargs, z in lps:
+            again = real_lp(*args, **kwargs)
+            assert (again is None) if z is None else again.tobytes() == z.tobytes()
+        faces.clear()
+        lps.clear()
+        return log, points
+
+    return take
+
+
+# LP sequences of check_uniqueness, structural_set and selectable (models
+# (1,), (0, 1), (0, 1, 3) where they fit), recorded before the face loops
+# were merged, with a fingerprint of the points: sum over the k-th point z of
+# k * sum |z_i|
+_X2X4 = [[1.0, 1.0, 2.0, 0.0], [0.0, 0.0, 1.0, 3.0]]
+_LP_SEQUENCES = [
+    (_X2X4, [1.0, 1.0, 1.0, 1.0], "+000 0+00 00+0* 000+*",
+     "+000 0+00 00+0* 000+*", "0+00 ++00 +-00 ++0+ ++0- +-0+ +-0-", 4.0),
+    (_X2X4, [0.0, 1.0, 3.0, 1.0], "0+00 00+0 000+*",
+     "0+00 00+0 000+*", "0+00 ++00 ++0+ ++0-", 1.0),
+    (_X2X4, [1.0, 1.0, 3.0, 1.0],
+     "+000* 0+00* 00+0 000+* ++00* +-00 +00+* +00-* 0+0+* 0+0-* ++0+*",
+     "+000* 0+00* 00+0 000+*", "0+00* ++00* ++0+*", 126.66666666666666),
+    ([[1.0, 2.0]], [1.0, 2.0], "+0* 0+* ++* +- ++*", "+0* 0+*", "0+* ++*", 36.0),
+    ("rng", None,
+     "+000000000 0+00000000* 00+0000000 000+000000* 0000+00000 00000+0000* 000000+000* "
+     "0000000+00* 00000000+0* 000000000+* 0+0+000000* 0+0-000000* 0+000+0000 0+000-0000* "
+     "0+0000+000* 0+0000-000* 0+00000+00* 0+00000-00* 0+000000+0* 0+000000-0* 0+0000000+* "
+     "0+0000000-* 000+0+0000* 000+0-0000 000+00+000* 000+00-000* 000+000+00* 000+000-00* "
+     "000+0000+0* 000+0000-0 000+00000+* 000+00000-* 00000++000* 00000+-000 00000+0+00 "
+     "00000+0-00* 00000+00+0* 00000+00-0 00000+000+ 00000+000-* 000000++00 000000+-00* "
+     "000000+0+0 000000+0-0* 000000+00+ 000000+00-* 0000000++0 0000000+-0* 0000000+0+* "
+     "0000000+0-* 00000000++* 00000000+- 0+0-0--+00 0+0-0--00+ 0+0-0-0+-0 0+0-0-0+0+ "
+     "0+0+00+-0- 0+0+00-+0+ 0+0-00+-0- 0+0-00-+0+ 0+0+00-0++ 0+0-00+0-- 0+0+000-++ "
+     "0+0-000+-- 0+000--+0+ 000+0++-0-",
+     "+000000000 0+00000000* 00+0000000 000+000000* 0000+00000 00000+0000* 000000+000* "
+     "0000000+00* 00000000+0* 000000000+*",
+     "0+00000000* ++00000000 +-00000000 ++0+000000 ++0-000000 +-0+000000 +-0-000000",
+     1420.6361835040182),
+]
+
+
+@pytest.mark.parametrize(
+    "X, lam, uniqueness, structural, selectable, fingerprint", _LP_SEQUENCES)
+def test_face_scans_keep_their_lp_sequences(
+    monkeypatch, X, lam, uniqueness, structural, selectable, fingerprint
+):
+    # the same LPs in the same order with the same points; the last design
+    # is the n = 4, p = 10 Gaussian one at lambda = 1, 66 LPs in its scan
+    X = np.random.default_rng([2, 1]).normal(size=(4, 10)) if X == "rng" else np.array(X)
+    prob = ld.build_problem(X)
+    t = ld.uniform_tuning(prob.p, 1.0) if lam is None else ld.tuning_vector(lam)
+    take = _lp_log(monkeypatch)
+    logs, points = [], []
+    for run in (
+        lambda: ld.check_uniqueness(prob, t),
+        lambda: ld.structural_set(prob, t),
+        lambda: [ld.selectable(prob, t, m) for m in ((1,), (0, 1), (0, 1, 3)) if m[-1] < prob.p],
+    ):
+        run()
+        log, got = take()
+        logs.append(log)
+        points += got
+    assert logs == [uniqueness, structural, selectable]
+    got = sum(k * float(np.abs(z).sum()) for k, z in enumerate(points, 1))
+    assert abs(got - fingerprint) <= 1e-12 * fingerprint
