@@ -157,35 +157,29 @@ def _gaussian_pdf(cov, x):
     return math.exp(log_norm - 0.5 * float(w @ w))
 
 
-def _pattern(problem, model, tuning, signs):
-    """Gaussian blocks of one sign pattern: (A, (mean, cov) of u_A, (mean, cov) of s_0)."""
+def _pattern(problem, model, tuning, signs, lower, upper, seed):
+    """One sign pattern's Gaussian blocks and their rectangle probabilities:
+    (A, mean of u_A, cov of u_A, block_a, block_0), where block_a and block_0
+    are the rectangle-kernel results (estimate, standard error, rounding
+    bound, QMC points) of P(lower_A <= u_A <= upper_A) and of P(s_0 in the
+    lambda-box); bounds off A are not read. seed is (entropy, spawn_key); the
+    two blocks take spawn keys key + (0,) and key + (1,)."""
     moving, zero = np.flatnonzero(signs != 0), np.flatnonzero(signs == 0)
-    gram, beta, var = problem.gram, model.beta, model.sigma**2
+    gram, beta, var, lam = problem.gram, model.beta, model.sigma**2, tuning.lam
     g_inv = np.linalg.inv(gram[np.ix_(moving, moving)])
     g_0a, g_00 = gram[np.ix_(zero, moving)], gram[np.ix_(zero, zero)]
-    mean_a = g_inv @ (g_0a.T @ beta[zero] - signs[moving] * tuning.lam[moving])
-    return (
-        moving,
-        (mean_a, var * g_inv),
-        (g_00 @ beta[zero] - g_0a @ mean_a, var * (g_00 - g_0a @ g_inv @ g_0a.T)),
-    )
-
-
-def _pattern_prob(pattern, lam, signs, lower, upper, seed):
-    """Rectangle-kernel results (estimate, standard error, rounding bound, QMC
-    points) of P(lower_A <= u_A <= upper_A) and of P(s_0 in the lambda-box)
-    for the sign pattern signs, whose Gaussian blocks _pattern gave; bounds
-    off A are not read. seed is (entropy, spawn_key); the two blocks take
-    spawn keys key + (0,) and key + (1,)."""
-    moving, (mean_a, cov_a), (mean_0, cov_0) = pattern
+    mean_a = g_inv @ (g_0a.T @ beta[zero] - signs[moving] * lam[moving])
+    mean_0, cov_0 = g_00 @ beta[zero] - g_0a @ mean_a, var * (g_00 - g_0a @ g_inv @ g_0a.T)
+    cov_a = var * g_inv
     entropy, key = seed
-    seed_a, seed_0 = (entropy, key + (0,)), (entropy, key + (1,))
-    lo, hi = lower[moving] - mean_a, upper[moving] - mean_a
-    block_a = _rectangle(_factor(cov_a), lo, hi, seed_a)
-    lam_0 = lam[signs == 0]
+    block_a = _rectangle(
+        _factor(cov_a), lower[moving] - mean_a, upper[moving] - mean_a, (entropy, key + (0,))
+    )
+    lam_0 = lam[zero]
     if np.any(lam_0 == 0.0):  # an unpenalized coordinate carries no atom at zero
-        return block_a, (0.0, 0.0, 0.0, 0)
-    return block_a, _rectangle(_factor(cov_0), -lam_0 - mean_0, lam_0 - mean_0, seed_0)
+        return moving, mean_a, cov_a, block_a, (0.0, 0.0, 0.0, 0)
+    block_0 = _rectangle(_factor(cov_0), -lam_0 - mean_0, lam_0 - mean_0, (entropy, key + (1,)))
+    return moving, mean_a, cov_a, block_a, block_0
 
 
 def _product(block_a, block_0):
@@ -230,16 +224,16 @@ def _binomial_probability(hits, n_samples, seed) -> RegionProbability:
     )
 
 
-def _require_quad(problem):
+def _require_quad(problem, max_p=QUAD_DIM_LIMIT):
+    """Full column rank and p <= max_p (None: any p), else an error naming the
+    Monte-Carlo paths."""
+    hint = "use method='mc' where offered, or prob_region_high or run_simulation"
     if problem.rank_x < problem.p:
         raise InputError(
-            "quadrature needs full column rank (the Gaussian on X'y is singular); "
-            "use method='mc'"
+            f"quadrature needs full column rank (the Gaussian on X'y is singular); {hint}"
         )
-    if problem.p > QUAD_DIM_LIMIT:
-        raise DimensionLimitError(
-            f"integration dimension {problem.p} exceeds {QUAD_DIM_LIMIT}; use method='mc'"
-        )
+    if max_p is not None and problem.p > max_p:
+        raise DimensionLimitError(f"integration dimension {problem.p} exceeds {max_p}; {hint}")
 
 
 def prob_orthant_event(
@@ -269,20 +263,17 @@ def prob_orthant_event(
     _check_zero_tol(quad_tol, "quad_tol")  # 0 reports the kernels' own bound
 
     if method == "mc":
-        return _mc_probability(
-            problem, model, tuning,
-            _event_indicator(z, d, model.beta, zero_tol),
-            n_samples, seed, solver_tol,
+        return prob_region_high(
+            problem, model, tuning, _event_indicator(z, d, model.beta, zero_tol),
+            n_samples=n_samples, seed=seed, solver_tol=solver_tol,
         )
     if method != "quad":
         raise InputError("method must be 'quad' or 'mc'")
 
     _require_quad(problem)
     signs = d.as_array()
-    estimate, se, tol, points = _product(*_pattern_prob(
-        _pattern(problem, model, tuning, signs), tuning.lam, signs, *_orthant(signs, z),
-        (seed, ()),
-    ))
+    *_, block_a, block_0 = _pattern(problem, model, tuning, signs, *_orthant(signs, z), (seed, ()))
+    estimate, se, tol, points = _product(block_a, block_0)
     return _quadrature(estimate, _bound(se, tol), points, seed, quad_tol)
 
 
@@ -296,16 +287,6 @@ def _event_indicator(z, d: SignVector, beta, zero_tol):
         return np.all(np.where(signs == 0, np.abs(B) <= zero_tol, moving), axis=1)
 
     return indicator
-
-
-def _mc_probability(problem, model, tuning, indicator, n_samples, seed, solver_tol):
-    from .simulate import _solve_replicates  # loads the solver, which closed forms never run
-
-    n_samples = _as_int(n_samples, 1, "n_samples must be a positive integer")
-    hits = []
-    _solve_replicates(problem, model, tuning, n_samples, seed, solver_tol,
-                      lambda Y, B: hits.append(int(np.count_nonzero(indicator(B)))))
-    return _binomial_probability(sum(hits), n_samples, seed)
 
 
 def prob_all_zero(
@@ -332,7 +313,8 @@ def prob_all_zero(
         def all_zero(B, _tol=zero_tol):
             return np.all(np.abs(B) <= _tol, axis=1)
 
-        return _mc_probability(problem, model, tuning, all_zero, n_samples, seed, solver_tol)
+        return prob_region_high(problem, model, tuning, all_zero,
+                                n_samples=n_samples, seed=seed, solver_tol=solver_tol)
     if method != "quad":
         raise InputError("method must be 'quad' or 'mc'")
     mean = problem.gram @ model.beta
@@ -379,10 +361,8 @@ def conditional_density(
     _require_quad(problem)
     z_active = _as_vector(z_active, d.norm1, "z_active")
     signs = d.as_array()
-    pattern = _pattern(problem, model, tuning, signs)
-    moving, (mean_a, cov_a), _ = pattern
-    (p_a, se_a, tol_a, _), (p_0, *_) = _pattern_prob(
-        pattern, tuning.lam, signs, *_orthant(signs, -model.beta), (0, ())
+    moving, mean_a, cov_a, (p_a, se_a, tol_a, _), (p_0, *_) = _pattern(
+        problem, model, tuning, signs, *_orthant(signs, -model.beta), (0, ())
     )
     bound = _bound(se_a, tol_a)  # the density divides by p_a alone
     if p_a * p_0 < 1e-12:
@@ -438,10 +418,10 @@ def cdf(
         if np.any((signs == 0) & (z < atom)) or np.any((signs == 1) & (z <= atom)):
             continue  # the atom misses the event, or (-beta_j, z_j] is empty
         lower, upper = _orthant(signs, atom)
-        part, se, part_tol, _ = _product(*_pattern_prob(
-            _pattern(problem, model, tuning, signs), tuning.lam, signs,
-            lower, np.minimum(upper, z), (0, (i,)),
-        ))
+        *_, block_a, block_0 = _pattern(
+            problem, model, tuning, signs, lower, np.minimum(upper, z), (0, (i,))
+        )
+        part, se, part_tol, _ = _product(block_a, block_0)
         total += part
         var += se * se
         tol += part_tol
@@ -457,9 +437,10 @@ def error_density(problem: DesignProblem, model: GaussianModel, tuning: TuningVe
     Nonzero only where every coordinate of z + beta has a strict sign d_j;
     there it equals |det X'X| times the Gaussian at X'X z + d*lam.
     Lower-dimensional parts carry no p-dimensional density and report 0.
+    Needs full column rank, at any p: nothing is integrated.
     """
     _check_dims(problem, tuning, model)
-    _require_quad(problem)
+    _require_quad(problem, max_p=None)
     z = _as_vector(z, problem.p, "z")
     d = np.sign(z + model.beta)
     if np.any(d == 0.0):
@@ -507,8 +488,10 @@ def prob_region_high(
 
     region maps an (m, p) block of solutions to m truth values; it is tried
     on one row of zeros before any replicate is solved. Monte Carlo over the
-    solver. The estimate depends on the model only through mu = X beta, so
-    fiber-equivalent parameter vectors give bit-identical results at the
+    solver, and the one such loop here: the method="mc" paths of
+    prob_orthant_event and prob_all_zero run it with their events'
+    predicates. The estimate depends on the model only through mu = X beta,
+    so fiber-equivalent parameter vectors give bit-identical results at the
     same seed.
     """
     _check_dims(problem, tuning, model)
@@ -523,7 +506,14 @@ def prob_region_high(
         raise InputError(f"region predicate fails on a (1, {problem.p}) block: {exc}") from exc
     if shape != (1,):
         raise InputError(f"region predicate must map a (1, p) block to shape (1,), got {shape}")
-    return _mc_probability(problem, model, tuning, region, n_samples, seed, solver_tol)
+    from .simulate import _solve_replicates  # loads the solver, which closed forms never run
+
+    n_samples = _as_int(n_samples, 1, "n_samples must be a positive integer")
+    hits = []
+    # the callback counts a block before the next is drawn, so no block outlives it
+    _solve_replicates(problem, model, tuning, n_samples, seed, solver_tol,
+                      lambda Y, B: hits.append(int(np.count_nonzero(region(B)))))
+    return _binomial_probability(sum(hits), n_samples, seed)
 
 
 def mvn_box_probability(
