@@ -126,6 +126,17 @@ def face_intersects_row_space(problem: DesignProblem, face: FaceBox, tol: float 
     return RowSpacePoint(v=X.T @ z, z=z)
 
 
+def _meeting_faces(problem, tuning, model, tol, patterns=None):
+    """(signs, point) for each sign resolution of the face family over model
+    whose face meets col(X'), one LP per resolution in the order of patterns
+    (default: _sign_patterns). Lazy, so a caller that stops early runs no
+    further LP."""
+    for signs in _sign_patterns(tuning, model) if patterns is None else patterns:
+        point = face_intersects_row_space(problem, face_box(tuning, model, signs), tol)
+        if point is not None:
+            yield signs, point
+
+
 def selectable(problem: DesignProblem, tuning: TuningVector, model, tol: float = LP_TOL) -> bool:
     """Can some response make the Lasso select exactly this model?
 
@@ -140,10 +151,7 @@ def selectable(problem: DesignProblem, tuning: TuningVector, model, tol: float =
         )
     if not model:
         return True  # v = 0 lies in every lambda-box and in col(X')
-    for signs in _sign_patterns(tuning, model):
-        if face_intersects_row_space(problem, face_box(tuning, model, signs), tol) is not None:
-            return True
-    return False
+    return next(_meeting_faces(problem, tuning, model, tol), None) is not None
 
 
 def structural_set(problem: DesignProblem, tuning: TuningVector, tol: float = LP_TOL) -> tuple:
@@ -154,15 +162,11 @@ def structural_set(problem: DesignProblem, tuning: TuningVector, tol: float = LP
     """
     _check_dims(problem, tuning)
     _check_tol(tol)
-    members = []
-    for j in range(problem.p):
-        if tuning.lam[j] == 0.0:
-            members.append(j)
-            continue
-        face = face_box(tuning, (j,), (1,))
-        if face_intersects_row_space(problem, face, tol) is not None:
-            members.append(j)
-    return tuple(members)
+    # _sign_patterns of one positively-penalized index is its +1 face alone
+    return tuple(
+        j for j in range(problem.p)
+        if tuning.lam[j] == 0.0 or next(_meeting_faces(problem, tuning, (j,), tol), None)
+    )
 
 
 def _meeting_pairs(problem, tuning, members, tol):
@@ -176,9 +180,7 @@ def _meeting_pairs(problem, tuning, members, tol):
     lam = tuning.lam
     pairs = set()
     for pair in combinations(members, 2):
-        for signs in _sign_patterns(tuning, pair):
-            if face_intersects_row_space(problem, face_box(tuning, pair, signs), tol) is None:
-                continue
+        for signs, _ in _meeting_faces(problem, tuning, pair, tol):
             mirror = [s if lam[j] == 0.0 else -s for j, s in zip(pair, signs)]
             pairs.add((pair[0], signs[0], pair[1], signs[1]))
             pairs.add((pair[0], mirror[0], pair[1], mirror[1]))
@@ -265,19 +267,11 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
         return unique
     pairs = _meeting_pairs(problem, tuning, members, tol)
     for model in combinations(members, rank + 1):
-        for signs in _pair_consistent_signs(tuning, model, pairs):
-            face = face_box(tuning, model, signs)
-            point = face_intersects_row_space(problem, face, tol)
-            if point is None:
-                continue
-            witness = construct_nonuniqueness_witness(
-                problem, tuning, model, point.v, z=point.z
-            )
-            return UniquenessVerdict(
-                unique=False,
-                witness=witness,
-                violating_face=ViolatingFace(model=model, signs=tuple(signs), v=point.v),
-            )
+        patterns = _pair_consistent_signs(tuning, model, pairs)
+        for signs, point in _meeting_faces(problem, tuning, model, tol, patterns):
+            witness = construct_nonuniqueness_witness(problem, tuning, model, point.v, z=point.z)
+            face = ViolatingFace(model=model, signs=tuple(signs), v=point.v)
+            return UniquenessVerdict(unique=False, witness=witness, violating_face=face)
     return unique
 
 
