@@ -71,10 +71,6 @@ _SLICE_BLOCKS = 3328
 # needed a second slice)
 _WORDS_PER_NORMAL = 1.04
 _EXTRA_WORDS = 64
-# built on first use (see _philox_tables): round 0 of the counters
-# 1.._SLICE_BLOCKS, and the multipliers of two lanes of n <= _SLICE_BLOCKS
-# blocks side by side
-_tables = None
 
 
 def normal_chunk(seed: int, chunk_index: int, shape) -> np.ndarray:
@@ -194,17 +190,15 @@ def _round0(first, n, muls):
     return out
 
 
-def _philox_tables():
-    """The tables built on first use: round 0 of the counters
-    1.._SLICE_BLOCKS, a (2, _SLICE_BLOCKS) array of hi and lo, and the rows
-    M, M_lo, M_hi of _SLICE_BLOCKS copies of M0 and then as many of M1 (and
-    their 32-bit halves), whose middle 2n columns serve two lanes of n."""
-    global _tables
-    if _tables is None:
-        half = np.array([_PHILOX_M0, _PHILOX_M1], dtype=_U64).repeat(_SLICE_BLOCKS)
-        lanes = np.stack([half, half & _M32, half >> _SHIFT32])
-        _tables = _round0(1, _SLICE_BLOCKS, lanes[:, :1]), lanes
-    return _tables
+# the rows M, M_lo, M_hi of _SLICE_BLOCKS copies of M0 and then as many of M1
+# (and their 32-bit halves), whose middle 2n columns serve two lanes of n
+# blocks, and round 0 of the counters 1.._SLICE_BLOCKS as a (2,
+# _SLICE_BLOCKS) array of hi and lo. Only code that draws imports this
+# module, so they are built at import
+_LANES = np.array([[_PHILOX_M0, _PHILOX_M1]] * 3, dtype=_U64).repeat(_SLICE_BLOCKS, axis=1)
+_LANES[1] &= _M32
+_LANES[2] >>= _SHIFT32
+_ROUND0 = _round0(1, _SLICE_BLOCKS, _LANES[:, :1])
 
 
 def _philox(keys, first, n, carry):
@@ -222,10 +216,9 @@ def _philox(keys, first, n, carry):
     its c0 is the scalar k0. Rounds 2-9 multiply the lanes (c0, c2), kept
     side by side in one array of 2n: a round maps (c0, c1, c2, c3) to
     (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))."""
-    round0, lanes = _philox_tables()
-    muls = lanes[:, _SLICE_BLOCKS - n:_SLICE_BLOCKS + n]
+    muls = _LANES[:, _SLICE_BLOCKS - n:_SLICE_BLOCKS + n]
     if first + n - 1 <= _SLICE_BLOCKS:
-        h0, l0 = round0[:, first - 1:first - 1 + n]
+        h0, l0 = _ROUND0[:, first - 1:first - 1 + n]
     else:
         h0, l0 = _round0(first, n, muls[:, :1])
     work = np.empty((3, carry.size + 4 * n), dtype=_U64)

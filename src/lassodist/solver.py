@@ -125,7 +125,7 @@ def _kkt_violation(g, b, lam, zero_tol):
     return np.maximum(g, 0.0, out=g)
 
 
-def _check_inputs(problem, Y, tuning, tol=None):
+def _check_inputs(problem, Y, tuning, tol):
     """Validated responses as an (m, n) array; one response becomes one row."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.ndim != 2 or Y.shape[1] != problem.n:
@@ -133,8 +133,7 @@ def _check_inputs(problem, Y, tuning, tol=None):
     if not np.all(np.isfinite(Y)):
         raise InputError("responses have non-finite entries")
     _check_dims(problem, tuning)
-    if tol is not None:
-        _check_tol(tol)
+    _check_tol(tol)
     return Y
 
 
@@ -356,18 +355,17 @@ def solve(
     ConvergenceError carries the best iterate and its residual, best among
     the sweeps where the residual is evaluated.
     """
-    Y = _check_inputs(problem, np.ravel(y), tuning, tol)
-    max_iter = _as_int(max_iter, 1, "max_iter must be a positive integer")
-    B, resids = _descend(problem, tuning.lam, Y, tol, max_iter)
+    y = np.asarray(np.ravel(y), dtype=float)
+    B, resids = solve_many(problem, y, tuning, tol, max_iter)
     b, resid = B[0], float(resids[0])
     if resid > tol:
         raise ConvergenceError(
-            f"coordinate descent did not reach tol={tol:g} within {max_iter} sweeps "
+            f"coordinate descent did not reach tol={tol:g} within {int(max_iter)} sweeps "
             f"(best residual {resid:.3e})",
             b=b,
             kkt_residual=resid,
         )
-    return _package(problem, Y[0], tuning, b, resid)
+    return _package(problem, y, tuning, b, resid)
 
 
 def _package(problem, y, tuning, b, resid):
