@@ -103,7 +103,7 @@ def load_envelope(path: str) -> Envelope:
 def _vector(text: str, flag: str, length: int) -> np.ndarray:
     """Parse the comma-separated value of `flag`, which must have `length` entries."""
     try:
-        v = np.array([float(t) for t in text.split(",") if t.strip() != ""])
+        v = np.array([float(t) for t in text.split(",")])
     except ValueError as exc:
         raise InputError(f"bad {flag} value: {exc}") from exc
     if v.shape[0] != length:

@@ -182,23 +182,12 @@ def _mulhilo(x, lo, t1, t2, t3, m, m_lo, m_hi):
     x += t1
 
 
-def _round0(first, n, muls):
-    """hi and lo of M0 c for the counters c = first .. first + n - 1: a (2, n) array."""
-    out = np.empty((2, n), dtype=_U64)
-    out[0] = np.arange(first, first + n, dtype=_U64)
-    _mulhilo(out[0], out[1], *np.empty((3, n), dtype=_U64), *muls)
-    return out
-
-
 # the rows M, M_lo, M_hi of _SLICE_BLOCKS copies of M0 and then as many of M1
 # (and their 32-bit halves), whose middle 2n columns serve two lanes of n
-# blocks, and round 0 of the counters 1.._SLICE_BLOCKS as a (2,
-# _SLICE_BLOCKS) array of hi and lo. Only code that draws imports this
-# module, so they are built at import
+# blocks. Only code that draws imports this module, so they are built at import
 _LANES = np.array([[_PHILOX_M0, _PHILOX_M1]] * 3, dtype=_U64).repeat(_SLICE_BLOCKS, axis=1)
 _LANES[1] &= _M32
 _LANES[2] >>= _SHIFT32
-_ROUND0 = _round0(1, _SLICE_BLOCKS, _LANES[:, :1])
 
 
 def _philox(keys, first, n, carry):
@@ -210,30 +199,17 @@ def _philox(keys, first, n, carry):
     memory to the next slice: separate arrays page-faulted about 70 times a
     chunk, about 5 ms of a 100,000-replicate p = 3 call, and this none.
 
-    Counter words c1..c3 are 0, so round 0 maps (c, 0, 0, 0) to (k0, 0,
-    hi(M0 c) ^ k1, lo(M0 c)); no key enters its products, which are cached
-    for the first _SLICE_BLOCKS counters. Round 1 multiplies one lane, as
-    its c0 is the scalar k0. Rounds 2-9 multiply the lanes (c0, c2), kept
-    side by side in one array of 2n: a round maps (c0, c1, c2, c3) to
-    (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))."""
+    Each block starts from (c, 0, 0, 0), and a round maps (c0, c1, c2, c3)
+    to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)). The
+    rounds multiply the lanes (c0, c2), kept side by side in one array of 2n."""
     muls = _LANES[:, _SLICE_BLOCKS - n:_SLICE_BLOCKS + n]
-    if first + n - 1 <= _SLICE_BLOCKS:
-        h0, l0 = _ROUND0[:, first - 1:first - 1 + n]
-    else:
-        h0, l0 = _round0(first, n, muls[:, :1])
     work = np.empty((3, carry.size + 4 * n), dtype=_U64)
     a, lo, spare, t1 = work.reshape(-1)[:8 * n].reshape(4, 2 * n)
     t2, t3 = work[2, carry.size:].reshape(2, 2 * n)  # until the words go in
-    c0, c2 = a[:n], a[n:]
-    (k00, k01), (k10, k11) = keys[0], keys[1]
-    # round 1 on (k00, 0, h0 ^ k01, l0)
-    np.bitwise_xor(h0, k01, out=c2)
-    _mulhilo(c2, lo[n:], t1[n:], t2[n:], t3[n:], *muls[:, n:])
-    np.bitwise_xor(c2, k10, out=c0)
-    p = _PHILOX_M0 * int(k00)
-    np.bitwise_xor(l0, _U64((p >> 64) ^ int(k11)), out=c2)
-    b1, b3 = lo[n:], np.array(p & _MASK64, dtype=_U64)
-    for k0, k1 in keys[2:]:
+    a[:n] = np.arange(first, first + n, dtype=_U64)
+    a[n:] = 0
+    b1 = b3 = _U64(0)
+    for k0, k1 in keys:
         # the new c0 and c2 start as c1 ^ k0 and c3 ^ k1, before lo is overwritten
         np.bitwise_xor(b1, k0, out=spare[:n])
         np.bitwise_xor(b3, k1, out=spare[n:])

@@ -61,10 +61,7 @@ def feasible_point(a_eq, b_eq, a_ub, b_ub, n_free, tol=LP_TOL):
 
     body = np.vstack([a_eq, a_ub])
     rhs = np.concatenate([b_eq, b_ub])
-    slack = np.zeros((m, m_ub))
-    for i in range(m_ub):
-        slack[m_eq + i, i] = 1.0
-    cols = np.hstack([body, -body, slack])
+    cols = np.hstack([body, -body, np.eye(m, m_ub, -m_eq)])  # slack i in row m_eq + i
 
     neg = rhs < 0
     cols[neg] *= -1.0
@@ -72,20 +69,12 @@ def feasible_point(a_eq, b_eq, a_ub, b_ub, n_free, tol=LP_TOL):
 
     # initial basis: surviving (+1) slacks where possible, artificials elsewhere
     n_core = cols.shape[1]
-    basis = np.empty(m, dtype=int)
-    art_rows = []
-    for i in range(m):
-        if i >= m_eq and not neg[i]:
-            basis[i] = 2 * n_free + (i - m_eq)
-        else:
-            art_rows.append(i)
-    art = np.zeros((m, len(art_rows)))
-    for k, i in enumerate(art_rows):
-        art[i, k] = 1.0
-        basis[i] = n_core + k
+    art_rows = np.flatnonzero((np.arange(m) < m_eq) | neg)
+    basis = np.arange(2 * n_free - m_eq, 2 * n_free - m_eq + m)
+    basis[art_rows] = np.arange(n_core, n_core + art_rows.size)
 
-    tab = np.hstack([cols, art, rhs[:, None]])
-    n_total = n_core + len(art_rows)
+    tab = np.hstack([cols, np.eye(m)[:, art_rows], rhs[:, None]])
+    n_total = n_core + art_rows.size
 
     # reduced-cost row for phase 1 (cost 1 on artificials), pre-reduced over
     # the basic artificial rows; last entry tracks -objective

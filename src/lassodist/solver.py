@@ -365,16 +365,12 @@ def solve(
             b=b,
             kkt_residual=resid,
         )
-    return _package(problem, y, tuning, b, resid)
-
-
-def _package(problem, y, tuning, b, resid):
     fit = problem.X @ b
     r = y - fit
     objective = float(r @ r + 2.0 * tuning.lam @ np.abs(b))
     active = tuple(int(j) for j in np.flatnonzero(np.abs(b) > ZERO_TOL))
     return LassoSolution(
-        b=b.copy(), fit=fit, objective=objective, kkt_residual=float(resid), active_model=active
+        b=b.copy(), fit=fit, objective=objective, kkt_residual=resid, active_model=active
     )
 
 
@@ -431,22 +427,21 @@ def kernel_sign_cone_nonempty(problem, boundary, constrained, constrained_signs,
     signs = np.asarray(constrained_signs, dtype=float).ravel()
     if not boundary:
         return False
-    free = [j for j in boundary if j not in set(constrained)]
+    # row k of the cone is constrained[k], at position at[k] of boundary
+    rows, at = np.nonzero(np.equal.outer(constrained, boundary))
+    free = np.delete(boundary, at)
     X = problem.X
-    if free:
+    if free.size:
         cols = X[:, free]
-        if _numerical_rank(np.linalg.svd(cols, compute_uv=False), cols.shape) < len(free):
+        if _numerical_rank(np.linalg.svd(cols, compute_uv=False), cols.shape) < free.size:
             return True
     if not constrained:
         return False
-    pos = {j: k for k, j in enumerate(boundary)}
     a_eq = np.vstack([X[:, boundary], np.zeros((1, len(boundary)))])
-    for j, sj in zip(constrained, signs):
-        a_eq[-1, pos[j]] = sj
+    a_eq[-1, at] = signs
     b_eq = np.concatenate([np.zeros(X.shape[0]), [1.0]])
     a_ub = np.zeros((len(constrained), len(boundary)))
-    for k, (j, sj) in enumerate(zip(constrained, signs)):
-        a_ub[k, pos[j]] = -sj
+    a_ub[rows, at] = -signs
     b_ub = np.zeros(len(constrained))
     return feasible(a_eq, b_eq, a_ub, b_ub, n_free=len(boundary), tol=tol)
 

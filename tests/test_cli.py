@@ -79,6 +79,8 @@ def test_golden_outputs_are_byte_stable(golden, args):
     proc = run_cli(*args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / golden).read_text()
+    # a warning in the child, which pytest's filters do not reach, would show here
+    assert proc.stderr == ""
 
 
 def _generic_render(obj, indent=0):
@@ -576,6 +578,11 @@ def test_input_error_exit_codes(tmp_path):
     for args, name in (
         (("solve", "--input", str(listed)), "must be a JSON object"),
         (("structural-set", "--input", N1P2, "--lam", "1,x"), "bad --lam value"),
+        # an empty field is a bad value, not a field to skip
+        (("prob-zero", "--input", CORR2, "--lam", "1,,1"), "bad --lam value"),
+        (("orthant-prob", "--input", CORR2, "--signs", ",1,-1", "--z", "0.1,-0.1"),
+         "bad --signs value"),
+        (("solve", "--input", N1P2, "--y", "0.5,"), "bad --y value"),
         (("shrinkage-map", "--input", CORR2, "--z", "inf,0"), "z_ls must be finite"),
         (("shrinkage-map", "--input", CORR2, "--b", "nan,1"), "b must be finite"),
         (("density-grid", "--input", CORR2, "--grid", "0:inf:3"), "finite lo and hi"),

@@ -85,8 +85,9 @@ def test_normal_chunk_is_numpys_philox_standard_normal(monkeypatch):
     assert counts["tails"] > 0 and counts["strip_fails"] > 0, counts
 
 
-# the first five draws of three streams: lassodist's own reproducibility
-# contract, whatever numpy is installed
+# five draws of each of four streams: lassodist's own reproducibility
+# contract, whatever numpy is installed. A key is (seed, chunk index) for the
+# first five, or (seed, chunk index, flat index) for five from that index on
 PINNED_NORMALS = {
     (0, 0): [-0.2059740286292238, -0.12884495093462758, -0.28978987549091256,
              -1.271943284573895, -1.4064349008284343],
@@ -94,20 +95,27 @@ PINNED_NORMALS = {
                  0.8513914287896018, -0.360333041613959],
     (2**64 + 7, 2**32 + 1): [0.9075455246593128, 0.32215508018877737, -0.48041009347776875,
                              0.026813047715204298, -1.3504577622140903],
+    # flat indices 40,000-40,004 of normal_chunk(0, 0, (1024, 50)): a later
+    # slice, whose counters are past _SLICE_BLOCKS
+    (0, 0, 40000): [-0.07131666387512851, -0.00029841782761843064, 0.20558218912160184,
+                    2.277730106296453, 0.5455928946928073],
 }
 
 
 @pytest.mark.parametrize("key", PINNED_NORMALS, ids=str)
 def test_normal_chunk_is_pinned(key):
-    assert normal_chunk(*key, 5).tolist() == PINNED_NORMALS[key]
+    seed, chunk_index, start = (*key, 0)[:3]
+    expected = PINNED_NORMALS[key]
+    assert normal_chunk(seed, chunk_index, start + 5)[start:].tolist() == expected
     # a chunk is one stream, filled row by row
-    assert normal_chunk(*key, (2, 5)).ravel()[:5].tolist() == PINNED_NORMALS[key]
+    assert normal_chunk(seed, chunk_index, (1024, 50)).ravel()[start:start + 5].tolist() == expected
 
 
 def test_normal_chunk_works_in_bounded_memory():
     # 51,200 draws come from slices of at most _SLICE_BLOCKS blocks that
     # continue the counter: the call holds its output plus one slice's
-    # working set. The module's tables are built on first use, before tracing
+    # working set. The module's tables are built at import; a first draw
+    # before tracing keeps one-time allocations out of the peak
     normal_chunk(0, 0, (1, 1))
     tracemalloc.start()
     try:

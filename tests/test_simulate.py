@@ -247,6 +247,32 @@ def test_blocks_match_chunk_by_chunk_solves(monkeypatch, n_rep):
         prob, model, t, method="mc", n_samples=n_rep, seed=11).estimate
 
 
+def test_cone_verdicts_are_kept_across_blocks(monkeypatch):
+    # three blocks on n1p2 at lambda (1, 2): one cone test per distinct class
+    # over the whole run, where a fresh cache per block would make 9, and the
+    # same count as that recount
+    env = json.loads((FIXTURES / "n1p2_lam12.json").read_text())
+    prob = ld.build_problem(env["X"])
+    model = ld.gaussian_model(prob, env["beta"], env["sigma"])
+    t = ld.tuning_vector(env["lambda"])
+    cfg = ld.SimulationConfig(n_rep=2 * 8192 + 100, seed=1)
+    calls = []
+
+    def cone(*args, **kwargs):
+        calls.append(args)
+        return solver.kernel_sign_cone_nonempty(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "kernel_sign_cone_nonempty", cone)
+    summary = ld.run_simulation(prob, model, t, cfg)
+    assert len(calls) == 3
+    per_block = []
+    simulate._solve_replicates(
+        prob, model, t, cfg.n_rep, cfg.seed, cfg.solver_tol,
+        lambda Y, B: per_block.append(simulate._count_nonunique(prob, t, cfg, Y, B, {})))
+    assert len(per_block) == 3 and len(calls) == 3 + 9
+    assert summary.nonunique_count == sum(per_block) == 5241
+
+
 @pytest.mark.parametrize("fixture,n_rep,seed", [("x2x3_rank2.json", 10_000, 5),
                                                  ("n12p10.json", 4000, 7)])
 def test_summary_tables_keep_first_seen_order(fixture, n_rep, seed):
