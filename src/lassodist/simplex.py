@@ -77,7 +77,8 @@ def feasible_point(a_eq, b_eq, a_ub, b_ub, n_free, tol=LP_TOL):
     n_total = n_core + art_rows.size
 
     # reduced-cost row for phase 1 (cost 1 on artificials), pre-reduced over
-    # the basic artificial rows; last entry tracks -objective
+    # the basic artificial rows one at a time, an order that fixes its
+    # rounding; last entry tracks -objective
     cost = np.zeros(n_total + 1)
     cost[n_core:n_total] = 1.0
     for i in art_rows:
