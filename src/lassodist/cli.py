@@ -133,7 +133,10 @@ def _grid_spec(text: str):
         raise InputError(f"grid spec needs finite lo and hi, got {text!r}")
     if steps < 1 or hi < lo:
         raise InputError(f"grid spec needs hi >= lo and steps >= 1, got {text!r}")
-    return np.linspace(lo, hi, steps)
+    try:
+        return np.linspace(lo, hi, steps)
+    except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
+        raise InputError(f"bad grid spec {text!r}: {exc}") from exc
 
 
 def _need_lam(env: Envelope, override: str | None) -> TuningVector:

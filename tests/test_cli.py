@@ -589,6 +589,9 @@ def test_input_error_exit_codes(tmp_path):
         (("density-grid", "--input", CORR2, "--grid", "0:1"), "must be lo:hi:steps"),
         (("density-grid", "--input", CORR2, "--grid", "0:x:3"), "bad grid spec"),
         (("density-grid", "--input", CORR2, "--grid", "1:0:3"), "needs hi >= lo"),
+        # a step count past numpy's largest array: an input error, not a traceback
+        (("density-grid", "--input", CORR2, "--grid", "0:1:100000000000000000000"),
+         "bad grid spec"),
         (("density-grid", "--input", CORR2), "needs --grid"),
         (("density-grid", "--input", CORR2, *("--grid", "0:1:2") * 3), "at most two"),
     ):

@@ -18,17 +18,23 @@ from scipy.stats import multivariate_normal, norm
 
 import lassodist as ld
 from conftest import SRC
-from lassodist import _genz
+from lassodist import _genz, distribution
 from lassodist._genz import _KOROBOV, _lattice_size, _ndtr, _ndtri, _shifted_lattice
 from lassodist.distribution import (
     _BOUND_SE,
     _EXACT_TOL,
     _GENZ_POINTS,
+    _PILOT_POINTS,
+    _PILOT_SHARE,
     _PIVOT_RTOL,
     _bvn_cdf,
     _factor,
     _norm_cdf,
+    _orthant,
+    _pattern,
+    _product,
     _rectangle,
+    _total,
 )
 from lassodist.errors import (
     ConditioningError,
@@ -561,6 +567,26 @@ def test_bvn_cdf_matches_quadrature():
         assert abs(got - _bvn_reference(h, k, rho, r)) <= _EXACT_TOL, (h, k, rho)
 
 
+def test_bvn_cdf_takes_huge_finite_bounds_as_infinite(corr2):
+    # Phi is 0 or 1 in double beyond |x| = 40, so such a bound gives the
+    # infinite bound's value; h * k would overflow on the huge ones, with a
+    # RuntimeWarning that fails the suite. The kernel sees numpy scalars
+    def inf_beyond_40(x):
+        return math.copysign(np.inf, x) if abs(x) >= 40.0 else x
+
+    for h, k, rho in product((1e308, -1e200, 40.0, -40.0, 0.3), (1e200, -1e308, -0.5),
+                             (0.5, -0.95)):
+        r = math.sqrt(1.0 - rho * rho)
+        got = _bvn_cdf(np.float64(h), np.float64(k), rho, r)
+        assert got == _bvn_cdf(inf_beyond_40(h), inf_beyond_40(k), rho, r), (h, k, rho)
+    model = ld.gaussian_model(corr2, BETA2, 1.0)
+    tuning = ld.tuning_vector(LAM2)
+    far = ld.error_orthant_event([1e308, 1e308], (1, 1))
+    assert ld.prob_orthant_event(corr2, model, tuning, far).estimate == 0.0
+    huge = ld.cdf(corr2, model, tuning, [1e200, 1e200])
+    assert huge == ld.cdf(corr2, model, tuning, [np.inf, np.inf])
+
+
 def test_norm_cdf_matches_ndtr():
     x = np.linspace(-20.0, 9.0, 5801)
     got = np.array([_norm_cdf(float(v)) for v in x])
@@ -846,6 +872,93 @@ def test_qmc_bound_is_reported_or_raised():
         ld.cdf(prob, model, tuning, -beta + 0.2, quad_tol=1e-12)
 
 
+def _recorded_patterns(monkeypatch):
+    """Calls of _pattern made through distribution, as (spawn key, points,
+    _product of the pattern), in call order."""
+    calls = []
+
+    def recorded(*args):
+        pattern = _pattern(*args)
+        calls.append((args[-2][1], args[-1], _product(pattern)))
+        return pattern
+
+    monkeypatch.setattr(distribution, "_pattern", recorded)
+    return calls
+
+
+def test_quad_tol_zero_runs_the_full_budget_bitwise(monkeypatch):
+    # a refined block is the one-pass 2^16-point computation with the same
+    # seed, which _PILOT_POINTS raised to _GENZ_POINTS gives at a loose quad_tol
+    beta = np.array([0.2, -0.1, 0.3, -0.4])
+    prob, model, tuning, _, _ = _random_setup(4, 5, beta)
+    patterns = [ld.SignVector(d=d) for d in product((-1, 0, 1), repeat=4)]
+    d = ld.SignVector(d=(1, -1, 1, 0))  # a three-coordinate u_A: a Genz block
+    z = -beta[:3] + np.array([0.2, -0.3, 0.1])
+    signs = d.as_array()
+    bounds = _orthant(signs, -beta)
+    block_a = _pattern(prob, model, tuning, signs, *bounds, (0, ()), _GENZ_POINTS)[3]
+    # the full block meets this tolerance and the pilot misses half of it
+    tol_a = _BOUND_SE * block_a[1] + block_a[2]
+
+    def run(quad_tol, density_tol):
+        masses = [ld.orthant_mass(prob, model, tuning, sv, quad_tol=quad_tol, seed=7)
+                  for sv in patterns]
+        return masses, ld.conditional_density(prob, model, tuning, d, z, quad_tol=density_tol)
+
+    masses, density = run(0.0, tol_a)
+    monkeypatch.setattr(distribution, "_PILOT_POINTS", _GENZ_POINTS)
+    full, full_density = run(1.0, 1.0)
+    assert [r.estimate for r in masses] == [r.estimate for r in full]
+    assert [r.n_samples for r in masses] == [r.n_samples for r in full]
+    # the 57 patterns with three or four coordinates in A or in D0
+    assert sum(r.n_samples == _GENZ_POINTS for r in masses) == 57
+    assert all(r.n_samples in (0, _GENZ_POINTS) for r in masses)
+    assert density == full_density
+
+
+def test_cdf_refines_largest_standard_error_first(monkeypatch):
+    beta = np.array([0.2, -0.1, 0.3])
+    prob, model, tuning, _, _ = _random_setup(3, 5, beta)
+    z = -beta + 0.2  # every pattern is kept; nine have a Genz block
+    calls = _recorded_patterns(monkeypatch)
+    pilot_value = ld.cdf(prob, model, tuning, z)
+    pilot = {key: part for key, points, part in calls}
+    assert [points for _, points, _ in calls] == [_PILOT_POINTS] * 27
+    genz = sorted((key for key, part in pilot.items() if part[3]), key=lambda key: -pilot[key][1])
+    assert len(genz) == 9
+
+    def refined(quad_tol):
+        calls.clear()
+        value = ld.cdf(prob, model, tuning, z, quad_tol=quad_tol)
+        assert [key for key, _, _ in calls[:27]] == list(pilot)
+        reruns = calls[27:]
+        assert all(points == _GENZ_POINTS for _, points, _ in reruns)
+        assert [key for key, _, _ in reruns] == genz[:len(reruns)]
+        return value, {key: part for key, _, part in calls}
+
+    # the full budget in one pass, with every Genz block at 2^16 points
+    monkeypatch.setattr(distribution, "_PILOT_POINTS", _GENZ_POINTS)
+    full_value, parts = refined(1.0)
+    full_bound = _total(parts.values())[1]
+    monkeypatch.setattr(distribution, "_PILOT_POINTS", _PILOT_POINTS)
+
+    # a pilot bound that misses the share: the largest standard errors rerun
+    # until the bound meets it, and no further
+    pilot_bound = _total(pilot.values())[1]
+    assert full_bound < _PILOT_SHARE * pilot_bound < pilot_bound <= 1e-5
+    value, parts = refined(pilot_bound)
+    rerun = len(calls) - 27
+    assert 0 < rerun < 9 and value not in (pilot_value, full_value)
+    assert _total(parts.values())[1] <= _PILOT_SHARE * pilot_bound
+    before = {**parts, genz[rerun - 1]: pilot[genz[rerun - 1]]}
+    assert _total(before.values())[1] > _PILOT_SHARE * pilot_bound
+
+    # at the full bound every Genz pattern reruns, and the value is bitwise
+    # the full budget's
+    value, parts = refined(full_bound)
+    assert len(calls) == 27 + 9 and value == full_value
+
+
 def test_partition_p5():
     beta = np.array([0.5, -0.3, 0.0, 0.2, -0.6])
     prob, model, tuning, _, _ = _random_setup(5, 1, beta)
@@ -933,15 +1046,25 @@ def _one_factor_box(load, sd, lo, hi):
     return integrate.quad(integrand, -12.0, 12.0, epsabs=1e-15, epsrel=1e-13, limit=500)
 
 
+def _assert_bounds_cover(errors, bounds, ref_errors):
+    """At each point count: the bound holds the true error in at least 99% of
+    the rectangles, and a third of it does not."""
+    for n in errors:
+        e, b = np.array(errors[n]), np.array(bounds[n])
+        assert max(ref_errors) < 0.1 * np.median(b), n
+        assert np.mean(e <= b) >= 0.99, n
+        assert np.mean(e <= b / 3.0) < 0.99, n
+
+
 def test_genz_bound_covers_true_error():
     # 240 seeded rectangles of 4 and 5 coordinates with one-factor covariance,
-    # whose probability is a 1-d integral that quad gives to about 1e-13: the
-    # reported bound must contain the true error in at least 99% of them, and
-    # a third of the bound must not
+    # whose probability is a 1-d integral that quad gives to about 1e-13, at
+    # the pilot's and the full point count
     rng = np.random.default_rng(0)
-    errors, bounds, ref_errors = [], [], []
-    while len(errors) < 240:
-        k = 4 + len(errors) % 2
+    errors, bounds = {_PILOT_POINTS: [], _GENZ_POINTS: []}, {_PILOT_POINTS: [], _GENZ_POINTS: []}
+    ref_errors = []
+    while len(ref_errors) < 240:
+        k = 4 + len(ref_errors) % 2
         load = rng.normal(size=k) * rng.uniform(0.3, 1.0)
         sd = rng.uniform(0.5, 1.2, k)
         lo, hi = np.full(k, -np.inf), np.full(k, np.inf)
@@ -957,17 +1080,13 @@ def test_genz_bound_covers_true_error():
         if ref < 1e-3:
             continue
         cov = np.outer(load, load) + np.diag(sd**2)
-        r = ld.mvn_box_probability(
-            np.zeros(k), cov, lo, hi, n_samples=_GENZ_POINTS, seed=len(errors)
-        )
-        assert r.n_samples == _GENZ_POINTS
-        errors.append(abs(r.estimate - ref))
-        bounds.append(r.quad_tol)
+        for n in errors:
+            r = ld.mvn_box_probability(np.zeros(k), cov, lo, hi, n_samples=n, seed=len(ref_errors))
+            assert r.n_samples == n
+            errors[n].append(abs(r.estimate - ref))
+            bounds[n].append(r.quad_tol)
         ref_errors.append(ref_err)
-    errors, bounds = np.array(errors), np.array(bounds)
-    assert max(ref_errors) < 0.1 * np.median(bounds)
-    assert np.mean(errors <= bounds) >= 0.99
-    assert np.mean(errors <= bounds / 3.0) < 0.99
+    _assert_bounds_cover(errors, bounds, ref_errors)
 
 
 def _grouped_factor_box(load, sd, group, lo, hi):
@@ -1002,9 +1121,10 @@ def test_genz_bound_covers_true_error_below_full_rank():
     # in three dimensions with groups of two rows. Rounding keeps a fifth
     # pivot in some of them; at least three quarters must run with q < m
     rng = np.random.default_rng(1)
-    errors, bounds, ref_errors, below = [], [], [], 0
-    while len(errors) < 240:
-        k = 5 + len(errors) % 2
+    errors, bounds = {_PILOT_POINTS: [], _GENZ_POINTS: []}, {_PILOT_POINTS: [], _GENZ_POINTS: []}
+    ref_errors, below = [], 0
+    while len(ref_errors) < 240:
+        k = 5 + len(ref_errors) % 2
         group = rng.permutation([0, 0, 1, 1, 2, 2][:k] if k == 6 else [0, 0, 1, 2, 2])
         load = rng.normal(size=k) * rng.uniform(0.3, 1.0)
         sd = rng.uniform(0.5, 1.2, k)
@@ -1024,18 +1144,14 @@ def test_genz_bound_covers_true_error_below_full_rank():
         f[:, 0], f[np.arange(k), 1 + group] = load, sd
         cov = f @ f.T
         below += _factor(cov).shape[1] < k
-        r = ld.mvn_box_probability(
-            np.zeros(k), cov, lo, hi, n_samples=_GENZ_POINTS, seed=len(errors)
-        )
-        assert r.n_samples == _GENZ_POINTS
-        errors.append(abs(r.estimate - ref))
-        bounds.append(r.quad_tol)
+        for n in errors:
+            r = ld.mvn_box_probability(np.zeros(k), cov, lo, hi, n_samples=n, seed=len(ref_errors))
+            assert r.n_samples == n
+            errors[n].append(abs(r.estimate - ref))
+            bounds[n].append(r.quad_tol)
         ref_errors.append(ref_err)
-    errors, bounds = np.array(errors), np.array(bounds)
     assert below >= 180
-    assert max(ref_errors) < 0.1 * np.median(bounds)
-    assert np.mean(errors <= bounds) >= 0.99
-    assert np.mean(errors <= bounds / 3.0) < 0.99
+    _assert_bounds_cover(errors, bounds, ref_errors)
 
 
 def test_mvn_box_beyond_the_korobov_table():
@@ -1104,7 +1220,8 @@ print(json.dumps([stages, closed.n_samples, genz.n_samples, box.n_samples]))
     assert proc.returncode == 0, proc.stderr
     stages, closed_points, genz_points, box_points = json.loads(proc.stdout)
     assert stages == [[], [], []]
-    assert (closed_points, genz_points, box_points) == (0, _GENZ_POINTS, 8192)
+    # at the default quad_tol the Genz mass needs no more than its pilot
+    assert (closed_points, genz_points, box_points) == (0, _PILOT_POINTS, 8192)
 
 
 def test_genz_paths_run_without_scipy():
@@ -1140,7 +1257,7 @@ print(json.dumps([genz.n_samples, genz.estimate, value, len(masses),
     )
     assert proc.returncode == 0, proc.stderr
     genz_points, mass, value, count, total, bound, genz_masses = json.loads(proc.stdout)
-    assert genz_points == _GENZ_POINTS and 0.0 < mass < 1.0 and 0.0 < value < 1.0
+    assert genz_points == _PILOT_POINTS and 0.0 < mass < 1.0 and 0.0 < value < 1.0
     assert count == 81 and genz_masses > 0
     assert abs(total - 1.0) <= bound
 
