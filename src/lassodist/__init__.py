@@ -18,10 +18,9 @@ __version__ = "0.1.0"
 # home module of each public name
 _HOMES = {name: module for module, names in {
     "distribution": (
-        "OrthantEvent", "RegionProbability", "cdf", "conditional_density", "error_density",
-        "error_orthant_event", "estimator_orthant_event", "mvn_box_probability",
-        "orthant_mass", "prob_all_zero", "prob_orthant_event", "prob_region_high",
-        "region_below", "region_support_includes",
+        "OrthantEvent", "cdf", "conditional_density", "error_density", "error_orthant_event",
+        "estimator_orthant_event", "mvn_box_probability", "orthant_mass", "prob_all_zero",
+        "prob_orthant_event",
     ),
     "errors": (
         "CombinatorialLimitError", "ConditioningError", "ConvergenceError",
@@ -35,13 +34,14 @@ _HOMES = {name: module for module, names in {
         "shrinkage_set_low", "shrinkage_singleton", "structural_set",
     ),
     "model": (
-        "DesignProblem", "GaussianModel", "SignVector", "TuningVector", "build_problem",
-        "design_from_gram", "fiber_equivalent", "gaussian_model", "sign_partition",
-        "tuning_vector", "uniform_tuning",
+        "DesignProblem", "GaussianModel", "RegionProbability", "SignVector", "TuningVector",
+        "build_problem", "design_from_gram", "fiber_equivalent", "gaussian_model",
+        "sign_partition", "tuning_vector", "uniform_tuning",
     ),
     "simulate": (
         "ComparisonReport", "EmpiricalSummary", "SimulationConfig",
-        "compare_analytic_empirical", "estimate_nonuniqueness_probability", "run_simulation",
+        "compare_analytic_empirical", "estimate_nonuniqueness_probability", "prob_region_high",
+        "region_below", "region_support_includes", "run_simulation",
     ),
     "solver": (
         "KKTReport", "LassoSolution", "SolutionSetDescription", "describe_solution_set",

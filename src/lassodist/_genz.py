@@ -16,8 +16,7 @@ import random
 
 import numpy as np
 
-from .distribution import _SQRT_HALF, _first_interval, _norm_cdf
-
+_SQRT_HALF = math.sqrt(0.5)
 # Korobov multipliers: for the lattice of n points in dim dimensions, the odd a
 # minimising the P2 figure of merit; regenerate with scripts/korobov_table.py
 _KOROBOV = {
@@ -192,13 +191,13 @@ def _ndtri(p):
     return out
 
 
-def _genz_values(factor, a, b, groups, w):
+def _genz_values(factor, a, b, groups, w, first):
     """Genz's separation-of-variables integrand at the points w in [0, 1]^(q-1);
-    groups[i] lists the rows that end in column i, with positive coefficients."""
+    groups[i] lists the rows that end in column i, with positive coefficients;
+    first = (lo, hi), the Phi values of the first coordinate's interval (center 0)."""
     m, q = w.shape[0], len(groups)
     ys = np.empty((m, q - 1))
-    # the first coordinate's center is 0, so its two Phi values are scalars
-    lo, hi = map(_norm_cdf, _first_interval(factor, a, b, groups[0]))
+    lo, hi = first
     f = np.full(m, max(hi - lo, 0.0))
     for i in range(1, q):
         ys[:, i - 1] = _ndtri(np.clip(lo + w[:, i - 1] * (hi - lo), 1e-16, 1.0 - 1e-16))

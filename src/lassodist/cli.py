@@ -129,8 +129,8 @@ def _grid_spec(text: str):
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InputError(f"bad grid spec {text!r}: {exc}") from exc
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise InputError(f"grid spec needs finite lo and hi, got {text!r}")
+    if not np.isfinite(hi - lo):  # Python floats: an infinite or NaN bound, or span
+        raise InputError(f"grid spec needs finite lo and hi, and a finite hi - lo, got {text!r}")
     if steps < 1 or hi < lo:
         raise InputError(f"grid spec needs hi >= lo and steps >= 1, got {text!r}")
     try:

@@ -25,9 +25,9 @@ Imports: the module needs numpy alone, and no call loads scipy or
 numpy.random. The Genz kernel (`_genz`: the Korobov lattice, its shifts from
 the standard library's `random`, and numpy ports of Phi and Phi^-1) loads on
 the first QMC block, so closed-form and Monte-Carlo calls never compile it.
-The solver and the Gaussian replicate generator (`rng`) load only with the
-Monte-Carlo path (through `simulate`), so closed-form and Genz calls compile
-neither.
+The Monte-Carlo loop (`simulate.prob_region_high`), the solver and the
+replicate generator (`rng`) load only in the two method="mc" branches, so
+closed-form and Genz calls compile none of them.
 
 Event-threshold convention: a threshold z_j = -beta_j on a D+- coordinate is
 accepted and yields the open event {bhat_j < 0} (resp. > 0); thresholds
@@ -45,9 +45,9 @@ import numpy as np
 
 from . import _lazy
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
-from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
-from .model import _as_int, _as_signs, _as_vector, _check_dims, _check_seed, _check_tol
-from .model import _check_zero_tol, _record
+from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, RegionProbability
+from .model import SignVector, TuningVector, _as_int, _as_signs, _as_vector, _check_dims
+from .model import _check_seed, _check_tol, _check_zero_tol, _record
 
 # uncalled here, but read as attributes of this module: perfbench/tracing.py
 # wraps both and perfbench/worker.py calls solve_many. They load on first use
@@ -91,24 +91,6 @@ _GAUSS_LEGENDRE = tuple((1.0 + side * x, w) for x, w in (
     (0.2277858511416451, 0.1491729864726037), (0.07652652113349733, 0.1527533871307259),
 ) for side in (-1.0, 1.0))
 _EVENT_SIDE_TOL = 1e-9
-
-
-@_record
-class RegionProbability:
-    """A probability estimate together with how it was obtained.
-
-    Quadrature-class results carry std_error = 0 and a quad_tol error bound;
-    Monte Carlo results carry the binomial standard error and quad_tol = 0.
-    n_samples counts the QMC points or replicates behind the estimate (0 for
-    a closed form); a refined QMC block counts its 2^16-point run alone.
-    """
-
-    estimate: float
-    std_error: float
-    method: str
-    n_samples: int
-    seed: int | None
-    quad_tol: float
 
 
 @_record
@@ -256,19 +238,6 @@ def _quadrature(estimate, bound, points, seed, quad_tol=0.0) -> RegionProbabilit
     )
 
 
-def _binomial_probability(hits, n_samples, seed) -> RegionProbability:
-    """A Monte Carlo frequency with its binomial standard error."""
-    ph = hits / n_samples
-    return RegionProbability(
-        estimate=float(ph),
-        std_error=float(math.sqrt(ph * (1.0 - ph) / n_samples)),
-        method="monte-carlo",
-        n_samples=int(n_samples),
-        seed=int(seed),
-        quad_tol=0.0,
-    )
-
-
 def _require_quad(problem, max_p=QUAD_DIM_LIMIT):
     """Full column rank and p <= max_p (None: any p), else an error naming the
     Monte-Carlo paths."""
@@ -311,6 +280,8 @@ def prob_orthant_event(
     _check_zero_tol(quad_tol, "quad_tol")  # 0 reports the kernels' own bound
 
     if method == "mc":
+        from .simulate import prob_region_high  # loads the solver, which closed forms never run
+
         return prob_region_high(
             problem, model, tuning, _event_indicator(z, d, model.beta, zero_tol),
             n_samples=n_samples, seed=seed, solver_tol=solver_tol,
@@ -361,6 +332,8 @@ def prob_all_zero(
     seed = _check_seed(seed)
     _check_zero_tol(zero_tol)
     if method == "mc":
+        from .simulate import prob_region_high  # loads the solver, which closed forms never run
+
         def all_zero(B, _tol=zero_tol):
             return np.all(np.abs(B) <= _tol, axis=1)
 
@@ -504,73 +477,6 @@ def error_density(problem: DesignProblem, model: GaussianModel, tuning: TuningVe
     return jac * _gaussian_pdf(model.sigma**2 * problem.gram, problem.gram @ z + d * tuning.lam)
 
 
-def region_support_includes(j: int, zero_tol: float = ZERO_TOL):
-    """Predicate factory: solutions whose coordinate j (an int >= 0) is active."""
-    _check_zero_tol(zero_tol)
-    if not (isinstance(j, (int, np.integer)) and j >= 0):
-        raise InputError(f"column index must be a nonnegative integer, got {j!r}")
-
-    def region(B):
-        return np.abs(B[:, j]) > zero_tol
-
-    return region
-
-
-def region_below(z):
-    """Predicate factory: solutions componentwise <= z (estimator coordinates)."""
-    z = _as_vector(z, None, "z", allow_inf=True)
-
-    def region(B):
-        if B.shape[1] != z.size:
-            raise ValueError(f"{z.size} bounds for {B.shape[1]} columns")
-        return np.all(B <= z, axis=1)
-
-    return region
-
-
-def prob_region_high(
-    problem: DesignProblem,
-    model: GaussianModel,
-    tuning: TuningVector,
-    region,
-    method: str = "mc",
-    *,
-    n_samples: int = 100_000,
-    seed: int = 0,
-    solver_tol: float = DEFAULT_TOL,
-) -> RegionProbability:
-    """P(bhat in B) for an arbitrary vectorized solution predicate, any rank.
-
-    region maps an (m, p) block of solutions to m truth values; it is tried
-    on one row of zeros before any replicate is solved. Monte Carlo over the
-    solver, and the one such loop here: the method="mc" paths of
-    prob_orthant_event and prob_all_zero run it with their events'
-    predicates. The estimate depends on the model only through mu = X beta,
-    so fiber-equivalent parameter vectors give bit-identical results at the
-    same seed.
-    """
-    _check_dims(problem, tuning, model)
-    if method != "mc":
-        raise InputError(
-            "prob_region_high is Monte Carlo only; prob_all_zero/prob_orthant_event "
-            "have the deterministic paths"
-        )
-    try:
-        shape = np.shape(region(np.zeros((1, problem.p))))
-    except (IndexError, TypeError, ValueError) as exc:
-        raise InputError(f"region predicate fails on a (1, {problem.p}) block: {exc}") from exc
-    if shape != (1,):
-        raise InputError(f"region predicate must map a (1, p) block to shape (1,), got {shape}")
-    from .simulate import _solve_replicates  # loads the solver, which closed forms never run
-
-    n_samples = _as_int(n_samples, 1, "n_samples must be a positive integer")
-    hits = []
-    # the callback counts a block before the next is drawn, so no block outlives it
-    _solve_replicates(problem, model, tuning, n_samples, seed, solver_tol,
-                      lambda Y, B: hits.append(int(np.count_nonzero(region(B)))))
-    return _binomial_probability(sum(hits), n_samples, seed)
-
-
 def mvn_box_probability(
     mean, cov, lower, upper, *, n_samples: int = 8192, seed: int = 0, n_shifts: int = 8
 ) -> RegionProbability:
@@ -677,8 +583,9 @@ def _rectangle(factor, a, b, seed, n_samples=_GENZ_POINTS, n_shifts=8):
     from . import _genz  # compiled on the first Genz block only
 
     per_shift = _genz._lattice_size(n_samples, n_shifts)
+    first = tuple(map(_norm_cdf, _first_interval(factor, a, b, groups[0])))
     estimates = np.array([
-        _genz._genz_values(factor, a, b, groups, w).mean()
+        _genz._genz_values(factor, a, b, groups, w, first).mean()
         for w in _genz._shifted_lattice(per_shift, q - 1, n_shifts, seed)
     ])
     se = float(estimates.std(ddof=1) / math.sqrt(n_shifts))

@@ -20,7 +20,8 @@ import numpy as np
 from . import _lazy
 from .errors import CombinatorialLimitError, InputError, NumericalError
 from .model import DEFAULT_TOL, LP_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_indices
-from .model import _as_signs, _as_vector, _check_dims, _check_tol, _record, sign_partition
+from .model import _as_signs, _as_vector, _check_dims, _check_tol, _numerical_rank, _record
+from .model import sign_partition
 from .simplex import feasible_point
 
 if TYPE_CHECKING:
@@ -337,8 +338,8 @@ def general_position(problem: DesignProblem) -> bool:
 
     Checked exhaustively: every choice of k+2 distinct column indices and
     signs (first sign pinned to +1; a global flip preserves affine
-    dependence) must span a full (k+1)-dimensional affine hull. Sufficient
-    for uniqueness under uniform tuning, not necessary.
+    dependence) must span a full (k+1)-dimensional affine hull, rank by
+    RANK_RTOL. Sufficient for uniqueness under uniform tuning, not necessary.
     """
     if problem.p > GENERAL_POSITION_LIMIT:
         raise CombinatorialLimitError(
@@ -355,7 +356,7 @@ def general_position(problem: DesignProblem) -> bool:
             for signs in product((1.0, -1.0), repeat=size - 1):
                 pts = cols * np.concatenate(([1.0], signs))
                 diffs = pts[:, 1:] - pts[:, [0]]
-                if np.linalg.matrix_rank(diffs) <= k:
+                if _numerical_rank(np.linalg.svd(diffs, compute_uv=False), diffs.shape) <= k:
                     return False
     return True
 

@@ -25,6 +25,10 @@ LP_TOL = 1e-9
 # singular value sigma_k counts toward the rank iff sigma_k > max(n,p)*smax*RANK_RTOL
 RANK_RTOL = 1e-12
 
+# largest tuning weight or response entry: the package squares and multiplies
+# them, and (1e150)^2 stays far below the largest double, about 1.8e308
+MAX_MAGNITUDE = 1e150
+
 
 def _record(cls=None, *, eq=False):
     """Class decorator: an immutable record over the class's annotated fields.
@@ -267,8 +271,8 @@ def tuning_vector(lam) -> TuningVector:
     lam = _as_vector(lam, None, "tuning vector")
     if lam.size < 1:
         raise InputError("tuning vector must have at least one entry")
-    if np.any(lam < 0):
-        raise InputError("tuning weights must be nonnegative")
+    if np.any(lam < 0) or np.any(lam > MAX_MAGNITUDE):
+        raise InputError(f"tuning weights must lie in [0, {MAX_MAGNITUDE:g}]")
     return TuningVector(lam=lam, m0=tuple(int(j) for j in np.flatnonzero(lam == 0.0)))
 
 
@@ -352,3 +356,21 @@ def fiber_equivalent(m1: GaussianModel, m2: GaussianModel, problem: DesignProble
     _check_dims(problem, model=m1)
     _check_dims(problem, model=m2)
     return bool(np.allclose(m1.mu, m2.mu, rtol=1e-9, atol=1e-12))
+
+
+@_record
+class RegionProbability:
+    """A probability estimate together with how it was obtained.
+
+    Quadrature-class results carry std_error = 0 and a quad_tol error bound;
+    Monte Carlo results carry the binomial standard error and quad_tol = 0.
+    n_samples counts the QMC points or replicates behind the estimate (0 for
+    a closed form); a refined QMC block counts its 2^16-point run alone.
+    """
+
+    estimate: float
+    std_error: float
+    method: str
+    n_samples: int
+    seed: int | None
+    quad_tol: float

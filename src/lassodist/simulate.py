@@ -1,4 +1,4 @@
-"""Monte-Carlo oracle: empirical distributions of the Lasso and comparison reports.
+"""Monte-Carlo oracle: event probabilities, empirical distributions and comparison reports.
 
 Replicates are drawn in fixed-size chunks whose RNG streams are keyed by
 (seed, chunk index), so a summary depends only on (seed, n_rep) and never on
@@ -13,19 +13,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import compress, islice
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, SignVector, TuningVector
-from .model import _as_int, _check_dims, _check_seed, _check_tol, _check_zero_tol, _record
+from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, RegionProbability
+from .model import SignVector, TuningVector, _as_int, _as_vector, _check_dims, _check_seed
+from .model import _check_tol, _check_zero_tol, _record
 from .rng import gaussian_chunks
 from .solver import kernel_sign_cone_nonempty, solve_many
-from .solver import _cone_arguments, _uniqueness_classes
-
-if TYPE_CHECKING:
-    from .distribution import RegionProbability
+from .solver import _cone_arguments, _passes, _uniqueness_classes
 
 # RNG chunks per solve_many call. Two cut a 100k-replicate p = 3 solve by
 # about 16%; blocks of four chunks or more raise such a call's peak RSS
@@ -98,8 +95,9 @@ def _solve_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume):
 
     A block joins up to _BLOCK_CHUNKS consecutive RNG chunks; a lone chunk
     is used as drawn. Raises ConvergenceError, naming the block's replicate
-    range, at the first block that holds a replicate whose solution misses
-    solver_tol, so no unconverged replicate is ever counted.
+    range, at the first block that holds a replicate whose solution fails
+    the solver's acceptance rule at solver_tol, so no unconverged replicate
+    is ever counted.
     """
     chunks = gaussian_chunks(seed, n_rep, problem.n)
     for first in chunks:
@@ -112,7 +110,9 @@ def _solve_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume):
         Y *= model.sigma
         Y += model.mu
         B, resids = solve_many(problem, Y, tuning, tol=solver_tol)
-        fails = int(np.count_nonzero(resids > solver_tol))
+        i = np.flatnonzero(resids > solver_tol)  # these may still pass within rounding
+        fails = np.count_nonzero(~_passes(resids[i], Y[i] @ problem.X, B[i], problem.gram,
+                                          tuning.lam, solver_tol))
         if fails:
             raise ConvergenceError(
                 f"Monte Carlo replicates {start}..{start + count - 1}: {fails} missed "
@@ -120,6 +120,83 @@ def _solve_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume):
             )
         consume(Y, B)
         del Y, B, resids
+
+
+def _binomial_probability(hits, n_samples, seed) -> RegionProbability:
+    """A Monte Carlo frequency with its binomial standard error."""
+    ph = hits / n_samples
+    return RegionProbability(
+        estimate=float(ph),
+        std_error=float(math.sqrt(ph * (1.0 - ph) / n_samples)),
+        method="monte-carlo",
+        n_samples=int(n_samples),
+        seed=int(seed),
+        quad_tol=0.0,
+    )
+
+
+def region_support_includes(j: int, zero_tol: float = ZERO_TOL):
+    """Predicate factory: solutions whose coordinate j (an int >= 0) is active."""
+    _check_zero_tol(zero_tol)
+    if not (isinstance(j, (int, np.integer)) and j >= 0):
+        raise InputError(f"column index must be a nonnegative integer, got {j!r}")
+
+    def region(B):
+        return np.abs(B[:, j]) > zero_tol
+
+    return region
+
+
+def region_below(z):
+    """Predicate factory: solutions componentwise <= z (estimator coordinates)."""
+    z = _as_vector(z, None, "z", allow_inf=True)
+
+    def region(B):
+        if B.shape[1] != z.size:
+            raise ValueError(f"{z.size} bounds for {B.shape[1]} columns")
+        return np.all(B <= z, axis=1)
+
+    return region
+
+
+def prob_region_high(
+    problem: DesignProblem,
+    model: GaussianModel,
+    tuning: TuningVector,
+    region,
+    method: str = "mc",
+    *,
+    n_samples: int = 100_000,
+    seed: int = 0,
+    solver_tol: float = DEFAULT_TOL,
+) -> RegionProbability:
+    """P(bhat in B) for an arbitrary vectorized solution predicate, any rank.
+
+    region maps an (m, p) block of solutions to m truth values; it is tried
+    on one row of zeros before any replicate is solved. Monte Carlo over the
+    solver: the method="mc" paths of distribution's prob_orthant_event and
+    prob_all_zero run it with their events' predicates. The estimate depends on the model only through mu = X beta,
+    so fiber-equivalent parameter vectors give bit-identical results at the
+    same seed.
+    """
+    _check_dims(problem, tuning, model)
+    if method != "mc":
+        raise InputError(
+            "prob_region_high is Monte Carlo only; prob_all_zero/prob_orthant_event "
+            "have the deterministic paths"
+        )
+    try:
+        shape = np.shape(region(np.zeros((1, problem.p))))
+    except (IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"region predicate fails on a (1, {problem.p}) block: {exc}") from exc
+    if shape != (1,):
+        raise InputError(f"region predicate must map a (1, p) block to shape (1,), got {shape}")
+    n_samples = _as_int(n_samples, 1, "n_samples must be a positive integer")
+    hits = []
+    # the callback counts a block before the next is drawn, so no block outlives it
+    _solve_replicates(problem, model, tuning, n_samples, seed, solver_tol,
+                      lambda Y, B: hits.append(int(np.count_nonzero(region(B)))))
+    return _binomial_probability(sum(hits), n_samples, seed)
 
 
 def run_simulation(
@@ -225,8 +302,6 @@ def estimate_nonuniqueness_probability(
     config: SimulationConfig,
 ) -> RegionProbability:
     """Fraction of replicates whose solution set is not a single point."""
-    from .distribution import _binomial_probability  # other calls never compile it
-
     summary = run_simulation(problem, model, tuning, config)
     return _binomial_probability(summary.nonunique_count, config.n_rep, config.seed)
 

@@ -12,7 +12,9 @@ minimizes L iff, with g = X'y - X'Xb,
     |g_j| <= lam_j              where b_j == 0,
 
 which is what is_solution certifies and what coordinate descent uses as its
-convergence criterion.
+convergence criterion, each entry up to tol plus the rounding bound of its
+own terms, (p + 2) eps (|c_j| + (|b||G|)_j + lam_j) with c = X'y: no iterate
+meets tol alone once |X'y| reaches about 1e6. Residuals stay raw violations.
 
 One batched coordinate-descent engine solves every response; solve is its
 one-row call. It keeps the open rows coordinate-major, (p, rows), so each
@@ -49,7 +51,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .model import DEFAULT_TOL, LP_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_vector
+from .model import DEFAULT_TOL, LP_TOL, MAX_MAGNITUDE, ZERO_TOL, DesignProblem, TuningVector
+from .model import _as_vector
 from .model import _as_int, _check_dims, _check_tol, _check_zero_tol, _numerical_rank, _record
 from .simplex import feasible
 
@@ -64,6 +67,7 @@ _FINISH_BYTES = 1 << 20
 # below it are rounding, and the step may move X_A b_A by at most this much
 # relative to ||X_A||_F ||b_A||
 _NULL_TOL = 1e-13
+_EPS = float(np.finfo(float).eps)
 
 
 @_record
@@ -125,13 +129,35 @@ def _kkt_violation(g, b, lam, zero_tol):
     return np.maximum(g, 0.0, out=g)
 
 
+def _accepted(viol, c, b, gram, lam, tol):
+    """The acceptance rule on one row or the rows of (m, p) arrays: each entry of
+    viol, b's KKT violation at c = X'y, is at most tol plus its rounding bound."""
+    bound = np.abs(b) @ np.abs(gram) + np.abs(c) + lam
+    return np.all(viol <= tol + (lam.size + 2) * _EPS * bound, axis=-1)
+
+
+def _passes(r, C, B, gram, lam, tol):
+    """_accepted on the rows (m, p) of C = Y X and B, whose raw residuals are r, for
+    rows within the largest bound of tol only: no row-sized array at unit scale."""
+    ok = r <= tol
+    if not ok.all():
+        most = max(C.max(), -C.min()) + lam.max()
+        most += np.abs(gram).sum(axis=1).max() * max(B.max(), -B.min())
+        i = np.flatnonzero(~ok & (r <= tol + (lam.size + 2) * _EPS * most))
+        if i.size:
+            C, B = C[i], B[i]
+            ok[i] = _accepted(_kkt_violation(C - B @ gram, B, lam, 0.0), C, B, gram, lam, tol)
+    return ok
+
+
 def _check_inputs(problem, Y, tuning, tol):
     """Validated responses as an (m, n) array; one response becomes one row."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.ndim != 2 or Y.shape[1] != problem.n:
         raise InputError(f"each response must have length n={problem.n}")
-    if not np.all(np.isfinite(Y)):
-        raise InputError("responses have non-finite entries")
+    # reductions, not an array the size of Y; a NaN fails both comparisons
+    if Y.size and not (-MAX_MAGNITUDE <= Y.min() and Y.max() <= MAX_MAGNITUDE):
+        raise InputError(f"responses must be finite, of magnitude at most {MAX_MAGNITUDE:g}")
     _check_dims(problem, tuning)
     _check_tol(tol)
     return Y
@@ -146,8 +172,8 @@ def _descend(problem, lam, Y, tol, max_iter):
     coordinate update reads and writes one contiguous row. The KKT residual
     is evaluated after each sweep up to the first finish, then only at the
     finishes and after the last sweep. A row closes once an evaluated
-    residual meets tol or the finish accepts it; every row keeps the best
-    evaluated iterate and its residual. Beside the iterates, their
+    iterate passes _passes or the finish accepts it; every row keeps the
+    best evaluated iterate and its residual. Beside the iterates, their
     right-hand sides and the result, the residual takes two arrays the size
     of the open rows and the finish its batches of about _FINISH_BYTES.
     """
@@ -179,9 +205,9 @@ def _descend(problem, lam, Y, tol, max_iter):
         g = gram @ Bt
         r = _kkt_violation(np.subtract(Ct, g, out=g), Bt, lam[:, None], 0.0).max(axis=0)
         del g
-        better = r < resids[rows]
+        done = _passes(r, Ct.T, Bt.T, gram, lam, tol)
+        better = (r < resids[rows]) | done
         _store(B, resids, rows[better], Bt, better, r)
-        done = r <= tol
         if finish:
             accepted, rf = _finish(problem, lam, Ct.T, Bt.T, ~done, tol)
             _store(B, resids, rows[accepted], Bt, accepted, rf)
@@ -351,14 +377,14 @@ def solve(
     The one-row call of the engine behind solve_many. Deterministic in its
     inputs. Convergence is declared on the first-order residual (not on
     objective decrease), whether descent or the finish reaches it, so the
-    output always passes is_solution at the same tol. Otherwise
+    output always passes is_solution at the same tol and zero_tol 0. Otherwise
     ConvergenceError carries the best iterate and its residual, best among
     the sweeps where the residual is evaluated.
     """
     y = np.asarray(np.ravel(y), dtype=float)
     B, resids = solve_many(problem, y, tuning, tol, max_iter)
     b, resid = B[0], float(resids[0])
-    if resid > tol:
+    if resid > tol and not is_solution(problem, y, tuning, b, tol, zero_tol=0.0):
         raise ConvergenceError(
             f"coordinate descent did not reach tol={tol:g} within {int(max_iter)} sweeps "
             f"(best residual {resid:.3e})",
@@ -403,14 +429,16 @@ def is_solution(
     tol: float = 1e-8,
     zero_tol: float = ZERO_TOL,
 ) -> KKTReport:
-    """Certify b against the first-order conditions at tolerance tol."""
+    """Certify b against the first-order conditions at tolerance tol, each
+    entry up to its rounding bound (module docstring); max_violation is raw."""
     y = _check_inputs(problem, np.ravel(y), tuning, tol)[0]
     _check_zero_tol(zero_tol)
     b = _as_vector(b, problem.p, "b")
-    g = problem.X.T @ y - problem.gram @ b
-    viol = _kkt_violation(g, b, tuning.lam, zero_tol)
+    c = problem.X.T @ y
+    viol = _kkt_violation(c - problem.gram @ b, b, tuning.lam, zero_tol)
     worst = int(np.argmax(viol))
-    return KKTReport(ok=bool(viol[worst] <= tol), max_violation=float(viol[worst]), worst_index=worst)
+    ok = bool(_accepted(viol, c, b, problem.gram, tuning.lam, tol))
+    return KKTReport(ok=ok, max_violation=float(viol[worst]), worst_index=worst)
 
 
 def kernel_sign_cone_nonempty(problem, boundary, constrained, constrained_signs, tol=LP_TOL):

@@ -43,7 +43,8 @@ def run_python(*args):
 
 
 def run_cli(*args):
-    return run_python("-m", "lassodist", *args)
+    # a RuntimeWarning fails the call, as it fails tier-1 in process
+    return run_python("-W", "error::RuntimeWarning", "-m", "lassodist", *args)
 
 
 GOLDEN_CASES = [
@@ -319,6 +320,31 @@ def test_call_loads_only_its_engine(args, golden, present, absent):
     assert not loaded & absent, loaded & absent
 
 
+def test_engine_imports_are_acyclic():
+    # the Genz kernel imports nothing of the package, and the Monte-Carlo
+    # engine runs without the distribution module it serves
+    code = """
+import json, sys
+import lassodist._genz
+genz = sorted(m for m in sys.modules if m.startswith("lassodist"))
+import numpy as np
+from lassodist.model import build_problem, gaussian_model, tuning_vector
+from lassodist.simulate import SimulationConfig, estimate_nonuniqueness_probability
+prob = build_problem(np.array([[1.0, 2.0]]))
+rp = estimate_nonuniqueness_probability(
+    prob, gaussian_model(prob, [0.5, 0.0], 1.0), tuning_vector([1.0, 2.0]),
+    SimulationConfig(n_rep=500, seed=3))
+print(json.dumps([genz, "lassodist.distribution" in sys.modules, type(rp).__module__,
+                  rp.n_samples]))
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    genz, distribution_loaded, record_home, n = json.loads(proc.stdout)
+    assert genz == ["lassodist", "lassodist._genz"]
+    assert not distribution_loaded
+    assert record_home == "lassodist.model" and n == 500
+
+
 def test_call_freezes_the_heap_before_teardown():
     # the interpreter's final collections skip frozen objects; atexit
     # handlers (this one included) and stdout are unaffected
@@ -586,6 +612,15 @@ def test_input_error_exit_codes(tmp_path):
         (("shrinkage-map", "--input", CORR2, "--z", "inf,0"), "z_ls must be finite"),
         (("shrinkage-map", "--input", CORR2, "--b", "nan,1"), "b must be finite"),
         (("density-grid", "--input", CORR2, "--grid", "0:inf:3"), "finite lo and hi"),
+        # finite inputs whose scale overflows a float: no RuntimeWarning, no output
+        (("density-grid", "--input", CORR2, "--grid", "-1e308:1e308:3"), "finite hi - lo"),
+        (("solve", "--input", CORR2, "--y", "1e308,1e308"), "responses must be finite"),
+        (("solve", "--input", CORR2, "--lam", "1e308,1e308", "--y", "1,1"), "tuning weights"),
+        (("shrinkage-map", "--input", CORR2, "--z", "1e300,-1e300"), "responses must be finite"),
+        (("cdf", "--input", CORR3, "--z", "1,1,1", "--lam", "1e308,1e308,1e308"),
+         "tuning weights"),
+        (("check-unique", "--input", D2X4, "--lam", "1e308,1e308,1e308,1e308"),
+         "tuning weights"),
         (("density-grid", "--input", CORR2, "--grid", "0:1"), "must be lo:hi:steps"),
         (("density-grid", "--input", CORR2, "--grid", "0:x:3"), "bad grid spec"),
         (("density-grid", "--input", CORR2, "--grid", "1:0:3"), "needs hi >= lo"),
@@ -598,7 +633,7 @@ def test_input_error_exit_codes(tmp_path):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-        assert name in proc.stderr
+        assert name in proc.stderr and proc.stdout == ""
 
 
 def test_limit_errors_exit_code_3(tmp_path):
@@ -666,6 +701,11 @@ def test_lam_and_y_overrides():
     data = json.loads(small.stdout)
     assert data["b"] == [0, 0]
     assert data["active_model"] == []
+
+    # a large response is certified by the rounding bound of each KKT entry
+    big_y = run_cli("solve", "--input", CORR2, "--y", "1e20,1e20")
+    assert big_y.returncode == 0, big_y.stderr
+    assert json.loads(big_y.stdout)["fit"] == [1e20, 1e20]
 
 
 def test_orthant_prob_mc_agrees_with_quad():

@@ -624,9 +624,11 @@ def test_ndtri_port_matches_scipy():
     assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want))
 
 
-def _scipy_genz_values(chol, a, b, groups, w):
+def _scipy_genz_values(chol, a, b, groups, w, first):
     # the integrand with scipy's ufuncs: the reference for the numpy ports on
-    # full-rank factors, where the row that ends in column i is row i
+    # full-rank factors, where the row that ends in column i is row i. It
+    # ignores the first coordinate's Phi values that _rectangle passes and
+    # computes its own, so those are checked too
     assert [g.tolist() for g in groups] == [[i] for i in range(a.shape[0])]
     m, p = w.shape[0], a.shape[0]
     f = np.ones(m)

@@ -145,6 +145,17 @@ def test_general_position(n1p2):
         ld.general_position(big)
 
 
+@pytest.mark.parametrize("delta", [1e-11, 1e-13, 1e-14])
+def test_general_position_takes_the_package_rank_rule(delta):
+    # x3 sits delta off the midpoint of x1 and x2: an affine dependence at the
+    # package's rank rule, which check_uniqueness also sees, while numpy's
+    # default matrix_rank cutoff calls the triple independent
+    x1, x2 = np.array([1.0, 0.3]), np.array([-0.4, 1.2])
+    prob = ld.build_problem(np.column_stack([x1, x2, (x1 + x2) / 2 + delta * np.array([0.6, -0.8])]))
+    assert not ld.check_uniqueness(prob, ld.uniform_tuning(3, 1.0)).unique
+    assert not ld.general_position(prob)
+
+
 def test_witness_construction_needs_low_rank(corr2):
     with pytest.raises(InputError):
         ld.construct_nonuniqueness_witness(

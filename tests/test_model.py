@@ -184,6 +184,8 @@ _MALFORMED = {
     ("fiber_equivalent", "beta"): lambda: ld.fiber_equivalent(_M2, _M3, _P2),
     ("tuning_vector", "nan"): lambda: ld.tuning_vector(_NAN),
     ("tuning_vector", "empty"): lambda: ld.tuning_vector([]),
+    # weights and responses are squared and multiplied: a finite 1e151 overflows
+    ("tuning_vector", "huge"): lambda: ld.tuning_vector([1.0, 1e151]),
     ("uniform_tuning", "p"): lambda: ld.uniform_tuning(2.5, 1.0),
     ("sign_partition", "nan"): lambda: ld.sign_partition(_NAN),
     ("error_orthant_event", "length"): lambda: ld.error_orthant_event(_THREE, (1, 1)),
@@ -332,6 +334,10 @@ _MALFORMED = {
     ("solve", "tuning"): lambda: ld.solve(_P2, [1.0, 0.5], _T1),
     ("solve", "length"): lambda: ld.solve(_P2, _THREE, _T2),
     ("solve", "nan"): lambda: ld.solve(_P2, _NAN, _T2),
+    ("solve", "huge"): lambda: ld.solve(_P2, [1e151, 0.5], _T2),
+    ("solve_many", "huge"): lambda: ld.solve_many(_P2, [[1.0, 0.5], [-1e151, 0.0]], _T2),
+    ("prob_region_high", "huge-sigma"): lambda: ld.prob_region_high(
+        _P2, ld.gaussian_model(_P2, [0.0, 0.0], 1e200), _T2, ld.region_below([1.0, 2.0]), **_MC),
     ("solve", "max_iter-zero"): lambda: ld.solve(_P2, [1.0, 0.5], _T2, max_iter=0),
     ("solve", "max_iter-negative"): lambda: ld.solve(_P2, [1.0, 0.5], _T2, max_iter=-1),
     ("solve", "max_iter-fraction"): lambda: ld.solve(_P2, [1.0, 0.5], _T2, max_iter=2.5),

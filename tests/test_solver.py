@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from lassodist import solver
 from lassodist.errors import ConvergenceError, InputError
 from lassodist.model import ZERO_TOL
 from lassodist.solver import DEFAULT_TOL, kernel_sign_cone_nonempty
+from conftest import FIXTURES
 from prox_oracle import ista_solve, objective, soft
 
 
@@ -86,6 +88,28 @@ def test_convergence_error_carries_best_iterate(corr2):
     assert exc.value.kkt_residual == resids[0]
     report = ld.is_solution(corr2, [2.0, -1.5], t, exc.value.b, zero_tol=0.0)
     assert abs(report.max_violation - exc.value.kkt_residual) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["corr2", "corr3", "n12p10"])
+def test_large_scale_responses_are_certified(name):
+    # the rounding of a KKT entry grows with |X'y|, so from about 1e6 no
+    # iterate meets tol = 1e-10 in absolute terms; each entry is allowed
+    # the rounding bound of its own terms, and kkt_residual stays raw
+    env = json.loads((FIXTURES / f"{name}.json").read_text())
+    prob, t = ld.build_problem(env["X"]), ld.tuning_vector(env["lambda"])
+    for scale in (1e6, 1e9, 1e12):
+        Y = scale * np.random.default_rng(0).normal(size=(300, prob.n))
+        B, resids = ld.solve_many(prob, Y, t)
+        assert np.any(resids > DEFAULT_TOL)
+        for y, b in zip(Y, B):
+            assert ld.is_solution(prob, y, t, b, tol=DEFAULT_TOL, zero_tol=0.0)
+        # the one-row call certifies its own answer, which matches the batched
+        # row to BLAS rounding only
+        assert ld.is_solution(prob, Y[0], t, ld.solve(prob, Y[0], t).b, DEFAULT_TOL, 0.0)
+        assert not ld.is_solution(prob, Y[0], t, B[0] * (1.0 + 1e-9), tol=DEFAULT_TOL)
+        model = ld.gaussian_model(prob, np.zeros(prob.p), scale)
+        summary = ld.run_simulation(prob, model, t, ld.SimulationConfig(n_rep=1000, seed=1))
+        assert summary.n_rep == 1000
 
 
 def test_solve_many_checks_inputs_like_solve(n1p2):
