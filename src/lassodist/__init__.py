@@ -51,6 +51,22 @@ _HOMES = {name: module for module, names in {
 
 __all__ = sorted(_HOMES)
 
+# the engine module each CLI subcommand computes with: `python -m lassodist`
+# imports it before cli.py compiles, and cli.main() passes it to the handler
+_ENGINES = {
+    "solve": "solver",
+    "structural-set": "geometry",
+    "selectable": "geometry",
+    "check-unique": "geometry",
+    "general-position": "geometry",
+    "prob-zero": "distribution",
+    "orthant-prob": "distribution",
+    "cdf": "distribution",
+    "density-grid": "distribution",
+    "simulate": "simulate",
+    "shrinkage-map": "geometry",
+}
+
 
 def _lazy(namespace, homes):
     """A module `__getattr__` (PEP 562) that imports each name of `homes`

@@ -14,9 +14,11 @@ handler and its options in parser order. The top-level usage text is built
 from that table, a call builds the parser of its own subcommand only, and
 the options that take a comma list or grid spec are the ones whose value may
 start with "-". `main()` loads the envelope once, with its model built by
-`gaussian_model`, and passes it to the handler with the parsed options.
-Each handler imports the engine it calls; `solve` loads the solver on first
-use (PEP 562), so no other subcommand compiles it.
+`gaussian_model`, imports the subcommand's engine module, named in
+`lassodist._ENGINES`, and passes both to the handler with the parsed
+options, so a call compiles that engine alone. `solve`'s handler ignores
+its engine and calls this module's `solve`, which loads the solver on first
+use (PEP 562), so a replaced attribute is the one that runs.
 
 A handler returns its output as one string, except `simulate`'s JSON
 report, which returns the pieces of `_json.stream_json`: its sign-pattern
@@ -42,11 +44,12 @@ import argparse
 import gc
 import json
 import sys
+from importlib import import_module
 from operator import attrgetter
 
 import numpy as np
 
-from . import _lazy
+from . import _ENGINES, _lazy
 from ._json import _batches, render_json, stream_json
 from .errors import (
     CombinatorialLimitError,
@@ -159,7 +162,7 @@ def _one_based(indices) -> list:
     return [int(j) + 1 for j in indices]
 
 
-def _cmd_solve(args, env) -> str:
+def _cmd_solve(args, env, _) -> str:
     tuning = _need_lam(env, args.lam)
     y = _need_y(env, args.y)
     # through the module attribute, so a replaced `solve` is the one that runs
@@ -173,23 +176,20 @@ def _cmd_solve(args, env) -> str:
     })
 
 
-def _cmd_structural_set(args, env) -> str:
-    from . import geometry
+def _cmd_structural_set(args, env, geometry) -> str:
     tuning = _need_lam(env, args.lam)
     members = geometry.structural_set(env.problem, tuning, tol=args.tol)
     return render_json({"structural_set": _one_based(members)})
 
 
-def _cmd_selectable(args, env) -> str:
-    from . import geometry
+def _cmd_selectable(args, env, geometry) -> str:
     tuning = _need_lam(env, args.lam)
     model = _model_indices(args.model)
     flag = geometry.selectable(env.problem, tuning, model, tol=args.tol)
     return render_json({"model": _one_based(sorted(model)), "selectable": flag})
 
 
-def _cmd_check_unique(args, env) -> str:
-    from . import geometry
+def _cmd_check_unique(args, env, geometry) -> str:
     tuning = _need_lam(env, args.lam)
     verdict = geometry.check_uniqueness(env.problem, tuning, tol=args.tol)
     face = verdict.violating_face
@@ -204,13 +204,11 @@ def _cmd_check_unique(args, env) -> str:
     })
 
 
-def _cmd_general_position(args, env) -> str:
-    from . import geometry
+def _cmd_general_position(args, env, geometry) -> str:
     return render_json({"general_position": geometry.general_position(env.problem)})
 
 
-def _cmd_prob_zero(args, env) -> str:
-    from . import distribution
+def _cmd_prob_zero(args, env, distribution) -> str:
     tuning = _need_lam(env, args.lam)
     rp = distribution.prob_all_zero(
         env.problem, env.model, tuning,
@@ -219,8 +217,7 @@ def _cmd_prob_zero(args, env) -> str:
     return render_json(vars(rp))
 
 
-def _cmd_orthant_prob(args, env) -> str:
-    from . import distribution
+def _cmd_orthant_prob(args, env, distribution) -> str:
     tuning = _need_lam(env, args.lam)
     p = env.problem.p
     signs = _as_signs(_vector(args.signs, "--signs", p), "--signs")
@@ -233,8 +230,7 @@ def _cmd_orthant_prob(args, env) -> str:
     return render_json({"signs": signs.d, "z": z, **vars(rp)})
 
 
-def _cmd_cdf(args, env) -> str:
-    from . import distribution
+def _cmd_cdf(args, env, distribution) -> str:
     tuning = _need_lam(env, args.lam)
     z = _vector(args.z, "--z", env.problem.p)
     # the JSON output cannot echo an infinite threshold
@@ -247,8 +243,7 @@ def _cmd_cdf(args, env) -> str:
     return render_json({"z": z, "coords": args.coords, "cdf": value})
 
 
-def _cmd_density_grid(args, env) -> str:
-    from . import distribution
+def _cmd_density_grid(args, env, distribution) -> str:
     tuning = _need_lam(env, args.lam)
     if env.problem.p != 2:
         raise DimensionLimitError("density-grid renders two-coordinate designs only")
@@ -268,8 +263,7 @@ def _cmd_density_grid(args, env) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args, env):
-    from . import simulate
+def _cmd_simulate(args, env, simulate):
     tuning = _need_lam(env, args.lam)
     config = simulate.SimulationConfig(n_rep=args.reps, seed=args.seed, solver_tol=args.tol)
     summary = simulate.run_simulation(env.problem, env.model, tuning, config)
@@ -309,8 +303,7 @@ def _cmd_simulate(args, env):
     })
 
 
-def _cmd_shrinkage_map(args, env) -> str:
-    from . import geometry
+def _cmd_shrinkage_map(args, env, geometry) -> str:
     tuning = _need_lam(env, args.lam)
     p = env.problem.p
     if (args.b is None) == (args.z is None):
@@ -350,7 +343,7 @@ _SAMPLING = (
     _opt("--seed", type=int, default=0),
 )
 
-# subcommand -> (usage line, handler, options in parser order)
+# subcommand -> (usage line, handler(args, envelope, engine), options in parser order)
 _SUBCOMMANDS = {
     "solve": ("weighted Lasso solution for a given y", _cmd_solve, (
         _INPUT, _LAM, _tol(DEFAULT_TOL), _list("--y", "response vector, comma-separated"))),
@@ -424,8 +417,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_negative_values(argv[1:], lists))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
+    engine = import_module(f".{_ENGINES[argv[0]]}", __package__)
     try:
-        out = handler(args, load_envelope(args.input))
+        out = handler(args, load_envelope(args.input), engine)
         # a handler returns its output, or pieces of it to write as they are made
         for text in [out] if isinstance(out, str) else _batches(out):
             sys.stdout.write(text)

@@ -91,10 +91,28 @@ def _sign_slots(tuning, model):
     return slots
 
 
-def _sign_patterns(tuning, model):
+def _sign_patterns(tuning, model, pairs=None):
     """The sign resolutions of a face family up to v -> -v, in product order
-    of _sign_slots."""
-    return product(*_sign_slots(tuning, model))
+    of _sign_slots, less every pattern with a signed pair outside `pairs`
+    (None drops none).
+
+    Signs are chosen slot by slot and a prefix is dropped as soon as one of
+    its pairs misses, so pruned patterns are never enumerated.
+    """
+    slots = _sign_slots(tuning, model)
+    signs = []
+
+    def extend(t):
+        if t == len(slots):
+            yield tuple(signs)
+            return
+        for s in slots[t]:
+            if pairs is None or all((model[u], signs[u], model[t], s) in pairs for u in range(t)):
+                signs.append(s)
+                yield from extend(t + 1)
+                signs.pop()
+
+    return extend(0)
 
 
 @_record
@@ -127,12 +145,12 @@ def face_intersects_row_space(problem: DesignProblem, face: FaceBox, tol: float 
     return RowSpacePoint(v=X.T @ z, z=z)
 
 
-def _meeting_faces(problem, tuning, model, tol, patterns=None):
+def _meeting_faces(problem, tuning, model, tol, pairs=None):
     """(signs, point) for each sign resolution of the face family over model
-    whose face meets col(X'), one LP per resolution in the order of patterns
-    (default: _sign_patterns). Lazy, so a caller that stops early runs no
-    further LP."""
-    for signs in _sign_patterns(tuning, model) if patterns is None else patterns:
+    whose face meets col(X'), one LP per resolution in the order of
+    _sign_patterns(tuning, model, pairs). Lazy, so a caller that stops early
+    runs no further LP."""
+    for signs in _sign_patterns(tuning, model, pairs):
         point = face_intersects_row_space(problem, face_box(tuning, model, signs), tol)
         if point is not None:
             yield signs, point
@@ -186,29 +204,6 @@ def _meeting_pairs(problem, tuning, members, tol):
             pairs.add((pair[0], signs[0], pair[1], signs[1]))
             pairs.add((pair[0], mirror[0], pair[1], mirror[1]))
     return pairs
-
-
-def _pair_consistent_signs(tuning, model, pairs):
-    """_sign_patterns(tuning, model), in the same order, less
-    every pattern with a signed pair outside `pairs`.
-
-    Signs are chosen slot by slot and a prefix is dropped as soon as one of
-    its pairs misses, so pruned patterns are never enumerated.
-    """
-    slots = _sign_slots(tuning, model)
-    signs = []
-
-    def extend(t):
-        if t == len(slots):
-            yield tuple(signs)
-            return
-        for s in slots[t]:
-            if all((model[u], signs[u], model[t], s) in pairs for u in range(t)):
-                signs.append(s)
-                yield from extend(t + 1)
-                signs.pop()
-
-    return extend(0)
 
 
 @_record
@@ -268,8 +263,7 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
         return unique
     pairs = _meeting_pairs(problem, tuning, members, tol)
     for model in combinations(members, rank + 1):
-        patterns = _pair_consistent_signs(tuning, model, pairs)
-        for signs, point in _meeting_faces(problem, tuning, model, tol, patterns):
+        for signs, point in _meeting_faces(problem, tuning, model, tol, pairs):
             witness = construct_nonuniqueness_witness(problem, tuning, model, point.v, z=point.z)
             face = ViolatingFace(model=model, signs=tuple(signs), v=point.v)
             return UniquenessVerdict(unique=False, witness=witness, violating_face=face)
@@ -422,17 +416,11 @@ def shrinkage_singleton(problem: DesignProblem, tuning: TuningVector, b) -> np.n
 def map_ls_to_lasso(
     problem: DesignProblem, tuning: TuningVector, z_ls, tol: float = DEFAULT_TOL
 ) -> LassoSolution:
-    """The unique b whose shrinkage area contains the given LS estimate.
-
-    Computed by solving the Lasso at y = X z_ls; the output is cross-checked
-    by shrinkage-area membership before returning.
-    """
+    """The unique b whose shrinkage area contains the given LS estimate:
+    the Lasso solution at y = X z_ls. Membership is the first-order
+    conditions at that y, which `solve` certifies before it returns."""
     if problem.rank_x < problem.p:
         raise InputError("design is rank deficient; the LS map needs full column rank")
     z_ls = _as_vector(z_ls, problem.p, "z_ls")
     # through the module attribute, so a replaced `solve` is the one that runs
-    sol = sys.modules[__name__].solve(problem, problem.X @ z_ls, tuning, tol=tol)
-    area = shrinkage_set_low(problem, tuning, sol.b)
-    if not area.contains(z_ls, tol=max(1e-7, 1e3 * tol)):
-        raise NumericalError("solver output failed the shrinkage-area membership cross-check")
-    return sol
+    return sys.modules[__name__].solve(problem, problem.X @ z_ls, tuning, tol=tol)

@@ -25,8 +25,9 @@ LP_TOL = 1e-9
 # singular value sigma_k counts toward the rank iff sigma_k > max(n,p)*smax*RANK_RTOL
 RANK_RTOL = 1e-12
 
-# largest tuning weight or response entry: the package squares and multiplies
-# them, and (1e150)^2 stays far below the largest double, about 1.8e308
+# largest tuning weight, response, design entry or sigma (and 1/MAX_MAGNITUDE
+# the least sigma): the package squares and multiplies them, and (1e150)^2
+# stays far below the largest double, about 1.8e308
 MAX_MAGNITUDE = 1e150
 
 
@@ -212,8 +213,11 @@ def build_problem(X) -> DesignProblem:
         raise InputError(f"design matrix is not a numeric matrix: {exc}") from exc
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise InputError("design matrix must be 2-d with at least one row and column")
-    if not np.all(np.isfinite(X)):
-        raise InputError("design matrix has non-finite entries")
+    # reductions, not an array the size of X; a NaN fails both comparisons.
+    # X'X is then finite for any n below 1e8
+    if not (-MAX_MAGNITUDE <= X.min() and X.max() <= MAX_MAGNITUDE):
+        raise InputError(
+            f"design matrix entries must be finite, of magnitude at most {MAX_MAGNITUDE:g}")
     n, p = X.shape
     # all of V splits row space from null space; only n < p needs full matrices for it
     _, s, vt = np.linalg.svd(X, full_matrices=n < p)
@@ -346,9 +350,16 @@ def gaussian_model(problem: DesignProblem, beta, sigma: float) -> GaussianModel:
         sigma = float(sigma)
     except (TypeError, ValueError):
         sigma = math.nan
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise InputError("sigma must be a positive real")
-    return GaussianModel(beta=beta, sigma=sigma, mu=problem.X @ beta)
+    # sigma^2 must be a finite, nonzero double; a NaN fails both comparisons
+    if not (1.0 / MAX_MAGNITUDE <= sigma <= MAX_MAGNITUDE):
+        raise InputError(
+            f"sigma must be a positive real in [{1.0 / MAX_MAGNITUDE:g}, {MAX_MAGNITUDE:g}]")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the error below
+        mu = problem.X @ beta
+        mean = problem.gram @ beta
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(mean))):
+        raise InputError("beta is too large for the design: X beta or X'X beta overflows")
+    return GaussianModel(beta=beta, sigma=sigma, mu=mu)
 
 
 def fiber_equivalent(m1: GaussianModel, m2: GaussianModel, problem: DesignProblem) -> bool:

@@ -22,7 +22,7 @@ from .model import SignVector, TuningVector, _as_int, _as_vector, _check_dims, _
 from .model import _check_tol, _check_zero_tol, _record
 from .rng import gaussian_chunks
 from .solver import kernel_sign_cone_nonempty, solve_many
-from .solver import _cone_arguments, _passes, _uniqueness_classes
+from .solver import _passes, _uniqueness_classes
 
 # RNG chunks per solve_many call. Two cut a 100k-replicate p = 3 solve by
 # about 16%; blocks of four chunks or more raise such a call's peak RSS
@@ -271,7 +271,7 @@ def _count_nonunique(problem, tuning, config, Y, B, cache):
         verdict = cache.get(key)
         if verdict is None:
             row = np.frombuffer(key, dtype=np.int8)
-            verdict = kernel_sign_cone_nonempty(problem, *_cone_arguments(row))
+            verdict = kernel_sign_cone_nonempty(problem, row)
             cache[key] = verdict
         if verdict:
             total += cnt

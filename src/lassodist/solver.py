@@ -441,37 +441,35 @@ def is_solution(
     return KKTReport(ok=ok, max_violation=float(viol[worst]), worst_index=worst)
 
 
-def kernel_sign_cone_nonempty(problem, boundary, constrained, constrained_signs, tol=LP_TOL):
-    """Does {h != 0 : supp(h) in boundary, Xh = 0, s_k h_{c_k} >= 0} exist?
+def kernel_sign_cone_nonempty(problem, classes, tol=LP_TOL):
+    """Does {h != 0 : Xh = 0, h_j = 0 where classes_j = 2, s h_j >= 0 where
+    classes_j = s = +-1} exist?
 
-    `boundary` are the indices allowed to move, `constrained` a subset of them
-    whose movement must respect the given signs. Decided exactly by a rank
-    test on the sign-free columns plus a phase-1 LP over the sign cone
-    (normalized by sum_k s_k h_{c_k} = 1, valid since the cone is scale
-    invariant).
+    `classes` is one row of _uniqueness_classes: 2 pins a coordinate at 0,
+    +-1 lets it move in that direction only and 0 lets it move freely.
+    Decided exactly by a rank test on the free columns plus a phase-1 LP
+    over the sign cone (normalized by sum_j s_j h_j = 1, valid since the
+    cone is scale invariant).
     """
-    boundary = list(boundary)
-    constrained = list(constrained)
-    signs = np.asarray(constrained_signs, dtype=float).ravel()
-    if not boundary:
+    classes = np.asarray(classes).ravel()
+    boundary = np.flatnonzero(classes != 2)
+    if not boundary.size:
         return False
-    # row k of the cone is constrained[k], at position at[k] of boundary
-    rows, at = np.nonzero(np.equal.outer(constrained, boundary))
-    free = np.delete(boundary, at)
     X = problem.X
+    free = np.flatnonzero(classes == 0)
     if free.size:
         cols = X[:, free]
         if _numerical_rank(np.linalg.svd(cols, compute_uv=False), cols.shape) < free.size:
             return True
-    if not constrained:
+    signs = classes[boundary].astype(float)  # 0 where the coordinate moves freely
+    constrained = np.flatnonzero(signs)
+    if not constrained.size:
         return False
-    a_eq = np.vstack([X[:, boundary], np.zeros((1, len(boundary)))])
-    a_eq[-1, at] = signs
+    a_eq = np.vstack([X[:, boundary], signs])
     b_eq = np.concatenate([np.zeros(X.shape[0]), [1.0]])
-    a_ub = np.zeros((len(constrained), len(boundary)))
-    a_ub[rows, at] = -signs
-    b_ub = np.zeros(len(constrained))
-    return feasible(a_eq, b_eq, a_ub, b_ub, n_free=len(boundary), tol=tol)
+    a_ub = np.diag(-signs)[constrained]
+    b_ub = np.zeros(constrained.size)
+    return feasible(a_eq, b_eq, a_ub, b_ub, n_free=boundary.size, tol=tol)
 
 
 def _uniqueness_classes(G, B, lam, tol, zero_tol):
@@ -488,12 +486,6 @@ def _uniqueness_classes(G, B, lam, tol, zero_tol):
     return np.where(interior, 2, np.where(G >= 0, 1, -1) * constrained).astype(np.int8)
 
 
-def _cone_arguments(classes):
-    """(boundary, constrained, signs) for kernel_sign_cone_nonempty from one class row."""
-    constrained = np.flatnonzero(np.abs(classes) == 1)
-    return np.flatnonzero(classes != 2), constrained, classes[constrained].astype(float)
-
-
 def describe_solution_set(
     problem: DesignProblem,
     y,
@@ -508,9 +500,7 @@ def describe_solution_set(
     g = problem.X.T @ y - problem.gram @ anchor.b
     classes = _uniqueness_classes(g, anchor.b, tuning.lam, tol, zero_tol)
     signs = np.where(classes == 2, 0, np.where((g >= 0) | (tuning.lam == 0), 1, -1))
-    unique = problem.rank_x == problem.p or not kernel_sign_cone_nonempty(
-        problem, *_cone_arguments(classes)
-    )
+    unique = problem.rank_x == problem.p or not kernel_sign_cone_nonempty(problem, classes)
     return SolutionSetDescription(
         fit=anchor.fit,
         anchor=anchor,

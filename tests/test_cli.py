@@ -29,6 +29,10 @@ CORR2 = str(FIXTURES / "corr2.json")
 CORR3 = str(FIXTURES / "corr3.json")
 X2X3_RANK2 = str(FIXTURES / "x2x3_rank2.json")
 N12P10 = str(FIXTURES / "n12p10.json")
+HUGE_SIGMA = str(FIXTURES / "huge_sigma.json")  # sigma = 1e160 on the 2 x 2 identity
+TINY_SIGMA = str(FIXTURES / "tiny_sigma.json")  # sigma = 1e-200
+HUGE_DESIGN = str(FIXTURES / "huge_design.json")  # entries 1e160: X'X overflows
+HUGE_MEAN = str(FIXTURES / "huge_mean.json")  # entries 1e150, beta (1e10, 1): X'X beta overflows
 
 
 def run_python(*args):
@@ -437,14 +441,13 @@ def test_public_names_resolve_to_their_home_modules():
 
 
 def test_engine_table_covers_the_subcommands():
-    from lassodist import cli
-    from lassodist.__main__ import ENGINES
+    from lassodist import _ENGINES, cli
 
-    assert set(ENGINES) == set(cli._SUBCOMMANDS)
+    assert set(_ENGINES) == set(cli._SUBCOMMANDS)
     listed = [line.split()[0] for line in cli._USAGE.split("subcommands:")[1].splitlines()
               if line.startswith("  ")]
     assert listed == list(cli._SUBCOMMANDS)
-    for module in set(ENGINES.values()):
+    for module in set(_ENGINES.values()):
         importlib.import_module(f"lassodist.{module}")
 
 
@@ -621,6 +624,19 @@ def test_input_error_exit_codes(tmp_path):
          "tuning weights"),
         (("check-unique", "--input", D2X4, "--lam", "1e308,1e308,1e308,1e308"),
          "tuning weights"),
+        # sigma^2, X'X and X'X beta must be finite, sigma^2 nonzero
+        *((args, "sigma must be") for args in (
+            ("prob-zero", "--input", HUGE_SIGMA),
+            ("orthant-prob", "--input", HUGE_SIGMA, "--signs", "0,0"),
+            ("cdf", "--input", HUGE_SIGMA, "--z", "0.1,0.1"),
+            ("density-grid", "--input", HUGE_SIGMA, "--grid", "-1:1:3"),
+            ("density-grid", "--input", TINY_SIGMA, "--grid", "-1:1:3"))),
+        *((args, "design matrix entries") for args in (
+            ("prob-zero", "--input", HUGE_DESIGN),
+            ("solve", "--input", HUGE_DESIGN),
+            ("check-unique", "--input", HUGE_DESIGN),
+            ("general-position", "--input", HUGE_DESIGN))),
+        (("prob-zero", "--input", HUGE_MEAN), "beta is too large"),
         (("density-grid", "--input", CORR2, "--grid", "0:1"), "must be lo:hi:steps"),
         (("density-grid", "--input", CORR2, "--grid", "0:x:3"), "bad grid spec"),
         (("density-grid", "--input", CORR2, "--grid", "1:0:3"), "needs hi >= lo"),
@@ -770,3 +786,8 @@ def test_shrinkage_map_both_directions():
     assert np.allclose(data["b"], [0.5, -0.3], atol=1e-8)
     both = run_cli("shrinkage-map", "--input", CORR2, "--b", "1,1", "--z", "1,1")
     assert both.returncode == 2
+    # the solver's scale-aware certificate is the map's only check
+    for z in ("1e9,-1e9", "1e12,-1e12"):
+        large = run_cli("shrinkage-map", "--input", CORR2, "--z", z)
+        assert large.returncode == 0, large.stderr
+        assert json.loads(large.stdout)["z_ls"] == [float(v) for v in z.split(",")]

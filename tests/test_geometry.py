@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,8 @@ import lassodist as ld
 from lassodist.errors import CombinatorialLimitError, InputError
 from lassodist import geometry
 from lassodist.geometry import _sign_patterns, face_box, face_intersects_row_space
+
+from conftest import FIXTURES
 
 
 def test_tolerances_must_be_finite_and_positive(n1p2):
@@ -191,6 +194,19 @@ def test_shrinkage_singleton_roundtrip(corr2):
     sol = ld.map_ls_to_lasso(corr2, t, z)
     assert np.allclose(sol.b, b, atol=1e-8)
     assert ld.shrinkage_set_low(corr2, t, b).contains(z)
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_ls_map_at_large_scale(scale):
+    # the committed corr2 envelope's X'X is not exactly [[1, .5], [.5, 1]],
+    # so X'X z rounds at about eps * scale; solve's certificate allows for
+    # that, and the map adds no absolute-tolerance check of its own
+    env = json.loads((FIXTURES / "corr2.json").read_text())
+    prob, t = ld.build_problem(env["X"]), ld.tuning_vector(env["lambda"])
+    z = np.array([scale, -scale])
+    sol = ld.map_ls_to_lasso(prob, t, z)
+    assert ld.shrinkage_set_low(prob, t, sol.b).contains(z, tol=1e-14 * scale)
+    assert np.allclose(ld.shrinkage_singleton(prob, t, sol.b), z, rtol=1e-14, atol=0)
 
 
 def test_shrinkage_singleton_requires_active(corr2):

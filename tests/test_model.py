@@ -181,6 +181,11 @@ _MALFORMED = {
     ("gaussian_model", "length"): lambda: ld.gaussian_model(_P2, [0.2], 1.0),
     ("gaussian_model", "nan"): lambda: ld.gaussian_model(_P2, _NAN, 1.0),
     ("gaussian_model", "sigma-string"): lambda: ld.gaussian_model(_P2, [0, 0], "x"),
+    # sigma^2, X'X and X'X beta must be finite doubles, and sigma^2 nonzero
+    ("build_problem", "huge"): lambda: ld.build_problem([[1e151, 0.0], [0.0, 1.0]]),
+    ("gaussian_model", "huge-sigma"): lambda: ld.gaussian_model(_P2, [0, 0], 1e151),
+    ("gaussian_model", "tiny-sigma"): lambda: ld.gaussian_model(_P2, [0, 0], 1e-151),
+    ("gaussian_model", "huge-beta"): lambda: ld.gaussian_model(_P2, [1.7e308, 1.7e308], 1.0),
     ("fiber_equivalent", "beta"): lambda: ld.fiber_equivalent(_M2, _M3, _P2),
     ("tuning_vector", "nan"): lambda: ld.tuning_vector(_NAN),
     ("tuning_vector", "empty"): lambda: ld.tuning_vector([]),
@@ -336,8 +341,9 @@ _MALFORMED = {
     ("solve", "nan"): lambda: ld.solve(_P2, _NAN, _T2),
     ("solve", "huge"): lambda: ld.solve(_P2, [1e151, 0.5], _T2),
     ("solve_many", "huge"): lambda: ld.solve_many(_P2, [[1.0, 0.5], [-1e151, 0.0]], _T2),
+    # the largest legal sigma draws responses above MAX_MAGNITUDE
     ("prob_region_high", "huge-sigma"): lambda: ld.prob_region_high(
-        _P2, ld.gaussian_model(_P2, [0.0, 0.0], 1e200), _T2, ld.region_below([1.0, 2.0]), **_MC),
+        _P2, ld.gaussian_model(_P2, [0.0, 0.0], 1e150), _T2, ld.region_below([1.0, 2.0]), **_MC),
     ("solve", "max_iter-zero"): lambda: ld.solve(_P2, [1.0, 0.5], _T2, max_iter=0),
     ("solve", "max_iter-negative"): lambda: ld.solve(_P2, [1.0, 0.5], _T2, max_iter=-1),
     ("solve", "max_iter-fraction"): lambda: ld.solve(_P2, [1.0, 0.5], _T2, max_iter=2.5),

@@ -178,10 +178,10 @@ def test_describe_reports_unpenalized_index_at_plus_one(x2x3):
 
 def test_kernel_sign_cone(n1p2):
     # ker X = span{(2, -1)'}: a direction with h_1 >= 0 exists, with
-    # h_1 >= 0 and h_2 >= 0 jointly it does not
-    assert kernel_sign_cone_nonempty(n1p2, [0, 1], [0], [1.0])
-    assert not kernel_sign_cone_nonempty(n1p2, [0, 1], [0, 1], [1.0, 1.0])
-    assert not kernel_sign_cone_nonempty(n1p2, [], [], [])
+    # h_1 >= 0 and h_2 >= 0 jointly it does not, and none with both pinned
+    assert kernel_sign_cone_nonempty(n1p2, [1, 0])
+    assert not kernel_sign_cone_nonempty(n1p2, [1, 1])
+    assert not kernel_sign_cone_nonempty(n1p2, [2, 2])
 
 
 def _random_case(draw):
