@@ -10,15 +10,19 @@ Exit codes: 0 success, 2 input error, 3 numerical or dimensional limit,
 64 unknown subcommand.
 
 Each subcommand is declared once, in `_SUBCOMMANDS`: its usage line, its
-handler and its options in parser order. The top-level usage text is built
-from that table, a call builds the parser of its own subcommand only, and
-the options that take a comma list or grid spec are the ones whose value may
-start with "-". `main()` loads the envelope once, with its model built by
-`gaussian_model`, imports the subcommand's engine module, named in
-`lassodist._ENGINES`, and passes both to the handler with the parsed
-options, so a call compiles that engine alone. `solve`'s handler ignores
-its engine and calls this module's `solve`, which loads the solver on first
-use (PEP 562), so a replaced attribute is the one that runs.
+handler and its options in usage order, each with the `type`, `choices`,
+`default`, `required` or `action="append"` that `_parse` applies. The
+top-level usage text and each subcommand's `--help` are built from that
+table. A flag is spelled in full and takes its value as `--flag value` or
+`--flag=value`; the token after a flag is its value whatever it starts
+with, so `--z -0.5,1` needs no quoting. A malformed option is one `error:`
+line and exit 2, as a malformed envelope is. `main()` loads the envelope
+once, with its model built by `gaussian_model`, imports the subcommand's
+engine module, named in `lassodist._ENGINES`, and passes both to the
+handler with the parsed options, so a call compiles that engine alone.
+`solve`'s handler ignores its engine and calls this module's `solve`, which
+loads the solver on first use (PEP 562), so a replaced attribute is the one
+that runs.
 
 A handler returns its output as one string, except `simulate`'s JSON
 report, which returns the pieces of `_json.stream_json`: its sign-pattern
@@ -31,21 +35,25 @@ memory, which grows with a module's size, showed in the peak RSS of every
 call.
 
 `entry()`, the path of `python -m lassodist` and of the console script,
-freezes the garbage collector's tracked objects (`gc.freeze`) once `main()`
-has returned. The interpreter's final collections then skip the container
-objects that importing numpy made, about 35 ms of every call's exit; atexit
-handlers, stream flushes and module teardown still run. `main()` itself
-freezes nothing, so callers that run it in process keep a normal collector.
+runs the atexit handlers once `main()` has returned, flushes stdout and
+stderr and ends the process with `os._exit`. The interpreter's module
+teardown and final collections, which walk the objects that importing numpy
+made, do not run: the exit takes about 1.5 ms instead of about 5 ms with
+those objects frozen (`gc.freeze`) and 35 ms without. A broken pipe on stdout (`| head -c 1`)
+ends the call with exit 1 and nothing on stderr. `main()` itself ends
+nothing, so callers that run it in process, the tests and an in-process
+profile among them, keep a normal interpreter.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
+import atexit
 import json
+import os
 import sys
 from importlib import import_module
 from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -323,12 +331,7 @@ def _cmd_shrinkage_map(args, env, geometry) -> str:
 
 
 def _opt(flag, **kwargs):
-    return flag, False, kwargs
-
-
-def _list(flag, help, **kwargs):
-    """A comma list or grid spec, whose value may start with "-"."""
-    return flag, True, {"help": help, **kwargs}
+    return flag, kwargs
 
 
 def _tol(default):
@@ -336,44 +339,43 @@ def _tol(default):
 
 
 _INPUT = _opt("--input", required=True, help="problem envelope JSON file")
-_LAM = _list("--lam", "override lambda, comma-separated")
+_LAM = _opt("--lam", help="override lambda, comma-separated")
 _SAMPLING = (
     _opt("--method", choices=("quad", "mc"), default="quad"),
     _opt("--samples", type=int, default=100_000),
     _opt("--seed", type=int, default=0),
 )
 
-# subcommand -> (usage line, handler(args, envelope, engine), options in parser order)
+# subcommand -> (usage line, handler(args, envelope, engine), options in usage order)
 _SUBCOMMANDS = {
     "solve": ("weighted Lasso solution for a given y", _cmd_solve, (
-        _INPUT, _LAM, _tol(DEFAULT_TOL), _list("--y", "response vector, comma-separated"))),
+        _INPUT, _LAM, _tol(DEFAULT_TOL), _opt("--y", help="response vector, comma-separated"))),
     "structural-set": ("coordinates that some y can activate", _cmd_structural_set, (
         _INPUT, _LAM, _tol(LP_TOL))),
     "selectable": ("can a given model be the active set exactly", _cmd_selectable, (
-        _INPUT, _LAM, _tol(LP_TOL), _list("--model", "1-based indices, comma-separated"))),
+        _INPUT, _LAM, _tol(LP_TOL), _opt("--model", help="1-based indices, comma-separated"))),
     "check-unique": ("uniqueness of the solution for every y", _cmd_check_unique, (
         _INPUT, _LAM, _tol(LP_TOL))),
-    "general-position": ("columns-in-general-position test", _cmd_general_position, (
-        _opt("--input", required=True),)),
+    "general-position": ("columns-in-general-position test", _cmd_general_position, (_INPUT,)),
     "prob-zero": ("P(bhat = 0)", _cmd_prob_zero, (_INPUT, _LAM, *_SAMPLING)),
     "orthant-prob": ("probability of one sign-orthant event", _cmd_orthant_prob, (
         _INPUT, _LAM, *_SAMPLING,
-        _list("--signs", "orthant signs in {-1,0,1}, comma-separated", required=True),
-        _list("--z", "estimator-coordinate thresholds, comma-separated (default 0)"))),
+        _opt("--signs", help="orthant signs in {-1,0,1}, comma-separated", required=True),
+        _opt("--z", help="estimator-coordinate thresholds, comma-separated (default 0)"))),
     "cdf": ("joint distribution function of the error", _cmd_cdf, (
-        _INPUT, _LAM, _list("--z", "evaluation point, comma-separated", required=True),
+        _INPUT, _LAM, _opt("--z", help="evaluation point, comma-separated", required=True),
         _opt("--coords", choices=("error", "estimator"), default="error"))),
     "density-grid": ("CSV grid of the continuous-part density (p = 2)", _cmd_density_grid, (
         _INPUT, _LAM,
-        _list("--grid", "lo:hi:steps, once per axis (repeat for distinct axes)",
-              action="append"))),
+        _opt("--grid", help="lo:hi:steps, once per axis (repeat for distinct axes)",
+             action="append"))),
     "simulate": ("Monte-Carlo replicates and empirical summaries", _cmd_simulate, (
         _INPUT, _LAM, _tol(DEFAULT_TOL), _opt("--reps", type=int, default=100_000),
         _opt("--seed", type=int, default=0),
         _opt("--report", choices=("json", "csv"), default="json"))),
     "shrinkage-map": ("least-squares <-> Lasso correspondence", _cmd_shrinkage_map, (
-        _INPUT, _LAM, _list("--b", "Lasso solution, comma-separated"),
-        _list("--z", "least-squares point, comma-separated"))),
+        _INPUT, _LAM, _opt("--b", help="Lasso solution, comma-separated"),
+        _opt("--z", help="least-squares point, comma-separated"))),
 }
 
 _USAGE = (
@@ -383,21 +385,56 @@ _USAGE = (
 )
 
 
-def _join_negative_values(tokens, lists):
-    """Turn `--z -0.5,1` into `--z=-0.5,1` for each flag in `lists`, so
-    argparse accepts the value."""
-    out = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-        if tok in lists and nxt is not None and nxt.startswith("-"):
-            out.append(f"{tok}={nxt}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+def _metavar(flag, spec):
+    choices = spec.get("choices")
+    return f"{flag} {'{' + ','.join(choices) + '}' if choices else flag[2:].upper()}"
+
+
+def _help(name, options) -> str:
+    metavars = [_metavar(flag, spec) for flag, spec in options]
+    width = max(map(len, metavars)) + 2
+    usage, rows = [], []
+    for m, (_, spec) in zip(metavars, options):
+        usage.append(m if spec.get("required") else f"[{m}]")
+        default = "default" in spec and f"(default: {spec['default']})"
+        rows.append(f"  {m:<{width}}{' '.join(filter(None, (spec.get('help'), default)))}".rstrip())
+    return (f"usage: lassodist {name} {' '.join(usage)}\n\n{_SUBCOMMANDS[name][0]}\n\n"
+            "options:\n" + "".join(row + "\n" for row in rows))
+
+
+def _parse(name, options, tokens):
+    """The options of subcommand `name` in `tokens`, as attributes named
+    after their flags, or None once its help is written. A flag's value is
+    the text after "=" or else the next token, whatever it starts with."""
+    specs = dict(options)
+    values = {flag: spec.get("default") for flag, spec in options}
+    tokens = iter(tokens)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            sys.stdout.write(_help(name, options))
+            return None
+        flag, eq, value = tok.partition("=")
+        spec = specs.get(flag)
+        if spec is None:
+            raise InputError(f"unrecognized argument {tok!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise InputError(f"argument {flag}: expected a value")
+        kind = spec.get("type", str)
+        try:
+            value = kind(value)
+        except ValueError:
+            raise InputError(f"argument {flag}: invalid {kind.__name__} value {value!r}") from None
+        choices = spec.get("choices")
+        if choices and value not in choices:
+            raise InputError(f"argument {flag}: invalid choice {value!r} "
+                             f"(choose from {', '.join(choices)})")
+        values[flag] = (values[flag] or []) + [value] if spec.get("action") == "append" else value
+    missing = [flag for flag, spec in options if spec.get("required") and values[flag] is None]
+    if missing:
+        raise InputError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**{flag[2:]: value for flag, value in values.items()})
 
 
 def main(argv=None) -> int:
@@ -409,16 +446,11 @@ def main(argv=None) -> int:
         sys.stderr.write(_USAGE)
         return 64
     _, handler, options = _SUBCOMMANDS[argv[0]]
-    parser = argparse.ArgumentParser(prog=f"lassodist {argv[0]}")
-    for flag, _, kwargs in options:
-        parser.add_argument(flag, **kwargs)
-    lists = {flag for flag, is_list, _ in options if is_list}
     try:
-        args = parser.parse_args(_join_negative_values(argv[1:], lists))
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
-    engine = import_module(f".{_ENGINES[argv[0]]}", __package__)
-    try:
+        args = _parse(argv[0], options, argv[1:])
+        if args is None:
+            return 0
+        engine = import_module(f".{_ENGINES[argv[0]]}", __package__)
         out = handler(args, load_envelope(args.input), engine)
         # a handler returns its output, or pieces of it to write as they are made
         for text in [out] if isinstance(out, str) else _batches(out):
@@ -434,9 +466,18 @@ def main(argv=None) -> int:
 
 
 def entry():
-    code = main()
-    gc.freeze()  # see the module docstring
-    sys.exit(code)
+    # see the module docstring
+    try:
+        code = main()
+    except BrokenPipeError:
+        code = 1
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

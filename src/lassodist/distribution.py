@@ -465,7 +465,8 @@ def error_density(problem: DesignProblem, model: GaussianModel, tuning: TuningVe
     Nonzero only where every coordinate of z + beta has a strict sign d_j;
     there it equals |det X'X| times the Gaussian at X'X z + d*lam.
     Lower-dimensional parts carry no p-dimensional density and report 0.
-    Needs full column rank, at any p: nothing is integrated.
+    Needs full column rank, at any p: nothing is integrated. A |det X'X|
+    that overflows a double, or underflows to 0, raises NumericalError.
     """
     _check_dims(problem, tuning, model)
     _require_quad(problem, max_p=None)
@@ -473,7 +474,10 @@ def error_density(problem: DesignProblem, model: GaussianModel, tuning: TuningVe
     d = np.sign(z + model.beta)
     if np.any(d == 0.0):
         return 0.0
-    jac = abs(float(np.linalg.det(problem.gram)))
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        jac = abs(float(np.linalg.det(problem.gram)))
+    if not 0.0 < jac < math.inf:
+        raise NumericalError(f"|det X'X| = {jac:g} is not a positive finite double")
     return jac * _gaussian_pdf(model.sigma**2 * problem.gram, problem.gram @ z + d * tuning.lam)
 
 

@@ -354,6 +354,9 @@ def gaussian_model(problem: DesignProblem, beta, sigma: float) -> GaussianModel:
     if not (1.0 / MAX_MAGNITUDE <= sigma <= MAX_MAGNITUDE):
         raise InputError(
             f"sigma must be a positive real in [{1.0 / MAX_MAGNITUDE:g}, {MAX_MAGNITUDE:g}]")
+    # the largest diagonal entry of X'X bounds every entry, so sigma^2 X'X is finite
+    if not math.isfinite(sigma**2 * float(np.max(np.diag(problem.gram)))):
+        raise InputError("sigma is too large for the design: sigma^2 X'X overflows")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the error below
         mu = problem.X @ beta
         mean = problem.gram @ beta

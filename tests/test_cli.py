@@ -33,17 +33,19 @@ HUGE_SIGMA = str(FIXTURES / "huge_sigma.json")  # sigma = 1e160 on the 2 x 2 ide
 TINY_SIGMA = str(FIXTURES / "tiny_sigma.json")  # sigma = 1e-200
 HUGE_DESIGN = str(FIXTURES / "huge_design.json")  # entries 1e160: X'X overflows
 HUGE_MEAN = str(FIXTURES / "huge_mean.json")  # entries 1e150, beta (1e10, 1): X'X beta overflows
+# X'X's largest diagonal entry 1e300 and sigma = 1e150 are legal alone; sigma^2 X'X overflows
+HUGE_SIGMA_GRAM = str(FIXTURES / "huge_sigma_gram.json")
+
+
+def _source_env():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_python(*args):
     """A fresh interpreter on the source tree."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=_source_env())
 
 
 def run_cli(*args):
@@ -275,17 +277,17 @@ print(json.dumps(results))
 
 
 def _state_at_exit(*args):
-    """Run `python -m lassodist *args` in a fresh interpreter: (process, the
-    names in sys.modules at exit, gc.get_freeze_count() at exit)."""
+    """Run `python -m lassodist *args` in a fresh interpreter with an atexit
+    hook: (process, the names in sys.modules at exit, or None if the hook
+    did not run)."""
     code = """
-import atexit, gc, json, runpy, sys
-atexit.register(lambda: sys.stderr.write(
-    "\\n" + json.dumps([sorted(sys.modules), gc.get_freeze_count()]) + "\\n"))
+import atexit, json, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\n" + json.dumps(sorted(sys.modules)) + "\\n"))
 runpy.run_module("lassodist", run_name="__main__", alter_sys=True)
 """
     proc = run_python("-c", code, *args)
-    modules, frozen = json.loads(proc.stderr.splitlines()[-1])
-    return proc, set(modules), frozen
+    lines = proc.stderr.splitlines()
+    return proc, set(json.loads(lines[-1])) if lines and lines[-1].startswith("[") else None
 
 
 # a Genz block draws its lattice shifts from the standard library's random;
@@ -315,12 +317,13 @@ _MC_ABSENT = {"lassodist._genz", "numpy.random", "secrets"}
 ], ids=["check-unique", "orthant-prob.closed-form", "orthant-prob.genz", "cdf.genz", "simulate",
         "prob-zero.mc"])
 def test_call_loads_only_its_engine(args, golden, present, absent):
-    proc, loaded, _ = _state_at_exit(*args)
+    proc, loaded = _state_at_exit(*args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / golden).read_text()
     assert present <= loaded, present - loaded
-    # records are built by model._record, not by generated dataclass code
-    absent = absent | {"dataclasses"}
+    # records are built by model._record, not by generated dataclass code, and
+    # options are parsed from the CLI's table, not by argparse and its gettext
+    absent = absent | {"dataclasses", "argparse", "gettext", "locale"}
     assert not loaded & absent, loaded & absent
 
 
@@ -349,13 +352,36 @@ print(json.dumps([genz, "lassodist.distribution" in sys.modules, type(rp).__modu
     assert record_home == "lassodist.model" and n == 500
 
 
-def test_call_freezes_the_heap_before_teardown():
-    # the interpreter's final collections skip frozen objects; atexit
-    # handlers (this one included) and stdout are unaffected
-    proc, _, frozen = _state_at_exit("orthant-prob", "--input", CORR2, "--signs", "0,0")
-    assert proc.returncode == 0, proc.stderr
+def test_exit_runs_atexit_and_keeps_the_code(tmp_path):
+    # the call ends with os._exit: atexit handlers (the hook of _state_at_exit)
+    # still run, stdout is flushed and main()'s code is the exit status
+    proc, loaded = _state_at_exit("orthant-prob", "--input", CORR2, "--signs", "0,0")
+    assert proc.returncode == 0 and loaded, proc.stderr
     assert proc.stdout == (GOLDEN / "orthant_prob_corr2.json").read_text()
-    assert frozen > 0
+    big = tmp_path / "p5.json"
+    big.write_text(json.dumps({"X": np.eye(5).tolist(), "lambda": [1.0] * 5}))
+    for args, code in ((("solve", "--input", str(tmp_path / "nope.json")), 2),
+                       (("cdf", "--input", str(big), "--z", "0,0,0,0,0"), 3),
+                       (("no-such-command",), 64)):
+        proc, loaded = _state_at_exit(*args)
+        assert proc.returncode == code and loaded and proc.stdout == "", (args, proc.stderr)
+
+
+def test_broken_pipe_exits_1_without_a_traceback():
+    # 149 kB of report, more than a pipe holds: the call is still writing
+    # when the reader closes the pipe after one byte
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lassodist", "simulate", "--input", N12P10, "--reps", "4000",
+         "--seed", "7"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_source_env())
+    try:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
 
 
 def _spy(calls, fn):
@@ -504,8 +530,8 @@ def test_help_and_usage():
 
 
 def test_every_subcommand_builds_its_parser(capsys):
-    # a call builds only its own parser, so a bad option spec would show
-    # only when that one subcommand runs
+    # each subcommand's help is built from its own options, so a bad option
+    # spec would show only when that one subcommand runs
     from lassodist import cli
 
     for name in cli._SUBCOMMANDS:
@@ -593,7 +619,7 @@ def test_input_error_exit_codes(tmp_path):
         assert proc.returncode == 2, args
         assert proc.stderr == "error: seed must be a nonnegative integer\n", proc.stderr
 
-    # missing required argument trips argparse
+    # a missing required option is an input error
     assert run_cli("cdf", "--input", CORR2).returncode == 2
 
     # an empty --model is the empty model, not an error
@@ -637,6 +663,7 @@ def test_input_error_exit_codes(tmp_path):
             ("check-unique", "--input", HUGE_DESIGN),
             ("general-position", "--input", HUGE_DESIGN))),
         (("prob-zero", "--input", HUGE_MEAN), "beta is too large"),
+        (("prob-zero", "--input", HUGE_SIGMA_GRAM), "sigma is too large for the design"),
         (("density-grid", "--input", CORR2, "--grid", "0:1"), "must be lo:hi:steps"),
         (("density-grid", "--input", CORR2, "--grid", "0:x:3"), "bad grid spec"),
         (("density-grid", "--input", CORR2, "--grid", "1:0:3"), "needs hi >= lo"),
@@ -664,6 +691,13 @@ def test_limit_errors_exit_code_3(tmp_path):
 
     grid3 = run_cli("density-grid", "--input", str(big), "--grid", "0:1:2")
     assert grid3.returncode == 3
+
+    # each entry of X'X = diag(1e300, 1e300) is a double, its determinant is not
+    huge_det = tmp_path / "huge_det.json"
+    huge_det.write_text(json.dumps({"X": [[1e150, 0.0], [0.0, 1e150]], "lambda": [1.0, 1.0]}))
+    proc = run_cli("density-grid", "--input", str(huge_det), "--grid", "-1:1:2")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_signs_outside_minus_one_zero_one_rejected():
@@ -698,9 +732,40 @@ def test_perfbench_trace_sites_resolve():
         assert callable(getattr(importlib.import_module(modname), attr, None)), (modname, attr)
 
 
+def test_repeated_grid_flags_append(capsys):
+    from lassodist import cli
+
+    # two axes of 2 and 3 points
+    assert cli.main(["density-grid", "--input", CORR2, "--grid", "-1:1:2", "--grid=0:1:3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [tuple(map(float, r.split(",")[:2])) for r in rows] == [
+        (z1, z2) for z1 in (-1.0, 1.0) for z2 in (0.0, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("args,flag", [
+    (("solve", "--input", N1P2, "--bogus", "1"), "--bogus"),
+    # a flag is spelled in full
+    (("solve", "--inp", N1P2), "--inp"),
+    (("solve", "--input", N1P2, "--y"), "--y"),
+    (("simulate", "--input", N1P2, "--reps", "2.5"), "--reps"),
+    (("prob-zero", "--input", N1P2, "--method", "foo"), "--method"),
+    (("cdf", "--z", "0,0"), "--input"),
+], ids=["unknown", "prefix", "no-value", "int", "choice", "required"])
+def test_malformed_option_is_one_error_line(capsys, args, flag):
+    from lassodist import cli
+
+    assert cli.main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert flag in err
+
+
 def test_negative_flag_values_accepted():
+    # the token after a flag is its value, as is the text after "="
     proc = run_cli("orthant-prob", "--input", CORR2, "--signs", "-1,1", "--z", "-0.5,0.3")
     assert proc.returncode == 0, proc.stderr
+    joined = run_cli("orthant-prob", "--input", CORR2, "--signs=-1,1", "--z=-0.5,0.3")
+    assert (joined.returncode, joined.stdout, joined.stderr) == (0, proc.stdout, "")
     data = json.loads(proc.stdout)
     assert data["signs"] == [-1, 1]
     assert data["z"] == [-0.5, 0.3]

@@ -402,6 +402,14 @@ def test_error_density_needs_full_rank_at_any_p():
         ld.error_density(wide, ld.gaussian_model(wide, beta, 0.8), tuning, z)
 
 
+def test_error_density_rejects_a_determinant_past_double_range():
+    # each entry of X'X = diag(1e300, 1e300) is a double, its determinant is not
+    prob = ld.build_problem([[1e150, 0.0], [0.0, 1e150]])
+    with pytest.raises(NumericalError, match="det X'X"):
+        ld.error_density(prob, ld.gaussian_model(prob, [0, 0], 1.0), ld.tuning_vector([1, 1]),
+                         [0.5, 0.5])
+
+
 def test_error_density_rejects_non_finite_points(setup2):
     prob, model, tuning = setup2
     for bad in ([np.nan, 0.2], [0.3, np.inf], [-np.inf, -np.inf]):

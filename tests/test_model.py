@@ -186,6 +186,9 @@ _MALFORMED = {
     ("gaussian_model", "huge-sigma"): lambda: ld.gaussian_model(_P2, [0, 0], 1e151),
     ("gaussian_model", "tiny-sigma"): lambda: ld.gaussian_model(_P2, [0, 0], 1e-151),
     ("gaussian_model", "huge-beta"): lambda: ld.gaussian_model(_P2, [1.7e308, 1.7e308], 1.0),
+    # each legal alone, sigma^2 times X'X's largest diagonal entry 1e300 is not
+    ("gaussian_model", "huge-sigma-gram"): lambda: ld.gaussian_model(
+        ld.build_problem([[1e150, 0.5], [0.0, 0.9]]), [0, 0], 1e150),
     ("fiber_equivalent", "beta"): lambda: ld.fiber_equivalent(_M2, _M3, _P2),
     ("tuning_vector", "nan"): lambda: ld.tuning_vector(_NAN),
     ("tuning_vector", "empty"): lambda: ld.tuning_vector([]),
