@@ -36,9 +36,9 @@ def main(argv=None):
             for b in (-1, 0, 1):
                 d = ld.SignVector(d=(a, b))
                 quad = ld.orthant_mass(prob, model, tuning, d).estimate
-                mc = ld.orthant_mass(
-                    prob, model, tuning, d,
-                    method="mc", n_samples=args.reps, seed=args.seed + 1000 + k,
+                mc = ld.prob_region_high(
+                    prob, model, tuning, ld.region_orthant(d),
+                    n_samples=args.reps, seed=args.seed + 1000 + k,
                 )
                 se = max(mc.std_error, 1e-12)
                 zscore = abs(quad - mc.estimate) / se

@@ -41,7 +41,7 @@ _HOMES = {name: module for module, names in {
     "simulate": (
         "ComparisonReport", "EmpiricalSummary", "SimulationConfig",
         "compare_analytic_empirical", "estimate_nonuniqueness_probability", "prob_region_high",
-        "region_below", "region_support_includes", "run_simulation",
+        "region_below", "region_orthant", "region_support_includes", "run_simulation",
     ),
     "solver": (
         "KKTReport", "LassoSolution", "SolutionSetDescription", "describe_solution_set",
@@ -51,7 +51,7 @@ _HOMES = {name: module for module, names in {
 
 __all__ = sorted(_HOMES)
 
-# the engine module each CLI subcommand computes with: `python -m lassodist`
+# the engine module of each CLI subcommand (see _engine): `python -m lassodist`
 # imports it before cli.py compiles, and cli.main() passes it to the handler
 _ENGINES = {
     "solve": "solver",
@@ -66,6 +66,19 @@ _ENGINES = {
     "simulate": "simulate",
     "shrinkage-map": "geometry",
 }
+
+
+def _engine(argv):
+    """The engine of the CLI call argv (subcommand, options): `simulate` for
+    prob-zero's and orthant-prob's `--method mc`, else the table's. As in
+    cli._parse, a flag takes the text after "=" or else the next token."""
+    tokens, method = iter(argv[1:]), None
+    for tok in tokens:
+        flag, eq, value = tok.partition("=")
+        value = value if eq else next(tokens, None)
+        if flag == "--method":
+            method = value
+    return "simulate" if method == "mc" else _ENGINES[argv[0]]
 
 
 def _lazy(namespace, homes):

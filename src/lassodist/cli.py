@@ -17,9 +17,10 @@ table. A flag is spelled in full and takes its value as `--flag value` or
 `--flag=value`; the token after a flag is its value whatever it starts
 with, so `--z -0.5,1` needs no quoting. A malformed option is one `error:`
 line and exit 2, as a malformed envelope is. `main()` loads the envelope
-once, with its model built by `gaussian_model`, imports the subcommand's
-engine module, named in `lassodist._ENGINES`, and passes both to the
-handler with the parsed options, so a call compiles that engine alone.
+once, with its model built by `gaussian_model`, imports the call's engine
+module, named by `lassodist._engine` (the subcommand's in
+`lassodist._ENGINES`, or `simulate` for `--method mc`), and passes both to
+the handler with the parsed options, so a call compiles that engine alone.
 `solve`'s handler ignores its engine and calls this module's `solve`, which
 loads the solver on first use (PEP 562), so a replaced attribute is the one
 that runs.
@@ -57,7 +58,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import _ENGINES, _lazy
+from . import _engine, _lazy
 from ._json import _batches, render_json, stream_json
 from .errors import (
     CombinatorialLimitError,
@@ -216,25 +217,27 @@ def _cmd_general_position(args, env, geometry) -> str:
     return render_json({"general_position": geometry.general_position(env.problem)})
 
 
-def _cmd_prob_zero(args, env, distribution) -> str:
+def _cmd_prob_zero(args, env, engine) -> str:
     tuning = _need_lam(env, args.lam)
-    rp = distribution.prob_all_zero(
-        env.problem, env.model, tuning,
-        method=args.method, n_samples=args.samples, seed=args.seed,
-    )
+    if args.method == "mc":  # the engine is simulate
+        rp = engine.prob_region_high(env.problem, env.model, tuning, engine.region_orthant(
+            np.zeros(env.problem.p)), n_samples=args.samples, seed=args.seed)
+    else:
+        rp = engine.prob_all_zero(env.problem, env.model, tuning, seed=args.seed)
     return render_json(vars(rp))
 
 
-def _cmd_orthant_prob(args, env, distribution) -> str:
+def _cmd_orthant_prob(args, env, engine) -> str:
     tuning = _need_lam(env, args.lam)
     p = env.problem.p
     signs = _as_signs(_vector(args.signs, "--signs", p), "--signs")
     z = _vector(args.z, "--z", p) if args.z is not None else np.zeros(p)
-    event = distribution.estimator_orthant_event(env.model, z, signs)
-    rp = distribution.prob_orthant_event(
-        env.problem, env.model, tuning, event,
-        method=args.method, n_samples=args.samples, seed=args.seed,
-    )
+    if args.method == "mc":  # the engine is simulate
+        rp = engine.prob_region_high(env.problem, env.model, tuning, engine.region_orthant(
+            signs, z), n_samples=args.samples, seed=args.seed)
+    else:
+        event = engine.estimator_orthant_event(env.model, z, signs)
+        rp = engine.prob_orthant_event(env.problem, env.model, tuning, event, seed=args.seed)
     return render_json({"signs": signs.d, "z": z, **vars(rp)})
 
 
@@ -450,7 +453,7 @@ def main(argv=None) -> int:
         args = _parse(argv[0], options, argv[1:])
         if args is None:
             return 0
-        engine = import_module(f".{_ENGINES[argv[0]]}", __package__)
+        engine = import_module(f".{_engine(argv)}", __package__)
         out = handler(args, load_envelope(args.input), engine)
         # a handler returns its output, or pieces of it to write as they are made
         for text in [out] if isinstance(out, str) else _batches(out):

@@ -21,13 +21,13 @@ terms. These paths need full column rank, except P(bhat = 0): in the
 reduced-rank representation X'y is a Gaussian of rank rk(X), and the
 rectangle kernel takes a factor of any rank (after Genz & Kwong 2000).
 
-Imports: the module needs numpy alone, and no call loads scipy or
-numpy.random. The Genz kernel (`_genz`: the Korobov lattice, its shifts from
-the standard library's `random`, and numpy ports of Phi and Phi^-1) loads on
-the first QMC block, so closed-form and Monte-Carlo calls never compile it.
-The Monte-Carlo loop (`simulate.prob_region_high`), the solver and the
-replicate generator (`rng`) load only in the two method="mc" branches, so
-closed-form and Genz calls compile none of them.
+Imports: every result here is analytic, and the module needs numpy alone.
+It imports nothing of `simulate`, whose `prob_region_high` with an event's
+predicate (`region_orthant`, `region_below`) is the Monte-Carlo estimate,
+nor the solver or `rng`, and no call loads scipy or numpy.random. The Genz
+kernel (`_genz`: the Korobov lattice, its shifts from the standard
+library's `random`, and numpy ports of Phi and Phi^-1) loads on the first
+QMC block, so closed-form calls never compile it.
 
 Event-threshold convention: a threshold z_j = -beta_j on a D+- coordinate is
 accepted and yields the open event {bhat_j < 0} (resp. > 0); thresholds
@@ -45,9 +45,9 @@ import numpy as np
 
 from . import _lazy
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
-from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, RegionProbability
-from .model import SignVector, TuningVector, _as_int, _as_signs, _as_vector, _check_dims
-from .model import _check_seed, _check_tol, _check_zero_tol, _record
+from .model import DesignProblem, GaussianModel, RegionProbability, SignVector, TuningVector
+from .model import _as_int, _as_signs, _as_vector, _check_dims, _check_seed, _check_tol
+from .model import _EVENT_SIDE_TOL, _check_side, _check_zero_tol, _record
 
 # uncalled here, but read as attributes of this module: perfbench/tracing.py
 # wraps both and perfbench/worker.py calls solve_many. They load on first use
@@ -90,7 +90,6 @@ _GAUSS_LEGENDRE = tuple((1.0 + side * x, w) for x, w in (
     (0.5108670019508271, 0.1316886384491766), (0.3737060887154196, 0.1420961093183821),
     (0.2277858511416451, 0.1491729864726037), (0.07652652113349733, 0.1527533871307259),
 ) for side in (-1.0, 1.0))
-_EVENT_SIDE_TOL = 1e-9
 
 
 @_record
@@ -124,21 +123,6 @@ def estimator_orthant_event(model: GaussianModel, z, d=None) -> OrthantEvent:
             raise InputError(f"D0 coordinate {j} needs threshold 0, got {z[j]!r}")
         event.z[j] = -model.beta[j]
     return event
-
-
-def _validate_event(z, d: SignVector, model: GaussianModel):
-    """The event thresholds z as a vector, checked against the signs d and the model."""
-    z = _as_vector(z, d.p, "event thresholds")
-    # threshold positions relative to the orthant split, positive on the wrong side
-    signs, zb = d.as_array(), z + model.beta
-    wrong = np.flatnonzero(np.where(signs == 0, np.abs(zb), -signs * zb) > _EVENT_SIDE_TOL)
-    if wrong.size:
-        j = int(wrong[0])
-        raise InputError(
-            f"coordinate {j}: threshold z_j = {z[j]!r} lies on the wrong side of "
-            f"-beta_j = {-model.beta[j]!r} for d_j = {signs[j]} (D0 requires equality)"
-        )
-    return z
 
 
 def _gaussian_pdf(cov, x):
@@ -241,7 +225,7 @@ def _quadrature(estimate, bound, points, seed, quad_tol=0.0) -> RegionProbabilit
 def _require_quad(problem, max_p=QUAD_DIM_LIMIT):
     """Full column rank and p <= max_p (None: any p), else an error naming the
     Monte-Carlo paths."""
-    hint = "use method='mc' where offered, or prob_region_high or run_simulation"
+    hint = "use simulate.prob_region_high (region_orthant, region_below) or run_simulation"
     if problem.rank_x < problem.p:
         raise InputError(
             f"quadrature needs full column rank (the Gaussian on X'y is singular); {hint}"
@@ -255,42 +239,26 @@ def prob_orthant_event(
     model: GaussianModel,
     tuning: TuningVector,
     event: OrthantEvent,
-    method: str = "quad",
     *,
-    n_samples: int = 100_000,
     seed: int = 0,
     quad_tol: float = 1e-5,
-    zero_tol: float = ZERO_TOL,
-    solver_tol: float = DEFAULT_TOL,
 ) -> RegionProbability:
     """P(u_j <= z_j on D-, u_j >= z_j on D+, bhat_j = 0 on D0).
 
-    Quadrature reports the larger of quad_tol and its error bound (seven
-    standard errors of the QMC blocks plus the kernels' rounding terms); seed
-    also seeds the random lattice shifts. Genz blocks run as a 4096-point
-    pilot and rerun at 2^16 points when its bound exceeds half of quad_tol;
-    n_samples reports the points of the returned estimate, so quad_tol = 0
-    gives the 2^16-point result.
+    Reports the larger of quad_tol and the error bound (seven standard
+    errors of the QMC blocks plus the kernels' rounding terms); seed seeds
+    the random lattice shifts. Genz blocks run as a 4096-point pilot and
+    rerun at 2^16 points when its bound exceeds half of quad_tol; n_samples
+    reports the points of the returned estimate, so quad_tol = 0 gives the
+    2^16-point result.
     """
     d = _as_signs(event.d)
     _check_dims(problem, tuning, model, d)
-    z = _validate_event(event.z, d, model)
+    signs, z = d.as_array(), _as_vector(event.z, d.p, "event thresholds")
+    _check_side(signs, z, -model.beta)  # coordinate j's atom lies at -beta_j
     seed = _check_seed(seed)
-    _check_zero_tol(zero_tol)
     _check_zero_tol(quad_tol, "quad_tol")  # 0 reports the kernels' own bound
-
-    if method == "mc":
-        from .simulate import prob_region_high  # loads the solver, which closed forms never run
-
-        return prob_region_high(
-            problem, model, tuning, _event_indicator(z, d, model.beta, zero_tol),
-            n_samples=n_samples, seed=seed, solver_tol=solver_tol,
-        )
-    if method != "quad":
-        raise InputError("method must be 'quad' or 'mc'")
-
     _require_quad(problem)
-    signs = d.as_array()
     bounds = _orthant(signs, z)
     _, [(estimate, se, tol, points)] = _refine(
         lambda _, points: _pattern(problem, model, tuning, signs, *bounds, (seed, ()), points),
@@ -299,28 +267,12 @@ def prob_orthant_event(
     return _quadrature(estimate, _bound(se, tol), points, seed, quad_tol)
 
 
-def _event_indicator(z, d: SignVector, beta, zero_tol):
-    signs = d.as_array()
-    szb = signs * (z + beta)  # thresholds in estimator coordinates, signed
-
-    def indicator(B):
-        sb = signs * B
-        moving = (sb > zero_tol) & (sb >= szb)
-        return np.all(np.where(signs == 0, np.abs(B) <= zero_tol, moving), axis=1)
-
-    return indicator
-
-
 def prob_all_zero(
     problem: DesignProblem,
     model: GaussianModel,
     tuning: TuningVector,
-    method: str = "quad",
     *,
-    n_samples: int = 100_000,
     seed: int = 0,
-    zero_tol: float = ZERO_TOL,
-    solver_tol: float = DEFAULT_TOL,
 ) -> RegionProbability:
     """P(bhat = 0) = P(X'y inside the lambda-box), at any rank of X.
 
@@ -330,17 +282,6 @@ def prob_all_zero(
     """
     _check_dims(problem, tuning, model)
     seed = _check_seed(seed)
-    _check_zero_tol(zero_tol)
-    if method == "mc":
-        from .simulate import prob_region_high  # loads the solver, which closed forms never run
-
-        def all_zero(B, _tol=zero_tol):
-            return np.all(np.abs(B) <= _tol, axis=1)
-
-        return prob_region_high(problem, model, tuning, all_zero,
-                                n_samples=n_samples, seed=seed, solver_tol=solver_tol)
-    if method != "quad":
-        raise InputError("method must be 'quad' or 'mc'")
     mean = problem.gram @ model.beta
     estimate, se, tol, points = _rectangle(
         _factor(model.sigma**2 * problem.gram), -tuning.lam - mean, tuning.lam - mean, (seed, ())

@@ -244,7 +244,10 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
     only on the faces that pass both tests. Every face it skips misses
     col(X'), and every face it keeps gets the same LP in the same order as
     in the exhaustive scan, so the verdict, the reported face, its point and
-    the witness are those of the exhaustive scan.
+    the witness are those of the exhaustive scan. A meeting face without a
+    witness (no column of X_M depends on the others by the rank rule) meets
+    col(X') only through singular directions the rule drops from rk(X), and
+    is passed over.
     """
     _check_dims(problem, tuning)
     _check_tol(tol)
@@ -264,7 +267,10 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
     pairs = _meeting_pairs(problem, tuning, members, tol)
     for model in combinations(members, rank + 1):
         for signs, point in _meeting_faces(problem, tuning, model, tol, pairs):
-            witness = construct_nonuniqueness_witness(problem, tuning, model, point.v, z=point.z)
+            try:
+                witness = construct_nonuniqueness_witness(problem, tuning, model, point.v, point.z)
+            except NumericalError:
+                continue
             face = ViolatingFace(model=model, signs=tuple(signs), v=point.v)
             return UniquenessVerdict(unique=False, witness=witness, violating_face=face)
     return unique
@@ -276,8 +282,10 @@ def construct_nonuniqueness_witness(
     """Turn a face certificate v = X'z (|model| > rk X) into two solutions.
 
     If the face contains an unpenalized zero column the witness is immediate
-    (that coefficient is arbitrary). Otherwise some column of X_model depends
-    on the others; splitting the dependency across the two solutions keeps
+    (that coefficient is arbitrary). Otherwise some column j of X_model,
+    not zero by build_problem's rank rule at X's scale, depends on the
+    others: dropping it keeps the rank of X_model by that rule (else
+    NumericalError). Splitting the dependency across the two solutions keeps
     X b = X b_tilde and g = X'y - X'Xb = v, so both satisfy the first-order
     conditions at y = z + Xb while differing in coordinate j by 1/(2c).
     """
@@ -292,7 +300,6 @@ def construct_nonuniqueness_witness(
     z = _as_vector(z, problem.n, "z")
     if np.max(np.abs(X.T @ z - v)) > 1e-8 * (1.0 + np.max(np.abs(v))):
         raise InputError("v is not a row-space point (no z with X'z = v)")
-
     for j in model:
         if lam[j] == 0.0 and not np.any(X[:, j]):
             b = np.zeros(problem.p)
@@ -300,20 +307,22 @@ def construct_nonuniqueness_witness(
             b_tilde[j] = 1.0
             return NonuniquenessWitness(y=z.copy(), b=b, b_tilde=b_tilde)
 
-    col_scale = max(1.0, float(np.max(np.abs(X[:, model]))))
+    smax = float(np.linalg.norm(X, 2))  # the rank rule at X's scale
+
+    def rank(cols):
+        return _numerical_rank(np.linalg.svd(X[:, cols], compute_uv=False), X.shape, smax)
+
+    rank_model = rank(model)
     for j in model:
         others = [l for l in model if l != j]
         if not others:
             break
-        d = float(np.sign(v[j])) if lam[j] > 0 else 1.0
-        if d == 0.0:
-            d = 1.0
+        # X_j independent of the rest, or zero, so never on this face if penalized
+        if rank(others) < rank_model or rank([j]) == 0:
+            continue
+        d = float(np.sign(v[j])) if lam[j] > 0 and v[j] != 0.0 else 1.0
         coef, *_ = np.linalg.lstsq(X[:, others], d * X[:, j], rcond=None)
-        if np.max(np.abs(X[:, others] @ coef - d * X[:, j])) > 1e-8 * col_scale:
-            continue  # X_j independent of the rest; try the next index
         c = float(np.max(np.abs(coef)))
-        if c <= 1e-12:
-            continue  # zero column with lam_j > 0 cannot sit on this face
         b = np.zeros(problem.p)
         b[others] = np.sign(v[others])
         b[j] = d / (2.0 * c)

@@ -22,6 +22,9 @@ DEFAULT_TOL = 1e-10
 # default feasibility tolerance of the phase-1 simplex LPs
 LP_TOL = 1e-9
 
+# how far an orthant threshold may lie on the wrong side of its split (_check_side)
+_EVENT_SIDE_TOL = 1e-9
+
 # singular value sigma_k counts toward the rank iff sigma_k > max(n,p)*smax*RANK_RTOL
 RANK_RTOL = 1e-12
 
@@ -161,6 +164,18 @@ def _as_signs(d, name: str = "sign vector") -> SignVector:
     return SignVector(d=tuple(int(v) for v in d))
 
 
+def _check_side(signs, z, split):
+    """Raise InputError unless each orthant threshold z_j lies on the side of
+    split_j that the sign signs[j] names, and at split_j where it is 0, within
+    _EVENT_SIDE_TOL."""
+    zs = z - split
+    wrong = np.flatnonzero(np.where(signs == 0, np.abs(zs), -signs * zs) > _EVENT_SIDE_TOL)
+    if wrong.size:
+        j = int(wrong[0])
+        raise InputError(f"coordinate {j}: threshold z_j = {z[j]!r} lies on the wrong side of "
+                         f"{split[j]!r} for d_j = {signs[j]} (D0 requires equality)")
+
+
 def _as_indices(indices, p: int) -> tuple:
     """indices as a tuple of ints in order; an entry that is not an integer in
     0..p-1, or a repeat, raises InputError naming its position (entry 1, 2, ...)."""
@@ -176,9 +191,10 @@ def _as_indices(indices, p: int) -> tuple:
     return tuple(out)
 
 
-def _numerical_rank(s, shape) -> int:
-    """The rank of an n x p matrix with descending singular values s (RANK_RTOL)."""
-    smax = float(s[0]) if s.size else 0.0
+def _numerical_rank(s, shape, smax=None) -> int:
+    """The rank of an n x p matrix with descending singular values s (RANK_RTOL),
+    or of some of its columns with singular values s when smax is its largest."""
+    smax = (float(s[0]) if s.size else 0.0) if smax is None else smax
     return int(np.sum(s > max(shape) * smax * RANK_RTOL))
 
 

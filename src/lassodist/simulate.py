@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, RegionProbability
-from .model import SignVector, TuningVector, _as_int, _as_vector, _check_dims, _check_seed
-from .model import _check_tol, _check_zero_tol, _record
+from .model import SignVector, TuningVector, _as_int, _as_signs, _as_vector, _check_dims
+from .model import _check_seed, _check_side, _check_tol, _check_zero_tol, _record
 from .rng import gaussian_chunks
 from .solver import kernel_sign_cone_nonempty, solve_many
 from .solver import _passes, _uniqueness_classes
@@ -159,12 +159,33 @@ def region_below(z):
     return region
 
 
+def region_orthant(d, z=None, zero_tol: float = ZERO_TOL):
+    """Predicate factory: the event of distribution.estimator_orthant_event(model,
+    z, d), estimator thresholds z (default 0) on the orthant's side of 0 and 0
+    on D0: b_j > zero_tol and b_j >= z_j on D+, b_j < -zero_tol and b_j <= z_j
+    on D-, |b_j| <= zero_tol on D0. With every sign 0 it is {bhat = 0}."""
+    d = _as_signs(d)
+    signs, zero = d.as_array(), np.zeros(d.p)
+    z = zero if z is None else _as_vector(z, d.p, "z")
+    _check_zero_tol(zero_tol)
+    _check_side(signs, z, zero)
+    edge = signs * z
+
+    def region(B):
+        if B.shape[1] != signs.size:
+            raise ValueError(f"{signs.size} signs for {B.shape[1]} columns")
+        sb = signs * B
+        moving = (sb > zero_tol) & (sb >= edge)
+        return np.all(np.where(signs == 0, np.abs(B) <= zero_tol, moving), axis=1)
+
+    return region
+
+
 def prob_region_high(
     problem: DesignProblem,
     model: GaussianModel,
     tuning: TuningVector,
     region,
-    method: str = "mc",
     *,
     n_samples: int = 100_000,
     seed: int = 0,
@@ -174,17 +195,12 @@ def prob_region_high(
 
     region maps an (m, p) block of solutions to m truth values; it is tried
     on one row of zeros before any replicate is solved. Monte Carlo over the
-    solver: the method="mc" paths of distribution's prob_orthant_event and
-    prob_all_zero run it with their events' predicates. The estimate depends on the model only through mu = X beta,
-    so fiber-equivalent parameter vectors give bit-identical results at the
-    same seed.
+    solver, and the one Monte-Carlo path of the events distribution computes
+    (region_orthant, region_below). The estimate depends on the model only
+    through mu = X beta, so fiber-equivalent parameter vectors give
+    bit-identical results at the same seed.
     """
     _check_dims(problem, tuning, model)
-    if method != "mc":
-        raise InputError(
-            "prob_region_high is Monte Carlo only; prob_all_zero/prob_orthant_event "
-            "have the deterministic paths"
-        )
     try:
         shape = np.shape(region(np.zeros((1, problem.p))))
     except (IndexError, TypeError, ValueError) as exc:

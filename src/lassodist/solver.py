@@ -263,14 +263,16 @@ def _finish(problem, lam, C, B, todo, tol):
         for lo in range(0, group.size, step):
             i = group[lo:lo + step]
             A = np.nonzero(active[i])[1].reshape(i.size, k)
-            Bi = B[i]
-            bA = np.take_along_axis(Bi, A, axis=1)
+            rows = np.arange(i.size)[:, None]
+            bA = B[i[:, None], A]
+            lamA = lam[A]
             ok = np.zeros(i.size, dtype=bool)
             if k <= problem.rank_x:
                 s = np.sign(bA)
                 M = gram[A[:, :, None], A[:, None, :]]
-                cA = np.take_along_axis(C[i], A, axis=1)
-                rhs = cA - s * lam[A]
+                Ci = C[i]
+                cA = Ci[rows, A]
+                rhs = cA - s * lamA
                 try:
                     x = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
                     ok[:] = True
@@ -282,22 +284,21 @@ def _finish(problem, lam, C, B, todo, tol):
                     x = np.zeros_like(rhs)
                     x[ok] = np.linalg.solve(M[ok], rhs[ok, :, None])[:, :, 0]
                 b = np.zeros((i.size, p))
-                np.put_along_axis(b, A, x, axis=1)
-                r = _kkt_violation(C[i] - b @ gram, b, lam, 0.0).max(axis=1)
+                b[rows, A] = x
+                r = _kkt_violation(np.subtract(Ci, b @ gram, out=Ci), b, lam, 0.0).max(axis=1)
                 acc = ok & np.all(np.sign(x) == s, axis=1) & (r <= tol)
                 accepted[i], rf[i] = acc, np.where(ok, r, 0.0)
                 bA[acc] = x[acc]
                 move = np.flatnonzero(ok & ~acc)
                 if move.size:
-                    bA[move] = _step_to_solution(M[move], cA[move], lam[A[move]], bA[move],
+                    bA[move] = _step_to_solution(M[move], cA[move], lamA[move], bA[move],
                                                  x[move])
             stuck = np.flatnonzero(~ok)
             span = max(1, _FINISH_BYTES // (8 * k * max(k, n)))
             for lo_s in range(0, stuck.size, span):
                 j = stuck[lo_s:lo_s + span]
-                bA[j] = _null_step(Xt[A[j]], lam[A[j]], bA[j])
-            np.put_along_axis(Bi, A, bA, axis=1)
-            B[i] = Bi
+                bA[j] = _null_step(Xt[A[j]], lamA[j], bA[j])
+            B[i[:, None], A] = bA
     return accepted, rf
 
 

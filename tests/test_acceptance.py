@@ -53,7 +53,8 @@ def test_criterion_2_zero_atom_analytic_vs_monte_carlo():
     model = ld.gaussian_model(prob, [1.0, 0.0], 1.0)
     analytic = ld.prob_all_zero(prob, model, t)
     assert abs(analytic.estimate - 0.477250) <= 5e-6
-    mc = ld.prob_all_zero(prob, model, t, method="mc", n_samples=100_000, seed=101)
+    mc = ld.prob_region_high(prob, model, t, ld.region_orthant((0, 0)), n_samples=100_000,
+                             seed=101)
     report = ld.compare_analytic_empirical(analytic, mc)
     assert report.passed, f"discrepancy {report.discrepancy:.2e} > {report.tolerance:.2e}"
     dt = _budget(t0, 10.0, "criterion 2")
@@ -116,7 +117,8 @@ def test_criterion_6_quadrature_against_monte_carlo():
     tuning = ld.tuning_vector(LAM2)
 
     atom = ld.prob_all_zero(prob, model, tuning)
-    atom_mc = ld.prob_all_zero(prob, model, tuning, method="mc", n_samples=100_000, seed=111)
+    atom_mc = ld.prob_region_high(prob, model, tuning, ld.region_orthant((0, 0)),
+                                  n_samples=100_000, seed=111)
     assert abs(atom.estimate - atom_mc.estimate) <= 3.0 * atom_mc.std_error + 1e-3
 
     events = [
@@ -128,8 +130,8 @@ def test_criterion_6_quadrature_against_monte_carlo():
     for k, (d, z) in enumerate(events):
         ev = ld.error_orthant_event(z, d)
         quad = ld.prob_orthant_event(prob, model, tuning, ev)
-        mc = ld.prob_orthant_event(
-            prob, model, tuning, ev, method="mc", n_samples=100_000, seed=120 + k
+        mc = ld.prob_region_high(
+            prob, model, tuning, ld.region_orthant(d, z + BETA2), n_samples=100_000, seed=120 + k
         )
         assert abs(quad.estimate - mc.estimate) <= 3.0 * mc.std_error + 1e-3, (d, tuple(z))
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lassodist as ld
-from lassodist import _json, cli, simulate
+from lassodist import _engine, _json, cli, simulate
 from lassodist.cli import render_json
 from lassodist.errors import NumericalError
 
@@ -312,8 +312,8 @@ _MC_ABSENT = {"lassodist._genz", "numpy.random", "secrets"}
      _MC_ABSENT | {"lassodist.distribution", "lassodist.geometry"}),
     (("prob-zero", "--input", N1P2, "--method", "mc", "--samples", "8192", "--seed", "1"),
      "prob_zero_n1p2_mc.json",
-     {"lassodist.distribution", "lassodist.simulate", "lassodist.solver", "lassodist.rng"},
-     _MC_ABSENT | {"lassodist.geometry"}),
+     {"lassodist.simulate", "lassodist.solver", "lassodist.rng"},
+     _MC_ABSENT | {"lassodist.distribution", "lassodist.geometry"}),
 ], ids=["check-unique", "orthant-prob.closed-form", "orthant-prob.genz", "cdf.genz", "simulate",
         "prob-zero.mc"])
 def test_call_loads_only_its_engine(args, golden, present, absent):
@@ -698,6 +698,42 @@ def test_limit_errors_exit_code_3(tmp_path):
     proc = run_cli("density-grid", "--input", str(huge_det), "--grid", "-1:1:2")
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("options", [
+    ("--signs", "1"),
+    ("--signs", "1,0", "--z", "0.1,0,0"),
+    ("--signs", "1,0", "--z", "0.1,0.2"),  # D0 needs threshold 0
+    ("--signs", "1,-1", "--z", "-0.1,0"),  # D+ threshold below 0
+    ("--signs", "1,-1", "--z", "0.1,0.2"),  # D- threshold above 0
+    ("--signs", "1,0", "--z", "nan,0"),
+    ("--signs", "1,0", "--z", "inf,0"),
+    ("--signs", "0.5,0"),
+    ("--signs", "1,0", "--samples", "0"),
+    ("--signs", "1,0", "--seed", "-1"),
+], ids=lambda options: " ".join(options))
+def test_orthant_prob_mc_rejects_malformed_events(capsys, options):
+    # the Monte-Carlo path builds simulate.region_orthant, which keeps the
+    # rules of distribution.estimator_orthant_event
+    code = cli.main(["orthant-prob", "--input", CORR2, "--method", "mc", *options])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv,engine", [
+    (["prob-zero", "--input", "e.json"], "distribution"),
+    (["prob-zero", "--method", "quad"], "distribution"),
+    (["prob-zero", "--method", "mc"], "simulate"),
+    (["orthant-prob", "--method=mc"], "simulate"),
+    (["orthant-prob", "--method", "mc", "--method", "quad"], "distribution"),
+    # the token after a flag is its value, as cli._parse reads it
+    (["orthant-prob", "--lam", "--method", "--signs", "mc"], "distribution"),
+    (["simulate", "--reps", "10"], "simulate"),
+    (["check-unique", "--input", "e.json"], "geometry"),
+])
+def test_engine_follows_the_method(argv, engine):
+    assert _engine(argv) == engine
 
 
 def test_signs_outside_minus_one_zero_one_rejected():

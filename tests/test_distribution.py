@@ -107,7 +107,8 @@ def test_event_quad_vs_mc(setup2):
     prob, model, tuning = setup2
     ev = ld.error_orthant_event([-0.0, 0.25], (0, 0))
     quad = ld.prob_orthant_event(prob, model, tuning, ev)
-    mc = ld.prob_orthant_event(prob, model, tuning, ev, method="mc", n_samples=20_000, seed=3)
+    mc = ld.prob_region_high(prob, model, tuning, ld.region_orthant((0, 0)), n_samples=20_000,
+                             seed=3)
     assert mc.method == "monte-carlo" and mc.n_samples == 20_000
     assert abs(quad.estimate - mc.estimate) <= 3.0 * mc.std_error + 1e-3
 
@@ -139,10 +140,6 @@ def test_event_validation(setup2):
         ld.error_orthant_event([0.0], (0, 1))
     with pytest.raises(InputError):
         ld.prob_orthant_event(prob, model, tuning, ld.error_orthant_event([0.0], (0,)))
-    with pytest.raises(InputError):
-        ld.prob_orthant_event(
-            prob, model, tuning, ld.error_orthant_event([0.0, 0.25], (0, 0)), method="midpoint"
-        )
 
 
 def test_unpenalized_coordinate_has_no_atom(corr2):
@@ -268,7 +265,7 @@ def test_prob_all_zero_mc(n1p2):
     t = ld.uniform_tuning(2, 2.0)
     model = ld.gaussian_model(n1p2, [1.0, 0.0], 1.0)
     analytic = ld.prob_all_zero(n1p2, model, t)
-    mc = ld.prob_all_zero(n1p2, model, t, method="mc", n_samples=20_000, seed=5)
+    mc = ld.prob_region_high(n1p2, model, t, ld.region_orthant((0, 0)), n_samples=20_000, seed=5)
     assert abs(analytic.estimate - mc.estimate) <= 3.0 * mc.std_error + 1e-3
 
 
@@ -287,7 +284,8 @@ def test_prob_all_zero_intermediate_rank(x2x3):
         assert abs(r.estimate - want) <= r.quad_tol
         box = ld.mvn_box_probability(mean, x2x3.gram, -t.lam, t.lam, n_samples=_GENZ_POINTS, seed=3)
         assert box.estimate == r.estimate and box.quad_tol == r.quad_tol
-        mc = ld.prob_all_zero(x2x3, model, t, method="mc", n_samples=20_000, seed=2)
+        mc = ld.prob_region_high(x2x3, model, t, ld.region_orthant((0, 0, 0)), n_samples=20_000,
+                                 seed=2)
         assert abs(r.estimate - mc.estimate) <= 3.0 * mc.std_error + r.quad_tol
 
 
@@ -449,10 +447,9 @@ def test_fiber_invariance_bitwise(n1p2):
     t = ld.uniform_tuning(2, 2.0)
     m1 = ld.gaussian_model(n1p2, [1.0, 0.0], 1.0)
     m2 = ld.gaussian_model(n1p2, [0.0, 0.5], 1.0)
-    e1 = ld.estimator_orthant_event(m1, [0.0, 0.3], (0, 1))
-    e2 = ld.estimator_orthant_event(m2, [0.0, 0.3], (0, 1))
-    r1 = ld.prob_orthant_event(n1p2, m1, t, e1, method="mc", n_samples=8192, seed=9)
-    r2 = ld.prob_orthant_event(n1p2, m2, t, e2, method="mc", n_samples=8192, seed=9)
+    region = ld.region_orthant((0, 1), [0.0, 0.3])
+    r1 = ld.prob_region_high(n1p2, m1, t, region, n_samples=8192, seed=9)
+    r2 = ld.prob_region_high(n1p2, m2, t, region, n_samples=8192, seed=9)
     assert r1.estimate == r2.estimate
 
 
@@ -463,22 +460,20 @@ def test_region_predicates(n1p2):
         n1p2, model, t, ld.region_support_includes(0), n_samples=4096, seed=0
     )
     assert never.estimate == 0.0
-    with pytest.raises(InputError):
-        ld.prob_region_high(n1p2, model, t, ld.region_below([0.0, 0.0]), method="quad")
 
 
 def test_mc_probabilities_equal_prob_region_high(setup2, n1p2):
-    # method="mc" is prob_region_high with the event's predicate: the same
-    # record, field for field, at the same seed and solver tolerance
+    # region_orthant is the orthant event's hand-written predicate in estimator
+    # coordinates: the same record, field for field, at the same seed and
+    # solver tolerance, and with all-zero signs the predicate of bhat = 0
     zero_tol = 1e-9
     cases = (
-        (*setup2, ld.error_orthant_event([0.1, 0.25], (1, 0))),
+        (*setup2, (1, 0), [0.1, 0.0]),
         (n1p2, ld.gaussian_model(n1p2, [1.0, 0.0], 1.0), ld.uniform_tuning(2, 2.0),
-         ld.error_orthant_event([-1.0, 0.3], (0, 1))),
+         (0, 1), [0.0, 0.3]),
     )
-    for prob, model, tuning, event in cases:
-        signs = event.d.as_array()
-        edge = signs * (event.z + model.beta)
+    for prob, model, tuning, d, z in cases:
+        signs, edge = np.array(d), np.array(d) * np.array(z)
 
         def in_event(B):
             sb = signs * B
@@ -490,15 +485,44 @@ def test_mc_probabilities_equal_prob_region_high(setup2, n1p2):
 
         kwargs = dict(n_samples=10_000, seed=11, solver_tol=1e-9)
         pairs = (
-            (ld.prob_orthant_event(prob, model, tuning, event, method="mc",
-                                   zero_tol=zero_tol, **kwargs), in_event),
-            (ld.prob_all_zero(prob, model, tuning, method="mc", zero_tol=zero_tol, **kwargs),
-             all_zero),
+            (ld.region_orthant(d, z, zero_tol), in_event),
+            (ld.region_orthant((0, 0), zero_tol=zero_tol), all_zero),
         )
-        for got, region in pairs:
-            want = ld.prob_region_high(prob, model, tuning, region, **kwargs)
+        for region, hand_written in pairs:
+            got = ld.prob_region_high(prob, model, tuning, region, **kwargs)
+            want = ld.prob_region_high(prob, model, tuning, hand_written, **kwargs)
             assert 0.0 < want.estimate < 1.0
             assert vars(got) == vars(want)
+
+
+def test_region_orthant_all_zero_keeps_the_atom_hits(n1p2):
+    # the counts that prob_all_zero(method="mc") reported before the
+    # Monte-Carlo paths moved to prob_region_high
+    model, t = ld.gaussian_model(n1p2, [1.0, 0.0], 1.0), ld.uniform_tuning(2, 2.0)
+    all_zero = ld.region_orthant((0, 0))
+    r = ld.prob_region_high(n1p2, model, t, all_zero, n_samples=20_000, seed=5)
+    assert (r.estimate * 20_000, r.method, r.n_samples, r.seed) == (9502, "monte-carlo", 20_000, 5)
+    r = ld.prob_region_high(n1p2, model, t, ld.region_orthant((0, 0), zero_tol=1e-9),
+                            n_samples=10_000, seed=11, solver_tol=1e-9)
+    assert r.estimate * 10_000 == 4893
+
+
+@pytest.mark.parametrize("d,z,zero_tol", [
+    ((1, 0), [0.1, 0.0, 0.0], 1e-9),  # one threshold per sign
+    ((1, 0), [0.1], 1e-9),
+    ((1, 0), [0.1, 0.2], 1e-9),  # D0 needs threshold 0
+    ((1, -1), [-0.1, 0.0], 1e-9),  # D+ threshold below 0
+    ((1, -1), [0.1, 0.2], 1e-9),  # D- threshold above 0
+    ((1, 0), [math.nan, 0.0], 1e-9),
+    ((1, 0), [math.inf, 0.0], 1e-9),
+    ((0.5, 0), None, 1e-9),  # signs outside {-1, 0, 1}
+    ((1, 0), None, -1.0),
+    ((1, 0), None, math.nan),
+    ((1, 0), None, math.inf),
+])
+def test_region_orthant_rejects_what_estimator_orthant_event_rejects(d, z, zero_tol):
+    with pytest.raises(InputError):
+        ld.region_orthant(d, z, zero_tol)
 
 
 def test_mvn_box_exact_one_dimensional():
@@ -788,7 +812,8 @@ def test_negative_seed_raises_input_error(setup2):
         lambda: ld.prob_orthant_event(prob, model, tuning, event2, seed=-1),
         lambda: ld.prob_orthant_event(prob3, model3, tuning3, event3, seed=-1),
         lambda: ld.prob_all_zero(prob3, model3, tuning3, seed=-5),
-        lambda: ld.prob_all_zero(prob, model, tuning, method="mc", n_samples=10, seed=-1),
+        lambda: ld.prob_region_high(prob, model, tuning, ld.region_orthant((0, 0)), n_samples=10,
+                                    seed=-1),
         lambda: ld.mvn_box_probability(np.zeros(3), gram3, -np.ones(3), np.ones(3), seed=-1),
         lambda: ld.prob_region_high(prob, model, tuning, ld.region_below([0.0, 0.0]),
                                     n_samples=10, seed=-1),
@@ -995,7 +1020,7 @@ def test_full_support_mass_p6_matches_mc():
     prob, model, tuning, _, _ = _random_setup(6, 2, 1.5 * np.array(d))
     sv = ld.SignVector(d=d)
     quad = ld.orthant_mass(prob, model, tuning, sv)
-    mc = ld.orthant_mass(prob, model, tuning, sv, method="mc", n_samples=20_000, seed=4)
+    mc = ld.prob_region_high(prob, model, tuning, ld.region_orthant(d), n_samples=20_000, seed=4)
     assert quad.estimate > 0.1
     assert abs(quad.estimate - mc.estimate) <= 3.0 * mc.std_error + 1e-3
 

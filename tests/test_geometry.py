@@ -452,3 +452,21 @@ def test_face_scans_keep_their_lp_sequences(
     assert logs == [uniqueness, structural, selectable]
     got = sum(k * float(np.abs(z).sum()) for k, z in enumerate(points, 1))
     assert abs(got - fingerprint) <= 1e-12 * fingerprint
+
+
+def test_check_unique_on_badly_scaled_columns(capsys):
+    # the rank rule calls X rank 1 (sigma_2 = 2.19 against 3e12 RANK_RTOL):
+    # the face of columns 1 and 3 meets col(X'), and the witness builder
+    # judges dependence by the same rule, which calls column 3 zero beside
+    # column 1, instead of exiting 3 with "no dependent column found"
+    from lassodist import cli
+
+    path = FIXTURES / "scaled_2x3.json"
+    assert cli.main(["check-unique", "--input", str(path)]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    if not verdict["unique"]:
+        env = json.loads(path.read_text())
+        prob, t = ld.build_problem(env["X"]), ld.tuning_vector(env["lambda"])
+        w = verdict["witness"]
+        assert ld.is_solution(prob, w["y"], t, w["b"]).ok
+        assert ld.is_solution(prob, w["y"], t, w["b_tilde"]).ok

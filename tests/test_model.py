@@ -104,20 +104,11 @@ def test_sign_partition_thresholds():
 
 
 def test_zero_tol_must_be_finite_and_nonnegative(corr2):
-    model = ld.gaussian_model(corr2, [0.2, -0.1], 1.0)
     tuning = ld.uniform_tuning(2, 0.5)
-    event = ld.error_orthant_event([-0.2, 0.1], (0, 0))
     y, b = [0.9, -0.4], [0.3, 0.0]
-    mc = {"method": "mc", "n_samples": 16}
     calls = {
         "sign_partition": lambda tol: ld.sign_partition(b, tol),
-        "prob_orthant_event": lambda tol: ld.prob_orthant_event(
-            corr2, model, tuning, event, zero_tol=tol),
-        "prob_orthant_event.mc": lambda tol: ld.prob_orthant_event(
-            corr2, model, tuning, event, zero_tol=tol, **mc),
-        "prob_all_zero": lambda tol: ld.prob_all_zero(corr2, model, tuning, zero_tol=tol),
-        "prob_all_zero.mc": lambda tol: ld.prob_all_zero(
-            corr2, model, tuning, zero_tol=tol, **mc),
+        "region_orthant": lambda tol: ld.region_orthant((0, 0), zero_tol=tol),
         "region_support_includes": lambda tol: ld.region_support_includes(0, tol),
         "is_solution": lambda tol: ld.is_solution(corr2, y, tuning, b, zero_tol=tol),
         "describe_solution_set": lambda tol: ld.describe_solution_set(
@@ -215,11 +206,6 @@ _MALFORMED = {
         _P2, _M2, _T2, ld.OrthantEvent(z=np.array([0.1, 0.2]), d=(0.5, 1))),
     ("prob_all_zero", "tuning"): lambda: ld.prob_all_zero(_P2, _M2, _T1),
     ("prob_all_zero", "beta"): lambda: ld.prob_all_zero(_P2, _M3, _T2),
-    ("prob_all_zero", "n_samples-fraction"): lambda: ld.prob_all_zero(
-        _P2, _M2, _T2, method="mc", n_samples=2.5, seed=1),
-    ("prob_all_zero", "n_samples-string"): lambda: ld.prob_all_zero(
-        _P2, _M2, _T2, method="mc", n_samples="10", seed=1),
-    ("prob_all_zero", "method"): lambda: ld.prob_all_zero(_P2, _M2, _T2, method="x"),
     ("orthant_mass", "tuning"): lambda: ld.orthant_mass(_P2, _M2, _T1, (0, 0)),
     ("orthant_mass", "beta"): lambda: ld.orthant_mass(_P2, _M3, _T2, (0, 0)),
     ("orthant_mass", "signs-length"): lambda: ld.orthant_mass(_P2, _M2, _T2, _D3),
@@ -274,6 +260,12 @@ _MALFORMED = {
         _P2, _M2, _T2, ld.region_below([1.0]), **_MC),
     ("prob_region_high", "region-shape"): lambda: ld.prob_region_high(
         _P2, _M2, _T2, lambda B: B > 0.0, **_MC),
+    ("prob_region_high", "n_samples-fraction"): lambda: ld.prob_region_high(
+        _P2, _M2, _T2, ld.region_orthant((0, 0)), n_samples=2.5, seed=1),
+    ("prob_region_high", "n_samples-string"): lambda: ld.prob_region_high(
+        _P2, _M2, _T2, ld.region_orthant((0, 0)), n_samples="10", seed=1),
+    ("prob_region_high", "region_orthant-signs-length"): lambda: ld.prob_region_high(
+        _P2, _M2, _T2, ld.region_orthant((0, 0, 0)), **_MC),
     ("region_below", "nan"): lambda: ld.region_below(_NAN),
     ("region_support_includes", "index-negative"): lambda: ld.region_support_includes(-1),
     ("region_support_includes", "index-fraction"): lambda: ld.region_support_includes(0.5),

@@ -202,12 +202,9 @@ def test_monte_carlo_raises_on_an_unconverged_replicate(monkeypatch, solve_many)
     prob = ld.build_problem(env["X"])
     model = ld.gaussian_model(prob, env["beta"], env["sigma"])
     t = ld.tuning_vector(env["lambda"])
-    event = ld.error_orthant_event(-model.beta, (0, 0, 0))
     n = 2000
     calls = {
         "run_simulation": lambda: ld.run_simulation(prob, model, t, ld.SimulationConfig(n_rep=n)),
-        "prob_orthant_event": lambda: ld.prob_orthant_event(
-            prob, model, t, event, method="mc", n_samples=n),
         "prob_region_high": lambda: ld.prob_region_high(
             prob, model, t, ld.region_support_includes(0), n_samples=n),
     }
@@ -236,15 +233,16 @@ def test_blocks_match_chunk_by_chunk_solves(monkeypatch, n_rep):
 
     cfg = ld.SimulationConfig(n_rep=n_rep, seed=11)
     summary = ld.run_simulation(prob, model, t, cfg)
-    zero = ld.prob_all_zero(prob, model, t, method="mc", n_samples=n_rep, seed=11)
+    all_zero = ld.region_orthant((0, 0, 0))
+    zero = ld.prob_region_high(prob, model, t, all_zero, n_samples=n_rep, seed=11)
     monkeypatch.setattr(simulate, "_BLOCK_CHUNKS", 1)
     by_chunk = ld.run_simulation(prob, model, t, cfg)
     assert summary.sign_pattern_freq == by_chunk.sign_pattern_freq
     assert summary.support_freq == by_chunk.support_freq
     assert summary.ecdf_grid == by_chunk.ecdf_grid
     assert summary.nonunique_count == by_chunk.nonunique_count
-    assert zero.estimate == ld.prob_all_zero(
-        prob, model, t, method="mc", n_samples=n_rep, seed=11).estimate
+    assert zero.estimate == ld.prob_region_high(
+        prob, model, t, all_zero, n_samples=n_rep, seed=11).estimate
 
 
 def test_cone_verdicts_are_kept_across_blocks(monkeypatch):
