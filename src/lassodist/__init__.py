@@ -68,17 +68,9 @@ _ENGINES = {
 }
 
 
-def _engine(argv):
-    """The engine of the CLI call argv (subcommand, options): `simulate` for
-    prob-zero's and orthant-prob's `--method mc`, else the table's. As in
-    cli._parse, a flag takes the text after "=" or else the next token."""
-    tokens, method = iter(argv[1:]), None
-    for tok in tokens:
-        flag, eq, value = tok.partition("=")
-        value = value if eq else next(tokens, None)
-        if flag == "--method":
-            method = value
-    return "simulate" if method == "mc" else _ENGINES[argv[0]]
+def _engine(name, method=None):
+    """The engine module of subcommand `name`: simulate for `--method mc`."""
+    return "simulate" if method == "mc" else _ENGINES[name]
 
 
 def _lazy(namespace, homes):

@@ -453,7 +453,7 @@ def main(argv=None) -> int:
         args = _parse(argv[0], options, argv[1:])
         if args is None:
             return 0
-        engine = import_module(f".{_engine(argv)}", __package__)
+        engine = import_module(f".{_engine(argv[0], getattr(args, 'method', None))}", __package__)
         out = handler(args, load_envelope(args.input), engine)
         # a handler returns its output, or pieces of it to write as they are made
         for text in [out] if isinstance(out, str) else _batches(out):

@@ -227,6 +227,16 @@ class UniquenessVerdict:
     violating_face: ViolatingFace | None
 
 
+def _dependence_rank(X):
+    """rank(cols): the rank rule on columns cols of X with unit-norm columns
+    (zero ones stay zero), at its whole scale, so no subset outranks X."""
+    norms = np.linalg.norm(X, axis=0)
+    unit = X / np.where(norms > 0.0, norms, 1.0)
+    smax = float(np.linalg.norm(unit, 2))
+    return lambda cols: _numerical_rank(
+        np.linalg.svd(unit[:, list(cols)], compute_uv=False), X.shape, smax)
+
+
 def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = LP_TOL) -> UniquenessVerdict:
     """Is the Lasso solution unique for every response y?
 
@@ -244,10 +254,11 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
     only on the faces that pass both tests. Every face it skips misses
     col(X'), and every face it keeps gets the same LP in the same order as
     in the exhaustive scan, so the verdict, the reported face, its point and
-    the witness are those of the exhaustive scan. A meeting face without a
-    witness (no column of X_M depends on the others by the rank rule) meets
-    col(X') only through singular directions the rule drops from rk(X), and
-    is passed over.
+    the witness are those of the exhaustive scan.
+
+    rk(X) is _dependence_rank's, the rule by which the witness builder finds
+    a dependent column: unlike build_problem's rank at X's scale, it does not
+    change when X_j and lam_j are rescaled together, nor does the verdict.
     """
     _check_dims(problem, tuning)
     _check_tol(tol)
@@ -257,7 +268,7 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
             "simulate.estimate_nonuniqueness_probability() estimates the chance of a "
             "non-unique solution by Monte Carlo"
         )
-    rank = problem.rank_x
+    rank = _dependence_rank(problem.X)(range(problem.p))
     unique = UniquenessVerdict(unique=True, witness=None, violating_face=None)
     if rank >= problem.p:
         return unique
@@ -267,10 +278,7 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
     pairs = _meeting_pairs(problem, tuning, members, tol)
     for model in combinations(members, rank + 1):
         for signs, point in _meeting_faces(problem, tuning, model, tol, pairs):
-            try:
-                witness = construct_nonuniqueness_witness(problem, tuning, model, point.v, point.z)
-            except NumericalError:
-                continue
+            witness = construct_nonuniqueness_witness(problem, tuning, model, point.v, point.z)
             face = ViolatingFace(model=model, signs=tuple(signs), v=point.v)
             return UniquenessVerdict(unique=False, witness=witness, violating_face=face)
     return unique
@@ -282,9 +290,9 @@ def construct_nonuniqueness_witness(
     """Turn a face certificate v = X'z (|model| > rk X) into two solutions.
 
     If the face contains an unpenalized zero column the witness is immediate
-    (that coefficient is arbitrary). Otherwise some column j of X_model,
-    not zero by build_problem's rank rule at X's scale, depends on the
-    others: dropping it keeps the rank of X_model by that rule (else
+    (that coefficient is arbitrary). Otherwise some nonzero column j of
+    X_model depends on the others: dropping it keeps the rank of X_model by
+    _dependence_rank, the rank rule of rk X and of check_uniqueness (else
     NumericalError). Splitting the dependency across the two solutions keeps
     X b = X b_tilde and g = X'y - X'Xb = v, so both satisfy the first-order
     conditions at y = z + Xb while differing in coordinate j by 1/(2c).
@@ -292,9 +300,9 @@ def construct_nonuniqueness_witness(
     model = sorted(_as_indices(model, problem.p))
     _check_dims(problem, tuning)
     v = _as_vector(v, problem.p, "v")
-    if len(model) <= problem.rank_x:
+    X, lam, rank = problem.X, tuning.lam, _dependence_rank(problem.X)
+    if len(model) <= rank(range(problem.p)):
         raise InputError("witness construction needs |model| > rank(X)")
-    X, lam = problem.X, tuning.lam
     if z is None:
         z, *_ = np.linalg.lstsq(X.T, v, rcond=None)
     z = _as_vector(z, problem.n, "z")
@@ -307,18 +315,13 @@ def construct_nonuniqueness_witness(
             b_tilde[j] = 1.0
             return NonuniquenessWitness(y=z.copy(), b=b, b_tilde=b_tilde)
 
-    smax = float(np.linalg.norm(X, 2))  # the rank rule at X's scale
-
-    def rank(cols):
-        return _numerical_rank(np.linalg.svd(X[:, cols], compute_uv=False), X.shape, smax)
-
     rank_model = rank(model)
     for j in model:
         others = [l for l in model if l != j]
         if not others:
             break
-        # X_j independent of the rest, or zero, so never on this face if penalized
-        if rank(others) < rank_model or rank([j]) == 0:
+        # X_j zero, so never on this face if penalized, or independent of the rest
+        if not np.any(X[:, j]) or rank(others) < rank_model:
             continue
         d = float(np.sign(v[j])) if lam[j] > 0 and v[j] != 0.0 else 1.0
         coef, *_ = np.linalg.lstsq(X[:, others], d * X[:, j], rcond=None)

@@ -165,9 +165,8 @@ def _as_signs(d, name: str = "sign vector") -> SignVector:
 
 
 def _check_side(signs, z, split):
-    """Raise InputError unless each orthant threshold z_j lies on the side of
-    split_j that the sign signs[j] names, and at split_j where it is 0, within
-    _EVENT_SIDE_TOL."""
+    """InputError unless each threshold z_j lies on the side of split_j that
+    signs[j] names, or at split_j where it is 0, within _EVENT_SIDE_TOL."""
     zs = z - split
     wrong = np.flatnonzero(np.where(signs == 0, np.abs(zs), -signs * zs) > _EVENT_SIDE_TOL)
     if wrong.size:

@@ -160,10 +160,10 @@ def region_below(z):
 
 
 def region_orthant(d, z=None, zero_tol: float = ZERO_TOL):
-    """Predicate factory: the event of distribution.estimator_orthant_event(model,
-    z, d), estimator thresholds z (default 0) on the orthant's side of 0 and 0
-    on D0: b_j > zero_tol and b_j >= z_j on D+, b_j < -zero_tol and b_j <= z_j
-    on D-, |b_j| <= zero_tol on D0. With every sign 0 it is {bhat = 0}."""
+    """Predicate factory: distribution.estimator_orthant_event(model, z, d) at
+    estimator thresholds z (default 0; on d's side of 0, and 0 on D0), b_j >
+    zero_tol and b_j >= z_j on D+, b_j < -zero_tol and b_j <= z_j on D-,
+    |b_j| <= zero_tol on D0. With every sign 0 it is {bhat = 0}."""
     d = _as_signs(d)
     signs, zero = d.as_array(), np.zeros(d.p)
     z = zero if z is None else _as_vector(z, d.p, "z")

@@ -327,6 +327,18 @@ def test_call_loads_only_its_engine(args, golden, present, absent):
     assert not loaded & absent, loaded & absent
 
 
+def test_main_module_reads_the_method_as_the_parser_does(capsys):
+    # __main__ scans the raw arguments for --method before cli.py compiles;
+    # "--method=mc" names the Monte-Carlo engine as "--method mc" does
+    args = ("orthant-prob", "--input", CORR3, "--signs", "1,0,-1", "--method=mc",
+            "--samples", "8192", "--seed", "1")
+    proc, loaded = _state_at_exit(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(list(args)) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert "lassodist.simulate" in loaded and "lassodist.distribution" not in loaded
+
+
 def test_engine_imports_are_acyclic():
     # the Genz kernel imports nothing of the package, and the Monte-Carlo
     # engine runs without the distribution module it serves
@@ -721,19 +733,15 @@ def test_orthant_prob_mc_rejects_malformed_events(capsys, options):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("argv,engine", [
-    (["prob-zero", "--input", "e.json"], "distribution"),
-    (["prob-zero", "--method", "quad"], "distribution"),
-    (["prob-zero", "--method", "mc"], "simulate"),
-    (["orthant-prob", "--method=mc"], "simulate"),
-    (["orthant-prob", "--method", "mc", "--method", "quad"], "distribution"),
-    # the token after a flag is its value, as cli._parse reads it
-    (["orthant-prob", "--lam", "--method", "--signs", "mc"], "distribution"),
-    (["simulate", "--reps", "10"], "simulate"),
-    (["check-unique", "--input", "e.json"], "geometry"),
+@pytest.mark.parametrize("name,method,engine", [
+    ("prob-zero", "quad", "distribution"),
+    ("prob-zero", "mc", "simulate"),
+    ("orthant-prob", "mc", "simulate"),
+    ("simulate", None, "simulate"),
+    ("check-unique", None, "geometry"),
 ])
-def test_engine_follows_the_method(argv, engine):
-    assert _engine(argv) == engine
+def test_engine_follows_the_method(name, method, engine):
+    assert _engine(name, method) == engine
 
 
 def test_signs_outside_minus_one_zero_one_rejected():

@@ -455,18 +455,45 @@ def test_face_scans_keep_their_lp_sequences(
 
 
 def test_check_unique_on_badly_scaled_columns(capsys):
-    # the rank rule calls X rank 1 (sigma_2 = 2.19 against 3e12 RANK_RTOL):
-    # the face of columns 1 and 3 meets col(X'), and the witness builder
-    # judges dependence by the same rule, which calls column 3 zero beside
-    # column 1, instead of exiting 3 with "no dependent column found"
+    # build_problem's rank rule at X's scale calls X rank 1 (sigma_2 = 2.19
+    # against 3e12 RANK_RTOL), but the three columns span R^2: the scan takes
+    # rk(X) = 2 from the unit-norm columns, and the one face of |M| = 3 misses
+    # col(X'), where the scan at rank 1 met faces of independent columns
     from lassodist import cli
 
-    path = FIXTURES / "scaled_2x3.json"
-    assert cli.main(["check-unique", "--input", str(path)]) == 0
-    verdict = json.loads(capsys.readouterr().out)
-    if not verdict["unique"]:
-        env = json.loads(path.read_text())
-        prob, t = ld.build_problem(env["X"]), ld.tuning_vector(env["lambda"])
-        w = verdict["witness"]
-        assert ld.is_solution(prob, w["y"], t, w["b"]).ok
-        assert ld.is_solution(prob, w["y"], t, w["b_tilde"]).ok
+    assert cli.main(["check-unique", "--input", str(FIXTURES / "scaled_2x3.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["unique"] is True
+
+
+_X_SCALED = np.array([[1e12, 0.5, 1.0], [0.0, 0.9, 2.0]])
+
+
+@pytest.mark.parametrize("X,lam,face", [
+    # columns 2 and 3 are equal, and each is zero by the rank rule at X's scale
+    ([[1e12, 0.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 1.0, 1.0], ((0, 1, 2), (1, 1, 1))),
+    # lam = |X'z| at z = (1e-12, 1) puts v = X'z on the face of all three columns
+    (_X_SCALED, np.abs(_X_SCALED.T @ [1e-12, 1.0]), ((0, 1, 2), (1, 1, 1))),
+], ids=["equal-small-columns", "planted-full-face"])
+def test_badly_scaled_columns_give_a_witness(X, lam, face):
+    prob, t = ld.build_problem(X), ld.tuning_vector(lam)
+    assert prob.rank_x == 1
+    verdict = ld.check_uniqueness(prob, t)
+    assert not verdict.unique
+    assert (verdict.violating_face.model, verdict.violating_face.signs) == face
+    w = verdict.witness
+    assert ld.is_solution(prob, w.y, t, w.b).ok and ld.is_solution(prob, w.y, t, w.b_tilde).ok
+    assert np.max(np.abs(w.b - w.b_tilde)) > 1e-6
+
+
+@pytest.mark.parametrize("X,lam", [
+    ([[1e12, 0.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 1.0, 1.0]),
+    (_X_SCALED, [1.0, 1.0, 1.0]),
+    (_X_SCALED, np.abs(_X_SCALED.T @ [1e-12, 1.0])),
+    ([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]], [1.0, 1.0, 1.0]),
+])
+def test_verdict_ignores_column_units(X, lam):
+    # (X D, D lam) has the Lasso solutions of (X, lam) rescaled by D^-1
+    X, lam, D = np.asarray(X, float), np.asarray(lam, float), np.array([1e-6, 3.0, 1e4])
+    verdict = ld.check_uniqueness(ld.build_problem(X), ld.tuning_vector(lam))
+    rescaled = ld.check_uniqueness(ld.build_problem(X * D), ld.tuning_vector(lam * D))
+    assert rescaled.unique == verdict.unique
