@@ -20,8 +20,8 @@ import numpy as np
 from . import _lazy
 from .errors import CombinatorialLimitError, InputError, NumericalError
 from .model import DEFAULT_TOL, LP_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_indices
-from .model import _as_signs, _as_vector, _check_dims, _check_tol, _numerical_rank, _record
-from .model import sign_partition
+from .model import _as_signs, _as_vector, _check_dims, _check_tol, _column_rank, _numerical_rank
+from .model import _record, sign_partition
 from .simplex import feasible_point
 
 if TYPE_CHECKING:
@@ -128,21 +128,21 @@ def face_intersects_row_space(problem: DesignProblem, face: FaceBox, tol: float 
 
     LP feasibility in z: (X'z)_j pinned on the face's model, boxed elsewhere.
     Boundary-touching points count as intersecting (the face is closed).
+    The LP runs on U = X / d against lam / d, the same face in units of each
+    column, and its z gives v = X'z.
     """
     if face.lam.shape[0] != problem.p:
         raise InputError("face does not match the design dimension")
     _check_tol(tol)
-    X = problem.X
+    U, lam = problem.unit, face.lam / problem.scale
     fixed = face.fixed_sign != 0
-    a_eq = X[:, fixed].T
-    b_eq = (face.fixed_sign[fixed] * face.lam[fixed]).astype(float)
-    free_cols = X[:, ~fixed].T
-    a_ub = np.vstack([free_cols, -free_cols])
-    b_ub = np.concatenate([face.lam[~fixed], face.lam[~fixed]])
-    z = feasible_point(a_eq, b_eq, a_ub, b_ub, n_free=problem.n, tol=tol)
+    free_cols = U[:, ~fixed].T
+    a_ub, b_ub = np.vstack([free_cols, -free_cols]), np.tile(lam[~fixed], 2)
+    z = feasible_point(U[:, fixed].T, face.fixed_sign[fixed] * lam[fixed], a_ub, b_ub,
+                       n_free=problem.n, tol=tol)
     if z is None:
         return None
-    return RowSpacePoint(v=X.T @ z, z=z)
+    return RowSpacePoint(v=problem.X.T @ z, z=z)
 
 
 def _meeting_faces(problem, tuning, model, tol, pairs=None):
@@ -227,16 +227,6 @@ class UniquenessVerdict:
     violating_face: ViolatingFace | None
 
 
-def _dependence_rank(X):
-    """rank(cols): the rank rule on columns cols of X with unit-norm columns
-    (zero ones stay zero), at its whole scale, so no subset outranks X."""
-    norms = np.linalg.norm(X, axis=0)
-    unit = X / np.where(norms > 0.0, norms, 1.0)
-    smax = float(np.linalg.norm(unit, 2))
-    return lambda cols: _numerical_rank(
-        np.linalg.svd(unit[:, list(cols)], compute_uv=False), X.shape, smax)
-
-
 def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = LP_TOL) -> UniquenessVerdict:
     """Is the Lasso solution unique for every response y?
 
@@ -256,8 +246,8 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
     in the exhaustive scan, so the verdict, the reported face, its point and
     the witness are those of the exhaustive scan.
 
-    rk(X) is _dependence_rank's, the rule by which the witness builder finds
-    a dependent column: unlike build_problem's rank at X's scale, it does not
+    rk(X) is problem.rank_x, the rule on unit-norm columns by which the
+    witness builder finds a dependent column. Like the face LPs, it does not
     change when X_j and lam_j are rescaled together, nor does the verdict.
     """
     _check_dims(problem, tuning)
@@ -268,7 +258,7 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
             "simulate.estimate_nonuniqueness_probability() estimates the chance of a "
             "non-unique solution by Monte Carlo"
         )
-    rank = _dependence_rank(problem.X)(range(problem.p))
+    rank = problem.rank_x
     unique = UniquenessVerdict(unique=True, witness=None, violating_face=None)
     if rank >= problem.p:
         return unique
@@ -289,50 +279,48 @@ def construct_nonuniqueness_witness(
 ) -> NonuniquenessWitness:
     """Turn a face certificate v = X'z (|model| > rk X) into two solutions.
 
-    If the face contains an unpenalized zero column the witness is immediate
-    (that coefficient is arbitrary). Otherwise some nonzero column j of
-    X_model depends on the others: dropping it keeps the rank of X_model by
-    _dependence_rank, the rank rule of rk X and of check_uniqueness (else
-    NumericalError). Splitting the dependency across the two solutions keeps
-    X b = X b_tilde and g = X'y - X'Xb = v, so both satisfy the first-order
-    conditions at y = z + Xb while differing in coordinate j by 1/(2c).
+    Built on U = X / d, where the face is that of v / d and lam / d, and
+    mapped back by b = b' / d. If the face contains an unpenalized zero
+    column the witness is immediate (that coefficient is arbitrary).
+    Otherwise some nonzero column j of U_model depends on the others:
+    dropping it keeps the rank of U_model by _column_rank, the rule of rk X
+    (else NumericalError). Splitting the dependency across the two solutions
+    keeps U b' = U b'_tilde and U'y - U'Ub' = v / d, so both satisfy the
+    first-order conditions at y = z + Ub' while differing in b'_j by 1/(2c).
     """
     model = sorted(_as_indices(model, problem.p))
     _check_dims(problem, tuning)
-    v = _as_vector(v, problem.p, "v")
-    X, lam, rank = problem.X, tuning.lam, _dependence_rank(problem.X)
-    if len(model) <= rank(range(problem.p)):
+    U, lam, v = problem.unit, tuning.lam, _as_vector(v, problem.p, "v") / problem.scale
+    if len(model) <= problem.rank_x:
         raise InputError("witness construction needs |model| > rank(X)")
     if z is None:
-        z, *_ = np.linalg.lstsq(X.T, v, rcond=None)
+        z, *_ = np.linalg.lstsq(U.T, v, rcond=None)
     z = _as_vector(z, problem.n, "z")
-    if np.max(np.abs(X.T @ z - v)) > 1e-8 * (1.0 + np.max(np.abs(v))):
+    if np.max(np.abs(U.T @ z - v)) > 1e-8 * (1.0 + np.max(np.abs(v))):
         raise InputError("v is not a row-space point (no z with X'z = v)")
     for j in model:
-        if lam[j] == 0.0 and not np.any(X[:, j]):
-            b = np.zeros(problem.p)
+        if lam[j] == 0.0 and not np.any(U[:, j]):
             b_tilde = np.zeros(problem.p)
             b_tilde[j] = 1.0
-            return NonuniquenessWitness(y=z.copy(), b=b, b_tilde=b_tilde)
+            return NonuniquenessWitness(y=z.copy(), b=np.zeros(problem.p), b_tilde=b_tilde)
 
-    rank_model = rank(model)
+    rank_model = _column_rank(problem, model)
     for j in model:
         others = [l for l in model if l != j]
         if not others:
             break
-        # X_j zero, so never on this face if penalized, or independent of the rest
-        if not np.any(X[:, j]) or rank(others) < rank_model:
+        # U_j zero, so never on this face if penalized, or independent of the rest
+        if not np.any(U[:, j]) or _column_rank(problem, others) < rank_model:
             continue
-        d = float(np.sign(v[j])) if lam[j] > 0 and v[j] != 0.0 else 1.0
-        coef, *_ = np.linalg.lstsq(X[:, others], d * X[:, j], rcond=None)
+        s = float(np.sign(v[j])) if lam[j] > 0 and v[j] != 0.0 else 1.0
+        coef, *_ = np.linalg.lstsq(U[:, others], s * U[:, j], rcond=None)
         c = float(np.max(np.abs(coef)))
         b = np.zeros(problem.p)
         b[others] = np.sign(v[others])
-        b[j] = d / (2.0 * c)
-        y = z + X @ b
-        b_tilde = np.zeros(problem.p)
-        b_tilde[others] = np.sign(v[others]) + coef / (2.0 * c)
-        return NonuniquenessWitness(y=y, b=b, b_tilde=b_tilde)
+        b_tilde = b.copy()
+        b[j] = s / (2.0 * c)
+        b_tilde[others] += coef / (2.0 * c)
+        return NonuniquenessWitness(y=z + U @ b, b=b / problem.scale, b_tilde=b_tilde / problem.scale)
     raise NumericalError(
         "no dependent column found over the face's model; certificate inconsistent "
         "with |model| > rank(X)"

@@ -1,7 +1,7 @@
 """Design matrices, penalty weights, sign partitions and Gaussian models.
 
-Everything downstream works off the Gram matrix X'X and the orthonormal
-row-space / null-space bases of X, so these are computed once at
+Everything downstream works off the Gram matrix X'X and the design with
+unit-norm columns, which holds every rank, so these are computed once at
 construction time and frozen.
 """
 
@@ -197,12 +197,21 @@ def _numerical_rank(s, shape, smax=None) -> int:
     return int(np.sum(s > max(shape) * smax * RANK_RTOL))
 
 
+def _column_rank(problem, cols) -> int:
+    """The rank of columns cols of X: RANK_RTOL on those columns of U = X / scale
+    at U's shape and norm, so no set outranks X and no column rescaling moves it."""
+    s = np.linalg.svd(problem.unit[:, list(cols)], compute_uv=False)
+    return _numerical_rank(s, problem.unit.shape, problem.unit_norm)
+
+
 @_record
 class DesignProblem:
     """A fixed design matrix with its cached linear-algebra companions.
 
-    row_space_basis U (p x r) spans col(X'); null_space_basis N (p x (p-r))
-    spans ker(X). Both come from one SVD and are orthonormal.
+    scale d holds the column norms (1 for a zero column), unit U = X / d and
+    unit_norm ||U||_2. The Lasso of (X, lam) is that of (U, lam / d) with
+    b = b' / d, so every rank, rank_x = rk(X) included, is _column_rank's.
+    Orthonormal row_space_basis (p x r) and null_space_basis span col(X') and ker(X).
     """
 
     X: np.ndarray
@@ -210,6 +219,9 @@ class DesignProblem:
     rank_x: int
     row_space_basis: np.ndarray
     null_space_basis: np.ndarray
+    scale: np.ndarray
+    unit: np.ndarray
+    unit_norm: float
 
     @property
     def n(self) -> int:
@@ -234,16 +246,18 @@ def build_problem(X) -> DesignProblem:
         raise InputError(
             f"design matrix entries must be finite, of magnitude at most {MAX_MAGNITUDE:g}")
     n, p = X.shape
-    # all of V splits row space from null space; only n < p needs full matrices for it
-    _, s, vt = np.linalg.svd(X, full_matrices=n < p)
+    scale = np.linalg.norm(X, axis=0)
+    scale[scale == 0.0] = 1.0
+    unit = X / scale
+    # all of V splits row space from null space; only n < p needs full matrices for it.
+    # rank is _column_rank's on all columns, from this SVD, whose s[0] is ||U||_2
+    _, s, vt = np.linalg.svd(unit, full_matrices=n < p)
     rank = _numerical_rank(s, X.shape)
+    # ker(X) = ker(U) / d, and its orthogonal complement is col(X')
+    basis = np.linalg.qr(vt[rank:].T / scale[:, None], mode="complete")[0]
     return DesignProblem(
-        X=X,
-        gram=X.T @ X,
-        rank_x=rank,
-        row_space_basis=vt[:rank].T.copy(),
-        null_space_basis=vt[rank:].T.copy(),
-    )
+        X=X, gram=X.T @ X, rank_x=rank, row_space_basis=basis[:, p - rank:],
+        null_space_basis=basis[:, :p - rank], scale=scale, unit=unit, unit_norm=float(s[0]))
 
 
 def design_from_gram(gram) -> DesignProblem:

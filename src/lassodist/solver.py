@@ -53,7 +53,7 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 from .model import DEFAULT_TOL, LP_TOL, MAX_MAGNITUDE, ZERO_TOL, DesignProblem, TuningVector
 from .model import _as_vector
-from .model import _as_int, _check_dims, _check_tol, _check_zero_tol, _numerical_rank, _record
+from .model import _as_int, _check_dims, _check_tol, _check_zero_tol, _column_rank, _record
 from .simplex import feasible
 
 DEFAULT_MAX_ITER = 100_000
@@ -448,26 +448,24 @@ def kernel_sign_cone_nonempty(problem, classes, tol=LP_TOL):
 
     `classes` is one row of _uniqueness_classes: 2 pins a coordinate at 0,
     +-1 lets it move in that direction only and 0 lets it move freely.
-    Decided exactly by a rank test on the free columns plus a phase-1 LP
-    over the sign cone (normalized by sum_j s_j h_j = 1, valid since the
-    cone is scale invariant).
+    Decided on U = X / d, whose cone is X's scaled by d > 0: a rank test of the
+    free columns by _column_rank, then a phase-1 LP over the sign cone
+    (normalized by sum_j s_j h_j = 1, valid since the cone is scale invariant).
     """
     classes = np.asarray(classes).ravel()
     boundary = np.flatnonzero(classes != 2)
     if not boundary.size:
         return False
-    X = problem.X
+    U = problem.unit
     free = np.flatnonzero(classes == 0)
-    if free.size:
-        cols = X[:, free]
-        if _numerical_rank(np.linalg.svd(cols, compute_uv=False), cols.shape) < free.size:
-            return True
+    if free.size and _column_rank(problem, free) < free.size:
+        return True
     signs = classes[boundary].astype(float)  # 0 where the coordinate moves freely
     constrained = np.flatnonzero(signs)
     if not constrained.size:
         return False
-    a_eq = np.vstack([X[:, boundary], signs])
-    b_eq = np.concatenate([np.zeros(X.shape[0]), [1.0]])
+    a_eq = np.vstack([U[:, boundary], signs])
+    b_eq = np.concatenate([np.zeros(U.shape[0]), [1.0]])
     a_ub = np.diag(-signs)[constrained]
     b_ub = np.zeros(constrained.size)
     return feasible(a_eq, b_eq, a_ub, b_ub, n_free=boundary.size, tol=tol)

@@ -511,11 +511,17 @@ def test_golden_json_is_valid_json():
 def test_nonuniqueness_witness_payload():
     data = json.loads((GOLDEN / "check_unique_n1p2_lam12.json").read_text())
     assert data["unique"] is False
-    assert data["witness"]["y"] == [4]
-    assert data["witness"]["b"] == [1, 1]
-    assert data["witness"]["b_tilde"] == [0, 1.5]
+    assert data["witness"]["y"] == [2.5]
+    assert data["witness"]["b"] == [0.5, 0.5]
+    assert data["witness"]["b_tilde"] == [0, 0.75]
     assert data["face"]["model"] == [1, 2]
     assert data["face"]["signs"] == [1, 1]
+    # the witness is built on the unit-norm columns and mapped back to X's units
+    env = json.loads((FIXTURES / "n1p2_lam12.json").read_text())
+    prob, t = ld.build_problem(env["X"]), ld.tuning_vector(env["lambda"])
+    w = data["witness"]
+    assert ld.is_solution(prob, w["y"], t, w["b"]).ok
+    assert ld.is_solution(prob, w["y"], t, w["b_tilde"]).ok
 
 
 def test_unique_payload_has_null_witness():

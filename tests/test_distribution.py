@@ -90,6 +90,29 @@ def test_nine_orthant_masses_partition(setup2):
     assert abs(total - 1.0) <= 1e-9
 
 
+def test_badly_scaled_columns_keep_full_rank():
+    # column norms 1e12 and 1.03: ranked at X's scale the design would be rank
+    # one and refused; it is the unit-norm design U = X / d with weights lam / d
+    # and mean beta * d, whose Lasso solutions are those of X scaled by d
+    X = np.array([[1e12, 0.5], [0.0, 0.9]])
+    prob = ld.build_problem(X)
+    assert prob.rank_x == 2
+    d = prob.scale
+    lam_u, beta_u = np.array([0.8, 0.6]), np.array([0.4, -0.2])
+    unit = ld.build_problem(X / d)
+    model = ld.gaussian_model(prob, beta_u / d, 1.0)
+    model_u = ld.gaussian_model(unit, beta_u, 1.0)
+    tuning, tuning_u = ld.tuning_vector(lam_u * d), ld.tuning_vector(lam_u)
+    for signs in product((-1, 0, 1), repeat=2):
+        sv = ld.SignVector(d=signs)
+        got = ld.orthant_mass(prob, model, tuning, sv).estimate
+        assert abs(got - ld.orthant_mass(unit, model_u, tuning_u, sv).estimate) <= 1e-15, signs
+    b = np.array([0.3, -0.7])
+    z = ld.shrinkage_singleton(prob, tuning, b / d) * d
+    z_u = ld.shrinkage_singleton(unit, tuning_u, b)
+    assert np.all(np.abs(z - z_u) <= 1e-12 * np.abs(z_u))
+
+
 def test_event_matches_transform_oracle(setup2):
     prob, model, tuning = setup2
     ev1 = ld.error_orthant_event([0.0, -0.1], (0, -1))

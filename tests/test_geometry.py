@@ -424,7 +424,7 @@ _LP_SEQUENCES = [
      "+000000000 0+00000000* 00+0000000 000+000000* 0000+00000 00000+0000* 000000+000* "
      "0000000+00* 00000000+0* 000000000+*",
      "0+00000000* ++00000000 +-00000000 ++0+000000 ++0-000000 +-0+000000 +-0-000000",
-     1420.6361835040182),
+     1420.7429651081347),
 ]
 
 
@@ -455,10 +455,10 @@ def test_face_scans_keep_their_lp_sequences(
 
 
 def test_check_unique_on_badly_scaled_columns(capsys):
-    # build_problem's rank rule at X's scale calls X rank 1 (sigma_2 = 2.19
-    # against 3e12 RANK_RTOL), but the three columns span R^2: the scan takes
-    # rk(X) = 2 from the unit-norm columns, and the one face of |M| = 3 misses
-    # col(X'), where the scan at rank 1 met faces of independent columns
+    # at X's scale the rank rule would call X rank 1 (sigma_2 = 2.19 against
+    # 3e12 RANK_RTOL), but the three columns span R^2: rk(X) = 2 on the
+    # unit-norm columns, and the one face of |M| = 3 misses col(X'), where a
+    # scan at rank 1 would meet faces of independent columns
     from lassodist import cli
 
     assert cli.main(["check-unique", "--input", str(FIXTURES / "scaled_2x3.json")]) == 0
@@ -469,14 +469,15 @@ _X_SCALED = np.array([[1e12, 0.5, 1.0], [0.0, 0.9, 2.0]])
 
 
 @pytest.mark.parametrize("X,lam,face", [
-    # columns 2 and 3 are equal, and each is zero by the rank rule at X's scale
+    # columns 2 and 3 are equal; at X's scale each would be zero, but on the
+    # unit-norm columns the design has rank 2 and one dependent column
     ([[1e12, 0.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 1.0, 1.0], ((0, 1, 2), (1, 1, 1))),
     # lam = |X'z| at z = (1e-12, 1) puts v = X'z on the face of all three columns
     (_X_SCALED, np.abs(_X_SCALED.T @ [1e-12, 1.0]), ((0, 1, 2), (1, 1, 1))),
 ], ids=["equal-small-columns", "planted-full-face"])
 def test_badly_scaled_columns_give_a_witness(X, lam, face):
     prob, t = ld.build_problem(X), ld.tuning_vector(lam)
-    assert prob.rank_x == 1
+    assert prob.rank_x == 2
     verdict = ld.check_uniqueness(prob, t)
     assert not verdict.unique
     assert (verdict.violating_face.model, verdict.violating_face.signs) == face

@@ -425,7 +425,8 @@ def _records():
     rp = ld.RegionProbability(0.25, 0.01, "monte-carlo", 100, 3, 0.0)
     witness = ld.NonuniquenessWitness(y=np.array([4.0]), b=v, b_tilde=-v)
     return [
-        (prob, ("X", "gram", "rank_x", "row_space_basis", "null_space_basis"), False),
+        (prob, ("X", "gram", "rank_x", "row_space_basis", "null_space_basis", "scale", "unit",
+                "unit_norm"), False),
         (ld.TuningVector(lam=v, m0=()), ("lam", "m0"), False),
         (sv, ("d",), True),
         (ld.GaussianModel(beta=v, sigma=1.0, mu=np.array([0.0])), ("beta", "sigma", "mu"), False),

@@ -345,3 +345,15 @@ def test_comparison_report_flags_real_gaps():
     rep = ld.compare_analytic_empirical(a, b)
     assert not rep.passed
     assert rep.discrepancy > rep.tolerance
+
+
+def test_simulate_on_badly_scaled_columns(capsys):
+    # column norms 1e12 and about 1: the solver's finish admits supports up to
+    # rk(X) = 2 on the unit-norm columns, so every replicate is certified, and
+    # no replicate has a second solution, as check_uniqueness says
+    from lassodist import cli
+
+    args = ["simulate", "--input", str(FIXTURES / "scaled_2x3.json"), "--reps", "2000", "--seed", "1"]
+    assert cli.main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["nonunique_count"] == 0 and report["convergence_failures"] == 0

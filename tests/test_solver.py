@@ -184,6 +184,16 @@ def test_kernel_sign_cone(n1p2):
     assert not kernel_sign_cone_nonempty(n1p2, [2, 2])
 
 
+def test_kernel_sign_cone_ignores_column_units():
+    # columns 1 and 3 of scaled_2x3, of norms 1e12 and 2.2, are independent:
+    # ranked at their own scale they would count as dependent and report a
+    # second solution that check_uniqueness, on the same design, rules out
+    env = json.loads((FIXTURES / "scaled_2x3.json").read_text())
+    prob = ld.build_problem(env["X"])
+    assert not kernel_sign_cone_nonempty(prob, [0, 2, 0])
+    assert ld.check_uniqueness(prob, ld.tuning_vector(env["lambda"])).unique
+
+
 def _random_case(draw):
     n = draw(st.integers(1, 4))
     p = draw(st.integers(1, 5))
