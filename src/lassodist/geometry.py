@@ -128,20 +128,26 @@ def face_intersects_row_space(problem: DesignProblem, face: FaceBox, tol: float 
 
     LP feasibility in z: (X'z)_j pinned on the face's model, boxed elsewhere.
     Boundary-touching points count as intersecting (the face is closed).
-    The LP runs on U = X / d against lam / d, the same face in units of each
-    column, and its z gives v = X'z.
+    Row j is X_j'z / lam_j against [-1, 1] (U_j'z against 0 where lam_j = 0),
+    so each box keeps its own scale and tol is relative to it. The rows are
+    solved for z / top, top the largest lam_j / ||X_j||, so z is of order 1.
     """
     if face.lam.shape[0] != problem.p:
         raise InputError("face does not match the design dimension")
     _check_tol(tol)
-    U, lam = problem.unit, face.lam / problem.scale
+    r = face.lam / problem.scale
+    top = float(r.max()) or 1.0
+    rows = (problem.unit / np.where(r > 0.0, r / top, 1.0)).T
+    box = (r > 0.0).astype(float)
     fixed = face.fixed_sign != 0
-    free_cols = U[:, ~fixed].T
-    a_ub, b_ub = np.vstack([free_cols, -free_cols]), np.tile(lam[~fixed], 2)
-    z = feasible_point(U[:, fixed].T, face.fixed_sign[fixed] * lam[fixed], a_ub, b_ub,
-                       n_free=problem.n, tol=tol)
+    a_eq = rows[fixed]
+    b_eq = face.fixed_sign[fixed] * box[fixed]
+    a_ub = np.vstack([rows[~fixed], -rows[~fixed]])
+    b_ub = np.concatenate([box[~fixed], box[~fixed]])
+    z = feasible_point(a_eq, b_eq, a_ub, b_ub, n_free=problem.n, tol=tol)
     if z is None:
         return None
+    z = top * z
     return RowSpacePoint(v=problem.X.T @ z, z=z)
 
 
@@ -246,9 +252,8 @@ def check_uniqueness(problem: DesignProblem, tuning: TuningVector, tol: float = 
     in the exhaustive scan, so the verdict, the reported face, its point and
     the witness are those of the exhaustive scan.
 
-    rk(X) is problem.rank_x, the rule on unit-norm columns by which the
-    witness builder finds a dependent column. Like the face LPs, it does not
-    change when X_j and lam_j are rescaled together, nor does the verdict.
+    rk(X) is problem.rank_x. Like the face LPs, it and the verdict do not
+    change when X_j and lam_j are rescaled together.
     """
     _check_dims(problem, tuning)
     _check_tol(tol)
@@ -286,17 +291,19 @@ def construct_nonuniqueness_witness(
     dropping it keeps the rank of U_model by _column_rank, the rule of rk X
     (else NumericalError). Splitting the dependency across the two solutions
     keeps U b' = U b'_tilde and U'y - U'Ub' = v / d, so both satisfy the
-    first-order conditions at y = z + Ub' while differing in b'_j by 1/(2c).
+    first-order conditions at y = z + Ub' while differing in b'_j by
+    top / (2c), top the largest lam_j / d_j, so that y is of z's scale.
     """
     model = sorted(_as_indices(model, problem.p))
     _check_dims(problem, tuning)
     U, lam, v = problem.unit, tuning.lam, _as_vector(v, problem.p, "v") / problem.scale
+    top = float(np.max(lam / problem.scale)) or 1.0
     if len(model) <= problem.rank_x:
         raise InputError("witness construction needs |model| > rank(X)")
     if z is None:
         z, *_ = np.linalg.lstsq(U.T, v, rcond=None)
     z = _as_vector(z, problem.n, "z")
-    if np.max(np.abs(U.T @ z - v)) > 1e-8 * (1.0 + np.max(np.abs(v))):
+    if np.max(np.abs(U.T @ z - v)) > 1e-8 * (top + np.max(np.abs(v))):
         raise InputError("v is not a row-space point (no z with X'z = v)")
     for j in model:
         if lam[j] == 0.0 and not np.any(U[:, j]):
@@ -316,10 +323,10 @@ def construct_nonuniqueness_witness(
         coef, *_ = np.linalg.lstsq(U[:, others], s * U[:, j], rcond=None)
         c = float(np.max(np.abs(coef)))
         b = np.zeros(problem.p)
-        b[others] = np.sign(v[others])
+        b[others] = top * np.sign(v[others])
         b_tilde = b.copy()
-        b[j] = s / (2.0 * c)
-        b_tilde[others] += coef / (2.0 * c)
+        b[j] = top * s / (2.0 * c)
+        b_tilde[others] += top * coef / (2.0 * c)
         return NonuniquenessWitness(y=z + U @ b, b=b / problem.scale, b_tilde=b_tilde / problem.scale)
     raise NumericalError(
         "no dependent column found over the face's model; certificate inconsistent "

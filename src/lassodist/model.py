@@ -249,15 +249,23 @@ def build_problem(X) -> DesignProblem:
     scale = np.linalg.norm(X, axis=0)
     scale[scale == 0.0] = 1.0
     unit = X / scale
-    # all of V splits row space from null space; only n < p needs full matrices for it.
-    # rank is _column_rank's on all columns, from this SVD, whose s[0] is ||U||_2
+    # all of V splits row space from null space; only n < p needs full matrices
+    # for it. rank is _column_rank's on all columns, and s[0] is ||U||_2
     _, s, vt = np.linalg.svd(unit, full_matrices=n < p)
     rank = _numerical_rank(s, X.shape)
-    # ker(X) = ker(U) / d, and its orthogonal complement is col(X')
+    # ker(X) = ker(U) / d, and col(X') is its orthogonal complement; the QR
+    # only orthonormalizes the two public bases, which no module here reads
     basis = np.linalg.qr(vt[rank:].T / scale[:, None], mode="complete")[0]
     return DesignProblem(
-        X=X, gram=X.T @ X, rank_x=rank, row_space_basis=basis[:, p - rank:],
-        null_space_basis=basis[:, :p - rank], scale=scale, unit=unit, unit_norm=float(s[0]))
+        X=X,
+        gram=X.T @ X,
+        rank_x=rank,
+        row_space_basis=basis[:, p - rank:],
+        null_space_basis=basis[:, :p - rank],
+        scale=scale,
+        unit=unit,
+        unit_norm=float(s[0]),
+    )
 
 
 def design_from_gram(gram) -> DesignProblem:

@@ -399,16 +399,17 @@ def _lp_log(monkeypatch):
 # LP sequences of check_uniqueness, structural_set and selectable (models
 # (1,), (0, 1), (0, 1, 3) where they fit), recorded before the face loops
 # were merged, with a fingerprint of the points: sum over the k-th point z of
-# k * sum |z_i|
+# k * sum |z_i|. The LPs solve for z / top, top the largest lam_j / ||X_j||,
+# so each fingerprint is the one recorded in X's units divided by top
 _X2X4 = [[1.0, 1.0, 2.0, 0.0], [0.0, 0.0, 1.0, 3.0]]
 _LP_SEQUENCES = [
     (_X2X4, [1.0, 1.0, 1.0, 1.0], "+000 0+00 00+0* 000+*",
      "+000 0+00 00+0* 000+*", "0+00 ++00 +-00 ++0+ ++0- +-0+ +-0-", 4.0),
     (_X2X4, [0.0, 1.0, 3.0, 1.0], "0+00 00+0 000+*",
-     "0+00 00+0 000+*", "0+00 ++00 ++0+ ++0-", 1.0),
+     "0+00 00+0 000+*", "0+00 ++00 ++0+ ++0-", 0.74535599249993),
     (_X2X4, [1.0, 1.0, 3.0, 1.0],
      "+000* 0+00* 00+0 000+* ++00* +-00 +00+* +00-* 0+0+* 0+0-* ++0+*",
-     "+000* 0+00* 00+0 000+*", "0+00* ++00* ++0+*", 126.66666666666666),
+     "+000* 0+00* 00+0 000+*", "0+00* ++00* ++0+*", 94.41175904999112),
     ([[1.0, 2.0]], [1.0, 2.0], "+0* 0+* ++* +- ++*", "+0* 0+*", "0+* ++*", 36.0),
     ("rng", None,
      "+000000000 0+00000000* 00+0000000 000+000000* 0000+00000 00000+0000* 000000+000* "
@@ -424,7 +425,7 @@ _LP_SEQUENCES = [
      "+000000000 0+00000000* 00+0000000 000+000000* 0000+00000 00000+0000* 000000+000* "
      "0000000+00* 00000000+0* 000000000+*",
      "0+00000000* ++00000000 +-00000000 ++0+000000 ++0-000000 +-0+000000 +-0-000000",
-     1420.7429651081347),
+     1607.098704076063),
 ]
 
 
@@ -498,3 +499,27 @@ def test_verdict_ignores_column_units(X, lam):
     verdict = ld.check_uniqueness(ld.build_problem(X), ld.tuning_vector(lam))
     rescaled = ld.check_uniqueness(ld.build_problem(X * D), ld.tuning_vector(lam * D))
     assert rescaled.unique == verdict.unique
+
+
+@pytest.mark.parametrize("X,lam", [
+    # |X_1'z| <= 1 caps z at 5e-11, far below LP_TOL, so column 0's face
+    # (X_0'z = 1, z = 1e-10) misses col(X') only when each box keeps its scale
+    ([[1e10, 2e10]], [1.0, 1.0]),
+    # the unpenalized column pins X_1'z = 0, and X_0'z = 1 puts z at 1e-12
+    ([[1e12, 1.0]], [1.0, 0.0]),
+], ids=["boxes-below-lp-tol", "unpenalized-row"])
+def test_faces_keep_their_own_scale(X, lam):
+    prob, t = ld.build_problem(X), ld.tuning_vector(lam)
+    assert ld.structural_set(prob, t) == (1,)
+    assert ld.check_uniqueness(prob, t).unique
+
+
+@pytest.mark.parametrize("g", [1e-12, 1.0, 1e12])
+def test_witness_scales_with_the_penalty(g):
+    # columns 1 = 2 x column 0; the face (+, +) of (X, g lam) holds the
+    # witness of (X, lam) scaled by g, whose residual meets the face to
+    # rounding in lam's own units
+    X, lam = np.array([[1.0, 2.0], [0.5, 1.0]]), g * np.array([1.0, 2.0])
+    w = ld.check_uniqueness(ld.build_problem(X), ld.tuning_vector(lam)).witness
+    for b in (w.b, w.b_tilde):
+        assert np.max(np.abs(X.T @ (w.y - X @ b) - lam)) <= 1e-12 * g

@@ -6,9 +6,10 @@ verdicts and event probabilities follow from the original's:
 - signed column permutation, X -> X[:, perm] s, lam -> lam[perm];
 - per-column rescaling, X_j -> c_j X_j, lam_j -> c_j lam_j;
 - rotation of the response space, X -> QX and y -> Qy for orthogonal Q;
-- the global flip y -> -y.
+- the global flip y -> -y;
+- the penalty's scale, lam -> g lam and y -> g y.
 
-Under their composition b solves (X, lam, y) iff f s b[perm] / c solves the
+Under their composition b solves (X, lam, y) iff g f s b[perm] / c solves the
 transformed problem (f = -1 for the flip), so every geometry verdict is
 unchanged and the error u = b - beta maps as b does. Designs are seeded,
 small-integer (tie-heavy and often rank deficient) and Gaussian.
@@ -21,25 +22,26 @@ import lassodist as ld
 
 
 class _Map:
-    """X -> Q X[:, perm] diag(s c), lam -> c lam[perm], y -> f Q y, and so
-    b -> f s b[perm] / c on coefficients, betas and error coordinates."""
+    """X -> Q X[:, perm] diag(s c), lam -> g c lam[perm], y -> g f Q y, and so
+    b -> g f s b[perm] / c on coefficients, betas and error coordinates."""
 
-    def __init__(self, n, p, perm=None, s=None, c=None, Q=None, f=1.0):
+    def __init__(self, n, p, perm=None, s=None, c=None, Q=None, f=1.0, g=1.0):
         self.perm = np.arange(p) if perm is None else perm
         self.s = np.ones(p) if s is None else s
         self.c = np.ones(p) if c is None else c
         self.Q = np.eye(n) if Q is None else Q
         self.f = f
+        self.g = g
 
     def problem(self, X, lam):
         X = self.Q @ X[:, self.perm] * (self.s * self.c)
-        return ld.build_problem(X), ld.tuning_vector(lam[self.perm] * self.c)
+        return ld.build_problem(X), ld.tuning_vector(self.g * lam[self.perm] * self.c)
 
     def y(self, y):
-        return self.f * (self.Q @ y)
+        return self.g * self.f * (self.Q @ y)
 
     def b(self, b):
-        return self.f * self.s * b[self.perm] / self.c
+        return self.g * self.f * self.s * b[self.perm] / self.c
 
     def signs(self, d):
         return (self.f * self.s * np.asarray(d)[self.perm]).astype(int)
@@ -53,6 +55,10 @@ def _transform(kind, n, p, rng):
         return _Map(n, p, perm=rng.permutation(p), s=rng.choice([-1.0, 1.0], size=p))
     if kind == "scale":
         return _Map(n, p, c=10.0 ** rng.uniform(-6.0, 6.0, size=p))
+    if kind == "penalty":
+        # every lam_j / ||X_j|| far below LP_TOL, or far above 1
+        return _Map(n, p, c=10.0 ** rng.uniform(-6.0, 6.0, size=p),
+                    g=10.0 ** rng.choice([-11.0, 11.0]))
     if kind == "rotation":
         q, r = np.linalg.qr(rng.normal(size=(n, n)))
         return _Map(n, p, Q=q * np.sign(np.diag(r)))
@@ -85,6 +91,8 @@ def _certified(problem, tuning, verdict):
 @pytest.mark.parametrize("kind, family, count", [
     ("scale", "integer", 300),
     ("scale", "gaussian", 100),
+    ("penalty", "integer", 60),
+    ("penalty", "gaussian", 20),
     ("permutation", "integer", 60),
     ("permutation", "gaussian", 30),
     ("rotation", "integer", 60),
