@@ -53,11 +53,14 @@ class FaceBox:
         return tuple(int(j) for j in np.flatnonzero(self.fixed_sign != 0))
 
     def contains(self, v, tol: float = 1e-9) -> bool:
+        """Is v in the box up to tol, each coordinate in units of its own
+        lam_j (of 1 where lam_j = 0), the units of the face LP's rows?"""
         v = _as_vector(v, self.lam.shape[0], "probe vector")
+        slack = tol * np.where(self.lam > 0.0, self.lam, 1.0)
         fixed = self.fixed_sign != 0
-        if np.any(np.abs(v[fixed] - self.fixed_sign[fixed] * self.lam[fixed]) > tol):
+        if np.any(np.abs(v[fixed] - self.fixed_sign[fixed] * self.lam[fixed]) > slack[fixed]):
             return False
-        return bool(np.all(np.abs(v[~fixed]) <= self.lam[~fixed] + tol))
+        return bool(np.all(np.abs(v[~fixed]) <= self.lam[~fixed] + slack[~fixed]))
 
 
 def face_box(tuning: TuningVector, model, signs) -> FaceBox:
@@ -379,6 +382,8 @@ class ShrinkageSet:
     domain: str
 
     def contains(self, point, tol: float = 1e-9) -> bool:
+        """Is point in the set, its probe measured against the box as
+        FaceBox.contains measures it?"""
         point = _as_vector(point, self.b.shape[0], "point")
         probe = self.gram @ point if self.domain == "ls_estimate" else point
         return self.box.contains(probe - self.center, tol=tol)

@@ -6,6 +6,9 @@ how the chunks would be scheduled across workers. They are solved and
 counted in blocks of up to _BLOCK_CHUNKS consecutive chunks. The solver
 treats rows independently, so a block gives each row what its chunk alone
 would, bit for bit where BLAS sums a row in the same order in both batches.
+An event that can read some rows' verdicts off C = Y X (region_orthant, see
+its decide) sorts each block first, and only its undecided rows are solved;
+its counts are those of solving every row.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .model import SignVector, TuningVector, _as_int, _as_signs, _as_vector, _ch
 from .model import _check_seed, _check_side, _check_tol, _check_zero_tol, _record
 from .rng import gaussian_chunks
 from .solver import kernel_sign_cone_nonempty, solve_many
-from .solver import _passes, _uniqueness_classes
+from .solver import _EPS, _check_inputs, _passes, _uniqueness_classes
 
 # RNG chunks per solve_many call. Two cut a 100k-replicate p = 3 solve by
 # about 16%; blocks of four chunks or more raise such a call's peak RSS
@@ -90,14 +93,17 @@ def _ecdf_axes(problem: DesignProblem, model: GaussianModel, config: SimulationC
     return grids
 
 
-def _solve_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume):
+def _solve_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume, sort=None):
     """Solve n_rep replicates y = mu + sigma*z block by block; pass each (Y, B) to consume.
 
     A block joins up to _BLOCK_CHUNKS consecutive RNG chunks; a lone chunk
-    is used as drawn. Raises ConvergenceError, naming the block's replicate
-    range, at the first block that holds a replicate whose solution fails
-    the solver's acceptance rule at solver_tol, so no unconverged replicate
-    is ever counted.
+    is used as drawn. sort, if given, maps a block's C = Y X to the mask of
+    the rows to solve, and only those rows reach solve_many and consume;
+    solve_many's rule on the responses' magnitude still covers every row.
+    Raises ConvergenceError, naming the block's replicate range, at the
+    first block that holds a solved replicate whose solution fails the
+    solver's acceptance rule at solver_tol, so no unconverged replicate is
+    ever counted.
     """
     chunks = gaussian_chunks(seed, n_rep, problem.n)
     for first in chunks:
@@ -109,6 +115,8 @@ def _solve_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume):
         del first, block
         Y *= model.sigma
         Y += model.mu
+        if sort is not None:
+            Y = Y[sort(_check_inputs(problem, Y, tuning, solver_tol) @ problem.X)]
         B, resids = solve_many(problem, Y, tuning, tol=solver_tol)
         i = np.flatnonzero(resids > solver_tol)  # these may still pass within rounding
         fails = np.count_nonzero(~_passes(resids[i], Y[i] @ problem.X, B[i], problem.gram,
@@ -163,7 +171,12 @@ def region_orthant(d, z=None, zero_tol: float = ZERO_TOL):
     """Predicate factory: distribution.estimator_orthant_event(model, z, d) at
     estimator thresholds z (default 0; on d's side of 0, and 0 on D0), b_j >
     zero_tol and b_j >= z_j on D+, b_j < -zero_tol and b_j <= z_j on D-,
-    |b_j| <= zero_tol on D0. With every sign 0 it is {bhat = 0}."""
+    |b_j| <= zero_tol on D0. With every sign 0 it is {bhat = 0}.
+
+    The predicate carries decide(problem, tuning, tol) for prob_region_high:
+    with every sign 0 at any rank, and with any signs when X has full column
+    rank, it returns _orthant_sorter's function, which reads most rows'
+    verdicts off C = Y X; otherwise None, and every row is solved."""
     d = _as_signs(d)
     signs, zero = d.as_array(), np.zeros(d.p)
     z = zero if z is None else _as_vector(z, d.p, "z")
@@ -178,7 +191,68 @@ def region_orthant(d, z=None, zero_tol: float = ZERO_TOL):
         moving = (sb > zero_tol) & (sb >= edge)
         return np.all(np.where(signs == 0, np.abs(B) <= zero_tol, moving), axis=1)
 
+    region.decide = lambda problem, tuning, tol: _orthant_sorter(
+        problem, tuning, tol, signs, edge, zero_tol)
     return region
+
+
+def _orthant_sorter(problem, tuning, tol, signs, edge, zero_tol):
+    """A function of a block's C = Y X that returns the masks (hit, undecided)
+    of the orthant event with signs s on A = supp(signs), thresholds z and
+    edge = s z, whose floors there are max(zero_tol, s_j z_j); None if A is
+    not empty and X is not of full column rank.
+
+    For a row c of C, the candidate x_A = G_AA^-1 (c_A - s lam_A) and the
+    off-A correlations r_j = c_j - G_jA x_A (G = X'X; with A empty x_A is
+    empty and r = c) are the Lasso solution's values when the solution has
+    signs s on A and zeros off A. The solver returns a B whose KKT entries
+    at c are within tol of the conditions, up to rounding, so B is the exact
+    solution at some c - e' with every |e'_j| <= e = tol + u. Here
+    u = 16 (p + 2)^2 eps kappa S bounds the rounding of the acceptance rule
+    and of the candidate: S = max|c| + max lam + sqrt(p) ||G|| max|x_A| over
+    the block, and kappa = ||G|| ||G^-1||, 1 with A empty. With
+    zeta = zero_tol and 2-norms, the margins are
+
+        delta = sqrt(p) ||G^-1|| (e + ||G|| zeta)   (0 with A empty),
+        h = e + ||G|| (delta + sqrt(p) zeta).
+
+    In full rank c -> b is ||G^-1||-Lipschitz, and a B in the event has
+    B_A = x_A - G_AA^-1 (e'_A + G_AO B_O) with |B_O| <= zeta. So B is in the
+    event (hit) when s_j x_j - floor_j > delta on A and |r_j| - lam_j < -h
+    off A, and outside it (miss) when some s_j x_j - floor_j < -delta or
+    some |r_j| - lam_j > h. With A empty, at any rank, a row with
+    max_j(|c_j| - lam_j) <= 0 is a hit, since coordinate descent then
+    returns exact zeros, and one with max_j(|c_j| - lam_j) > h is a miss.
+    Other rows are undecided. A wider margin only leaves more rows to the
+    solver.
+    """
+    G, lam, p = problem.gram, tuning.lam, problem.p
+    A, O = np.flatnonzero(signs), np.flatnonzero(signs == 0)
+    mu = np.linalg.eigvalsh(G)  # ascending: ||G^-1|| = 1 / mu[0], ||G|| = mu[-1]
+    if A.size and not (problem.rank_x == p and mu[0] > 0.0):
+        return None
+    root, s = math.sqrt(p), signs[A]
+    kappa = mu[-1] / mu[0] if A.size else 1.0
+    G_AA, G_AO, lam_A = G[np.ix_(A, A)], G[np.ix_(A, O)], s * lam[A]
+    floor = np.maximum(zero_tol, edge[A])
+
+    def sort(C):
+        # a non-finite margin compares False both ways, which leaves its rows undecided
+        with np.errstate(all="ignore"):
+            x = np.linalg.solve(G_AA, (C[:, A] - lam_A).T).T if A.size else C[:, A]
+            slack = (np.abs(C[:, O] - x @ G_AO) - lam[O]).max(axis=1, initial=-np.inf)
+            scale = np.abs(C).max() + lam.max() + root * mu[-1] * np.abs(x).max(initial=0.0)
+            e = tol + 16 * (p + 2) ** 2 * _EPS * kappa * scale
+            delta = root * (e + mu[-1] * zero_tol) / mu[0] if A.size else 0.0
+            h = e + mu[-1] * (delta + root * zero_tol)
+            if A.size:
+                margin = (s * x - floor).min(axis=1)
+                hit, miss = (margin > delta) & (slack < -h), (margin < -delta) | (slack > h)
+            else:
+                hit, miss = slack <= 0.0, slack > h
+        return hit, ~(hit | miss)
+
+    return sort
 
 
 def prob_region_high(
@@ -196,9 +270,11 @@ def prob_region_high(
     region maps an (m, p) block of solutions to m truth values; it is tried
     on one row of zeros before any replicate is solved. Monte Carlo over the
     solver, and the one Monte-Carlo path of the events distribution computes
-    (region_orthant, region_below). The estimate depends on the model only
-    through mu = X beta, so fiber-equivalent parameter vectors give
-    bit-identical results at the same seed.
+    (region_orthant, region_below). A region_orthant event reads most rows'
+    verdicts off C = Y X (see region_orthant) and solves only the rows it
+    cannot decide; the count is that of solving every row. The estimate
+    depends on the model only through mu = X beta, so fiber-equivalent
+    parameter vectors give bit-identical results at the same seed.
     """
     _check_dims(problem, tuning, model)
     try:
@@ -209,9 +285,18 @@ def prob_region_high(
         raise InputError(f"region predicate must map a (1, p) block to shape (1,), got {shape}")
     n_samples = _as_int(n_samples, 1, "n_samples must be a positive integer")
     hits = []
+    decide = getattr(region, "decide", None)
+    decide = decide and decide(problem, tuning, solver_tol)  # None: every row is solved
+
+    def sort(C):
+        hit, undecided = decide(C)
+        hits.append(int(np.count_nonzero(hit)))
+        return undecided
+
     # the callback counts a block before the next is drawn, so no block outlives it
     _solve_replicates(problem, model, tuning, n_samples, seed, solver_tol,
-                      lambda Y, B: hits.append(int(np.count_nonzero(region(B)))))
+                      lambda Y, B: hits.append(int(np.count_nonzero(region(B)))),
+                      sort if decide else None)
     return _binomial_probability(sum(hits), n_samples, seed)
 
 

@@ -68,6 +68,16 @@ GOLDEN_CASES = [
     ("prob_zero_n1p2.json", ("prob-zero", "--input", N1P2)),
     ("prob_zero_n1p2_mc.json",
      ("prob-zero", "--input", N1P2, "--method", "mc", "--samples", "8192", "--seed", "1")),
+    # Monte-Carlo orthant events: full rank with thresholds over three blocks,
+    # rank-deficient with every replicate solved, and bhat = 0 at full rank
+    ("orthant_prob_corr3_mc.json",
+     ("orthant-prob", "--input", CORR3, "--signs", "1,0,-1", "--z", "0.05,0,-0.05",
+      "--method", "mc", "--samples", "20000", "--seed", "1")),
+    ("orthant_prob_x2x3_rank2_mc.json",
+     ("orthant-prob", "--input", X2X3_RANK2, "--signs", "1,0,0", "--method", "mc",
+      "--samples", "10000", "--seed", "5")),
+    ("prob_zero_corr3_mc.json",
+     ("prob-zero", "--input", CORR3, "--method", "mc", "--samples", "20000", "--seed", "2")),
     ("simulate_n1p2.json", ("simulate", "--input", N1P2, "--reps", "2000", "--seed", "3")),
     ("simulate_n1p2.csv",
      ("simulate", "--input", N1P2, "--reps", "2000", "--seed", "3", "--report", "csv")),

@@ -39,6 +39,14 @@ def test_face_box_basics():
     assert not face.contains([1.0, 0.5, 0.0])
     with pytest.raises(InputError):
         face.contains([1.0, 2.0])
+    # tol is relative to each lam_j (absolute where lam_j = 0), so a box of
+    # half-width 1e-12 is not swamped by the default 1e-9
+    tiny = ld.shrinkage_set_high(ld.build_problem(np.eye(2)), ld.tuning_vector([1e-12, 1e-12]),
+                                 [0.0, 0.0])
+    assert not tiny.contains([5e-10, 0.0])
+    assert tiny.contains([1e-12, -1e-12])
+    assert face.contains([-1.0 - 5e-10, 2.0 + 1e-9, 5e-10])
+    assert not face.contains([-1.0, 2.0 + 3e-9, 0.0])
     with pytest.raises(InputError):
         face_box(t, (0, 0), (1, 1))
     with pytest.raises(InputError):

@@ -330,6 +330,89 @@ def test_convergence_error_names_the_failing_block(monkeypatch):
     assert calls == [8192, 1809]
 
 
+def _seeded_problem(seed, n, p, rho=0.0, lam=0.7):
+    rng = np.random.default_rng(seed)
+    X = math.sqrt(1.0 - rho) * rng.normal(size=(n, p)) + math.sqrt(rho) * rng.normal(size=(n, 1))
+    prob = ld.build_problem(X)
+    beta = rng.uniform(-0.6, 0.6, p)
+    return prob, ld.gaussian_model(prob, beta, 1.0), ld.tuning_vector(np.broadcast_to(lam, p))
+
+
+# (design, signs, thresholds): full rank at p = 2-4, one at equicorrelation
+# 0.9, an unpenalized column on and off the event's support, and a
+# rank-deficient design, where only bhat = 0 is decided
+_SORTED_EVENTS = [
+    (lambda: _seeded_problem(1, 5, 2), (1, -1), None),
+    (lambda: _seeded_problem(2, 6, 3), (0, 0, 0), None),
+    (lambda: _seeded_problem(3, 6, 3), (1, 0, -1), (0.3, 0.0, -0.2)),
+    (lambda: _seeded_problem(4, 8, 4, rho=0.9), (0, 1, 0, -1), None),
+    (lambda: _seeded_problem(5, 8, 4, rho=0.9), (0, 0, 0, 0), None),
+    (lambda: _seeded_problem(6, 6, 3, lam=(0.0, 0.7, 0.7)), (1, 0, -1), None),
+    (lambda: _seeded_problem(7, 6, 3, lam=(0.7, 0.0, 0.7)), (1, 0, 0), None),
+    (lambda: _seeded_problem(8, 6, 3, lam=(0.7, 0.0, 0.7)), (0, 0, 0), None),
+    (_rank2_case, (0, 0, 0), None),
+    (_rank2_case, (1, 0, 0), None),
+]
+
+
+@pytest.mark.parametrize("case,signs,z", _SORTED_EVENTS)
+def test_decided_rows_have_the_verdict_of_their_solution(case, signs, z):
+    prob, model, t = case()
+    region = ld.region_orthant(signs, z)
+    sort = region.decide(prob, t, 1e-10)
+    if not any(signs) or prob.rank_x == prob.p:
+        assert sort is not None
+    else:
+        assert sort is None  # rank-deficient with a nonzero sign: every row is solved
+        return
+    Y = next(gaussian_chunks(9, 4096, prob.n))[2] * 1.5 + model.mu
+    hit, undecided = sort(Y @ prob.X)
+    B, _ = solver.solve_many(prob, Y, t)
+    verdict = region(B)
+    assert verdict[hit].all() and not verdict[~hit & ~undecided].any()
+    # misses occur, hits wherever the event does (never on an unpenalized
+    # coordinate that must be 0), and the band holds at most 1% of the rows
+    assert hit.any() == verdict.any() and (~hit & ~undecided).any()
+    assert undecided.sum() <= len(Y) // 100
+
+
+def test_rows_inside_the_band_reach_the_solver(monkeypatch):
+    # sigma = 1e-150 leaves every response at mu, bit for bit; on X = I_2,
+    # c = y, and c_1 = lam_1 + 2e-12 exceeds its threshold by far less than
+    # the margin h (above tol = 1e-10): the solver must see that row, and
+    # its b_1 = 2e-12 counts as 0 at zero_tol 1e-9
+    prob, t = ld.build_problem(np.eye(2)), ld.tuning_vector([1.0, 1.0])
+    solved = []
+
+    def counted(problem, Y, *args, **kwargs):
+        solved.append(len(Y))
+        return solver.solve_many(problem, Y, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "solve_many", counted)
+    for mu, signs, solves, estimate in [
+        ((1.0 + 2e-12, 0.0), (0, 0), 100, 1.0),
+        ((0.5, 0.0), (0, 0), 0, 1.0),  # below both thresholds: decided, never solved
+        ((1.0 + 5e-10, -2.0), (1, -1), 100, 0.0),  # x_1 = 5e-10, within delta of zero_tol
+        ((3.0, -2.0), (1, -1), 0, 1.0),
+    ]:
+        solved.clear()
+        model = ld.gaussian_model(prob, mu, 1e-150)
+        rp = ld.prob_region_high(prob, model, t, ld.region_orthant(signs), n_samples=100)
+        assert sum(solved) == solves and rp.estimate == estimate, (mu, signs)
+
+
+def test_decided_counts_equal_solving_every_row():
+    # the event's sorter against the same predicate without one, over 20 seeds
+    for case, signs, z in _SORTED_EVENTS:
+        prob, model, t = case()
+        region = ld.region_orthant(signs, z)
+        for seed in range(20):
+            decided = ld.prob_region_high(prob, model, t, region, n_samples=1000, seed=seed)
+            solved = ld.prob_region_high(prob, model, t, lambda B: region(B), n_samples=1000,
+                                         seed=seed)
+            assert decided.estimate == solved.estimate, (signs, seed)
+
+
 def test_comparison_report_passes_within_noise():
     analytic = ld.RegionProbability(0.477250, 0.0, "quadrature", 0, None, 1e-4)
     empirical = ld.RegionProbability(0.4785, 0.00158, "monte-carlo", 100_000, 0, 0.0)
