@@ -24,9 +24,11 @@ max_iter 400 and 500, and the time of a call at the default limit.
 `simulate` on wide5x8 and corr50x30) run in process by `cli.main` after one
 warm-up call, with the peak of tracemalloc's traced bytes in each stage, in
 MB: `solve` inside the block solves, `count` inside the counting of a
-block, `draw` between blocks (drawing the next block, freeing the last) and
-`report` from the end of the replicate loop to the call's return (summary,
-rendering and writing to /dev/null). Traced bytes are those allocated
+block, `sort` inside the sorting of a block by its event (`prob-zero` in
+checkouts whose events decide rows from C = Y X; `solve` and `count` then
+see only the undecided rows), `draw` between blocks (drawing the next
+block, freeing the last) and `report` from the end of the replicate loop to
+the call's return (summary, rendering and writing to /dev/null). Traced bytes are those allocated
 through Python's allocators, numpy arrays included, not the peak RSS.
 --src names the source checkout whose `src/lassodist` is measured (default:
 this one), so one command measures two commits.
@@ -104,8 +106,11 @@ def stage_peaks(cli, simulate, argv):
 
     solve_many, replicates = simulate.solve_many, simulate._solve_replicates
 
-    def staged_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume):
-        replicates(problem, model, tuning, n_rep, seed, solver_tol, wrap(consume, "count", "draw"))
+    def staged_replicates(problem, model, tuning, n_rep, seed, solver_tol, consume, sort=None):
+        # checkouts that predate the sorter take no sort argument, and get none
+        staged = {} if sort is None else {"sort": wrap(sort, "sort", "draw")}
+        replicates(problem, model, tuning, n_rep, seed, solver_tol,
+                   wrap(consume, "count", "draw"), **staged)
         enter("report")
 
     simulate.solve_many = wrap(solve_many, "solve", "draw")

@@ -176,7 +176,9 @@ def region_orthant(d, z=None, zero_tol: float = ZERO_TOL):
     The predicate carries decide(problem, tuning, tol) for prob_region_high:
     with every sign 0 at any rank, and with any signs when X has full column
     rank, it returns _orthant_sorter's function, which reads most rows'
-    verdicts off C = Y X; otherwise None, and every row is solved."""
+    verdicts off C = Y X; otherwise None, and every row is solved. It is
+    used only on this predicate itself (decide_for), not on a wrapper that
+    copied its attributes."""
     d = _as_signs(d)
     signs, zero = d.as_array(), np.zeros(d.p)
     z = zero if z is None else _as_vector(z, d.p, "z")
@@ -193,6 +195,7 @@ def region_orthant(d, z=None, zero_tol: float = ZERO_TOL):
 
     region.decide = lambda problem, tuning, tol: _orthant_sorter(
         problem, tuning, tol, signs, edge, zero_tol)
+    region.decide_for = region
     return region
 
 
@@ -285,7 +288,8 @@ def prob_region_high(
         raise InputError(f"region predicate must map a (1, p) block to shape (1,), got {shape}")
     n_samples = _as_int(n_samples, 1, "n_samples must be a positive integer")
     hits = []
-    decide = getattr(region, "decide", None)
+    # functools.wraps copies decide to a wrapper, whose event it is not
+    decide = getattr(region, "decide_for", None) is region and region.decide
     decide = decide and decide(problem, tuning, solver_tol)  # None: every row is solved
 
     def sort(C):

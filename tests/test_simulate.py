@@ -413,6 +413,20 @@ def test_decided_counts_equal_solving_every_row():
             assert decided.estimate == solved.estimate, (signs, seed)
 
 
+def test_a_wrapped_predicate_does_not_inherit_the_sorter():
+    # functools.wraps copies the event's decide onto a predicate of another event
+    for case, signs, z in _SORTED_EVENTS[:4]:
+        prob, model, t = case()
+        region = ld.region_orthant(signs, z)
+        negated = functools.wraps(region)(lambda B: ~region(B))
+        assert negated.decide is region.decide
+        for seed in range(5):
+            wrapped = ld.prob_region_high(prob, model, t, negated, n_samples=1000, seed=seed)
+            solved = ld.prob_region_high(prob, model, t, lambda B: ~region(B), n_samples=1000,
+                                         seed=seed)
+            assert wrapped.estimate == solved.estimate, (signs, seed)
+
+
 def test_comparison_report_passes_within_noise():
     analytic = ld.RegionProbability(0.477250, 0.0, "quadrature", 0, None, 1e-4)
     empirical = ld.RegionProbability(0.4785, 0.00158, "monte-carlo", 100_000, 0, 0.0)
