@@ -22,6 +22,8 @@ import sys
 
 import numpy as np
 
+from lassodist._genz import _KOROBOV
+
 MIN_LOG2_N, MAX_LOG2_N = 6, 16
 DIMS = (2, 3, 4, 5)
 _TIE = 1e-9
@@ -86,8 +88,6 @@ def main(argv=None):
     if not args.check:
         print(render(tab))
         return 0
-    from lassodist._genz import _KOROBOV
-
     diff = [(key, a, _KOROBOV.get(key)) for key, a in tab.items() if _KOROBOV.get(key) != a]
     for (n, dim), a, committed in diff:
         print(f"n={n} dim={dim}: search gives {a}, table has {committed}")

@@ -47,7 +47,7 @@ from . import _lazy
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
 from .model import DesignProblem, GaussianModel, RegionProbability, SignVector, TuningVector
 from .model import _as_int, _as_signs, _as_vector, _check_dims, _check_seed, _check_tol
-from .model import _EVENT_SIDE_TOL, _check_side, _check_zero_tol, _record
+from .model import _EVENT_SIDE_TOL, _check_quad_tol, _check_side, _record
 
 # uncalled here, but read as attributes of this module: perfbench/tracing.py
 # wraps both and perfbench/worker.py calls solve_many. They load on first use
@@ -120,7 +120,7 @@ def estimator_orthant_event(model: GaussianModel, z, d=None) -> OrthantEvent:
     event = error_orthant_event(z - model.beta, np.sign(z) if d is None else d)
     for j in event.d.d_zero:
         if abs(z[j]) > _EVENT_SIDE_TOL:
-            raise InputError(f"D0 coordinate {j} needs threshold 0, got {z[j]!r}")
+            raise InputError(f"D0 coordinate {j} needs threshold 0, got {float(z[j])!r}")
         event.z[j] = -model.beta[j]
     return event
 
@@ -257,7 +257,7 @@ def prob_orthant_event(
     signs, z = d.as_array(), _as_vector(event.z, d.p, "event thresholds")
     _check_side(signs, z, -model.beta)  # coordinate j's atom lies at -beta_j
     seed = _check_seed(seed)
-    _check_zero_tol(quad_tol, "quad_tol")  # 0 reports the kernels' own bound
+    _check_quad_tol(quad_tol)  # 0 reports the kernels' own bound
     _require_quad(problem)
     bounds = _orthant(signs, z)
     _, [(estimate, se, tol, points)] = _refine(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _lazy
 from .errors import CombinatorialLimitError, InputError, NumericalError
-from .model import DEFAULT_TOL, LP_TOL, ZERO_TOL, DesignProblem, TuningVector, _as_indices
+from .model import DEFAULT_TOL, LP_TOL, DesignProblem, TuningVector, _as_indices
 from .model import _as_signs, _as_vector, _check_dims, _check_tol, _column_rank, _numerical_rank
 from .model import _record, sign_partition
 from .simplex import feasible_point
@@ -389,29 +389,25 @@ class ShrinkageSet:
         return self.box.contains(probe - self.center, tol=tol)
 
 
-def _shrinkage_set(problem, tuning, b, zero_tol, domain):
+def _shrinkage_set(problem, tuning, b, domain):
     _check_dims(problem, tuning)
     b = _as_vector(b, problem.p, "b")
-    d = sign_partition(b, zero_tol)
+    d = sign_partition(b)
     model = tuple(j for j in range(problem.p) if d.d[j] != 0)
     box = face_box(tuning, model, tuple(d.d[j] for j in model))
     return ShrinkageSet(center=problem.gram @ b, box=box, b=b.copy(), gram=problem.gram, domain=domain)
 
 
-def shrinkage_set_high(
-    problem: DesignProblem, tuning: TuningVector, b, zero_tol: float = ZERO_TOL
-) -> ShrinkageSet:
+def shrinkage_set_high(problem: DesignProblem, tuning: TuningVector, b) -> ShrinkageSet:
     """The X'y values whose Lasso solution set contains b (any rank)."""
-    return _shrinkage_set(problem, tuning, b, zero_tol, "xty")
+    return _shrinkage_set(problem, tuning, b, "xty")
 
 
-def shrinkage_set_low(
-    problem: DesignProblem, tuning: TuningVector, b, zero_tol: float = ZERO_TOL
-) -> ShrinkageSet:
+def shrinkage_set_low(problem: DesignProblem, tuning: TuningVector, b) -> ShrinkageSet:
     """The least-squares estimates mapped to Lasso output b (full column rank)."""
     if problem.rank_x < problem.p:
         raise InputError("design is rank deficient; use shrinkage_set_high")
-    return _shrinkage_set(problem, tuning, b, zero_tol, "ls_estimate")
+    return _shrinkage_set(problem, tuning, b, "ls_estimate")
 
 
 def shrinkage_singleton(problem: DesignProblem, tuning: TuningVector, b) -> np.ndarray:

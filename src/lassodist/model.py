@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InputError
 
-# default |b_j| <= ZERO_TOL  <=>  coordinate j counts as zero
+# |b_j| <= ZERO_TOL  <=>  coordinate j of a solution counts as zero (_signs)
 ZERO_TOL = 1e-9
 
 # default solver tolerance on the KKT residual
@@ -115,10 +115,10 @@ def _check_tol(tol, name: str = "tol") -> None:
         raise InputError(f"{name} must be finite")
 
 
-def _check_zero_tol(zero_tol, name: str = "zero_tol") -> None:
-    """Raise InputError unless zero_tol is finite and nonnegative (0 is legal)."""
-    if not (zero_tol >= 0 and math.isfinite(zero_tol)):
-        raise InputError(f"{name} must be finite and nonnegative")
+def _check_quad_tol(quad_tol) -> None:
+    """Raise InputError unless quad_tol is finite and nonnegative (0 is legal)."""
+    if not (quad_tol >= 0 and math.isfinite(quad_tol)):
+        raise InputError("quad_tol must be finite and nonnegative")
 
 
 def _as_vector(v, length, name: str, allow_inf: bool = False) -> np.ndarray:
@@ -171,8 +171,8 @@ def _check_side(signs, z, split):
     wrong = np.flatnonzero(np.where(signs == 0, np.abs(zs), -signs * zs) > _EVENT_SIDE_TOL)
     if wrong.size:
         j = int(wrong[0])
-        raise InputError(f"coordinate {j}: threshold z_j = {z[j]!r} lies on the wrong side of "
-                         f"{split[j]!r} for d_j = {signs[j]} (D0 requires equality)")
+        raise InputError(f"coordinate {j}: threshold z_j = {float(z[j])!r} lies on the wrong "
+                         f"side of {float(split[j])!r} for d_j = {signs[j]} (D0 requires equality)")
 
 
 def _as_indices(indices, p: int) -> tuple:
@@ -211,14 +211,11 @@ class DesignProblem:
     scale d holds the column norms (1 for a zero column), unit U = X / d and
     unit_norm ||U||_2. The Lasso of (X, lam) is that of (U, lam / d) with
     b = b' / d, so every rank, rank_x = rk(X) included, is _column_rank's.
-    Orthonormal row_space_basis (p x r) and null_space_basis span col(X') and ker(X).
     """
 
     X: np.ndarray
     gram: np.ndarray
     rank_x: int
-    row_space_basis: np.ndarray
-    null_space_basis: np.ndarray
     scale: np.ndarray
     unit: np.ndarray
     unit_norm: float
@@ -245,23 +242,15 @@ def build_problem(X) -> DesignProblem:
     if not (-MAX_MAGNITUDE <= X.min() and X.max() <= MAX_MAGNITUDE):
         raise InputError(
             f"design matrix entries must be finite, of magnitude at most {MAX_MAGNITUDE:g}")
-    n, p = X.shape
     scale = np.linalg.norm(X, axis=0)
     scale[scale == 0.0] = 1.0
     unit = X / scale
-    # all of V splits row space from null space; only n < p needs full matrices
-    # for it. rank is _column_rank's on all columns, and s[0] is ||U||_2
-    _, s, vt = np.linalg.svd(unit, full_matrices=n < p)
-    rank = _numerical_rank(s, X.shape)
-    # ker(X) = ker(U) / d, and col(X') is its orthogonal complement; the QR
-    # only orthonormalizes the two public bases, which no module here reads
-    basis = np.linalg.qr(vt[rank:].T / scale[:, None], mode="complete")[0]
+    # rank is _column_rank's on all columns, and s[0] is ||U||_2
+    s = np.linalg.svd(unit, compute_uv=False)
     return DesignProblem(
         X=X,
         gram=X.T @ X,
-        rank_x=rank,
-        row_space_basis=basis[:, p - rank:],
-        null_space_basis=basis[:, :p - rank],
+        rank_x=_numerical_rank(s, X.shape),
         scale=scale,
         unit=unit,
         unit_norm=float(s[0]),
@@ -319,8 +308,7 @@ def tuning_vector(lam) -> TuningVector:
 
 def uniform_tuning(p: int, lam_bar: float) -> TuningVector:
     """The weight lam_bar on each of p coordinates; p must be a positive integer."""
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
-        raise InputError(f"p must be a positive integer, got {p!r}")
+    p = _as_int(p, 1, f"p must be a positive integer, got {p!r}")
     return tuning_vector(np.full(p, float(lam_bar)))
 
 
@@ -358,13 +346,16 @@ class SignVector:
         return np.array(self.d, dtype=int)
 
 
-def sign_partition(z, zero_tol: float = ZERO_TOL) -> SignVector:
-    """Classify each coordinate of z as -1, 0 or +1; |z_j| <= zero_tol is 0."""
-    _check_zero_tol(zero_tol)
+def _signs(B) -> np.ndarray:
+    """The sign of each entry of B as int8, 0 where |b| <= ZERO_TOL: the package's
+    one zero rule, by which a solution's model and sign pattern are read."""
+    return (B > ZERO_TOL).view(np.int8) - (B < -ZERO_TOL).view(np.int8)
+
+
+def sign_partition(z) -> SignVector:
+    """Classify each coordinate of z as -1, 0 or +1; |z_j| <= ZERO_TOL is 0."""
     z = _as_vector(z, None, "z", allow_inf=True)
-    d = np.sign(z)
-    d[np.abs(z) <= zero_tol] = 0.0
-    return SignVector(d=tuple(int(v) for v in d))
+    return SignVector(d=tuple(_signs(z).tolist()))
 
 
 @_record

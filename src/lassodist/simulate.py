@@ -8,7 +8,9 @@ treats rows independently, so a block gives each row what its chunk alone
 would, bit for bit where BLAS sums a row in the same order in both batches.
 An event that can read some rows' verdicts off C = Y X (region_orthant, see
 its decide) sorts each block first, and only its undecided rows are solved;
-its counts are those of solving every row.
+its counts are those of solving every row. Sign patterns, supports and the
+event predicates read a solution's signs by model._signs, the package's one
+zero rule.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, RegionProbability
 from .model import SignVector, TuningVector, _as_int, _as_signs, _as_vector, _check_dims
-from .model import _check_seed, _check_side, _check_tol, _check_zero_tol, _record
+from .model import _check_seed, _check_side, _check_tol, _record, _signs
 from .rng import gaussian_chunks
 from .solver import kernel_sign_cone_nonempty, solve_many
 from .solver import _EPS, _check_inputs, _passes, _uniqueness_classes
@@ -33,29 +35,32 @@ from .solver import _EPS, _check_inputs, _passes, _uniqueness_classes
 _BLOCK_CHUNKS = 2
 # a sign pattern's code holds s_j + 1 in byte j; this table turns it into s_j as int8
 _SIGN_OF_CODE = bytes.maketrans(b"\x00\x01\x02", b"\xff\x00\x01")
+# each coordinate's ECDF grid: ECDF_POINTS points spanning ECDF_SPAN standard
+# deviations of the least-squares coordinate on either side of beta_j
+ECDF_POINTS = 21
+ECDF_SPAN = 4.0
 
 
 @_record(eq=True)
 class SimulationConfig:
+    """The replicate count, the seed of the RNG streams and the solver's
+    tolerance of one run_simulation call.
+
+    zero_tol is a class constant, not a field: model.ZERO_TOL, the zero rule
+    by which run_simulation reads each replicate's sign pattern.
+    """
+
     n_rep: int = 100_000
     seed: int = 0
-    zero_tol: float = ZERO_TOL
     solver_tol: float = DEFAULT_TOL
-    ecdf_points: int = 21
-    ecdf_span: float = 4.0
+    zero_tol = ZERO_TOL
 
     def __post_init__(self):
-        # counts are kept as int, so n_rep=2.0 reports 2 and the ECDF grid
-        # gets an integral number of points
+        # counts are kept as int, so n_rep=2.0 reports 2
         state = self.__dict__
         state["n_rep"] = _as_int(self.n_rep, 1, "n_rep must be a positive integer")
         state["seed"] = _check_seed(self.seed)
-        _check_zero_tol(self.zero_tol)
         _check_tol(self.solver_tol, "tolerances")
-        grid = "ecdf grid needs an integral number >= 2 of points and a finite positive span"
-        state["ecdf_points"] = _as_int(self.ecdf_points, 2, grid)
-        if not (self.ecdf_span > 0 and math.isfinite(self.ecdf_span)):
-            raise InputError(grid)
 
 
 @_record
@@ -78,7 +83,7 @@ class EmpiricalSummary:
     convergence_failures: int = 0
 
 
-def _ecdf_axes(problem: DesignProblem, model: GaussianModel, config: SimulationConfig):
+def _ecdf_axes(problem: DesignProblem, model: GaussianModel):
     pinv_diag = np.diag(np.linalg.pinv(problem.gram))
     grids = []
     for j in range(problem.p):
@@ -86,9 +91,9 @@ def _ecdf_axes(problem: DesignProblem, model: GaussianModel, config: SimulationC
         if sd < 1e-12:
             sd = model.sigma  # coordinate invisible to the design; arbitrary plot scale
         grids.append(np.linspace(
-            model.beta[j] - config.ecdf_span * sd,
-            model.beta[j] + config.ecdf_span * sd,
-            config.ecdf_points,
+            model.beta[j] - ECDF_SPAN * sd,
+            model.beta[j] + ECDF_SPAN * sd,
+            ECDF_POINTS,
         ))
     return grids
 
@@ -143,14 +148,13 @@ def _binomial_probability(hits, n_samples, seed) -> RegionProbability:
     )
 
 
-def region_support_includes(j: int, zero_tol: float = ZERO_TOL):
-    """Predicate factory: solutions whose coordinate j (an int >= 0) is active."""
-    _check_zero_tol(zero_tol)
-    if not (isinstance(j, (int, np.integer)) and j >= 0):
-        raise InputError(f"column index must be a nonnegative integer, got {j!r}")
+def region_support_includes(j: int):
+    """Predicate factory: solutions whose coordinate j (an integer >= 0) is
+    nonzero by model._signs."""
+    j = _as_int(j, 0, f"column index must be a nonnegative integer, got {j!r}")
 
     def region(B):
-        return np.abs(B[:, j]) > zero_tol
+        return _signs(B[:, j]) != 0
 
     return region
 
@@ -167,11 +171,11 @@ def region_below(z):
     return region
 
 
-def region_orthant(d, z=None, zero_tol: float = ZERO_TOL):
+def region_orthant(d, z=None):
     """Predicate factory: distribution.estimator_orthant_event(model, z, d) at
-    estimator thresholds z (default 0; on d's side of 0, and 0 on D0), b_j >
-    zero_tol and b_j >= z_j on D+, b_j < -zero_tol and b_j <= z_j on D-,
-    |b_j| <= zero_tol on D0. With every sign 0 it is {bhat = 0}.
+    estimator thresholds z (default 0; on d's side of 0, and 0 on D0): the
+    sign of b_j by model._signs is d_j, and b_j >= z_j on D+, b_j <= z_j on
+    D-. With every sign 0 it is {bhat = 0}.
 
     The predicate carries decide(problem, tuning, tol) for prob_region_high:
     with every sign 0 at any rank, and with any signs when X has full column
@@ -182,27 +186,24 @@ def region_orthant(d, z=None, zero_tol: float = ZERO_TOL):
     d = _as_signs(d)
     signs, zero = d.as_array(), np.zeros(d.p)
     z = zero if z is None else _as_vector(z, d.p, "z")
-    _check_zero_tol(zero_tol)
     _check_side(signs, z, zero)
-    edge = signs * z
+    edge, code = signs * z, signs.astype(np.int8)
 
     def region(B):
         if B.shape[1] != signs.size:
             raise ValueError(f"{signs.size} signs for {B.shape[1]} columns")
-        sb = signs * B
-        moving = (sb > zero_tol) & (sb >= edge)
-        return np.all(np.where(signs == 0, np.abs(B) <= zero_tol, moving), axis=1)
+        return np.all((_signs(B) == code) & (signs * B >= edge), axis=1)
 
     region.decide = lambda problem, tuning, tol: _orthant_sorter(
-        problem, tuning, tol, signs, edge, zero_tol)
+        problem, tuning, tol, signs, edge)
     region.decide_for = region
     return region
 
 
-def _orthant_sorter(problem, tuning, tol, signs, edge, zero_tol):
+def _orthant_sorter(problem, tuning, tol, signs, edge):
     """A function of a block's C = Y X that returns the masks (hit, undecided)
     of the orthant event with signs s on A = supp(signs), thresholds z and
-    edge = s z, whose floors there are max(zero_tol, s_j z_j); None if A is
+    edge = s z, whose floors there are max(ZERO_TOL, s_j z_j); None if A is
     not empty and X is not of full column rank.
 
     For a row c of C, the candidate x_A = G_AA^-1 (c_A - s lam_A) and the
@@ -214,7 +215,7 @@ def _orthant_sorter(problem, tuning, tol, signs, edge, zero_tol):
     u = 16 (p + 2)^2 eps kappa S bounds the rounding of the acceptance rule
     and of the candidate: S = max|c| + max lam + sqrt(p) ||G|| max|x_A| over
     the block, and kappa = ||G|| ||G^-1||, 1 with A empty. With
-    zeta = zero_tol and 2-norms, the margins are
+    zeta = ZERO_TOL, the zero rule's band, and 2-norms, the margins are
 
         delta = sqrt(p) ||G^-1|| (e + ||G|| zeta)   (0 with A empty),
         h = e + ||G|| (delta + sqrt(p) zeta).
@@ -237,7 +238,7 @@ def _orthant_sorter(problem, tuning, tol, signs, edge, zero_tol):
     root, s = math.sqrt(p), signs[A]
     kappa = mu[-1] / mu[0] if A.size else 1.0
     G_AA, G_AO, lam_A = G[np.ix_(A, A)], G[np.ix_(A, O)], s * lam[A]
-    floor = np.maximum(zero_tol, edge[A])
+    floor = np.maximum(ZERO_TOL, edge[A])
 
     def sort(C):
         # a non-finite margin compares False both ways, which leaves its rows undecided
@@ -246,8 +247,8 @@ def _orthant_sorter(problem, tuning, tol, signs, edge, zero_tol):
             slack = (np.abs(C[:, O] - x @ G_AO) - lam[O]).max(axis=1, initial=-np.inf)
             scale = np.abs(C).max() + lam.max() + root * mu[-1] * np.abs(x).max(initial=0.0)
             e = tol + 16 * (p + 2) ** 2 * _EPS * kappa * scale
-            delta = root * (e + mu[-1] * zero_tol) / mu[0] if A.size else 0.0
-            h = e + mu[-1] * (delta + root * zero_tol)
+            delta = root * (e + mu[-1] * ZERO_TOL) / mu[0] if A.size else 0.0
+            h = e + mu[-1] * (delta + root * ZERO_TOL)
             if A.size:
                 margin = (s * x - floor).min(axis=1)
                 hit, miss = (margin > delta) & (slack < -h), (margin < -delta) | (slack > h)
@@ -312,15 +313,16 @@ def run_simulation(
 ) -> EmpiricalSummary:
     """Sample y = mu + sigma*eps, solve each replicate, count what happened.
 
-    Per replicate: the sign pattern of b at zero_tol, its support, whether the
-    solution set at that y is a single point, and per-axis ECDF counts. Fails
-    with ConvergenceError as soon as one replicate misses solver_tol, so
+    Per replicate: the sign pattern of b by model._signs, its support, whether
+    the solution set at that y is a single point, and its counts on each
+    coordinate's ECDF grid (ECDF_POINTS, ECDF_SPAN). Fails with
+    ConvergenceError as soon as one replicate misses solver_tol, so
     convergence_failures is always 0.
     """
     _check_dims(problem, tuning, model)
     sign_counts: Counter = Counter()
-    grids = _ecdf_axes(problem, model, config)
-    ecdf_hits = [np.zeros(config.ecdf_points, dtype=np.int64) for _ in range(problem.p)]
+    grids = _ecdf_axes(problem, model)
+    ecdf_hits = [np.zeros(ECDF_POINTS, dtype=np.int64) for _ in range(problem.p)]
     nonunique = 0
     always_unique = problem.rank_x == problem.p
     cone_cache: dict = {}
@@ -328,8 +330,8 @@ def run_simulation(
     def count(Y, B):
         nonlocal nonunique
         # byte s_j + 1 per coordinate, so byte order is the order of the signs
-        codes = np.add(B > config.zero_tol, 1, dtype=np.uint8)
-        codes -= B < -config.zero_tol
+        codes = _signs(B).view(np.uint8)
+        codes += 1
         patterns, counts = _distinct_rows(codes)
         for code, cnt in zip(patterns.tolist(), counts.tolist()):
             sign_counts[tuple(memoryview(code.translate(_SIGN_OF_CODE)).cast("b"))] += cnt
@@ -369,7 +371,7 @@ def _count_nonunique(problem, tuning, config, Y, B, cache):
     solver._uniqueness_classes, so rows sharing them share the answer.
     """
     G = Y @ problem.X - B @ problem.gram
-    classes = _uniqueness_classes(G, B, tuning.lam, config.solver_tol, config.zero_tol)
+    classes = _uniqueness_classes(G, B, tuning.lam, config.solver_tol)
     patterns, counts = _distinct_rows(classes)
     total = 0
     for key, cnt in zip(patterns.tolist(), counts.tolist()):

@@ -11,10 +11,13 @@ minimizes L iff, with g = X'y - X'Xb,
     g_j = sgn(b_j) lam_j        where b_j != 0,
     |g_j| <= lam_j              where b_j == 0,
 
-which is what is_solution certifies and what coordinate descent uses as its
-convergence criterion, each entry up to tol plus the rounding bound of its
-own terms, (p + 2) eps (|c_j| + (|b||G|)_j + lam_j) with c = X'y: no iterate
-meets tol alone once |X'y| reaches about 1e6. Residuals stay raw violations.
+which is the one acceptance rule: is_solution certifies it and coordinate
+descent uses it as its convergence criterion, with b_j == 0 exact and each
+entry up to tol plus the rounding bound of its own terms,
+(p + 2) eps (|c_j| + (|b||G|)_j + lam_j) with c = X'y: no iterate meets tol
+alone once |X'y| reaches about 1e6. Residuals stay raw violations. A
+solution's model and signs are read by the package's one zero rule,
+model._signs (|b_j| <= ZERO_TOL is 0).
 
 One batched coordinate-descent engine solves every response; solve is its
 one-row call. It keeps the open rows coordinate-major, (p, rows), so each
@@ -51,9 +54,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .model import DEFAULT_TOL, LP_TOL, MAX_MAGNITUDE, ZERO_TOL, DesignProblem, TuningVector
+from .model import DEFAULT_TOL, LP_TOL, MAX_MAGNITUDE, DesignProblem, TuningVector
 from .model import _as_vector
-from .model import _as_int, _check_dims, _check_tol, _check_zero_tol, _column_rank, _record
+from .model import _as_int, _check_dims, _check_tol, _column_rank, _record, _signs
 from .simplex import feasible
 
 DEFAULT_MAX_ITER = 100_000
@@ -108,18 +111,16 @@ class SolutionSetDescription:
     is_unique_at_y: bool
 
 
-def _kkt_violation(g, b, lam, zero_tol):
+def _kkt_violation(g, b, lam):
     """Per-entry KKT violation of b, written over g = X'y - X'Xb and returned.
 
-    |g_j - sgn(b_j) lam_j| where |b_j| > zero_tol, else max(|g_j| - lam_j, 0).
+    |g_j - sgn(b_j) lam_j| where b_j != 0, else max(|g_j| - lam_j, 0).
     One temporary the size of b holds the threshold subtracted from g and then
     the one subtracted from |g|: s_j lam_j and 0 on the support, 0 and lam_j
     off it. Subtracting an exact 0 changes nothing, so each entry is bitwise
     that of its formula.
     """
     t = np.sign(b)
-    if zero_tol > 0:
-        t[np.abs(b) <= zero_tol] = 0.0
     t *= lam
     g -= t
     np.abs(g, out=g)
@@ -146,7 +147,7 @@ def _passes(r, C, B, gram, lam, tol):
         i = np.flatnonzero(~ok & (r <= tol + (lam.size + 2) * _EPS * most))
         if i.size:
             C, B = C[i], B[i]
-            ok[i] = _accepted(_kkt_violation(C - B @ gram, B, lam, 0.0), C, B, gram, lam, tol)
+            ok[i] = _accepted(_kkt_violation(C - B @ gram, B, lam), C, B, gram, lam, tol)
     return ok
 
 
@@ -203,7 +204,7 @@ def _descend(problem, lam, Y, tol, max_iter):
         if not (finish or sweep < _FIRST_FINISH or sweep == max_iter):
             continue
         g = gram @ Bt
-        r = _kkt_violation(np.subtract(Ct, g, out=g), Bt, lam[:, None], 0.0).max(axis=0)
+        r = _kkt_violation(np.subtract(Ct, g, out=g), Bt, lam[:, None]).max(axis=0)
         del g
         done = _passes(r, Ct.T, Bt.T, gram, lam, tol)
         better = (r < resids[rows]) | done
@@ -235,7 +236,7 @@ def _finish(problem, lam, C, B, todo, tol):
     With A a row's support and s its signs, solve G_AA b_A = c_A - s_A lam_A
     and set b = 0 off A. A row is accepted only when |A| <= rk(X), LU meets
     no zero pivot in G_AA, b_A keeps the signs s_A and the KKT residual of b
-    (zero_tol 0) meets tol; its row of B becomes that solution. Any other
+    meets tol; its row of B becomes that solution. Any other
     row keeps what the finish found in one step that does not raise L:
     toward the solution where one was found (_step_to_solution), else along
     a null vector of X_A (_null_step). The null step works on X_A', k x n
@@ -285,7 +286,7 @@ def _finish(problem, lam, C, B, todo, tol):
                     x[ok] = np.linalg.solve(M[ok], rhs[ok, :, None])[:, :, 0]
                 b = np.zeros((i.size, p))
                 b[rows, A] = x
-                r = _kkt_violation(np.subtract(Ci, b @ gram, out=Ci), b, lam, 0.0).max(axis=1)
+                r = _kkt_violation(np.subtract(Ci, b @ gram, out=Ci), b, lam).max(axis=1)
                 acc = ok & np.all(np.sign(x) == s, axis=1) & (r <= tol)
                 accepted[i], rf[i] = acc, np.where(ok, r, 0.0)
                 bA[acc] = x[acc]
@@ -378,14 +379,14 @@ def solve(
     The one-row call of the engine behind solve_many. Deterministic in its
     inputs. Convergence is declared on the first-order residual (not on
     objective decrease), whether descent or the finish reaches it, so the
-    output always passes is_solution at the same tol and zero_tol 0. Otherwise
+    output always passes is_solution at the same tol. Otherwise
     ConvergenceError carries the best iterate and its residual, best among
     the sweeps where the residual is evaluated.
     """
     y = np.asarray(np.ravel(y), dtype=float)
     B, resids = solve_many(problem, y, tuning, tol, max_iter)
     b, resid = B[0], float(resids[0])
-    if resid > tol and not is_solution(problem, y, tuning, b, tol, zero_tol=0.0):
+    if resid > tol and not is_solution(problem, y, tuning, b, tol):
         raise ConvergenceError(
             f"coordinate descent did not reach tol={tol:g} within {int(max_iter)} sweeps "
             f"(best residual {resid:.3e})",
@@ -395,7 +396,7 @@ def solve(
     fit = problem.X @ b
     r = y - fit
     objective = float(r @ r + 2.0 * tuning.lam @ np.abs(b))
-    active = tuple(int(j) for j in np.flatnonzero(np.abs(b) > ZERO_TOL))
+    active = tuple(np.flatnonzero(_signs(b)).tolist())
     return LassoSolution(
         b=b.copy(), fit=fit, objective=objective, kkt_residual=resid, active_model=active
     )
@@ -428,15 +429,15 @@ def is_solution(
     tuning: TuningVector,
     b,
     tol: float = 1e-8,
-    zero_tol: float = ZERO_TOL,
 ) -> KKTReport:
     """Certify b against the first-order conditions at tolerance tol, each
-    entry up to its rounding bound (module docstring); max_violation is raw."""
+    entry up to its rounding bound (module docstring); max_violation is raw.
+    A coordinate is zero only when it is exactly 0, as in the solver's own
+    acceptance rule, so whatever solve returns passes here at its tol."""
     y = _check_inputs(problem, np.ravel(y), tuning, tol)[0]
-    _check_zero_tol(zero_tol)
     b = _as_vector(b, problem.p, "b")
     c = problem.X.T @ y
-    viol = _kkt_violation(c - problem.gram @ b, b, tuning.lam, zero_tol)
+    viol = _kkt_violation(c - problem.gram @ b, b, tuning.lam)
     worst = int(np.argmax(viol))
     ok = bool(_accepted(viol, c, b, problem.gram, tuning.lam, tol))
     return KKTReport(ok=ok, max_violation=float(viol[worst]), worst_index=worst)
@@ -471,15 +472,16 @@ def kernel_sign_cone_nonempty(problem, classes, tol=LP_TOL):
     return feasible(a_eq, b_eq, a_ub, b_ub, n_free=boundary.size, tol=tol)
 
 
-def _uniqueness_classes(G, B, lam, tol, zero_tol):
+def _uniqueness_classes(G, B, lam, tol):
     """Per-coordinate classes of the rows of B, with G = Y X - B X'X.
 
-    2: interior (b_j = 0, lam_j - |g_j| > class_tol), pinned at 0 in every
-    solution; +-1: a zero held at the strict boundary g_j = +-lam_j, whose
-    movement must respect that sign; 0: a sign-free boundary coordinate.
+    2: interior (b_j zero by model._signs, lam_j - |g_j| > class_tol), pinned
+    at 0 in every solution; +-1: a zero held at the strict boundary
+    g_j = +-lam_j, whose movement must respect that sign; 0: a sign-free
+    boundary coordinate.
     """
     class_tol = max(100.0 * tol, 1e-8)
-    zeroish = np.abs(B) <= zero_tol
+    zeroish = _signs(B) == 0
     interior = (lam - np.abs(G) > class_tol) & zeroish
     constrained = ~interior & zeroish & (lam > 0) & (np.abs(G) > class_tol)
     return np.where(interior, 2, np.where(G >= 0, 1, -1) * constrained).astype(np.int8)
@@ -490,14 +492,12 @@ def describe_solution_set(
     y,
     tuning: TuningVector,
     tol: float = DEFAULT_TOL,
-    zero_tol: float = ZERO_TOL,
 ) -> SolutionSetDescription:
     """Solve, classify the equicorrelation structure, decide uniqueness at y."""
-    _check_zero_tol(zero_tol)
     anchor = solve(problem, y, tuning, tol=tol)
     y = np.asarray(y, dtype=float).ravel()
     g = problem.X.T @ y - problem.gram @ anchor.b
-    classes = _uniqueness_classes(g, anchor.b, tuning.lam, tol, zero_tol)
+    classes = _uniqueness_classes(g, anchor.b, tuning.lam, tol)
     signs = np.where(classes == 2, 0, np.where((g >= 0) | (tuning.lam == 0), 1, -1))
     unique = problem.rank_x == problem.p or not kernel_sign_cone_nonempty(problem, classes)
     return SolutionSetDescription(

@@ -700,11 +700,16 @@ def test_input_error_exit_codes(tmp_path):
          "bad grid spec"),
         (("density-grid", "--input", CORR2), "needs --grid"),
         (("density-grid", "--input", CORR2, *("--grid", "0:1:2") * 3), "at most two"),
+        # a threshold off its side, by either engine: plain floats, not numpy reprs
+        (("orthant-prob", "--input", CORR2, "--signs", "1,0", "--z", "0.5,0.1"),
+         "needs threshold 0, got 0.1"),
+        (("orthant-prob", "--input", CORR2, "--signs", "1,0", "--z", "0.5,0.1", "--method", "mc"),
+         "z_j = 0.1 lies on the wrong side of 0.0"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-        assert name in proc.stderr and proc.stdout == ""
+        assert name in proc.stderr and proc.stdout == "" and "np." not in proc.stderr
 
 
 def test_limit_errors_exit_code_3(tmp_path):

@@ -488,7 +488,8 @@ def test_region_predicates(n1p2):
 def test_mc_probabilities_equal_prob_region_high(setup2, n1p2):
     # region_orthant is the orthant event's hand-written predicate in estimator
     # coordinates: the same record, field for field, at the same seed and
-    # solver tolerance, and with all-zero signs the predicate of bhat = 0
+    # solver tolerance, and with all-zero signs the predicate of bhat = 0,
+    # each with coordinates within 1e-9 of 0 read as zeros
     zero_tol = 1e-9
     cases = (
         (*setup2, (1, 0), [0.1, 0.0]),
@@ -508,8 +509,8 @@ def test_mc_probabilities_equal_prob_region_high(setup2, n1p2):
 
         kwargs = dict(n_samples=10_000, seed=11, solver_tol=1e-9)
         pairs = (
-            (ld.region_orthant(d, z, zero_tol), in_event),
-            (ld.region_orthant((0, 0), zero_tol=zero_tol), all_zero),
+            (ld.region_orthant(d, z), in_event),
+            (ld.region_orthant((0, 0)), all_zero),
         )
         for region, hand_written in pairs:
             got = ld.prob_region_high(prob, model, tuning, region, **kwargs)
@@ -525,27 +526,23 @@ def test_region_orthant_all_zero_keeps_the_atom_hits(n1p2):
     all_zero = ld.region_orthant((0, 0))
     r = ld.prob_region_high(n1p2, model, t, all_zero, n_samples=20_000, seed=5)
     assert (r.estimate * 20_000, r.method, r.n_samples, r.seed) == (9502, "monte-carlo", 20_000, 5)
-    r = ld.prob_region_high(n1p2, model, t, ld.region_orthant((0, 0), zero_tol=1e-9),
-                            n_samples=10_000, seed=11, solver_tol=1e-9)
+    r = ld.prob_region_high(n1p2, model, t, all_zero, n_samples=10_000, seed=11, solver_tol=1e-9)
     assert r.estimate * 10_000 == 4893
 
 
-@pytest.mark.parametrize("d,z,zero_tol", [
-    ((1, 0), [0.1, 0.0, 0.0], 1e-9),  # one threshold per sign
-    ((1, 0), [0.1], 1e-9),
-    ((1, 0), [0.1, 0.2], 1e-9),  # D0 needs threshold 0
-    ((1, -1), [-0.1, 0.0], 1e-9),  # D+ threshold below 0
-    ((1, -1), [0.1, 0.2], 1e-9),  # D- threshold above 0
-    ((1, 0), [math.nan, 0.0], 1e-9),
-    ((1, 0), [math.inf, 0.0], 1e-9),
-    ((0.5, 0), None, 1e-9),  # signs outside {-1, 0, 1}
-    ((1, 0), None, -1.0),
-    ((1, 0), None, math.nan),
-    ((1, 0), None, math.inf),
+@pytest.mark.parametrize("d,z", [
+    ((1, 0), [0.1, 0.0, 0.0]),  # one threshold per sign
+    ((1, 0), [0.1]),
+    ((1, 0), [0.1, 0.2]),  # D0 needs threshold 0
+    ((1, -1), [-0.1, 0.0]),  # D+ threshold below 0
+    ((1, -1), [0.1, 0.2]),  # D- threshold above 0
+    ((1, 0), [math.nan, 0.0]),
+    ((1, 0), [math.inf, 0.0]),
+    ((0.5, 0), None),  # signs outside {-1, 0, 1}
 ])
-def test_region_orthant_rejects_what_estimator_orthant_event_rejects(d, z, zero_tol):
+def test_region_orthant_rejects_what_estimator_orthant_event_rejects(d, z):
     with pytest.raises(InputError):
-        ld.region_orthant(d, z, zero_tol)
+        ld.region_orthant(d, z)
 
 
 def test_mvn_box_exact_one_dimensional():

@@ -115,9 +115,9 @@ def test_uniqueness_verdicts(n1p2, x2x4):
     w = ld.construct_nonuniqueness_witness(n1p2, t, face.model, face.v)
     assert ld.is_solution(n1p2, w.y, t, w.b, tol=1e-8)
     assert ld.is_solution(n1p2, w.y, t, w.b_tilde, tol=1e-8)
+    # X = (1 2): (2, -1) spans ker(X), the complement of the row space
     with pytest.raises(InputError, match="not a row-space point"):
-        ld.construct_nonuniqueness_witness(
-            n1p2, t, face.model, face.v + n1p2.null_space_basis[:, 0])
+        ld.construct_nonuniqueness_witness(n1p2, t, face.model, face.v + [2.0, -1.0])
 
     # not in general position, yet unique for every uniform weight
     for lam_bar in (0.5, 1.0, 3.0):

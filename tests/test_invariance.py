@@ -175,3 +175,70 @@ def test_cdf_is_invariant(kind):
                       quad_tol=quad_tol)
         # each is within its reported bound, quad_tol, of the true value
         assert abs(got2 - got) <= 2.0 * quad_tol, (i, X, lam)
+
+
+@pytest.mark.parametrize("kind", ["scale", "permutation", "rotation"])
+def test_conditional_density_is_invariant(kind):
+    # u -> s u[perm] / c on the active coordinates has Jacobian prod 1 / c_k
+    # over the mapped active set, so the mapped density is the original's
+    # times prod c_k there. Each divides by P(u_A in the orthant): a closed
+    # form below three moving coordinates, else within quad_tol, and at
+    # least P(bhat in O^d)
+    rng = np.random.default_rng(37)
+    quad_tol = 1e-5
+    for i, (X, lam) in enumerate(_designs("gaussian", 12, seed=11, p_max=3, n_min=3)):
+        n, p = X.shape
+        m = _transform(kind, n, p, rng)
+        beta = rng.normal(size=p)
+        d = rng.integers(-1, 2, size=p)
+        d[rng.integers(p)] = rng.choice([-1, 1])  # at least one moving coordinate
+        u = np.where(d != 0, -beta + d * rng.uniform(0.1, 1.0, size=p), 0.0)
+        prob, t = ld.build_problem(X), ld.tuning_vector(lam)
+        prob2, t2 = m.problem(X, lam)
+        model, model2 = ld.gaussian_model(prob, beta, 1.0), ld.gaussian_model(prob2, m.b(beta), 1.0)
+        d2 = m.signs(d)
+        active2 = np.flatnonzero(d2)
+        got = ld.conditional_density(prob, model, t, d, u[d != 0], quad_tol=quad_tol)
+        got2 = ld.conditional_density(prob2, model2, t2, d2, m.b(u)[active2], quad_tol=quad_tol)
+        want = got * np.prod(m.c[active2])
+        rel = 1e-12 if active2.size < 3 else (
+            3.0 * quad_tol / ld.orthant_mass(prob, model, t, d).estimate)
+        assert got > 0.0 and abs(got2 - want) <= rel * want, (i, X, lam, d)
+
+
+@pytest.mark.parametrize("kind", ["permutation", "flip"])
+def test_solve_many_keeps_sign_patterns(kind):
+    # Gaussian designs are in general position, so each solution is unique
+    # and its signs map as b does, row for row; coordinate descent visits the
+    # columns in another order, so a row with a coefficient within 1e-7 of
+    # zero (but not 0) may resolve that tie either way and is left out
+    rng = np.random.default_rng(41)
+    near = lambda B: np.any((B != 0.0) & (np.abs(B) <= 1e-7), axis=1)
+    left_out = total = 0
+    for i, (X, lam) in enumerate(_designs("gaussian", 10, seed=7)):
+        n, p = X.shape
+        m = _transform(kind, n, p, rng)
+        Y = X @ rng.normal(size=p) + rng.normal(size=(1000, n))
+        prob, t = ld.build_problem(X), ld.tuning_vector(lam)
+        prob2, t2 = m.problem(X, lam)
+        B, _ = ld.solve_many(prob, Y, t)
+        B2, _ = ld.solve_many(prob2, Y @ (m.f * m.Q.T), t2)
+        keep = ~(near(B) | near(B2))
+        want = m.f * m.s * np.sign(B)[:, m.perm]
+        assert np.array_equal(np.sign(B2)[keep], want[keep]), f"design {i}: X = {X.tolist()}"
+        left_out += np.count_nonzero(~keep)
+        total += len(Y)
+    assert left_out <= total // 100
+
+
+def test_general_position_fails_on_every_nonunique_design():
+    # general position makes the solution unique for every y under uniform
+    # lam, so no design that check_uniqueness finds non-unique may have it
+    nonunique = 0
+    for i, (X, _) in enumerate(_designs("integer", 100, seed=2026)):
+        prob, p = ld.build_problem(X), X.shape[1]
+        for lam in (0.5, 1.0, 3.0):
+            if not ld.check_uniqueness(prob, ld.uniform_tuning(p, lam)).unique:
+                nonunique += 1
+                assert not ld.general_position(prob), f"design {i}: X = {X.tolist()}, lam = {lam}"
+    assert nonunique >= 50

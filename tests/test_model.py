@@ -15,21 +15,19 @@ from lassodist.errors import InputError
 def test_build_problem_shapes(n1p2):
     assert n1p2.n == 1 and n1p2.p == 2
     assert n1p2.rank_x == 1
-    assert n1p2.row_space_basis.shape == (2, 1)
-    assert n1p2.null_space_basis.shape == (2, 1)
+    assert n1p2.gram.shape == (2, 2) and n1p2.scale.shape == (2,) and n1p2.unit.shape == (1, 2)
 
 
 def test_build_problem_bases_orthonormal():
+    # the unit-norm design and its norm: columns of norm 1, spanning X's
+    # column space, and ||U||_2 its largest singular value
     rng = np.random.default_rng(0)
     X = rng.normal(size=(3, 5))
     prob = ld.build_problem(X)
     assert prob.rank_x == 3
-    U = prob.row_space_basis
-    N = prob.null_space_basis
-    assert np.allclose(U.T @ U, np.eye(3), atol=1e-12)
-    assert np.allclose(N.T @ N, np.eye(2), atol=1e-12)
-    assert np.allclose(X @ N, 0.0, atol=1e-10)
-    assert np.allclose(U.T @ N, 0.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(prob.unit, axis=0), 1.0, atol=1e-12)
+    assert np.allclose(prob.unit * prob.scale, X, rtol=1e-15, atol=0.0)
+    assert prob.unit_norm == pytest.approx(np.linalg.norm(prob.unit, 2), rel=1e-12)
 
 
 def test_build_problem_keeps_no_n_by_n_factor():
@@ -42,8 +40,7 @@ def test_build_problem_keeps_no_n_by_n_factor():
     finally:
         tracemalloc.stop()
     assert peak < 4e6, peak
-    assert prob.rank_x == 4 and prob.null_space_basis.shape == (4, 0)
-    assert np.allclose(prob.row_space_basis.T @ prob.row_space_basis, np.eye(4), atol=1e-12)
+    assert prob.rank_x == 4 and prob.unit.shape == (3000, 4)
 
 
 def test_build_problem_rejects_nonfinite():
@@ -100,29 +97,6 @@ def test_sign_vector_validation():
 def test_sign_partition_thresholds():
     z = np.array([-1.0, -1e-12, 0.0, 1e-12, 3.0])
     assert tuple(ld.sign_partition(z).d) == (-1, 0, 0, 0, 1)
-    assert tuple(ld.sign_partition(z, zero_tol=0.0).d) == (-1, -1, 0, 1, 1)
-
-
-def test_zero_tol_must_be_finite_and_nonnegative(corr2):
-    tuning = ld.uniform_tuning(2, 0.5)
-    y, b = [0.9, -0.4], [0.3, 0.0]
-    calls = {
-        "sign_partition": lambda tol: ld.sign_partition(b, tol),
-        "region_orthant": lambda tol: ld.region_orthant((0, 0), zero_tol=tol),
-        "region_support_includes": lambda tol: ld.region_support_includes(0, tol),
-        "is_solution": lambda tol: ld.is_solution(corr2, y, tuning, b, zero_tol=tol),
-        "describe_solution_set": lambda tol: ld.describe_solution_set(
-            corr2, y, tuning, zero_tol=tol),
-        "shrinkage_set_high": lambda tol: ld.shrinkage_set_high(corr2, tuning, b, tol),
-        "shrinkage_set_low": lambda tol: ld.shrinkage_set_low(corr2, tuning, b, tol),
-        "SimulationConfig": lambda tol: ld.SimulationConfig(zero_tol=tol),
-    }
-    for name, call in calls.items():
-        call(0.0)  # zero counts only exact zeros
-        for tol in (math.nan, -1.0, math.inf):
-            with pytest.raises(InputError, match="zero_tol must be finite and nonnegative"):
-                call(tol)
-                pytest.fail(f"{name} accepted zero_tol={tol}")
 
 
 def test_gaussian_model_mu(n1p2):
@@ -370,6 +344,14 @@ def test_malformed_input_raises_input_error(case):
         _MALFORMED[case]()
 
 
+def test_integral_inputs_follow_one_integer_rule():
+    # model._as_int reads every integral value, a bool included, as that int
+    assert ld.uniform_tuning(True, 1.0).p == 1 and ld.uniform_tuning(np.float64(2.0), 1.0).p == 2
+    got = ld.prob_region_high(_P2, _M2, _T2, ld.region_support_includes(True), n_samples=True)
+    want = ld.prob_region_high(_P2, _M2, _T2, ld.region_support_includes(1), n_samples=1)
+    assert vars(got) == vars(want)
+
+
 def test_region_predicate_checked_before_any_replicate(monkeypatch):
     chunks = []
 
@@ -405,11 +387,6 @@ def test_sign_vector_may_be_a_plain_sequence():
 def test_rank_matches_numpy(X):
     prob = ld.build_problem(X)
     assert prob.rank_x == np.linalg.matrix_rank(X)
-    U = prob.row_space_basis
-    if prob.rank_x:
-        assert np.allclose(U.T @ U, np.eye(prob.rank_x), atol=1e-10)
-    # null basis really annihilates the design
-    assert np.allclose(X @ prob.null_space_basis, 0.0, atol=1e-9)
 
 
 def _records():
@@ -425,8 +402,7 @@ def _records():
     rp = ld.RegionProbability(0.25, 0.01, "monte-carlo", 100, 3, 0.0)
     witness = ld.NonuniquenessWitness(y=np.array([4.0]), b=v, b_tilde=-v)
     return [
-        (prob, ("X", "gram", "rank_x", "row_space_basis", "null_space_basis", "scale", "unit",
-                "unit_norm"), False),
+        (prob, ("X", "gram", "rank_x", "scale", "unit", "unit_norm"), False),
         (ld.TuningVector(lam=v, m0=()), ("lam", "m0"), False),
         (sv, ("d",), True),
         (ld.GaussianModel(beta=v, sigma=1.0, mu=np.array([0.0])), ("beta", "sigma", "mu"), False),
@@ -441,7 +417,7 @@ def _records():
         (ld.ShrinkageSet(center=v, box=face, b=v, gram=prob.gram, domain="xty"),
          ("center", "box", "b", "gram", "domain"), False),
         (ld.SimulationConfig(n_rep=10, seed=2),
-         ("n_rep", "seed", "zero_tol", "solver_tol", "ecdf_points", "ecdf_span"), True),
+         ("n_rep", "seed", "solver_tol"), True),
         (ld.EmpiricalSummary(n_rep=10, seed=2, sign_pattern_freq={sv: 10}, support_freq={(0,): 10},
                              ecdf_grid=(((0.0, 0.5),),), nonunique_count=1),
          ("n_rep", "seed", "sign_pattern_freq", "support_freq", "ecdf_grid", "nonunique_count",
@@ -508,6 +484,60 @@ def test_record_contract(name):
         cls(*values[1:], **{names[0]: values[0], "extra": None})
 
 
+# the parameters of every public function, in order; records are pinned by
+# _records. A new option shows up here as a change to review
+_PARAMETERS = {
+    "build_problem": ("X",),
+    "cdf": ("problem", "model", "tuning", "z", "coords", "quad_tol"),
+    "check_uniqueness": ("problem", "tuning", "tol"),
+    "compare_analytic_empirical": ("analytic", "empirical"),
+    "conditional_density": ("problem", "model", "tuning", "d", "z_active", "quad_tol"),
+    "construct_nonuniqueness_witness": ("problem", "tuning", "model", "v", "z"),
+    "describe_solution_set": ("problem", "y", "tuning", "tol"),
+    "design_from_gram": ("gram",),
+    "error_density": ("problem", "model", "tuning", "z"),
+    "error_orthant_event": ("z", "d"),
+    "estimate_nonuniqueness_probability": ("problem", "model", "tuning", "config"),
+    "estimator_orthant_event": ("model", "z", "d"),
+    "face_box": ("tuning", "model", "signs"),
+    "face_intersects_row_space": ("problem", "face", "tol"),
+    "fiber_equivalent": ("m1", "m2", "problem"),
+    "gaussian_model": ("problem", "beta", "sigma"),
+    "general_position": ("problem",),
+    "is_solution": ("problem", "y", "tuning", "b", "tol"),
+    "map_ls_to_lasso": ("problem", "tuning", "z_ls", "tol"),
+    "mvn_box_probability": ("mean", "cov", "lower", "upper", "n_samples", "seed", "n_shifts"),
+    "orthant_mass": ("problem", "model", "tuning", "d", "kwargs"),
+    "prob_all_zero": ("problem", "model", "tuning", "seed"),
+    "prob_orthant_event": ("problem", "model", "tuning", "event", "seed", "quad_tol"),
+    "prob_region_high": ("problem", "model", "tuning", "region", "n_samples", "seed",
+                         "solver_tol"),
+    "region_below": ("z",),
+    "region_orthant": ("d", "z"),
+    "region_support_includes": ("j",),
+    "run_simulation": ("problem", "model", "tuning", "config"),
+    "selectable": ("problem", "tuning", "model", "tol"),
+    "shrinkage_set_high": ("problem", "tuning", "b"),
+    "shrinkage_set_low": ("problem", "tuning", "b"),
+    "shrinkage_singleton": ("problem", "tuning", "b"),
+    "sign_partition": ("z",),
+    "solve": ("problem", "y", "tuning", "tol", "max_iter"),
+    "solve_many": ("problem", "Y", "tuning", "tol", "max_iter"),
+    "structural_set": ("problem", "tuning", "tol"),
+    "tuning_vector": ("lam",),
+    "uniform_tuning": ("p", "lam_bar"),
+}
+
+
+def test_public_parameters_are_pinned():
+    import inspect
+
+    functions = {name: getattr(ld, name) for name in ld.__all__
+                 if not isinstance(getattr(ld, name), type)}
+    assert {name: tuple(inspect.signature(f).parameters) for name, f in functions.items()} == (
+        _PARAMETERS)
+
+
 def test_record_defaults_and_checks():
     a, b = ld.EmpiricalSummary(1, 0), ld.EmpiricalSummary(n_rep=1, seed=0)
     assert a.sign_pattern_freq == {} and a.sign_pattern_freq is not b.sign_pattern_freq
@@ -524,4 +554,4 @@ def test_record_defaults_and_checks():
     with pytest.raises(InputError):
         ld.SimulationConfig(0)
     with pytest.raises(InputError):
-        ld.SimulationConfig(n_rep=10, ecdf_points=1)
+        ld.SimulationConfig(n_rep=10, solver_tol=0.0)

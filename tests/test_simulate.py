@@ -22,48 +22,36 @@ def test_config_validation():
         ld.SimulationConfig(n_rep=0)
     with pytest.raises(InputError):
         ld.SimulationConfig(seed=-1)
-    for tol in (math.inf, math.nan):
-        with pytest.raises(InputError):
-            ld.SimulationConfig(zero_tol=tol)
     for tol in (0.0, math.inf, math.nan):
         with pytest.raises(InputError):
             ld.SimulationConfig(solver_tol=tol)
-    with pytest.raises(InputError):
-        ld.SimulationConfig(ecdf_points=1)
-    for span in (0.0, math.inf, math.nan):
-        with pytest.raises(InputError):
-            ld.SimulationConfig(ecdf_span=span)
 
 
 def test_config_counts_must_be_integers():
-    # rejected at construction, not later by np.linspace with a TypeError
-    for points in (2.5, math.nan, math.inf, "21"):
-        with pytest.raises(InputError):
-            ld.SimulationConfig(ecdf_points=points)
     for n_rep in (2.5, math.nan, math.inf):
         with pytest.raises(InputError):
             ld.SimulationConfig(n_rep=n_rep)
 
 
 def test_config_keeps_integral_counts_as_int(n1p2):
-    cfg = ld.SimulationConfig(n_rep=2.0, seed=3.0, ecdf_points=5.0)
-    assert [(type(v), v) for v in (cfg.n_rep, cfg.seed, cfg.ecdf_points)] == [(int, 2), (int, 3),
-                                                                               (int, 5)]
-    assert cfg == ld.SimulationConfig(n_rep=2, seed=3, ecdf_points=5)
+    cfg = ld.SimulationConfig(n_rep=2.0, seed=3.0)
+    assert [(type(v), v) for v in (cfg.n_rep, cfg.seed)] == [(int, 2), (int, 3)]
+    assert cfg == ld.SimulationConfig(n_rep=2, seed=3)
     summary = ld.run_simulation(n1p2, ld.gaussian_model(n1p2, [1.0, 0.0], 1.0),
                                 ld.uniform_tuning(2, 2.0), cfg)
     assert type(summary.n_rep) is int and type(summary.seed) is int
-    assert [len(axis) for axis in summary.ecdf_grid] == [5, 5]
+    assert [len(axis) for axis in summary.ecdf_grid] == [simulate.ECDF_POINTS] * 2
 
 
 def test_zero_column_axis_spans_sigma():
     # b_2 is always 0 and has no spread to scale its ECDF axis: the axis
-    # spans ecdf_span sigma around beta_2
+    # spans ECDF_SPAN = 4 sigma around beta_2, in ECDF_POINTS = 21 points
     prob = ld.build_problem(np.array([[1.0, 0.0], [0.5, 0.0]]))
     model = ld.gaussian_model(prob, [0.4, 0.0], 2.0)
-    cfg = ld.SimulationConfig(n_rep=200, seed=1, ecdf_points=5)
+    cfg = ld.SimulationConfig(n_rep=200, seed=1)
     s = ld.run_simulation(prob, model, ld.uniform_tuning(2, 0.5), cfg)
-    assert s.ecdf_grid[1] == ((-8.0, 0.0), (-4.0, 0.0), (0.0, 1.0), (4.0, 1.0), (8.0, 1.0))
+    axis = np.linspace(-8.0, 8.0, 21)
+    assert s.ecdf_grid[1] == tuple((float(z), float(z >= 0.0)) for z in axis)
 
 
 def test_runs_are_deterministic(n1p2):
@@ -86,7 +74,7 @@ def test_counters_account_for_every_replicate(n1p2):
     assert sum(s.sign_pattern_freq.values()) == cfg.n_rep
     assert sum(s.support_freq.values()) == cfg.n_rep
     assert s.convergence_failures == 0
-    assert len(s.ecdf_grid) == 2 and all(len(g) == cfg.ecdf_points for g in s.ecdf_grid)
+    assert len(s.ecdf_grid) == 2 and all(len(g) == simulate.ECDF_POINTS for g in s.ecdf_grid)
 
 
 def test_zero_atom_frequency_matches_analytic(n1p2):
@@ -380,7 +368,7 @@ def test_rows_inside_the_band_reach_the_solver(monkeypatch):
     # sigma = 1e-150 leaves every response at mu, bit for bit; on X = I_2,
     # c = y, and c_1 = lam_1 + 2e-12 exceeds its threshold by far less than
     # the margin h (above tol = 1e-10): the solver must see that row, and
-    # its b_1 = 2e-12 counts as 0 at zero_tol 1e-9
+    # its b_1 = 2e-12 counts as 0 at ZERO_TOL = 1e-9
     prob, t = ld.build_problem(np.eye(2)), ld.tuning_vector([1.0, 1.0])
     solved = []
 
@@ -392,7 +380,7 @@ def test_rows_inside_the_band_reach_the_solver(monkeypatch):
     for mu, signs, solves, estimate in [
         ((1.0 + 2e-12, 0.0), (0, 0), 100, 1.0),
         ((0.5, 0.0), (0, 0), 0, 1.0),  # below both thresholds: decided, never solved
-        ((1.0 + 5e-10, -2.0), (1, -1), 100, 0.0),  # x_1 = 5e-10, within delta of zero_tol
+        ((1.0 + 5e-10, -2.0), (1, -1), 100, 0.0),  # x_1 = 5e-10, within delta of ZERO_TOL
         ((3.0, -2.0), (1, -1), 0, 1.0),
     ]:
         solved.clear()

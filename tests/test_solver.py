@@ -86,7 +86,7 @@ def test_convergence_error_carries_best_iterate(corr2):
     B, resids = ld.solve_many(corr2, [[2.0, -1.5]], t, tol=1e-15, max_iter=1)
     assert np.array_equal(exc.value.b, B[0])
     assert exc.value.kkt_residual == resids[0]
-    report = ld.is_solution(corr2, [2.0, -1.5], t, exc.value.b, zero_tol=0.0)
+    report = ld.is_solution(corr2, [2.0, -1.5], t, exc.value.b)
     assert abs(report.max_violation - exc.value.kkt_residual) <= 1e-12
 
 
@@ -102,10 +102,10 @@ def test_large_scale_responses_are_certified(name):
         B, resids = ld.solve_many(prob, Y, t)
         assert np.any(resids > DEFAULT_TOL)
         for y, b in zip(Y, B):
-            assert ld.is_solution(prob, y, t, b, tol=DEFAULT_TOL, zero_tol=0.0)
+            assert ld.is_solution(prob, y, t, b, tol=DEFAULT_TOL)
         # the one-row call certifies its own answer, which matches the batched
         # row to BLAS rounding only
-        assert ld.is_solution(prob, Y[0], t, ld.solve(prob, Y[0], t).b, DEFAULT_TOL, 0.0)
+        assert ld.is_solution(prob, Y[0], t, ld.solve(prob, Y[0], t).b, DEFAULT_TOL)
         assert not ld.is_solution(prob, Y[0], t, B[0] * (1.0 + 1e-9), tol=DEFAULT_TOL)
         model = ld.gaussian_model(prob, np.zeros(prob.p), scale)
         summary = ld.run_simulation(prob, model, t, ld.SimulationConfig(n_rep=1000, seed=1))
@@ -250,7 +250,7 @@ def _plain_descend(gram, lam, C, tol, max_iter):
         if rows.size == 0:
             break
         _sweep(gram, lam, Ca, Ba)
-        r = solver._kkt_violation(Ca - Ba @ gram, Ba, lam, 0.0).max(axis=1)
+        r = solver._kkt_violation(Ca - Ba @ gram, Ba, lam).max(axis=1)
         better = r < resids[rows]
         B[rows[better]], resids[rows[better]] = Ba[better], r[better]
         keep = r > tol
@@ -435,21 +435,31 @@ def test_null_steps_on_a_tall_design_stay_small(monkeypatch):
     assert np.allclose(B[:, 1:], ref, rtol=0.0, atol=1e-8)
 
 
-@pytest.mark.parametrize("zero_tol", [0.0, ZERO_TOL])
-def test_kkt_violation_is_bitwise_its_formula(zero_tol):
-    # written over g with one temporary, each entry is still the formula's
+@pytest.mark.parametrize("tiny", [0.0, ZERO_TOL])
+def test_kkt_violation_is_bitwise_its_formula(tiny):
+    # written over g with one temporary, each entry is still the formula's;
+    # an entry of b is zero only when it is exactly 0, so one at ZERO_TOL
+    # must meet g_j = sgn(b_j) lam_j
     rng = np.random.default_rng(11)
     b = rng.normal(size=(200, 6))
     b[rng.random(b.shape) < 0.4] = 0.0
-    b[rng.random(b.shape) < 0.1] = 1e-13
+    b[rng.random(b.shape) < 0.1] = tiny
     lam = rng.uniform(0.0, 1.0, 6)
     lam[0] = 0.0
     g = np.where(rng.random(b.shape) < 0.3, np.sign(b) * lam, rng.normal(size=b.shape))
     g[0] = -0.0
-    want = np.where(np.abs(b) > zero_tol, np.abs(g - np.sign(b) * lam),
-                    np.maximum(np.abs(g) - lam, 0.0))
-    got = solver._kkt_violation(g.copy(), b, lam, zero_tol)
+    want = np.where(b != 0.0, np.abs(g - np.sign(b) * lam), np.maximum(np.abs(g) - lam, 0.0))
+    got = solver._kkt_violation(g.copy(), b, lam)
     assert got.tobytes() == want.tobytes()
+
+
+def test_is_solution_counts_only_exact_zeros():
+    # the solver's acceptance rule: b_1 = 5e-10 is a nonzero coefficient, so
+    # g_1 = 0.5 must equal lam_1 = 1; read as a zero, b would pass
+    prob, t = ld.build_problem(np.eye(2)), ld.tuning_vector([1.0, 1.0])
+    report = ld.is_solution(prob, [0.5, -0.2], t, [5e-10, 0.0])
+    assert not report.ok and report.worst_index == 0
+    assert report.max_violation == pytest.approx(0.5)
 
 
 def test_descent_keeps_few_arrays_the_size_of_a_block():
