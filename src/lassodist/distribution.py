@@ -47,7 +47,7 @@ from . import _lazy
 from .errors import ConditioningError, DimensionLimitError, InputError, NumericalError
 from .model import DesignProblem, GaussianModel, RegionProbability, SignVector, TuningVector
 from .model import _as_int, _as_signs, _as_vector, _check_dims, _check_seed, _check_tol
-from .model import _EVENT_SIDE_TOL, _check_quad_tol, _check_side, _record
+from .model import _EVENT_SIDE_TOL, _check_quad_tol, _check_side, _plain, _record
 
 # uncalled here, but read as attributes of this module: perfbench/tracing.py
 # wraps both and perfbench/worker.py calls solve_many. They load on first use
@@ -450,9 +450,10 @@ def mvn_box_probability(
         raise InputError("covariance must be finite")
     if np.any(lower > upper):
         raise InputError("lower bound exceeds upper bound")
-    n_samples = _as_int(n_samples, 1, f"n_samples must be a positive integer, got {n_samples!r}")
-    n_shifts = _as_int(
-        n_shifts, 2, f"n_shifts must be an integer >= 2 for a standard error, got {n_shifts!r}")
+    n_samples = _as_int(
+        n_samples, 1, f"n_samples must be a positive integer, got {_plain(n_samples)!r}")
+    n_shifts = _as_int(n_shifts, 2, "n_shifts must be an integer >= 2 for a standard error, "
+                       f"got {_plain(n_shifts)!r}")
     from ._genz import _MAX_LATTICE
 
     if n_samples // n_shifts > _MAX_LATTICE:

@@ -2,7 +2,9 @@
 
 Everything downstream works off the Gram matrix X'X and the design with
 unit-norm columns, which holds every rank, so these are computed once at
-construction time and frozen.
+construction time and frozen. A coordinate counts as zero only when it is
+exactly 0, the solver's rule, which no rescaling of a column moves: that one
+zero rule reads every sign partition and every solution's model and signs.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ import math
 import numpy as np
 
 from .errors import InputError
-
-# |b_j| <= ZERO_TOL  <=>  coordinate j of a solution counts as zero (_signs)
-ZERO_TOL = 1e-9
 
 # default solver tolerance on the KKT residual
 DEFAULT_TOL = 1e-10
@@ -100,6 +99,12 @@ def _as_int(value, least: int, message: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(message)
+
+
+def _plain(value):
+    """value as an error message shows it: a numpy scalar as the Python number
+    it holds, so the message reads 2.5 rather than np.float64(2.5)."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _check_seed(seed) -> int:
@@ -307,9 +312,10 @@ def tuning_vector(lam) -> TuningVector:
 
 
 def uniform_tuning(p: int, lam_bar: float) -> TuningVector:
-    """The weight lam_bar on each of p coordinates; p must be a positive integer."""
-    p = _as_int(p, 1, f"p must be a positive integer, got {p!r}")
-    return tuning_vector(np.full(p, float(lam_bar)))
+    """The weight lam_bar, one number, on each of p coordinates; p must be a
+    positive integer."""
+    p = _as_int(p, 1, f"p must be a positive integer, got {_plain(p)!r}")
+    return tuning_vector(np.full(p, _as_vector(lam_bar, 1, "lam_bar")[0]))
 
 
 @_record(eq=True)
@@ -346,16 +352,11 @@ class SignVector:
         return np.array(self.d, dtype=int)
 
 
-def _signs(B) -> np.ndarray:
-    """The sign of each entry of B as int8, 0 where |b| <= ZERO_TOL: the package's
-    one zero rule, by which a solution's model and sign pattern are read."""
-    return (B > ZERO_TOL).view(np.int8) - (B < -ZERO_TOL).view(np.int8)
-
-
 def sign_partition(z) -> SignVector:
-    """Classify each coordinate of z as -1, 0 or +1; |z_j| <= ZERO_TOL is 0."""
+    """Classify each coordinate of z as -1, 0 or +1 by its sign: z_j is 0 only
+    when it is exactly 0, the package's one zero rule (that of the solver)."""
     z = _as_vector(z, None, "z", allow_inf=True)
-    return SignVector(d=tuple(_signs(z).tolist()))
+    return SignVector(d=tuple(int(v) for v in np.sign(z)))
 
 
 @_record

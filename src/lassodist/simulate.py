@@ -9,8 +9,8 @@ would, bit for bit where BLAS sums a row in the same order in both batches.
 An event that can read some rows' verdicts off C = Y X (region_orthant, see
 its decide) sorts each block first, and only its undecided rows are solved;
 its counts are those of solving every row. Sign patterns, supports and the
-event predicates read a solution's signs by model._signs, the package's one
-zero rule.
+event predicates read a solution's signs by the solver's one zero rule: b_j
+is zero only when it is exactly 0.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from itertools import compress, islice
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .model import DEFAULT_TOL, ZERO_TOL, DesignProblem, GaussianModel, RegionProbability
+from .model import DEFAULT_TOL, DesignProblem, GaussianModel, RegionProbability
 from .model import SignVector, TuningVector, _as_int, _as_signs, _as_vector, _check_dims
-from .model import _check_seed, _check_side, _check_tol, _record, _signs
+from .model import _check_seed, _check_side, _check_tol, _plain, _record
 from .rng import gaussian_chunks
 from .solver import kernel_sign_cone_nonempty, solve_many
 from .solver import _EPS, _check_inputs, _passes, _uniqueness_classes
@@ -46,14 +46,14 @@ class SimulationConfig:
     """The replicate count, the seed of the RNG streams and the solver's
     tolerance of one run_simulation call.
 
-    zero_tol is a class constant, not a field: model.ZERO_TOL, the zero rule
-    by which run_simulation reads each replicate's sign pattern.
+    zero_tol is a class constant, not a field, and 0.0: run_simulation reads
+    a replicate's coefficient as zero only when it is exactly 0.
     """
 
     n_rep: int = 100_000
     seed: int = 0
     solver_tol: float = DEFAULT_TOL
-    zero_tol = ZERO_TOL
+    zero_tol = 0.0
 
     def __post_init__(self):
         # counts are kept as int, so n_rep=2.0 reports 2
@@ -150,11 +150,11 @@ def _binomial_probability(hits, n_samples, seed) -> RegionProbability:
 
 def region_support_includes(j: int):
     """Predicate factory: solutions whose coordinate j (an integer >= 0) is
-    nonzero by model._signs."""
-    j = _as_int(j, 0, f"column index must be a nonnegative integer, got {j!r}")
+    not exactly 0."""
+    j = _as_int(j, 0, f"column index must be a nonnegative integer, got {_plain(j)!r}")
 
     def region(B):
-        return _signs(B[:, j]) != 0
+        return B[:, j] != 0
 
     return region
 
@@ -174,8 +174,8 @@ def region_below(z):
 def region_orthant(d, z=None):
     """Predicate factory: distribution.estimator_orthant_event(model, z, d) at
     estimator thresholds z (default 0; on d's side of 0, and 0 on D0): the
-    sign of b_j by model._signs is d_j, and b_j >= z_j on D+, b_j <= z_j on
-    D-. With every sign 0 it is {bhat = 0}.
+    sign of b_j is d_j (b_j exactly 0 on D0), and b_j >= z_j on D+, b_j <= z_j
+    on D-. With every sign 0 it is {bhat = 0}.
 
     The predicate carries decide(problem, tuning, tol) for prob_region_high:
     with every sign 0 at any rank, and with any signs when X has full column
@@ -187,12 +187,12 @@ def region_orthant(d, z=None):
     signs, zero = d.as_array(), np.zeros(d.p)
     z = zero if z is None else _as_vector(z, d.p, "z")
     _check_side(signs, z, zero)
-    edge, code = signs * z, signs.astype(np.int8)
+    edge = signs * z
 
     def region(B):
         if B.shape[1] != signs.size:
             raise ValueError(f"{signs.size} signs for {B.shape[1]} columns")
-        return np.all((_signs(B) == code) & (signs * B >= edge), axis=1)
+        return np.all((np.sign(B) == signs) & (signs * B >= edge), axis=1)
 
     region.decide = lambda problem, tuning, tol: _orthant_sorter(
         problem, tuning, tol, signs, edge)
@@ -203,8 +203,8 @@ def region_orthant(d, z=None):
 def _orthant_sorter(problem, tuning, tol, signs, edge):
     """A function of a block's C = Y X that returns the masks (hit, undecided)
     of the orthant event with signs s on A = supp(signs), thresholds z and
-    edge = s z, whose floors there are max(ZERO_TOL, s_j z_j); None if A is
-    not empty and X is not of full column rank.
+    edge = s z, whose floors there are max(0, s_j z_j); None if A is not
+    empty and X is not of full column rank.
 
     For a row c of C, the candidate x_A = G_AA^-1 (c_A - s lam_A) and the
     off-A correlations r_j = c_j - G_jA x_A (G = X'X; with A empty x_A is
@@ -214,21 +214,26 @@ def _orthant_sorter(problem, tuning, tol, signs, edge):
     solution at some c - e' with every |e'_j| <= e = tol + u. Here
     u = 16 (p + 2)^2 eps kappa S bounds the rounding of the acceptance rule
     and of the candidate: S = max|c| + max lam + sqrt(p) ||G|| max|x_A| over
-    the block, and kappa = ||G|| ||G^-1||, 1 with A empty. With
-    zeta = ZERO_TOL, the zero rule's band, and 2-norms, the margins are
+    the block, and kappa = ||G|| ||G^-1||, 1 with A empty. In 2-norms the
+    margins are
 
-        delta = sqrt(p) ||G^-1|| (e + ||G|| zeta)   (0 with A empty),
-        h = e + ||G|| (delta + sqrt(p) zeta).
+        delta = sqrt(p) ||G^-1|| e   (0 with A empty),
+        h = e + ||G|| delta.
 
-    In full rank c -> b is ||G^-1||-Lipschitz, and a B in the event has
-    B_A = x_A - G_AA^-1 (e'_A + G_AO B_O) with |B_O| <= zeta. So B is in the
-    event (hit) when s_j x_j - floor_j > delta on A and |r_j| - lam_j < -h
-    off A, and outside it (miss) when some s_j x_j - floor_j < -delta or
-    some |r_j| - lam_j > h. With A empty, at any rank, a row with
-    max_j(|c_j| - lam_j) <= 0 is a hit, since coordinate descent then
-    returns exact zeros, and one with max_j(|c_j| - lam_j) > h is a miss.
-    Other rows are undecided. A wider margin only leaves more rows to the
-    solver.
+    In full rank c -> b is ||G^-1||-Lipschitz, so B lies within delta of x
+    (x_A on A, 0 off it) when the candidate is the solution at c. A B in the
+    event has B_O exactly 0, and so B_A = x_A - G_AA^-1 e'_A, again within
+    delta of x_A. Either way each off-A correlation of B is within
+    ||G|| delta of r_j, and the solver leaves b_j exactly 0 where its
+    correlation is below lam_j - e. So B is in the event (hit) when
+    s_j x_j - floor_j > delta on A and |r_j| - lam_j < -h off A, and outside
+    it (miss) when some s_j x_j - floor_j < -delta or some |r_j| - lam_j > h.
+    The floor's 0 keeps s_j b_j > 0 on a hit where z_j lies on the wrong
+    side of 0 within _check_side's tolerance. With A empty, at any rank, a
+    row with max_j(|c_j| - lam_j) <= 0 is a hit, since coordinate descent
+    then returns exact zeros, and one with max_j(|c_j| - lam_j) > h is a
+    miss. Other rows are undecided. A wider margin only leaves more rows to
+    the solver.
     """
     G, lam, p = problem.gram, tuning.lam, problem.p
     A, O = np.flatnonzero(signs), np.flatnonzero(signs == 0)
@@ -238,7 +243,7 @@ def _orthant_sorter(problem, tuning, tol, signs, edge):
     root, s = math.sqrt(p), signs[A]
     kappa = mu[-1] / mu[0] if A.size else 1.0
     G_AA, G_AO, lam_A = G[np.ix_(A, A)], G[np.ix_(A, O)], s * lam[A]
-    floor = np.maximum(ZERO_TOL, edge[A])
+    floor = np.maximum(0.0, edge[A])
 
     def sort(C):
         # a non-finite margin compares False both ways, which leaves its rows undecided
@@ -247,8 +252,8 @@ def _orthant_sorter(problem, tuning, tol, signs, edge):
             slack = (np.abs(C[:, O] - x @ G_AO) - lam[O]).max(axis=1, initial=-np.inf)
             scale = np.abs(C).max() + lam.max() + root * mu[-1] * np.abs(x).max(initial=0.0)
             e = tol + 16 * (p + 2) ** 2 * _EPS * kappa * scale
-            delta = root * (e + mu[-1] * ZERO_TOL) / mu[0] if A.size else 0.0
-            h = e + mu[-1] * (delta + root * ZERO_TOL)
+            delta = root * e / mu[0] if A.size else 0.0
+            h = e + mu[-1] * delta
             if A.size:
                 margin = (s * x - floor).min(axis=1)
                 hit, miss = (margin > delta) & (slack < -h), (margin < -delta) | (slack > h)
@@ -313,9 +318,9 @@ def run_simulation(
 ) -> EmpiricalSummary:
     """Sample y = mu + sigma*eps, solve each replicate, count what happened.
 
-    Per replicate: the sign pattern of b by model._signs, its support, whether
-    the solution set at that y is a single point, and its counts on each
-    coordinate's ECDF grid (ECDF_POINTS, ECDF_SPAN). Fails with
+    Per replicate: the sign pattern of b (b_j is 0 only when exactly 0), its
+    support, whether the solution set at that y is a single point, and its
+    counts on each coordinate's ECDF grid (ECDF_POINTS, ECDF_SPAN). Fails with
     ConvergenceError as soon as one replicate misses solver_tol, so
     convergence_failures is always 0.
     """
@@ -330,7 +335,7 @@ def run_simulation(
     def count(Y, B):
         nonlocal nonunique
         # byte s_j + 1 per coordinate, so byte order is the order of the signs
-        codes = _signs(B).view(np.uint8)
+        codes = np.sign(B).astype(np.int8).view(np.uint8)
         codes += 1
         patterns, counts = _distinct_rows(codes)
         for code, cnt in zip(patterns.tolist(), counts.tolist()):

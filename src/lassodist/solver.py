@@ -15,9 +15,9 @@ which is the one acceptance rule: is_solution certifies it and coordinate
 descent uses it as its convergence criterion, with b_j == 0 exact and each
 entry up to tol plus the rounding bound of its own terms,
 (p + 2) eps (|c_j| + (|b||G|)_j + lam_j) with c = X'y: no iterate meets tol
-alone once |X'y| reaches about 1e6. Residuals stay raw violations. A
-solution's model and signs are read by the package's one zero rule,
-model._signs (|b_j| <= ZERO_TOL is 0).
+alone once |X'y| reaches about 1e6. Residuals stay raw violations. The
+same rule reads a solution's model and signs everywhere in the package:
+b_j is zero only when it is exactly 0.
 
 One batched coordinate-descent engine solves every response; solve is its
 one-row call. It keeps the open rows coordinate-major, (p, rows), so each
@@ -56,7 +56,7 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 from .model import DEFAULT_TOL, LP_TOL, MAX_MAGNITUDE, DesignProblem, TuningVector
 from .model import _as_vector
-from .model import _as_int, _check_dims, _check_tol, _column_rank, _record, _signs
+from .model import _as_int, _check_dims, _check_tol, _column_rank, _record
 from .simplex import feasible
 
 DEFAULT_MAX_ITER = 100_000
@@ -396,7 +396,7 @@ def solve(
     fit = problem.X @ b
     r = y - fit
     objective = float(r @ r + 2.0 * tuning.lam @ np.abs(b))
-    active = tuple(np.flatnonzero(_signs(b)).tolist())
+    active = tuple(np.flatnonzero(b).tolist())
     return LassoSolution(
         b=b.copy(), fit=fit, objective=objective, kkt_residual=resid, active_model=active
     )
@@ -475,13 +475,13 @@ def kernel_sign_cone_nonempty(problem, classes, tol=LP_TOL):
 def _uniqueness_classes(G, B, lam, tol):
     """Per-coordinate classes of the rows of B, with G = Y X - B X'X.
 
-    2: interior (b_j zero by model._signs, lam_j - |g_j| > class_tol), pinned
+    2: interior (b_j exactly 0, lam_j - |g_j| > class_tol), pinned
     at 0 in every solution; +-1: a zero held at the strict boundary
     g_j = +-lam_j, whose movement must respect that sign; 0: a sign-free
     boundary coordinate.
     """
     class_tol = max(100.0 * tol, 1e-8)
-    zeroish = _signs(B) == 0
+    zeroish = B == 0
     interior = (lam - np.abs(G) > class_tol) & zeroish
     constrained = ~interior & zeroish & (lam > 0) & (np.abs(G) > class_tol)
     return np.where(interior, 2, np.where(G >= 0, 1, -1) * constrained).astype(np.int8)

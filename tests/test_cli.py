@@ -29,6 +29,7 @@ CORR2 = str(FIXTURES / "corr2.json")
 CORR3 = str(FIXTURES / "corr3.json")
 X2X3_RANK2 = str(FIXTURES / "x2x3_rank2.json")
 N12P10 = str(FIXTURES / "n12p10.json")
+SCALED_2X3 = str(FIXTURES / "scaled_2x3.json")  # column norms 1e12, about 1 and 2.2
 HUGE_SIGMA = str(FIXTURES / "huge_sigma.json")  # sigma = 1e160 on the 2 x 2 identity
 TINY_SIGMA = str(FIXTURES / "tiny_sigma.json")  # sigma = 1e-200
 HUGE_DESIGN = str(FIXTURES / "huge_design.json")  # entries 1e160: X'X overflows
@@ -78,6 +79,9 @@ GOLDEN_CASES = [
       "--samples", "10000", "--seed", "5")),
     ("prob_zero_corr3_mc.json",
      ("prob-zero", "--input", CORR3, "--method", "mc", "--samples", "20000", "--seed", "2")),
+    # bhat_1 is of order 1e-12 on a column of norm 1e12, and nonzero in every replicate
+    ("prob_zero_scaled_2x3_mc.json",
+     ("prob-zero", "--input", SCALED_2X3, "--method", "mc", "--samples", "20000", "--seed", "1")),
     ("simulate_n1p2.json", ("simulate", "--input", N1P2, "--reps", "2000", "--seed", "3")),
     ("simulate_n1p2.csv",
      ("simulate", "--input", N1P2, "--reps", "2000", "--seed", "3", "--report", "csv")),

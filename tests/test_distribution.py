@@ -489,8 +489,7 @@ def test_mc_probabilities_equal_prob_region_high(setup2, n1p2):
     # region_orthant is the orthant event's hand-written predicate in estimator
     # coordinates: the same record, field for field, at the same seed and
     # solver tolerance, and with all-zero signs the predicate of bhat = 0,
-    # each with coordinates within 1e-9 of 0 read as zeros
-    zero_tol = 1e-9
+    # each reading a coordinate as zero only when it is exactly 0
     cases = (
         (*setup2, (1, 0), [0.1, 0.0]),
         (n1p2, ld.gaussian_model(n1p2, [1.0, 0.0], 1.0), ld.uniform_tuning(2, 2.0),
@@ -501,11 +500,11 @@ def test_mc_probabilities_equal_prob_region_high(setup2, n1p2):
 
         def in_event(B):
             sb = signs * B
-            moving = (sb > zero_tol) & (sb >= edge)
-            return np.all(np.where(signs == 0, np.abs(B) <= zero_tol, moving), axis=1)
+            moving = (sb > 0) & (sb >= edge)
+            return np.all(np.where(signs == 0, B == 0, moving), axis=1)
 
         def all_zero(B):
-            return np.all(np.abs(B) <= zero_tol, axis=1)
+            return np.all(B == 0, axis=1)
 
         kwargs = dict(n_samples=10_000, seed=11, solver_tol=1e-9)
         pairs = (

@@ -9,6 +9,9 @@ verdicts and event probabilities follow from the original's:
 - the global flip y -> -y;
 - the penalty's scale, lam -> g lam and y -> g y.
 
+A coefficient is zero only when it is exactly 0, so Monte-Carlo sign
+patterns and event counts keep their values when a column is scaled up.
+
 Under their composition b solves (X, lam, y) iff g f s b[perm] / c solves the
 transformed problem (f = -1 for the flip), so every geometry verdict is
 unchanged and the error u = b - beta maps as b does. Designs are seeded,
@@ -242,3 +245,22 @@ def test_general_position_fails_on_every_nonunique_design():
                 nonunique += 1
                 assert not ld.general_position(prob), f"design {i}: X = {X.tolist()}, lam = {lam}"
     assert nonunique >= 50
+
+
+@pytest.mark.parametrize("c", [1e10, 1e12])
+def test_monte_carlo_counts_survive_a_column_scaled_up(c):
+    # X_1 -> c X_1 with lam_1 and beta_1 alike leaves mu and so the replicates'
+    # responses; b_1, now of order 1 / c, keeps its sign in every replicate
+    X = np.random.default_rng(5).normal(size=(4, 3))
+    lam, beta = np.full(3, 0.5), np.array([2.0, -1.5, 0.0])
+    config = ld.SimulationConfig(n_rep=10_000, seed=3)
+    counts = []
+    for scale in (np.ones(3), np.array([c, 1.0, 1.0])):
+        prob, t = ld.build_problem(X * scale), ld.tuning_vector(lam * scale)
+        model = ld.gaussian_model(prob, beta / scale, 1.0)
+        hits = ld.prob_region_high(prob, model, t, ld.region_orthant((1, -1, 0)),
+                                   n_samples=10_000, seed=3)
+        summary = ld.run_simulation(prob, model, t, config)
+        counts.append((hits.estimate, summary.sign_pattern_freq, summary.support_freq))
+    assert counts[1] == counts[0]
+    assert counts[0][0] > 0.3

@@ -95,8 +95,9 @@ def test_sign_vector_validation():
 
 
 def test_sign_partition_thresholds():
-    z = np.array([-1.0, -1e-12, 0.0, 1e-12, 3.0])
-    assert tuple(ld.sign_partition(z).d) == (-1, 0, 0, 0, 1)
+    # zero only when exactly 0: a tiny entry keeps its sign at any scale
+    z = np.array([-1.0, -1e-12, 0.0, -0.0, 1e-12, 3.0])
+    assert tuple(ld.sign_partition(z).d) == (-1, -1, 0, 0, 1, 1)
 
 
 def test_gaussian_model_mu(n1p2):
@@ -160,6 +161,8 @@ _MALFORMED = {
     # weights and responses are squared and multiplied: a finite 1e151 overflows
     ("tuning_vector", "huge"): lambda: ld.tuning_vector([1.0, 1e151]),
     ("uniform_tuning", "p"): lambda: ld.uniform_tuning(2.5, 1.0),
+    ("uniform_tuning", "lam_bar-string"): lambda: ld.uniform_tuning(2, "x"),
+    ("uniform_tuning", "lam_bar-vector"): lambda: ld.uniform_tuning(2, [1.0, 2.0]),
     ("sign_partition", "nan"): lambda: ld.sign_partition(_NAN),
     ("error_orthant_event", "length"): lambda: ld.error_orthant_event(_THREE, (1, 1)),
     ("error_orthant_event", "nan"): lambda: ld.error_orthant_event(_NAN, (1, 1)),
@@ -350,6 +353,20 @@ def test_integral_inputs_follow_one_integer_rule():
     got = ld.prob_region_high(_P2, _M2, _T2, ld.region_support_includes(True), n_samples=True)
     want = ld.prob_region_high(_P2, _M2, _T2, ld.region_support_includes(1), n_samples=1)
     assert vars(got) == vars(want)
+
+
+def test_integer_rule_messages_print_plain_values():
+    # a numpy scalar reads as the number it holds, not as its repr
+    box = (np.zeros(3), np.eye(3), -np.ones(3), np.ones(3))
+    for call in (
+        lambda: ld.mvn_box_probability(*box, n_samples=np.float64(2.5)),
+        lambda: ld.mvn_box_probability(*box, n_shifts=np.float64(2.5)),
+        lambda: ld.uniform_tuning(np.float64(2.5), 1.0),
+        lambda: ld.region_support_includes(np.float64(2.5)),
+    ):
+        with pytest.raises(InputError) as info:
+            call()
+        assert "got 2.5" in str(info.value) and "np." not in str(info.value)
 
 
 def test_region_predicate_checked_before_any_replicate(monkeypatch):

@@ -368,7 +368,7 @@ def test_rows_inside_the_band_reach_the_solver(monkeypatch):
     # sigma = 1e-150 leaves every response at mu, bit for bit; on X = I_2,
     # c = y, and c_1 = lam_1 + 2e-12 exceeds its threshold by far less than
     # the margin h (above tol = 1e-10): the solver must see that row, and
-    # its b_1 = 2e-12 counts as 0 at ZERO_TOL = 1e-9
+    # its b_1 = 2e-12 is nonzero, so bhat = 0 misses
     prob, t = ld.build_problem(np.eye(2)), ld.tuning_vector([1.0, 1.0])
     solved = []
 
@@ -378,9 +378,10 @@ def test_rows_inside_the_band_reach_the_solver(monkeypatch):
 
     monkeypatch.setattr(simulate, "solve_many", counted)
     for mu, signs, solves, estimate in [
-        ((1.0 + 2e-12, 0.0), (0, 0), 100, 1.0),
+        ((1.0 + 2e-12, 0.0), (0, 0), 100, 0.0),
         ((0.5, 0.0), (0, 0), 0, 1.0),  # below both thresholds: decided, never solved
-        ((1.0 + 5e-10, -2.0), (1, -1), 100, 0.0),  # x_1 = 5e-10, within delta of ZERO_TOL
+        ((1.0 + 1e-10, -2.0), (1, -1), 100, 1.0),  # x_1 = 1e-10, within delta of 0
+        ((1.0 + 5e-10, -2.0), (1, -1), 0, 1.0),  # x_1 = 5e-10 clears delta
         ((3.0, -2.0), (1, -1), 0, 1.0),
     ]:
         solved.clear()
@@ -442,3 +443,18 @@ def test_simulate_on_badly_scaled_columns(capsys):
     assert cli.main(args) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["nonunique_count"] == 0 and report["convergence_failures"] == 0
+    # b_1, of order 1e-12 on the column of norm 1e12, is nonzero in every replicate
+    assert all(1 in row["support"] for row in report["support_freq"])
+
+
+def test_zero_atom_on_badly_scaled_columns():
+    # bhat = 0 has quadrature probability 3e-13 here: b_1, of order 1e-12 on
+    # the column of norm 1e12, is nonzero in almost every replicate
+    env = json.loads((FIXTURES / "scaled_2x3.json").read_text())
+    prob, t = ld.build_problem(env["X"]), ld.tuning_vector(env["lambda"])
+    model = ld.gaussian_model(prob, np.zeros(3), 1.0)
+    exact = ld.prob_all_zero(prob, model, t)
+    mc = ld.prob_region_high(prob, model, t, ld.region_orthant((0, 0, 0)), n_samples=20_000,
+                             seed=1)
+    se = math.sqrt(exact.estimate * (1.0 - exact.estimate) / mc.n_samples)
+    assert abs(mc.estimate - exact.estimate) <= 3.0 * se + exact.quad_tol

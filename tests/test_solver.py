@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import lassodist as ld
 from lassodist import solver
 from lassodist.errors import ConvergenceError, InputError
-from lassodist.model import ZERO_TOL
 from lassodist.solver import DEFAULT_TOL, kernel_sign_cone_nonempty
 from conftest import FIXTURES
 from prox_oracle import ista_solve, objective, soft
@@ -194,6 +193,14 @@ def test_kernel_sign_cone_ignores_column_units():
     assert ld.check_uniqueness(prob, ld.tuning_vector(env["lambda"])).unique
 
 
+def test_active_model_lists_every_nonzero_coefficient():
+    # b_1 = 7.5e-13 on the column of norm 1e12 is a coefficient like any other
+    env = json.loads((FIXTURES / "scaled_2x3.json").read_text())
+    sol = ld.solve(ld.build_problem(env["X"]), [1.0, 1.0], ld.tuning_vector(env["lambda"]))
+    assert sol.b[0] != 0.0
+    assert sol.active_model == tuple(np.flatnonzero(sol.b)) == (0, 2)
+
+
 def _random_case(draw):
     n = draw(st.integers(1, 4))
     p = draw(st.integers(1, 5))
@@ -305,7 +312,7 @@ def test_finish_matches_plain_coordinate_descent(case, monkeypatch):
 
     def pattern(b):
         b = b @ P
-        return np.where(np.abs(b) > ZERO_TOL, np.sign(b), 0.0)
+        return np.where(np.abs(b) > 1e-9, np.sign(b), 0.0)
 
     def objectives(b):
         return np.sum((Y - b @ X.T) ** 2, axis=1) + 2.0 * np.abs(b) @ lam
@@ -435,10 +442,10 @@ def test_null_steps_on_a_tall_design_stay_small(monkeypatch):
     assert np.allclose(B[:, 1:], ref, rtol=0.0, atol=1e-8)
 
 
-@pytest.mark.parametrize("tiny", [0.0, ZERO_TOL])
+@pytest.mark.parametrize("tiny", [0.0, 1e-9])
 def test_kkt_violation_is_bitwise_its_formula(tiny):
     # written over g with one temporary, each entry is still the formula's;
-    # an entry of b is zero only when it is exactly 0, so one at ZERO_TOL
+    # an entry of b is zero only when it is exactly 0, so one at 1e-9
     # must meet g_j = sgn(b_j) lam_j
     rng = np.random.default_rng(11)
     b = rng.normal(size=(200, 6))
